@@ -35,10 +35,9 @@ import numpy as np
 from . import __version__
 from .binary_metrics import classification_fractions, predictive_values
 from .core import SeedSpec
-from .covariate_roc import (DdpConfig, RegressionSample, aroc, ddp_fit, ddp_roc,
-                            faraggi_roc, location_scale_cdf,
-                            location_scale_youden, ols_fit, pepe_semiparam_roc,
-                            rocglm_fit)
+from .covariate_roc import (RegressionSample, aroc, ddp_fit, ddp_roc, faraggi_roc,
+                            location_scale_cdf, location_scale_youden, ols_fit,
+                            pepe_semiparam_roc, rocglm_fit)
 from .errors import InvalidInputError
 from .indices import youden_empirical, youden_from_cdfs
 from .pooled_roc import (DpmConfig, bb_roc, dpm_fit, dpm_roc, empirical_roc,
@@ -366,6 +365,19 @@ def _cmd_binary(args, cfg) -> int:
     return 0
 
 
+def _mixture_configs(opts: Options) -> tuple[DpmConfig, DpmConfig]:
+    """Sampler settings for the diseased and nondiseased mixture fits."""
+    seed = opts.get("seed", int, 20260815)
+    kwargs = dict(
+        truncation=opts.get("truncation", int, 10),
+        alpha=opts.get("alpha", float, 1.0),
+        burn_in=opts.get("burn_in", int, 500),
+        n_save=opts.get("n_save", int, 1000),
+    )
+    return (DpmConfig(seed=SeedSpec(seed, 1), **kwargs),
+            DpmConfig(seed=SeedSpec(seed, 2), **kwargs))
+
+
 def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
                              grid: np.ndarray):
     estimator = opts.get("estimator", str, "empirical")
@@ -397,15 +409,9 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         ensemble = bb_roc(d, nd, n_draws, grid, seed=SeedSpec(seed, 0), youden=True)
         return ensemble.summarize(level), ensemble.youden_summary(level)
     if estimator == "dpm":
-        seed = opts.get("seed", int, 20260815)
-        kwargs = dict(
-            truncation=opts.get("truncation", int, 10),
-            alpha=opts.get("alpha", float, 1.0),
-            burn_in=opts.get("burn_in", int, 500),
-            n_save=opts.get("n_save", int, 1000),
-        )
-        draws_d = dpm_fit(d, DpmConfig(seed=SeedSpec(seed, 1), **kwargs))
-        draws_nd = dpm_fit(nd, DpmConfig(seed=SeedSpec(seed, 2), **kwargs))
+        cfg_d, cfg_nd = _mixture_configs(opts)
+        draws_d = dpm_fit(d, cfg_d)
+        draws_nd = dpm_fit(nd, cfg_nd)
         ensemble = dpm_roc(draws_d, draws_nd, grid, youden=True)
         return ensemble.summarize(level), ensemble.youden_summary(level)
     raise InvalidInputError(
@@ -497,15 +503,9 @@ def _cmd_covariate(args, cfg) -> int:
         yi = location_scale_youden(fit_d, fit_nd, at, errors)
         youden = {"yi": yi.yi, "c_star": yi.c_star, "p_star": yi.p_star}
     elif estimator == "ddp":
-        seed = opts.get("seed", int, 20260815)
-        kwargs = dict(
-            truncation=opts.get("truncation", int, 10),
-            alpha=opts.get("alpha", float, 1.0),
-            burn_in=opts.get("burn_in", int, 500),
-            n_save=opts.get("n_save", int, 1000),
-        )
-        draws_d = ddp_fit(sample_d, DdpConfig(seed=SeedSpec(seed, 1), **kwargs))
-        draws_nd = ddp_fit(sample_nd, DdpConfig(seed=SeedSpec(seed, 2), **kwargs))
+        cfg_d, cfg_nd = _mixture_configs(opts)
+        draws_d = ddp_fit(sample_d, cfg_d)
+        draws_nd = ddp_fit(sample_nd, cfg_nd)
         z = np.concatenate([[1.0], np.asarray(at, dtype=float)])
         ensemble = ddp_roc(draws_d, draws_nd, z, grid, youden=True)
         curve = ensemble.summarize(level)
@@ -796,10 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_error(args, exc: Exception, code: int) -> None:
-    outdir = getattr(args, "outdir", None) or os.environ.get(ENV_OUTDIR) or "."
+def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
+                 code: int) -> None:
     try:
-        os.makedirs(outdir, exist_ok=True)
+        outdir = _resolve_outdir(Options(args, cfg, args.command))
         _atomic_write(os.path.join(outdir, "error.json"), json.dumps(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
             indent=2, sort_keys=True) + "\n")
@@ -810,16 +810,17 @@ def _write_error(args, exc: Exception, code: int) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    cfg = configparser.ConfigParser()  # stays empty if the file fails to load
     try:
         cfg = _load_config(args.config)
         return args.handler(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(args, exc, 2)
+        _write_error(args, cfg, exc, 2)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(args, exc, 3)
+        _write_error(args, cfg, exc, 3)
         return 3
 
 

@@ -30,14 +30,15 @@ from scipy.interpolate import BSpline
 from scipy.optimize import lsq_linear
 from scipy.special import ndtr, ndtri
 
-from .core import (SeedSpec, as_prob_grid, default_prob_grid, quantile,
-                   std_normal_cdf, validate_sample)
+from .core import (as_prob_grid, default_prob_grid, quantile, std_normal_cdf,
+                   validate_sample)
 from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError,
                      InvalidInputError, NumericError, SeparationWarning,
                      SingularDesignError)
-from .indices import YoudenResult, youden_from_cdfs, youden_from_curve
-from .pooled_roc import (PosteriorEnsemble, RocCurveEstimate,
-                         _ensemble_from_mixture_arrays)
+from .indices import YoudenResult, youden_from_cdfs
+from .pooled_roc import (DpmConfig, PosteriorEnsemble, RocCurveEstimate,
+                         _blocked_gibbs, _ensemble_from_mixture_arrays,
+                         _stack_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -166,37 +167,8 @@ class DdpDraw:
             raise InvalidInputError("variances must be strictly positive")
 
 
-@dataclass(frozen=True)
-class DdpConfig:
-    """Sampler settings for the dependent mixture.
-
-    Mirrors the pooled mixture configuration with a multivariate centring:
-    ``centre_mean`` defaults to the least-squares coefficients and
-    ``centre_var`` to ``10 * sigma_hat^2 * I``; a scalar ``centre_var`` is
-    expanded to that multiple of the identity.
-    """
-
-    seed: SeedSpec
-    truncation: int = 10
-    alpha: float = 1.0
-    centre_mean: np.ndarray | None = None
-    centre_var: np.ndarray | float | None = None
-    shape: float = 2.0
-    rate: float | None = None
-    burn_in: int = 500
-    n_save: int = 1000
-
-    def __post_init__(self):
-        if not isinstance(self.seed, SeedSpec):
-            raise InvalidInputError("seed must be a SeedSpec")
-        if self.truncation < 2:
-            raise InvalidInputError("truncation must be at least 2")
-        if self.alpha <= 0.0 or self.shape <= 0.0:
-            raise InvalidInputError("alpha and shape must be positive")
-        if self.rate is not None and self.rate <= 0.0:
-            raise InvalidInputError("rate must be positive")
-        if self.burn_in < 0 or self.n_save < 1:
-            raise InvalidInputError("need burn_in >= 0 and n_save >= 1")
+# the dependent mixture shares the pooled mixture's sampler and settings
+DdpConfig = DpmConfig
 
 
 # ---------------------------------------------------------------------------
@@ -351,106 +323,18 @@ def ddp_fit(sample: RegressionSample, cfg: DdpConfig) -> list[DdpDraw]:
     The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with
     stick-breaking weights shared across covariate values, a conjugate
     normal prior on each coefficient vector and a gamma prior on each
-    precision.  With an intercept-only design this is exactly the pooled
-    mixture model, including the data-driven prior defaults.
+    precision (see ``DdpConfig``, the same class as ``DpmConfig``).  It
+    runs the sampler behind ``dpm_fit``: with an intercept-only design the
+    two give identical chains for the same ``cfg``.
 
     Rank-deficient designs (e.g. intercept plus a full partition-of-unity
     spline basis) are accepted: the proper prior keeps every conditional
     well defined, and default centring uses the minimum-norm least-squares
     solution.
     """
-    y = sample.outcomes
-    x = sample.design
-    n, d = x.shape
-    if n < 2:
-        raise InvalidInputError("need at least two observations")
-    beta_hat, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta_hat
-    dof = max(n - rank, 1)
-    sigma2 = float(resid @ resid) / dof
-    if sigma2 <= 0.0:
-        raise DegenerateSampleError("zero residual variance: mixture fit undefined")
-
-    L = cfg.truncation
-    m = beta_hat if cfg.centre_mean is None else np.asarray(cfg.centre_mean, dtype=float)
-    if m.shape != (d,):
-        raise InvalidInputError(f"centre_mean must have length {d}")
-    if cfg.centre_var is None:
-        s_mat = 10.0 * sigma2 * np.eye(d)
-    elif np.ndim(cfg.centre_var) == 0:
-        if float(cfg.centre_var) <= 0.0:
-            raise InvalidInputError("centre_var must be positive")
-        s_mat = float(cfg.centre_var) * np.eye(d)
-    else:
-        s_mat = np.asarray(cfg.centre_var, dtype=float)
-        if s_mat.shape != (d, d):
-            raise InvalidInputError(f"centre_var must be {d}x{d}")
-    a = float(cfg.shape)
-    b = sigma2 if cfg.rate is None else float(cfg.rate)
-    try:
-        s_chol = np.linalg.cholesky(s_mat)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInputError("centre_var must be positive definite") from exc
-    s_inv = np.linalg.inv(s_mat)
-    s_inv_m = s_inv @ m
-    rng = cfg.seed.rng()
-
-    ranks = np.argsort(np.argsort(y, kind="stable"), kind="stable")
-    z = np.minimum((ranks * L) // n, L - 1).astype(np.intp)
-    coef = np.tile(beta_hat, (L, 1))
-    tau = np.full(L, 1.0 / sigma2)
-
-    draws: list[DdpDraw] = []
-    for it in range(cfg.burn_in + cfg.n_save):
-        counts = np.bincount(z, minlength=L)
-        tail = counts[::-1].cumsum()[::-1]
-        v = rng.beta(1.0 + counts[:-1], cfg.alpha + tail[1:])
-        stick = np.concatenate([v, [1.0]])
-        w = stick * np.concatenate([[1.0], np.cumprod(1.0 - v)])
-
-        for l in range(L):
-            members = z == l
-            n_l = int(counts[l])
-            if n_l > 0:
-                x_l = x[members]
-                y_l = y[members]
-                lam = s_inv + tau[l] * (x_l.T @ x_l)
-                try:
-                    chol = np.linalg.cholesky(lam)
-                except np.linalg.LinAlgError as exc:
-                    raise NumericError(
-                        f"non-positive-definite update at Gibbs iteration {it}") from exc
-                rhs = s_inv_m + tau[l] * (x_l.T @ y_l)
-                mean = np.linalg.solve(lam, rhs)
-                noise = np.linalg.solve(chol.T, rng.standard_normal(d))
-                coef[l] = mean + noise
-                r_l = y_l - x_l @ coef[l]
-                tau[l] = rng.gamma(a + 0.5 * n_l, 1.0 / (b + 0.5 * float(r_l @ r_l)))
-            else:
-                coef[l] = m + s_chol @ rng.standard_normal(d)
-                tau[l] = rng.gamma(a, 1.0 / b)
-        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
-            raise NumericError(f"non-finite mixture state at Gibbs iteration {it}")
-        if it >= cfg.burn_in:
-            draws.append(DdpDraw(weights=w.copy(), coef=coef.copy(),
-                                 variances=1.0 / tau))
-
-        means = x @ coef.T
-        with np.errstate(divide="ignore"):
-            logp = np.log(w) + 0.5 * np.log(tau) - 0.5 * tau * (y[:, None] - means) ** 2
-        logp -= logp.max(axis=1, keepdims=True)
-        prob = np.exp(logp)
-        prob /= prob.sum(axis=1, keepdims=True)
-        z = (prob.cumsum(axis=1) < rng.uniform(size=(n, 1))).sum(axis=1)
-        z = np.minimum(z, L - 1).astype(np.intp)
-    return draws
-
-
-def _ddp_mixture_arrays(draws, z_row: np.ndarray):
-    w = np.stack([np.asarray(d.weights, dtype=float) for d in draws])
-    mu = np.stack([np.asarray(d.coef, dtype=float) @ z_row for d in draws])
-    sg = np.sqrt(np.stack([np.asarray(d.variances, dtype=float) for d in draws]))
-    return w, mu, sg
+    weights, coefs, variances = _blocked_gibbs(sample.outcomes, sample.design, cfg)
+    return [DdpDraw(weights=w, coef=c, variances=var)
+            for w, c, var in zip(weights, coefs, variances)]
 
 
 def ddp_roc(draws_d, draws_nd, z, grid=None, *, z_nd=None,
@@ -471,10 +355,10 @@ def ddp_roc(draws_d, draws_nd, z, grid=None, *, z_nd=None,
         raise InvalidInputError("design row length does not match diseased coefficients")
     if z2.size != np.asarray(draws_nd[0].coef).shape[1]:
         raise InvalidInputError("design row length does not match nondiseased coefficients")
-    w_d, mu_d, sg_d = _ddp_mixture_arrays(draws_d, z)
-    w_nd, mu_nd, sg_nd = _ddp_mixture_arrays(draws_nd, z2)
-    return _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd,
-                                         grid, youden)
+    w_d, coef_d, sg_d = _stack_draws(draws_d, "coef")
+    w_nd, coef_nd, sg_nd = _stack_draws(draws_nd, "coef")
+    return _ensemble_from_mixture_arrays(w_d, coef_d @ z, sg_d, w_nd, coef_nd @ z2,
+                                         sg_nd, grid, youden)
 
 
 def ddp_conditional_cdf(draws, design_fn):
@@ -483,9 +367,7 @@ def ddp_conditional_cdf(draws, design_fn):
     ``design_fn(x)`` must return the design row for covariate vector ``x``.
     The returned ``cdf(y, x)`` averages the mixture CDF over draws.
     """
-    w = np.stack([np.asarray(d.weights, dtype=float) for d in draws])
-    coef = np.stack([np.asarray(d.coef, dtype=float) for d in draws])
-    sg = np.sqrt(np.stack([np.asarray(d.variances, dtype=float) for d in draws]))
+    w, coef, sg = _stack_draws(draws, "coef")
 
     def cdf(y, x):
         z_row = np.asarray(design_fn(x), dtype=float).ravel()
@@ -682,24 +564,6 @@ def aroc(sample_d: RegressionSample, nondiseased_cdf, grid=None) -> RocCurveEsti
 
 # ---------------------------------------------------------------------------
 # conditional Youden index
-
-
-def covariate_youden(*, cdf_d=None, cdf_nd=None, search_lo=None, search_hi=None,
-                     candidates=None, curve=None, nondiseased_quantile=None) -> YoudenResult:
-    """Conditional Youden index, from either conditional CDFs or a curve.
-
-    Pass ``cdf_d``/``cdf_nd`` (callables of the threshold, already
-    conditioned on x) with a search interval, or a conditional
-    ``curve`` plus the conditional nondiseased quantile callable.
-    """
-    if curve is not None:
-        if nondiseased_quantile is None:
-            raise InvalidInputError("curve form needs nondiseased_quantile")
-        return youden_from_curve(curve, nondiseased_quantile)
-    if cdf_d is None or cdf_nd is None or search_lo is None or search_hi is None:
-        raise InvalidInputError("need cdf_d, cdf_nd and a search interval")
-    return youden_from_cdfs(cdf_d, cdf_nd, search_lo, search_hi,
-                            candidates=candidates)
 
 
 def location_scale_youden(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,

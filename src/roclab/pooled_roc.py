@@ -12,10 +12,10 @@ Four estimators of ``ROC(p) = 1 - F_D(F_ND^{-1}(1-p))`` from two samples:
   normals per group, fit by truncated stick-breaking blocked Gibbs; the
   per-draw AUC again has a closed form.
 
-Smooth CDFs (kernel and mixture) are inverted by vectorized bisection; the
-empirical estimator resolves quantile ranks in exact integer arithmetic so
-grid probabilities that sit exactly on ECDF jumps are handled
-deterministically.
+Smooth CDFs (kernel and mixture) are inverted by vectorized safeguarded
+Newton iteration; the empirical estimator resolves quantile ranks in exact
+integer arithmetic so grid probabilities that sit exactly on ECDF jumps are
+handled deterministically.
 """
 
 from __future__ import annotations
@@ -154,19 +154,26 @@ class MixtureDraw:
 
 @dataclass(frozen=True)
 class DpmConfig:
-    """Settings for the truncated Dirichlet process mixture sampler.
+    """Settings for the truncated blocked Gibbs sampler of both mixture fits.
 
-    ``centre_mean``, ``centre_var`` and ``rate`` default to data-driven
-    values at fit time: sample mean, 10x sample variance, and sample
-    variance respectively.  ``shape``/``rate`` parameterize the Gamma prior
-    on component precisions (rate parameterization).
+    One config serves ``dpm_fit`` and ``ddp_fit`` (``DdpConfig`` is another
+    name for this class).  With ``d`` design columns (``d = 1`` for the
+    pooled mixture), ``centre_mean`` is a length-``d`` vector (a scalar when
+    ``d = 1``) and ``centre_var`` a positive-definite ``d x d`` matrix or a
+    positive scalar multiple of the identity.  ``shape``/``rate``
+    parameterize the Gamma prior on component precisions (rate
+    parameterization).  Unset values default at fit time from the least
+    squares fit: ``centre_mean`` to its coefficients, ``centre_var`` to
+    ``10 sigma_hat^2 I`` and ``rate`` to ``sigma_hat^2``, where
+    ``sigma_hat^2 = RSS / (n - rank)``; for ``d = 1`` that is the sample
+    mean and the ddof=1 sample variance.
     """
 
     seed: SeedSpec
     truncation: int = 10
     alpha: float = 1.0
-    centre_mean: float | None = None
-    centre_var: float | None = None
+    centre_mean: float | np.ndarray | None = None
+    centre_var: float | np.ndarray | None = None
     shape: float = 2.0
     rate: float | None = None
     burn_in: int = 500
@@ -179,7 +186,8 @@ class DpmConfig:
             raise InvalidInputError("truncation must be at least 2")
         if self.alpha <= 0.0 or self.shape <= 0.0:
             raise InvalidInputError("alpha and shape must be positive")
-        if self.centre_var is not None and self.centre_var <= 0.0:
+        scalar_var = self.centre_var is not None and np.ndim(self.centre_var) == 0
+        if scalar_var and self.centre_var <= 0.0:
             raise InvalidInputError("centre_var must be positive")
         if self.rate is not None and self.rate <= 0.0:
             raise InvalidInputError("rate must be positive")
@@ -288,12 +296,29 @@ def _mixture_cdf(w, mu, sigma, x):
     return (ndtr(z) * w[..., None, :]).sum(axis=-1)
 
 
+def _mixture_cdf_pdf(w, mu, sigma, x):
+    # _mixture_cdf and the matching density, from one (..., K, L) buffer
+    z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
+    terms = ndtr(z)
+    terms *= w[..., None, :]
+    cdf = terms.sum(axis=-1)
+    np.multiply(z, z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= (w / (sigma * math.sqrt(2.0 * math.pi)))[..., None, :]
+    return cdf, z.sum(axis=-1)
+
+
 def _invert_mixture_cdf(w, mu, sigma, targets):
-    """Solve F(x) = q by bisection for mixture CDFs, vectorized.
+    """Solve F(x) = q for mixture CDFs by safeguarded Newton, vectorized.
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
-    values strictly inside (0, 1); returns roots of shape (S, K).  Raises
-    when the residual in CDF scale exceeds 1e-10.
+    values strictly inside (0, 1); returns roots of shape (S, K).  Each
+    root keeps a bracket ``F(lo) < q <= F(hi)``; a Newton step that leaves
+    the bracket, or that fails to halve the step before last, is replaced
+    by bisection, so the steps shrink at least as fast as bisection's every
+    other iteration and convergence is quadratic near the root.  Raises when the residual in CDF scale
+    exceeds 1e-10.
     """
     lo = float((mu - 10.0 * sigma).min())
     hi = float((mu + 10.0 * sigma).max())
@@ -310,12 +335,29 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     lo_a = np.full(shape, lo)
     hi_a = np.full(shape, hi)
     tgt = np.broadcast_to(targets, shape)
-    for _ in range(90):
-        mid = 0.5 * (lo_a + hi_a)
-        below = _mixture_cdf(w, mu, sigma, mid) < tgt
-        lo_a = np.where(below, mid, lo_a)
-        hi_a = np.where(below, hi_a, mid)
-    roots = 0.5 * (lo_a + hi_a)
+    x = np.full(shape, 0.5 * (lo + hi))
+    # a root is done once its move falls below the spacing of doubles there
+    # plus a rounding floor on the bracket's scale
+    floor = np.finfo(float).eps * (hi - lo)
+    step_last = step_before = np.full(shape, hi - lo)
+    done = np.zeros(shape, dtype=bool)
+    for _ in range(120):
+        f, dens = _mixture_cdf_pdf(w, mu, sigma, x)
+        below = f < tgt
+        lo_a = np.where(below, x, lo_a)
+        hi_a = np.where(below, hi_a, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = x - (f - tgt) / dens
+        use_newton = ((newton >= lo_a) & (newton <= hi_a)
+                      & (np.abs(newton - x) <= 0.5 * step_before))
+        x_new = np.where(use_newton, newton, 0.5 * (lo_a + hi_a))
+        step = np.abs(x_new - x)
+        x = np.where(done, x, x_new)
+        done |= step <= 2.0 * np.spacing(np.abs(x)) + floor
+        if done.all():
+            break
+        step_last, step_before = step, step_last
+    roots = x
     resid = np.abs(_mixture_cdf(w, mu, sigma, roots) - tgt)
     worst = float(resid.max())
     if worst > 1e-10:
@@ -345,8 +387,8 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
     """Normal-kernel smoothed ROC curve.
 
     Bandwidths default to ``silverman_bandwidth`` of each sample.  The
-    nondiseased CDF is inverted by bisection (residual below 1e-10 in CDF
-    scale); the attached ``auc`` is the closed form from ``kernel_auc``,
+    nondiseased CDF is inverted by safeguarded Newton iteration (residual
+    below 1e-10 in CDF scale); the attached ``auc`` is the closed form from ``kernel_auc``,
     not a grid integration.
     """
     d = validate_sample(diseased, "diseased")
@@ -463,74 +505,128 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
 # Dirichlet process mixture
 
 
-def dpm_fit(sample, cfg: DpmConfig) -> list[MixtureDraw]:
-    """Fit a truncated DPM of normals by blocked Gibbs sampling.
+def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
+    """Truncated blocked Gibbs sampler for a mixture of normal regressions.
 
-    The model is ``y_i ~ sum_l w_l N(mu_l, 1/tau_l)`` with stick-breaking
-    weights truncated at ``cfg.truncation`` components, a conjugate
-    ``N(centre_mean, centre_var)`` prior on means and a
-    ``Gamma(shape, rate)`` prior on precisions.  Each iteration resamples
-    sticks from component counts, then component parameters, then
-    allocations; the state saved after the parameter step gives
-    ``cfg.n_save`` draws following ``cfg.burn_in`` warm-up iterations.
+    The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with
+    stick-breaking weights truncated at ``L = cfg.truncation`` components,
+    a conjugate ``N(centre_mean, centre_var)`` prior on each coefficient
+    vector and a ``Gamma(shape, rate)`` prior on each precision.  Each
+    sweep resamples the sticks from component counts, then all L
+    components at once, then the allocations; the state saved after the
+    component step gives ``cfg.n_save`` draws following ``cfg.burn_in``
+    warm-up sweeps.  An empty component has ``X'X = 0``, so its update
+    draws from the prior without a branch of its own.
 
-    Returns
-    -------
-    list of MixtureDraw
-        Posterior mixture draws, deterministic given ``cfg.seed``.
+    Returns weights (S, L), coefficients (S, L, d) and variances (S, L).
     """
-    y = validate_sample(sample, "sample", min_size=2)
-    var = float(np.var(y, ddof=1))
-    if var <= 0.0:
-        raise DegenerateSampleError("constant sample: mixture fit undefined")
-    L = cfg.truncation
-    m = float(np.mean(y)) if cfg.centre_mean is None else float(cfg.centre_mean)
-    s_var = 10.0 * var if cfg.centre_var is None else float(cfg.centre_var)
-    a = float(cfg.shape)
-    b = var if cfg.rate is None else float(cfg.rate)
-    rng = cfg.seed.rng()
-    n = y.size
+    n, d = design.shape
+    if n < 2:
+        raise InvalidInputError("need at least two observations")
+    beta_hat, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta_hat
+    sigma2 = float(resid @ resid) / max(n - rank, 1)
+    # the fit rounds each fitted value by up to about n eps max|y|; a
+    # residual variance below that is an exact fit (e.g. a constant sample)
+    if sigma2 <= (n * np.finfo(float).eps * float(np.abs(y).max())) ** 2:
+        raise DegenerateSampleError("zero residual variance: mixture fit undefined")
 
-    # deterministic start: quantile-bin allocations, data-scale parameters
+    L = cfg.truncation
+    m = beta_hat if cfg.centre_mean is None else np.atleast_1d(
+        np.asarray(cfg.centre_mean, dtype=float))
+    if m.shape != (d,):
+        raise InvalidInputError(f"centre_mean must have length {d}")
+    s_mat = np.asarray(10.0 * sigma2 if cfg.centre_var is None else cfg.centre_var,
+                       dtype=float)
+    if s_mat.ndim == 0:
+        s_mat = s_mat * np.eye(d)
+    if s_mat.shape != (d, d):
+        raise InvalidInputError(f"centre_var must be a scalar or a {d}x{d} matrix")
+    try:
+        np.linalg.cholesky(s_mat)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidInputError("centre_var must be positive definite") from exc
+    s_inv = np.linalg.inv(s_mat)
+    s_inv_m = s_inv @ m
+    a = float(cfg.shape)
+    b = sigma2 if cfg.rate is None else float(cfg.rate)
+    rng = cfg.seed.rng()
+
+    # per-observation sufficient statistics vec(x x') and x y, summed per
+    # component by one bincount over offset indices
+    k = d * d + d
+    stats = np.hstack([(design[:, :, None] * design[:, None, :]).reshape(n, d * d),
+                       design * y[:, None]]).ravel()
+    offsets = np.arange(k)
+
+    # deterministic start: quantile-bin allocations, data-scale precisions
     ranks = np.argsort(np.argsort(y, kind="stable"), kind="stable")
     z = np.minimum((ranks * L) // n, L - 1).astype(np.intp)
-    mu = np.full(L, m)
-    sums0 = np.bincount(z, weights=y, minlength=L)
-    cnt0 = np.bincount(z, minlength=L)
-    nonempty = cnt0 > 0
-    mu[nonempty] = sums0[nonempty] / cnt0[nonempty]
-    tau = np.full(L, 1.0 / var)
+    tau = np.full(L, 1.0 / sigma2)
 
-    draws: list[MixtureDraw] = []
-    total = cfg.burn_in + cfg.n_save
-    for it in range(total):
+    weights = np.empty((cfg.n_save, L))
+    coefs = np.empty((cfg.n_save, L, d))
+    variances = np.empty((cfg.n_save, L))
+    for it in range(cfg.burn_in + cfg.n_save):
         counts = np.bincount(z, minlength=L)
         tail = counts[::-1].cumsum()[::-1]
         v = rng.beta(1.0 + counts[:-1], cfg.alpha + tail[1:])
         stick = np.concatenate([v, [1.0]])
         w = stick * np.concatenate([[1.0], np.cumprod(1.0 - v)])
 
-        sums = np.bincount(z, weights=y, minlength=L)
-        prec_post = 1.0 / s_var + tau * counts
-        mean_post = (m / s_var + tau * sums) / prec_post
-        mu = rng.normal(mean_post, np.sqrt(1.0 / prec_post))
-        rss = np.bincount(z, weights=(y - mu[z]) ** 2, minlength=L)
+        sums = np.bincount((z[:, None] * k + offsets).ravel(), weights=stats,
+                           minlength=L * k).reshape(L, k)
+        prec = s_inv + tau[:, None, None] * sums[:, :d * d].reshape(L, d, d)
+        rhs = s_inv_m + tau[:, None] * sums[:, d * d:]
+        try:
+            chol = np.linalg.cholesky(prec)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(
+                f"non-positive-definite update at Gibbs iteration {it}") from exc
+        mean = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
+        noise = np.linalg.solve(chol.transpose(0, 2, 1),
+                                rng.standard_normal((L, d))[:, :, None])[:, :, 0]
+        coef = mean + noise
+        r = y - np.einsum("ij,ij->i", design, coef[z])
+        rss = np.bincount(z, weights=r * r, minlength=L)
         tau = rng.gamma(a + 0.5 * counts, 1.0 / (b + 0.5 * rss))
 
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
+        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
             raise NumericError(f"non-finite mixture state at Gibbs iteration {it}")
         if it >= cfg.burn_in:
-            draws.append(MixtureDraw(weights=w.copy(), means=mu.copy(),
-                                     variances=1.0 / tau))
+            s = it - cfg.burn_in
+            weights[s], coefs[s], variances[s] = w, coef, 1.0 / tau
 
+        means = design @ coef.T
         with np.errstate(divide="ignore"):
-            logp = np.log(w) + 0.5 * np.log(tau) - 0.5 * tau * (y[:, None] - mu) ** 2
+            logp = np.log(w) + 0.5 * np.log(tau) - 0.5 * tau * (y[:, None] - means) ** 2
         logp -= logp.max(axis=1, keepdims=True)
         prob = np.exp(logp)
         prob /= prob.sum(axis=1, keepdims=True)
         z = (prob.cumsum(axis=1) < rng.uniform(size=(n, 1))).sum(axis=1)
         z = np.minimum(z, L - 1).astype(np.intp)
-    return draws
+    return weights, coefs, variances
+
+
+def dpm_fit(sample, cfg: DpmConfig) -> list[MixtureDraw]:
+    """Fit a truncated DPM of normals by blocked Gibbs sampling.
+
+    The model is ``y_i ~ sum_l w_l N(mu_l, 1/tau_l)``: the mixture of
+    normal regressions behind ``ddp_fit`` with an intercept-only design,
+    run by the same sampler.  With the same ``cfg``, ``dpm_fit(y, cfg)``
+    and ``ddp_fit`` on ``y`` with a column of ones give identical chains.
+    See ``DpmConfig`` for the priors and their data-driven defaults.
+
+    Returns
+    -------
+    list of MixtureDraw
+        ``cfg.n_save`` posterior mixture draws, deterministic given
+        ``cfg.seed``.
+    """
+    y = validate_sample(sample, "sample", min_size=2)
+    weights, coefs, variances = _blocked_gibbs(y, np.ones((y.size, 1)), cfg)
+    return [MixtureDraw(weights=w, means=mu, variances=var)
+            for w, mu, var in zip(weights, coefs[:, :, 0], variances)]
 
 
 def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
@@ -566,9 +662,10 @@ def mixture_cdf_callable(draw: MixtureDraw):
                             np.sqrt(np.asarray(draw.variances, dtype=float)))
 
 
-def _stack_mixtures(draws):
+def _stack_draws(draws, loc: str = "means"):
+    """Stack mixture draws into weights, ``loc`` field and scales, one row per draw."""
     w = np.stack([np.asarray(d.weights, dtype=float) for d in draws])
-    mu = np.stack([np.asarray(d.means, dtype=float) for d in draws])
+    mu = np.stack([np.asarray(getattr(d, loc), dtype=float) for d in draws])
     sg = np.sqrt(np.stack([np.asarray(d.variances, dtype=float) for d in draws]))
     return w, mu, sg
 
@@ -605,12 +702,12 @@ def dpm_roc(draws_d, draws_nd, grid=None, *, youden: bool = False) -> PosteriorE
     """Posterior ROC ensemble from paired lists of mixture draws.
 
     Draw ``s`` pairs ``draws_d[s]`` with ``draws_nd[s]``; the lists must
-    have equal length.  Curves come from bisection inversion of the
+    have equal length.  Curves come from Newton inversion of the
     nondiseased mixture CDF; AUCs from the closed form in ``dpm_auc``.
     """
     if len(draws_d) != len(draws_nd) or len(draws_d) < 1:
         raise InvalidInputError("need equally many draws for both groups")
-    w_d, mu_d, sg_d = _stack_mixtures(draws_d)
-    w_nd, mu_nd, sg_nd = _stack_mixtures(draws_nd)
+    w_d, mu_d, sg_d = _stack_draws(draws_d)
+    w_nd, mu_nd, sg_nd = _stack_draws(draws_nd)
     return _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd,
                                          grid, youden)

@@ -219,6 +219,20 @@ class TestErrorPaths:
         assert "synthetic numerical failure" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["exit_code"] == 3
 
+    def test_error_json_follows_config_outdir(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[common]\noutdir = {out}\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("ROCLAB_OUTDIR", raising=False)
+        rc = run(["pooled", "--config", ini, "--input", tmp_path / "missing.csv"])
+        assert rc == 2
+        assert "cannot read input file" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert not (cwd / "error.json").exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             run(["pooled", "--nonsense", "1"])

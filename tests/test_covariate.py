@@ -4,12 +4,13 @@ import pytest
 from roclab import (BSplineSpec, DdpConfig, DegenerateSampleError,
                     ExtrapolationError, InvalidInputError, LocationScaleFit,
                     RegressionSample, SeedSpec, SeparationWarning,
-                    SingularDesignError, aroc, bspline_design, covariate_youden,
+                    SingularDesignError, aroc, bspline_design,
                     ddp_conditional_cdf, ddp_fit, ddp_roc, dpm_fit, dpm_roc,
                     DpmConfig, empirical_roc, faraggi_roc, gen_covariate_linear,
                     location_scale_cdf, location_scale_youden,
                     mixture_cdf_callable, ols_fit, pepe_semiparam_roc,
-                    placement_values, rocglm_fit, std_normal_cdf)
+                    placement_values, rocglm_fit, std_normal_cdf,
+                    youden_from_cdfs, youden_from_curve)
 
 
 def _ones_sample(y):
@@ -209,6 +210,49 @@ class TestDdp:
         assert np.max(np.abs(cdf_a(ys, []) - f_b)) < 0.02
 
 
+class TestSharedSampler:
+    """``dpm_fit`` and ``ddp_fit`` run one sampler with one config class."""
+
+    def test_one_config_class(self):
+        assert DdpConfig is DpmConfig
+
+    def test_intercept_only_chain_identical_to_pooled(self):
+        y = np.random.default_rng(54).normal(0.5, 1.2, 120)
+        cfg = DpmConfig(seed=SeedSpec(55, 0), burn_in=40, n_save=30)
+        pooled = dpm_fit(y, cfg)
+        dependent = ddp_fit(_ones_sample(y), cfg)
+        assert len(pooled) == len(dependent) == 30
+        for a, b in zip(pooled, dependent):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.means, b.coef[:, 0])
+            assert np.array_equal(a.variances, b.variances)
+
+    def test_constant_sample_is_degenerate(self):
+        cfg = DpmConfig(seed=SeedSpec(56, 0), burn_in=5, n_save=5)
+        for value in (0.1, 7.7, 1e10):
+            y = np.full(50, value)
+            with pytest.raises(DegenerateSampleError):
+                dpm_fit(y, cfg)
+            with pytest.raises(DegenerateSampleError):
+                ddp_fit(_ones_sample(y), cfg)
+
+    def test_bad_centring_rejected(self):
+        rng = np.random.default_rng(57)
+        x = rng.uniform(0, 1, 40)
+        s = _linear_sample(x + rng.standard_normal(40), x)
+        short = dict(seed=SeedSpec(58, 0), burn_in=5, n_save=5)
+        with pytest.raises(InvalidInputError):
+            ddp_fit(s, DpmConfig(centre_var=np.array([[1.0, 2.0], [2.0, 1.0]]), **short))
+        with pytest.raises(InvalidInputError):
+            ddp_fit(s, DpmConfig(centre_var=np.eye(3), **short))
+        with pytest.raises(InvalidInputError):
+            ddp_fit(s, DpmConfig(centre_mean=np.zeros(3), **short))
+        with pytest.raises(InvalidInputError):
+            dpm_fit(s.outcomes, DpmConfig(centre_mean=[0.0, 1.0], **short))
+        with pytest.raises(InvalidInputError):
+            DpmConfig(centre_var=-1.0, **short)
+
+
 class TestDdpRoc:
     def test_identical_draws_diagonal(self):
         rng = np.random.default_rng(49)
@@ -340,7 +384,7 @@ class TestAroc:
 class TestCovariateYouden:
     def test_identical_conditional_cdfs(self):
         cdf = lambda c: std_normal_cdf(np.asarray(c))
-        res = covariate_youden(cdf_d=cdf, cdf_nd=cdf, search_lo=-4, search_hi=4)
+        res = youden_from_cdfs(cdf, cdf, -4, 4)
         assert res.yi == pytest.approx(0.0, abs=1e-12)
 
     def test_faraggi_unit_shift_closed_form(self):
@@ -367,10 +411,6 @@ class TestCovariateYouden:
         curve = faraggi_roc(fit_d, fit_nd, at, np.linspace(0, 1, 4001))
         from scipy.special import ndtri
         q_nd = lambda q: fit_nd.mean_at(at) + fit_nd.sigma * float(ndtri(q))
-        via_curve = covariate_youden(curve=curve, nondiseased_quantile=q_nd)
+        via_curve = youden_from_curve(curve, q_nd)
         assert abs(via_cdfs.yi - via_curve.yi) < 1e-3
         assert abs(via_cdfs.c_star - via_curve.c_star) < 0.01
-
-    def test_requires_complete_arguments(self):
-        with pytest.raises(InvalidInputError):
-            covariate_youden(cdf_d=lambda c: c)
