@@ -591,12 +591,11 @@ def _cmd_timedep(args, cfg) -> int:
                             event=data[event_col])
     curve = timedep_roc(sample, horizon, grid, isotonic=isotonic)
 
-    best = (-np.inf, None)
-    for c in np.unique(data[marker]):
-        tpf, tnf = cumdyn_fractions(sample, float(c), horizon)
-        if tpf + tnf - 1.0 > best[0]:
-            best = (tpf + tnf - 1.0, (float(c), 1.0 - tnf))
-    yi, (c_star, p_star) = best
+    thresholds = np.unique(sample.marker)
+    tpf, tnf = cumdyn_fractions(sample, thresholds, horizon)
+    youden = tpf + tnf - 1.0
+    best = int(np.argmax(youden))
+    yi, c_star, p_star = youden[best], thresholds[best], 1.0 - tnf[best]
     lines = [
         "analysis: timedep",
         f"time: {_fmt6(horizon)}",

@@ -38,7 +38,7 @@ from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError
 from .indices import YoudenResult, youden_from_cdfs
 from .pooled_roc import (DpmConfig, PosteriorEnsemble, RocCurveEstimate,
                          _blocked_gibbs, _ensemble_from_mixture_arrays,
-                         _stack_draws)
+                         _exact_fit, _stack_draws)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def ols_fit(sample: RegressionSample) -> LocationScaleFit:
         raise SingularDesignError(f"design rank {rank} below column count {ncol}")
     resid = y - x @ beta
     sigma2 = float(resid @ resid) / (n - ncol)
-    if sigma2 <= 0.0:
+    if _exact_fit(y, sigma2):
         raise DegenerateSampleError("zero residual variance: exact linear fit")
     sigma = math.sqrt(sigma2)
     return LocationScaleFit(beta=beta, sigma=sigma, residuals=resid / sigma)

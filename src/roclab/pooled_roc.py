@@ -261,23 +261,24 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     """Least-squares cross-validation bandwidth for the normal kernel.
 
     Minimizes the closed-form LSCV criterion over a log-spaced band around
-    the rule-of-thumb value.  Quadratic in the sample size.
+    the rule-of-thumb value.  Time is quadratic in the sample size; the
+    pair sums are accumulated over blocks of rows, so memory is linear.
     """
     y = validate_sample(sample, "sample", min_size=3)
     h0 = silverman_bandwidth(y)
-    diff2 = (y[:, None] - y[None, :]) ** 2
     n = y.size
-
-    def crit(h: float) -> float:
-        # integral of fhat^2 minus twice the leave-one-out mean density
-        quad = np.exp(-diff2 / (4.0 * h * h)).sum() / (2.0 * math.sqrt(math.pi) * h * n * n)
-        loo = np.exp(-diff2 / (2.0 * h * h)).sum() - n  # drop i == j terms
-        loo /= math.sqrt(2.0 * math.pi) * h * n * (n - 1)
-        return quad - 2.0 * loo
-
     hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
-    vals = [crit(float(h)) for h in hs]
-    return float(hs[int(np.argmin(vals))])
+    quad, loo = np.zeros((2, n_steps))
+    for start in range(0, n, 512):  # chunked to bound the pair matrix
+        diff2 = (y[start:start + 512, None] - y[None, :]) ** 2
+        for j, h in enumerate(hs):
+            quad[j] += np.exp(-diff2 / (4.0 * h * h)).sum()
+            loo[j] += np.exp(-diff2 / (2.0 * h * h)).sum()
+    # integral of fhat^2 minus twice the leave-one-out mean density
+    quad /= 2.0 * math.sqrt(math.pi) * hs * n * n
+    loo -= n  # drop i == j terms
+    loo /= math.sqrt(2.0 * math.pi) * hs * n * (n - 1)
+    return float(hs[int(np.argmin(quad - 2.0 * loo))])
 
 
 def kernel_cdf(sample, h: float, y):
@@ -505,6 +506,12 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
 # Dirichlet process mixture
 
 
+def _exact_fit(y: np.ndarray, sigma2: float) -> bool:
+    # least squares rounds each fitted value by up to about n eps max|y|; a
+    # residual variance below that is an exact fit (e.g. a constant sample)
+    return sigma2 <= (y.size * np.finfo(float).eps * float(np.abs(y).max())) ** 2
+
+
 def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     """Truncated blocked Gibbs sampler for a mixture of normal regressions.
 
@@ -526,9 +533,7 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     beta_hat, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta_hat
     sigma2 = float(resid @ resid) / max(n - rank, 1)
-    # the fit rounds each fitted value by up to about n eps max|y|; a
-    # residual variance below that is an exact fit (e.g. a constant sample)
-    if sigma2 <= (n * np.finfo(float).eps * float(np.abs(y).max())) ** 2:
+    if _exact_fit(y, sigma2):
         raise DegenerateSampleError("zero residual variance: mixture fit undefined")
 
     L = cfg.truncation

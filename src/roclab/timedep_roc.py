@@ -7,11 +7,12 @@ estimates through Bayes' rule:
     TPF(c, t) = P(Y >= c) * (1 - S(t | Y >= c)) / (1 - S(t))
     TNF(c, t) = P(Y <  c) * S(t | Y < c) / S(t)
 
-with marker-subset and overall product-limit estimates.  All internal
-survival arithmetic is exact rational (``fractions.Fraction``); floats are
-produced by one final conversion.  With zero censoring everything
-telescopes to plain counts, so these estimates agree bit-for-bit with the
-binary-label estimators applied to ``D = I(T <= t)``.
+with marker-subset and overall product-limit estimates, all read from one
+sweep over the distinct markers.  With no censoring at or before ``t``
+these telescope to plain counts, each fraction and the AUC are integer
+ratios rounded once, and everything agrees bit-for-bit with the
+binary-label estimators applied to ``D = I(T <= t)``.  Under censoring the
+products are taken in floats.
 
 The resulting curve is not automatically monotone under censoring; an
 optional pool-adjacent-violators correction is available and off by
@@ -44,51 +45,18 @@ class SurvivalSample:
 
     def __post_init__(self):
         y = np.asarray(self.marker, dtype=float)
-        t = np.asarray(self.time, dtype=float)
-        e = np.asarray(self.event)
-        if not (y.ndim == t.ndim == e.ndim == 1) or not (y.size == t.size == e.size):
+        t, e = _as_survival_arrays(self.time, self.event)
+        if y.shape != t.shape:
             raise InvalidInputError("marker, time and event must be equal-length vectors")
-        if y.size < 1:
-            raise InvalidInputError("survival sample is empty")
         if not np.all(np.isfinite(y)):
             raise InvalidInputError("marker contains non-finite values")
-        if not np.all(np.isfinite(t)) or np.any(t < 0.0):
-            raise InvalidInputError("times must be finite and nonnegative")
-        if not np.all(np.isin(np.asarray(e), (0, 1, True, False))):
-            raise InvalidInputError("event indicators must be 0 or 1")
         object.__setattr__(self, "marker", y)
         object.__setattr__(self, "time", t)
-        object.__setattr__(self, "event", np.asarray(e).astype(int))
+        object.__setattr__(self, "event", e)
 
     @property
     def n(self) -> int:
         return int(np.asarray(self.marker).size)
-
-
-def _km_steps(times: np.ndarray, events: np.ndarray):
-    """Distinct event times with the exact product-limit values after each."""
-    event_times, counts = np.unique(times[events == 1], return_counts=True)
-    t_sorted = np.sort(times)
-    surv = []
-    running = Fraction(1)
-    for et, d in zip(event_times, counts):
-        at_risk = times.size - int(np.searchsorted(t_sorted, et, side="left"))
-        running *= Fraction(at_risk - int(d), at_risk)
-        surv.append(running)
-    return event_times, surv
-
-
-def _km_exact_at(times: np.ndarray, events: np.ndarray, t: float) -> Fraction:
-    """Exact Kaplan-Meier survival at one time, skipping curve assembly."""
-    event_times, counts = np.unique(times[events == 1], return_counts=True)
-    t_sorted = np.sort(times)
-    running = Fraction(1)
-    for et, d in zip(event_times, counts):
-        if et > t:
-            break
-        at_risk = times.size - int(np.searchsorted(t_sorted, et, side="left"))
-        running *= Fraction(at_risk - int(d), at_risk)
-    return running
 
 
 @dataclass(frozen=True)
@@ -144,6 +112,13 @@ def _as_survival_arrays(times, events):
     return t, e.astype(int)
 
 
+def _risk_table(times: np.ndarray, events: np.ndarray, t: float = np.inf):
+    # distinct event times up to t, with the numbers failing there and at risk
+    # (time >= it: subjects censored at an event time stay in its risk set)
+    event_times, deaths = np.unique(times[(events == 1) & (times <= t)], return_counts=True)
+    return event_times, times.size - np.searchsorted(np.sort(times), event_times), deaths
+
+
 def kaplan_meier(times, events) -> StepSurvival:
     """Product-limit survival estimate.
 
@@ -157,14 +132,15 @@ def kaplan_meier(times, events) -> StepSurvival:
         warnings.warn("no events observed: survival curve is identically 1",
                       AllCensoredWarning)
         return StepSurvival(jump_times=np.empty(0), surv_values=np.empty(0), exact=())
-    jump_times, exact = _km_steps(t, e)
+    jump_times, at_risk, deaths = _risk_table(t, e)
+    exact = []
+    running = Fraction(1)
+    for r, d in zip(at_risk.tolist(), deaths.tolist()):
+        running *= Fraction(r - d, r)
+        exact.append(running)
     return StepSurvival(jump_times=jump_times,
                         surv_values=np.array([float(f) for f in exact]),
                         exact=tuple(exact))
-
-
-def _clamp01(f: Fraction) -> Fraction:
-    return Fraction(0) if f < 0 else (Fraction(1) if f > 1 else f)
 
 
 def _check_horizon(t: float) -> float:
@@ -174,72 +150,98 @@ def _check_horizon(t: float) -> float:
     return t
 
 
-def cumdyn_fractions(s: SurvivalSample, c: float, t: float) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _Sweep:
+    """Fractions of the rules ``Y >= c`` at the ascending distinct markers.
+
+    The arrays have one entry more than ``thresholds``, for a rule above
+    every marker.  TPF = tp / cases, FPF = fp / controls, TNF = tn /
+    controls: integer counts when ``counted``, else float fractions over 1.
+    """
+
+    thresholds: np.ndarray
+    tp: np.ndarray
+    fp: np.ndarray
+    tn: np.ndarray
+    cases: int
+    controls: int
+    counted: bool
+
+
+def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
+    """One pass over the distinct markers, from the largest down.
+
+    Without censoring at or before ``t`` Kaplan-Meier telescopes to plain
+    counts.  Otherwise the at-risk and event counts of {Y >= c} at the event
+    times up to ``t`` grow marker by marker; those of {Y < c} are the totals
+    minus them.  ``fraction`` names the one that S(t) = 0 leaves undefined.
+    """
+    y, times, events = s.marker, s.time, s.event
+    event_times, at_risk, deaths = _risk_table(times, events, t)
+    if deaths.size == 0:
+        raise TimeOutOfRangeError(
+            f"no event mass at or before t={t}: TPF denominator 1-S(t) is zero", t=t)
+    if np.any(at_risk == deaths):
+        raise TimeOutOfRangeError(
+            f"no survival mass beyond t={t}: {fraction} denominator S(t) is zero", t=t)
+    n = y.size
+    order = np.argsort(y, kind="stable")
+    thresholds, start = np.unique(y[order], return_index=True)
+    # the subjects with Y >= thresholds[k] are order[bounds[k]:]
+    bounds = np.append(start, n)
+    n_ge = n - bounds
+    case = (events == 1) & (times <= t)
+    cases_ge = np.append(np.cumsum(case[order][::-1])[::-1], 0)[bounds]
+    if not np.any((events == 0) & (times <= t)):
+        cases = int(deaths.sum())
+        fp = n_ge - cases_ge
+        return _Sweep(thresholds, cases_ge, fp, n - cases - fp, cases, n - cases, True)
+
+    # row 0 counts {Y >= c} and row 1 counts {Y < c} at each event time
+    steps = np.searchsorted(event_times, times, side="right")
+    risk = np.stack([np.zeros(at_risk.size), at_risk.astype(float)])
+    dead = np.stack([np.zeros(deaths.size), deaths.astype(float)])
+    move = np.array([1.0, -1.0])
+    surv = np.ones((bounds.size, 2))
+    for k in range(thresholds.size - 1, -1, -1):
+        for i in order[bounds[k]:bounds[k + 1]]:
+            risk[:, :steps[i]] += move[:, None]
+            if case[i]:
+                dead[:, steps[i] - 1] += move
+        # Kaplan-Meier products; a factor is 1 where nobody is at risk
+        surv[k] = (1.0 - dead / np.maximum(risk, 1.0)).prod(axis=1)
+    s_ge, s_lt = surv.T
+    s_t = s_lt[-1] = s_ge[0]
+    # the raw ratios can spill out of [0, 1] under heavy censoring
+    tp = np.clip(n_ge / n * (1.0 - s_ge) / (1.0 - s_t), 0.0, 1.0)
+    fp = np.clip(n_ge / n * s_ge / s_t, 0.0, 1.0)
+    tn = np.clip((n - n_ge) / n * s_lt / s_t, 0.0, 1.0)
+    return _Sweep(thresholds, tp, fp, tn, 1, 1, False)
+
+
+def _trapezoid(sw: _Sweep) -> float:
+    # with counts the integer sum is divided once, so it rounds once
+    area = np.sum((sw.tp[:-1] + sw.tp[1:]) * (sw.fp[:-1] - sw.fp[1:]))
+    return float(np.clip(area / (2 * sw.cases * sw.controls), 0.0, 1.0))
+
+
+def cumdyn_fractions(s: SurvivalSample, c, t: float):
     """Cumulative TPF and dynamic TNF at threshold ``c`` and horizon ``t``.
 
     Requires ``0 < 1 - S(t)`` and ``S(t) > 0``; otherwise the corresponding
     fraction is undefined and a time-out-of-range error names ``t``.
-    Values are clamped to [0, 1] (the raw ratios can spill out under heavy
-    censoring).
+    Without censoring at or before ``t`` each fraction is a count ratio
+    rounded once; under censoring a float ratio clamped to [0, 1].  A scalar
+    ``c`` gives two floats, an array of thresholds two arrays (one sweep).
     """
     t = _check_horizon(t)
-    if np.isnan(c):
+    cv = np.asarray(c, dtype=float)
+    if np.any(np.isnan(cv)):
         raise InvalidInputError("threshold is NaN")
-    y, times, events = s.marker, s.time, s.event
-    s_t = _km_exact_at(times, events, t)
-    if s_t == 1:
-        raise TimeOutOfRangeError(
-            f"no event mass at or before t={t}: TPF denominator 1-S(t) is zero", t=t)
-    if s_t == 0:
-        raise TimeOutOfRangeError(
-            f"no survival mass beyond t={t}: TNF denominator S(t) is zero", t=t)
-    n = y.size
-    ge = y >= c
-    n_ge = int(ge.sum())
-    if n_ge == 0:
-        tpf = Fraction(0)
-    else:
-        s_ge = _km_exact_at(times[ge], events[ge], t)
-        tpf = _clamp01(Fraction(n_ge, n) * (1 - s_ge) / (1 - s_t))
-    if n_ge == n:
-        tnf = Fraction(0)
-    else:
-        s_lt = _km_exact_at(times[~ge], events[~ge], t)
-        tnf = _clamp01(Fraction(n - n_ge, n) * s_lt / s_t)
-    return float(tpf), float(tnf)
-
-
-def _sweep(s: SurvivalSample, t: float):
-    """Exact (fpf, tpf) pairs at every observed threshold plus a top sentinel.
-
-    Thresholds ascend, so fpf starts at exactly 1 (every marker is >= its
-    minimum) and the sentinel contributes the (0, 0) corner.
-    """
-    y, times, events = s.marker, s.time, s.event
-    s_t = _km_exact_at(times, events, t)
-    if s_t == 1:
-        raise TimeOutOfRangeError(
-            f"no event mass at or before t={t}: TPF denominator 1-S(t) is zero", t=t)
-    if s_t == 0:
-        raise TimeOutOfRangeError(
-            f"no survival mass beyond t={t}: FPF denominator S(t) is zero", t=t)
-    order = np.argsort(y, kind="stable")
-    times_sorted = times[order]
-    events_sorted = events[order]
-    y_sorted = y[order]
-    uniq = np.unique(y_sorted)
-    n = y.size
-    fpf = []
-    tpf = []
-    for c in uniq:
-        i = int(np.searchsorted(y_sorted, c, side="left"))
-        share = Fraction(n - i, n)
-        s_ge = _km_exact_at(times_sorted[i:], events_sorted[i:], t)
-        fpf.append(_clamp01(share * s_ge / s_t))
-        tpf.append(_clamp01(share * (1 - s_ge) / (1 - s_t)))
-    fpf.append(Fraction(0))
-    tpf.append(Fraction(0))
-    return fpf, tpf
+    sw = _sweep(s, t, "TNF")
+    k = np.searchsorted(sw.thresholds, cv, side="left")
+    tpf, tnf = sw.tp[k] / sw.cases, sw.tn[k] / sw.controls
+    return (float(tpf), float(tnf)) if cv.ndim == 0 else (tpf, tnf)
 
 
 def _pav_nonincreasing(values: np.ndarray) -> np.ndarray:
@@ -266,9 +268,9 @@ def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
 
     The threshold sweep runs over all observed marker values; the
     generalized inverse picks, for each grid ``p``, the smallest threshold
-    whose FPF is at most ``p`` (decided by exact rational comparison).  The
-    attached ``auc`` is the exact trapezoid over the swept curve from
-    ``timedep_auc``, not a grid integration.
+    whose FPF is at most ``p``, compared exactly in integers without
+    censoring at or before ``t`` and in floats under censoring.  The
+    attached ``auc`` is ``timedep_auc`` over the same sweep.
 
     With ``isotonic=True`` both swept fraction sequences are first
     projected onto monotone sequences by pool-adjacent-violators;
@@ -276,38 +278,25 @@ def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
     """
     t = _check_horizon(t)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
-    fpf, tpf = _sweep(s, t)
-    roc = np.empty(grid.size)
+    sw = _sweep(s, t, "FPF")
+    key, bound, tpf = sw.fp / sw.controls, grid, sw.tp / sw.cases
     if isotonic:
-        fpf_f = _pav_nonincreasing(np.array([float(f) for f in fpf]))
-        tpf_f = _pav_nonincreasing(np.array([float(f) for f in tpf]))
-        for i, p in enumerate(grid):
-            for k in range(len(fpf)):
-                if fpf_f[k] <= p:
-                    roc[i] = tpf_f[k]
-                    break
-    else:
-        tpf_f = [float(f) for f in tpf]
-        for i, p in enumerate(grid):
-            target = Fraction(float(p))
-            for k in range(len(fpf)):
-                if fpf[k] <= target:
-                    roc[i] = tpf_f[k]
-                    break
-    return RocCurveEstimate(grid=grid, roc=roc, auc=timedep_auc(s, t))
+        key, tpf = _pav_nonincreasing(key), _pav_nonincreasing(tpf)
+    elif sw.counted:
+        # fp / controls <= num / den exactly when fp <= num * controls // den
+        key, bound = sw.fp, np.array([num * sw.controls // den for num, den in
+                                      map(float.as_integer_ratio, grid.tolist())])
+    # the first threshold whose FPF is at most p is the first whose running minimum is
+    first = np.searchsorted(-np.minimum.accumulate(key), -bound, side="left")
+    return RocCurveEstimate(grid=grid, roc=tpf[first], auc=_trapezoid(sw))
 
 
 def timedep_auc(s: SurvivalSample, t: float) -> float:
-    """Area under the swept time-dependent curve (exact trapezoid).
+    """Area under the swept time-dependent curve (trapezoid).
 
     The trapezoid over the swept vertices reproduces the Mann-Whitney
-    half-tie convention, so without censoring this equals the empirical
-    AUC of the induced labels bit-for-bit.
+    half-tie convention.  Without censoring at or before ``t`` it is one
+    integer sum divided once, so it equals the empirical AUC of the induced
+    labels bit-for-bit; under censoring it is summed in floats.
     """
-    t = _check_horizon(t)
-    fpf, tpf = _sweep(s, t)
-    area = Fraction(0)
-    for k in range(len(fpf) - 1):
-        area += (tpf[k] + tpf[k + 1]) * (fpf[k] - fpf[k + 1])
-    area /= 2
-    return float(_clamp01(area))
+    return _trapezoid(_sweep(s, _check_horizon(t), "FPF"))

@@ -302,6 +302,32 @@ class TestTimedepSubcommand:
         assert rc == 0
         assert "analysis: timedep" in (out / "summary.txt").read_text()
 
+    def test_summary_matches_exact_oracle_and_reruns_identically(self, tmp_path):
+        from test_timedep import oracle_auc, oracle_fractions, oracle_sweep
+        import roclab as rl
+        p, med = self._cohort(tmp_path)
+        s = rl.SurvivalSample(*np.loadtxt(p, delimiter=",", skiprows=1, unpack=True))
+        best = (-np.inf, None)
+        for c in np.unique(s.marker):
+            tpf, tnf = (float(f) for f in oracle_fractions(s, c, med))
+            if tpf + tnf - 1.0 > best[0]:
+                best = (tpf + tnf - 1.0, (c, 1.0 - tnf))
+        yi, (c_star, p_star) = best
+        expected = {"auc": oracle_auc(*oracle_sweep(s, med)), "yi": yi,
+                    "c_star": c_star, "p_star": p_star}
+        files = ["curve.csv", "curve_full.csv", "summary.txt", "metadata.json"]
+        out = tmp_path / "out"
+        blobs = []
+        for _ in range(2):
+            assert run(["timedep", "--input", p, "--time", med, "--outdir", out,
+                        "--full-precision"]) == 0
+            blobs.append([(out / f).read_bytes() for f in files])
+        lines = dict(line.split(": ", 1) for line in
+                     (out / "summary.txt").read_text().splitlines())
+        for key, value in expected.items():
+            assert lines[key] == format(float(value), ".6g"), key
+        assert blobs[0] == blobs[1]
+
     def test_time_before_events_is_input_error(self, tmp_path, capsys):
         p, _ = self._cohort(tmp_path)
         out = tmp_path / "out"

@@ -34,6 +34,14 @@ class TestOlsFit:
         with pytest.raises(DegenerateSampleError):
             ols_fit(_linear_sample(1.0 + 2.0 * x, x))
 
+    def test_exact_fit_with_rounding_residue_rejected(self):
+        # least squares leaves ~1e-17 residuals on these exact fits
+        with pytest.raises(DegenerateSampleError):
+            ols_fit(RegressionSample(np.full(50, 0.1), np.ones((50, 1))))
+        x = SeedSpec(41, 0).rng().uniform(0, 1, 50)
+        with pytest.raises(DegenerateSampleError):
+            ols_fit(_linear_sample(1.0 + 2.0 * x, x))
+
     def test_duplicate_column_rejected(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
         x = np.array([0.0, 1.0, 2.0, 3.0])

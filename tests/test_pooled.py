@@ -102,6 +102,38 @@ class TestBandwidths:
         h0 = silverman_bandwidth(y)
         assert h0 / 20.0 <= h <= 5.0 * h0
 
+    @staticmethod
+    def _lscv_unchunked(y, n_steps=60):
+        # reference: the criterion on the whole n x n pair matrix at once
+        n, h0 = y.size, silverman_bandwidth(y)
+        diff2 = (y[:, None] - y[None, :]) ** 2
+
+        def crit(h):
+            quad = np.exp(-diff2 / (4.0 * h * h)).sum() / (2.0 * np.sqrt(np.pi) * h * n * n)
+            loo = np.exp(-diff2 / (2.0 * h * h)).sum() - n
+            loo /= np.sqrt(2.0 * np.pi) * h * n * (n - 1)
+            return quad - 2.0 * loo
+
+        hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
+        return float(hs[int(np.argmin([crit(float(h)) for h in hs]))])
+
+    def test_lscv_blocks_choose_the_unchunked_bandwidth(self):
+        # two full blocks of 512 rows and a short one
+        y = np.random.default_rng(12).standard_t(5, size=1040)
+        assert lscv_bandwidth(y) == self._lscv_unchunked(y)
+
+    def test_lscv_memory_stays_below_the_pair_matrix(self):
+        import tracemalloc
+        n = 3000
+        y = np.random.default_rng(14).normal(size=n)
+        tracemalloc.start()
+        try:
+            lscv_bandwidth(y, n_steps=3)  # memory does not depend on the step count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
 
 class TestKernelCdf:
     def test_single_point_half(self):

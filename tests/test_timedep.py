@@ -1,10 +1,80 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roclab import (AllCensoredWarning, InvalidInputError, SeedSpec,
                     SurvivalSample, TimeOutOfRangeError, classification_fractions,
                     cumdyn_fractions, empirical_auc, empirical_roc, gen_survival,
                     kaplan_meier, timedep_auc, timedep_roc)
+from roclab.timedep_roc import _sweep
+
+
+# Reference oracle: the exact-rational estimator, one product-limit fit per
+# threshold, with each fraction and the trapezoid rounded once at the end.
+
+def oracle_km_at(times, events, t):
+    """Exact Kaplan-Meier survival at one time."""
+    event_times, counts = np.unique(times[events == 1], return_counts=True)
+    t_sorted = np.sort(times)
+    running = Fraction(1)
+    for et, d in zip(event_times, counts):
+        if et > t:
+            break
+        at_risk = times.size - int(np.searchsorted(t_sorted, et, side="left"))
+        running *= Fraction(at_risk - int(d), at_risk)
+    return running
+
+
+def _clamp01(f):
+    return min(max(f, Fraction(0)), Fraction(1))
+
+
+def oracle_survival_at(s, t):
+    """Exact S(t), or None where the time-dependent fractions are undefined."""
+    s_t = oracle_km_at(s.time, s.event, t)
+    return None if s_t in (0, 1) else s_t
+
+
+def oracle_fractions(s, c, t):
+    """Exact (TPF, TNF) of the rule ``Y >= c`` at horizon ``t``."""
+    s_t = oracle_survival_at(s, t)
+    n, ge = s.n, s.marker >= c
+    n_ge = int(ge.sum())
+    tpf = Fraction(0) if n_ge == 0 else _clamp01(
+        Fraction(n_ge, n) * (1 - oracle_km_at(s.time[ge], s.event[ge], t)) / (1 - s_t))
+    tnf = Fraction(0) if n_ge == n else _clamp01(
+        Fraction(n - n_ge, n) * oracle_km_at(s.time[~ge], s.event[~ge], t) / s_t)
+    return tpf, tnf
+
+
+def oracle_sweep(s, t):
+    """Exact (FPF, TPF) at every distinct marker, ascending, plus the (0, 0) corner."""
+    s_t = oracle_survival_at(s, t)
+    order = np.argsort(s.marker, kind="stable")
+    y, times, events = s.marker[order], s.time[order], s.event[order]
+    fpf, tpf = [], []
+    for c in np.unique(y):
+        i = int(np.searchsorted(y, c, side="left"))
+        share = Fraction(s.n - i, s.n)
+        s_ge = oracle_km_at(times[i:], events[i:], t)
+        fpf.append(_clamp01(share * s_ge / s_t))
+        tpf.append(_clamp01(share * (1 - s_ge) / (1 - s_t)))
+    return fpf + [Fraction(0)], tpf + [Fraction(0)]
+
+
+def oracle_curve(fpf, tpf, grid):
+    """TPF at the smallest threshold whose FPF is at most each ``p``, exactly."""
+    return np.array([float(next(b for a, b in zip(fpf, tpf) if a <= Fraction(float(p))))
+                     for p in grid])
+
+
+def oracle_auc(fpf, tpf):
+    area = sum((tpf[k] + tpf[k + 1]) * (fpf[k] - fpf[k + 1])
+               for k in range(len(fpf) - 1)) / 2
+    return float(_clamp01(area))
 
 
 def _uncensored(marker, times):
@@ -172,3 +242,110 @@ class TestSurvivalSampleType:
     def test_bad_event_codes(self):
         with pytest.raises(InvalidInputError):
             SurvivalSample(marker=[1.0, 2.0], time=[1.0, 2.0], event=[1, 2])
+
+
+@st.composite
+def survival_cases(draw, censored_by_t=None):
+    """Small cohorts with tied markers and times and a horizon on or between times.
+
+    ``censored_by_t`` True keeps at least one subject censored at or before
+    the horizon, False censors nobody there, None leaves censoring free.
+    """
+    n = draw(st.integers(2, 30))
+    ints = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    marker = np.array(draw(ints)) / 4.0
+    time = np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n)), dtype=float)
+    event = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    t = draw(st.sampled_from(sorted(set(time.tolist())))) + draw(st.sampled_from([0.0, 0.5]))
+    if censored_by_t is False:
+        event[time <= t] = 1
+    elif censored_by_t:
+        event[draw(st.sampled_from(np.flatnonzero(time <= t).tolist()))] = 0
+    return SurvivalSample(marker=marker, time=time, event=event), t
+
+
+def _grids(s, fpf):
+    return [np.linspace(0, 1, 21), np.arange(0, s.n + 1) / s.n,
+            np.unique(np.clip([float(f) for f in fpf], 0.0, 1.0))]
+
+
+class TestSweepAgainstOracle:
+    @given(survival_cases(censored_by_t=False))
+    def test_uncensored_equals_oracle_bitwise(self, case):
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            with pytest.raises(TimeOutOfRangeError):
+                timedep_roc(s, t)
+            return
+        fpf, tpf = oracle_sweep(s, t)
+        sw = _sweep(s, t, "FPF")
+        assert sw.counted
+        assert np.array_equal(sw.fp / sw.controls, [float(f) for f in fpf])
+        assert np.array_equal(sw.tp / sw.cases, [float(f) for f in tpf])
+        cs = np.append(sw.thresholds, np.inf)
+        ref = np.array([[float(f) for f in oracle_fractions(s, c, t)] for c in cs])
+        assert np.array_equal(np.column_stack(cumdyn_fractions(s, cs, t)), ref)
+        for grid in _grids(s, fpf):
+            est = timedep_roc(s, t, grid)
+            assert np.array_equal(est.roc, oracle_curve(fpf, tpf, grid))
+        assert est.auc == timedep_auc(s, t) == oracle_auc(fpf, tpf)
+
+    @given(survival_cases(censored_by_t=True))
+    def test_censored_within_tolerance_of_oracle(self, case):
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            with pytest.raises(TimeOutOfRangeError):
+                timedep_roc(s, t)
+            return
+        fpf, tpf = oracle_sweep(s, t)
+        sw = _sweep(s, t, "FPF")
+        assert not sw.counted
+        ref_fpf = np.array([float(f) for f in fpf])
+        assert np.allclose(sw.fp / sw.controls, ref_fpf, rtol=0.0, atol=1e-12)
+        assert np.allclose(sw.tp / sw.cases, [float(f) for f in tpf], rtol=0.0, atol=1e-12)
+        cs = np.append(sw.thresholds, np.inf)
+        ref = np.array([[float(f) for f in oracle_fractions(s, c, t)] for c in cs])
+        assert np.allclose(np.column_stack(cumdyn_fractions(s, cs, t)), ref,
+                           rtol=0.0, atol=1e-12)
+        for grid in _grids(s, fpf):
+            # away from every oracle FPF the rounding cannot change the threshold
+            far = np.abs(grid[:, None] - ref_fpf[None, :]).min(axis=1) > 1e-12
+            est = timedep_roc(s, t, grid)
+            assert np.allclose(est.roc[far], oracle_curve(fpf, tpf, grid[far]),
+                               rtol=0.0, atol=1e-12)
+        assert abs(timedep_auc(s, t) - oracle_auc(fpf, tpf)) <= 1e-12
+
+    @given(survival_cases(), st.data())
+    def test_permuting_subjects_changes_nothing(self, case, data):
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            return
+        perm = np.array(data.draw(st.permutations(range(s.n))))
+        shuffled = SurvivalSample(marker=s.marker[perm], time=s.time[perm],
+                                  event=s.event[perm])
+        a, b = timedep_roc(s, t), timedep_roc(shuffled, t)
+        assert np.array_equal(a.roc, b.roc) and a.auc == b.auc
+        cs = np.unique(s.marker)
+        assert np.array_equal(cumdyn_fractions(s, cs, t), cumdyn_fractions(shuffled, cs, t))
+
+    @given(survival_cases())
+    def test_increasing_marker_transform_changes_nothing(self, case):
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            return
+        moved = SurvivalSample(marker=np.exp(3.0 * s.marker) - 7.0, time=s.time,
+                               event=s.event)
+        for iso in (False, True):
+            a, b = timedep_roc(s, t, isotonic=iso), timedep_roc(moved, t, isotonic=iso)
+            assert np.array_equal(a.roc, b.roc) and a.auc == b.auc
+
+    @given(survival_cases())
+    def test_array_thresholds_equal_scalar_calls(self, case):
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            return
+        u = np.unique(s.marker)
+        cs = np.concatenate([u, (u[:-1] + u[1:]) / 2, [-np.inf, u[0] - 1.0, u[-1] + 1.0, np.inf]])
+        tpf, tnf = cumdyn_fractions(s, cs, t)
+        for c, a, b in zip(cs, tpf, tnf):
+            assert cumdyn_fractions(s, float(c), t) == (a, b)
