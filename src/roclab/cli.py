@@ -7,9 +7,11 @@ configured analysis, and write artifacts into an output directory:
 * ``curve.csv``: columns ``p,roc,band_lo,band_hi`` (band cells empty for
   estimators without uncertainty bands); always includes p=0 and p=1.
 * ``summary.txt``: AUC with interval plus Youden index, threshold and
-  optimal-FPF lines.
+  optimal-FPF lines, then one ``warning:`` line per distinct roclab
+  warning the analysis raised.
 * ``metadata.json``: every parameter, seed and library version needed to
-  reproduce the run byte-exactly.  No timestamps.
+  reproduce the run byte-exactly, and the sorted ``warnings`` list when
+  there are any.  No timestamps.
 * ``curve.svg`` (optional): fixed-size static plot.
 * ``curve_full.csv`` (optional): full-precision sidecar.
 
@@ -29,6 +31,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -38,7 +41,8 @@ from .core import SeedSpec
 from .covariate_roc import (RegressionSample, aroc, ddp_fit, ddp_roc, faraggi_roc,
                             location_scale_cdf, location_scale_youden, ols_fit,
                             pepe_semiparam_roc, rocglm_fit)
-from .errors import InvalidInputError
+from .errors import (AllCensoredWarning, InvalidInputError, NegativeYoudenWarning,
+                     SeparationWarning)
 from .indices import youden_empirical, youden_from_cdfs
 from .pooled_roc import (DpmConfig, bb_roc, dpm_fit, dpm_roc, empirical_roc,
                          kernel_cdf, kernel_roc, lscv_bandwidth,
@@ -136,7 +140,7 @@ def _json_default(obj):
 
 
 def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
-                   curve=None, report=None) -> None:
+                   curve, report, warned: list[str]) -> None:
     meta = {
         "tool": "roclab",
         "version": __version__,
@@ -145,6 +149,9 @@ def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
     }
     if report is not None:
         meta["input_report"] = report
+    if warned:
+        meta["warnings"] = warned
+        summary_lines = summary_lines + [f"warning: {w}" for w in warned]
     _atomic_write(os.path.join(outdir, "metadata.json"),
                   json.dumps(meta, indent=2, sort_keys=True, default=_json_default) + "\n")
     _atomic_write(os.path.join(outdir, "summary.txt"),
@@ -328,10 +335,11 @@ def _parse_floats(raw: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (outdir, params, summary lines, curve or
+# None, input report or None) and ``_run`` writes the artifacts
 
 
-def _cmd_binary(args, cfg) -> int:
+def _cmd_binary(args, cfg) -> tuple:
     opts = Options(args, cfg, "binary")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -361,8 +369,7 @@ def _cmd_binary(args, cfg) -> int:
         lines += [f"ppv: {_fmt6(ppv)}", f"npv: {_fmt6(npv)}"]
     else:
         lines += ["ppv: n/a", "npv: n/a"]
-    _write_outputs(outdir, opts.resolved, lines, report=report)
-    return 0
+    return outdir, opts.resolved, lines, None, report
 
 
 def _mixture_configs(opts: Options) -> tuple[DpmConfig, DpmConfig]:
@@ -433,7 +440,7 @@ def _youden_lines(youden) -> list[str]:
     return out
 
 
-def _cmd_pooled(args, cfg) -> int:
+def _cmd_pooled(args, cfg) -> tuple:
     opts = Options(args, cfg, "pooled")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -455,8 +462,7 @@ def _cmd_pooled(args, cfg) -> int:
         f"n_nondiseased: {nd.size}",
         _interval_line("auc", curve.auc, *(ci if ci is not None else (None, None))),
     ] + _youden_lines(youden)
-    _write_outputs(outdir, opts.resolved, lines, curve=curve, report=report)
-    return 0
+    return outdir, opts.resolved, lines, curve, report
 
 
 def _regression_samples(data: dict, marker: str, status: str,
@@ -472,7 +478,7 @@ def _regression_samples(data: dict, marker: str, status: str,
             RegressionSample(mk[~mask], design[~mask], labels))
 
 
-def _cmd_covariate(args, cfg) -> int:
+def _cmd_covariate(args, cfg) -> tuple:
     opts = Options(args, cfg, "covariate")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -534,11 +540,10 @@ def _cmd_covariate(args, cfg) -> int:
         f"n_nondiseased: {sample_nd.n}",
         _interval_line("auc", curve.auc, *(ci if ci is not None else (None, None))),
     ] + _youden_lines(youden)
-    _write_outputs(outdir, opts.resolved, lines, curve=curve, report=report)
-    return 0
+    return outdir, opts.resolved, lines, curve, report
 
 
-def _cmd_aroc(args, cfg) -> int:
+def _cmd_aroc(args, cfg) -> tuple:
     opts = Options(args, cfg, "aroc")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -567,11 +572,10 @@ def _cmd_aroc(args, cfg) -> int:
         "c_star: n/a",
         _interval_line("p_star", float(curve.grid[idx])),
     ]
-    _write_outputs(outdir, opts.resolved, lines, curve=curve, report=report)
-    return 0
+    return outdir, opts.resolved, lines, curve, report
 
 
-def _cmd_timedep(args, cfg) -> int:
+def _cmd_timedep(args, cfg) -> tuple:
     opts = Options(args, cfg, "timedep")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -605,8 +609,7 @@ def _cmd_timedep(args, cfg) -> int:
         _interval_line("c_star", c_star),
         _interval_line("p_star", p_star),
     ]
-    _write_outputs(outdir, opts.resolved, lines, curve=curve, report=report)
-    return 0
+    return outdir, opts.resolved, lines, curve, report
 
 
 def _cohort_csv_text(header: list[str], rows) -> str:
@@ -616,7 +619,7 @@ def _cohort_csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args, cfg) -> int:
+def _cmd_simulate(args, cfg) -> tuple:
     opts = Options(args, cfg, "simulate")
     outdir = _resolve_outdir(opts)
     _common_options(opts)
@@ -674,8 +677,7 @@ def _cmd_simulate(args, cfg) -> int:
             f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
 
     _atomic_write(os.path.join(outdir, "cohort.csv"), text)
-    _write_outputs(outdir, opts.resolved, lines)
-    return 0
+    return outdir, opts.resolved, lines, None, None
 
 
 def _parse_names(raw: str) -> list[str]:
@@ -806,13 +808,40 @@ def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
         pass
 
 
+# warnings about the data or the fit; they are deterministic, so recording
+# them keeps reruns byte-identical
+_RECORDED_WARNINGS = (AllCensoredWarning, NegativeYoudenWarning, SeparationWarning)
+
+
+def _run(args, cfg: configparser.ConfigParser) -> None:
+    """Run the subcommand's handler and write its artifacts.
+
+    Every distinct warning the handler raises still goes to stderr once;
+    the roclab ones are also listed, sorted, in the artifacts.
+    """
+    seen = {}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outdir, params, lines, curve, report = args.handler(args, cfg)
+    finally:
+        for w in caught:
+            seen.setdefault((w.category, str(w.message)), w)
+        for w in seen.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    warned = sorted(f"{category.__name__}: {message}" for category, message in seen
+                    if issubclass(category, _RECORDED_WARNINGS))
+    _write_outputs(outdir, params, lines, curve, report, warned)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = configparser.ConfigParser()  # stays empty if the file fails to load
     try:
         cfg = _load_config(args.config)
-        return args.handler(args, cfg)
+        _run(args, cfg)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_error(args, cfg, exc, 2)

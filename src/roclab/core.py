@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError
 
@@ -134,6 +133,8 @@ def quantile(sample, p):
 
 def std_normal_cdf(x):
     """Standard normal CDF (vectorized)."""
+    from scipy.special import ndtr
+
     xv = np.asarray(x, dtype=float)
     if np.any(np.isnan(xv)):
         raise InvalidInputError("normal CDF argument is NaN")
@@ -143,6 +144,8 @@ def std_normal_cdf(x):
 
 def std_normal_quantile(p):
     """Standard normal quantile; domain is the open interval (0, 1)."""
+    from scipy.special import ndtri
+
     pv = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(pv)) or np.any(pv <= 0.0) or np.any(pv >= 1.0):
         raise InvalidInputError("normal quantile probability must be in (0, 1)")

@@ -26,9 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.optimize import lsq_linear
-from scipy.special import ndtr, ndtri
 
 from .core import (as_prob_grid, default_prob_grid, quantile, std_normal_cdf,
                    validate_sample)
@@ -210,6 +207,8 @@ def faraggi_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
     ``roc(p) = 1 - Phi(a(x) + b Phi^{-1}(1-p))`` with the closed-form
     ``auc = Phi(-a(x) / sqrt(1 + b^2))``.
     """
+    from scipy.special import ndtr, ndtri
+
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     a_x, b = _roc_scale_params(fit_d, fit_nd, x)
     roc = np.where(grid <= 0.0, 0.0, 1.0)
@@ -261,14 +260,16 @@ def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
     """
     if errors not in ("empirical", "normal"):
         raise InvalidInputError("errors must be 'empirical' or 'normal'")
-    res = np.sort(fit.residuals)
+    if errors == "normal":
+        from scipy.special import ndtr as law
+    else:
+        res = np.sort(fit.residuals)
+
+        def law(z):
+            return np.searchsorted(res, z, side="right") / res.size
 
     def cdf(y, x):
-        z = (np.asarray(y, dtype=float) - fit.mean_at(x)) / fit.sigma
-        if errors == "normal":
-            out = ndtr(z)
-        else:
-            out = np.searchsorted(res, z, side="right") / res.size
+        out = law((np.asarray(y, dtype=float) - fit.mean_at(x)) / fit.sigma)
         return float(out) if np.ndim(y) == 0 else out
 
     return cdf
@@ -291,6 +292,8 @@ def bspline_design(x_values, spec: BSplineSpec, categorical=None,
 
     Raises an extrapolation error when any ``x`` lies outside the boundary.
     """
+    from scipy.interpolate import BSpline
+
     x = validate_sample(x_values, "covariate")
     lo, hi = spec.boundary
     if np.any(x < lo) or np.any(x > hi):
@@ -367,6 +370,8 @@ def ddp_conditional_cdf(draws, design_fn):
     ``design_fn(x)`` must return the design row for covariate vector ``x``.
     The returned ``cdf(y, x)`` averages the mixture CDF over draws.
     """
+    from scipy.special import ndtr
+
     w, coef, sg = _stack_draws(draws, "coef")
 
     def cdf(y, x):
@@ -396,6 +401,8 @@ def placement_values(sample_d: RegressionSample, nondiseased_cdf) -> np.ndarray:
 
 def _ispline_basis(p: np.ndarray, interior_knots: tuple[float, ...]) -> np.ndarray:
     """Monotone (integrated B-spline) basis on [0, 1], each column 0 to 1."""
+    from scipy.interpolate import BSpline
+
     t = np.array([0.0] * 4 + list(interior_knots) + [1.0] * 4)
     m = len(interior_knots) + 4
     cols = []
@@ -429,12 +436,16 @@ class RocGlmFit:
 
     def _baseline_matrix(self, p: np.ndarray) -> np.ndarray:
         if self.baseline == "parametric":
+            from scipy.special import ndtri
+
             return np.column_stack([np.ones(p.size), ndtri(p)])
         return np.column_stack([np.ones(p.size),
                                 _ispline_basis(p, self.spline_knots)])
 
     def curve(self, x=None, grid=None) -> RocCurveEstimate:
         """Conditional ROC curve at covariate vector ``x`` (None = no covariates)."""
+        from scipy.special import ndtr
+
         grid = default_prob_grid() if grid is None else as_prob_grid(grid)
         xv = np.zeros(0) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if xv.size != self.beta.size:
@@ -448,11 +459,6 @@ class RocGlmFit:
             roc[interior] = ndtr(h @ self.alpha + shift)
         auc = float(min(1.0, max(0.0, np.trapezoid(roc, grid))))
         return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
-
-
-def _probit_deviance(u: np.ndarray, eta: np.ndarray) -> float:
-    mu = np.clip(ndtr(eta), 1e-12, 1.0 - 1e-12)
-    return -2.0 * float(u @ np.log(mu) + (1.0 - u) @ np.log1p(-mu))
 
 
 def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
@@ -473,6 +479,9 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
     """
+    from scipy.optimize import lsq_linear
+    from scipy.special import ndtr, ndtri
+
     if baseline not in ("parametric", "spline"):
         raise InvalidInputError("baseline must be 'parametric' or 'spline'")
     if p_grid is None:
@@ -506,8 +515,12 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
         lower[1:n_base] = 0.0  # monotone baseline: spline coefficients >= 0
         upper = np.full(n_coef, np.inf)
 
+    def deviance(b: np.ndarray) -> float:
+        mu = np.clip(ndtr(x_mat @ b), 1e-12, 1.0 - 1e-12)
+        return -2.0 * float(u @ np.log(mu) + (1.0 - u) @ np.log1p(-mu))
+
     beta = np.zeros(n_coef)
-    dev = _probit_deviance(u, x_mat @ beta)
+    dev = deviance(beta)
     converged = False
     it = 0
     for it in range(1, 101):
@@ -524,11 +537,11 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
             proposal = res.x
         else:
             proposal, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-        new_dev = _probit_deviance(u, x_mat @ proposal)
+        new_dev = deviance(proposal)
         halvings = 0
         while new_dev > dev + 1e-10 and halvings < 30:
             proposal = 0.5 * (proposal + beta)
-            new_dev = _probit_deviance(u, x_mat @ proposal)
+            new_dev = deviance(proposal)
             halvings += 1
         step = float(np.max(np.abs(proposal - beta)))
         beta = proposal

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import rankdata
 
 from .core import (SeedSpec, as_prob_grid, default_prob_grid, dirichlet_uniform,
                    validate_sample)
@@ -208,9 +206,24 @@ def empirical_auc(diseased, nondiseased) -> float:
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
-    ranks = rankdata(np.concatenate([d, nd]))
-    rank_sum = ranks[: d.size].sum()
+    rank_sum = _midranks(np.concatenate([d, nd]))[: d.size].sum()
     return (rank_sum - d.size * (d.size + 1) / 2.0) / (d.size * nd.size)
+
+
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with each tie group given the mean of its ranks.
+
+    A tie group at sorted positions ``start .. end - 1`` gets
+    ``(start + end + 1) / 2``, a multiple of 1/2, so every rank and every
+    rank sum below 2**52 is exact in a float.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _inverse_rank(n: int, one_minus_p_num: int, den: int) -> int:
@@ -283,6 +296,8 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
 
 def kernel_cdf(sample, h: float, y):
     """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``."""
+    from scipy.special import ndtr
+
     s = validate_sample(sample, "sample")
     if not np.isfinite(h) or h <= 0.0:
         raise InvalidInputError(f"bandwidth must be positive, got {h}")
@@ -291,13 +306,19 @@ def kernel_cdf(sample, h: float, y):
     return float(out) if np.isscalar(y) or yv.ndim == 0 else out
 
 
-def _mixture_cdf(w, mu, sigma, x):
+# The mixture helpers take scipy.special.ndtr from their caller, which
+# imports it once per public call: scipy loads on first use, and the
+# per-draw Youden closures (over 10**5 calls in one dpm_roc with youden=True)
+# pay no import.
+
+
+def _mixture_cdf(w, mu, sigma, x, ndtr):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns (..., K)
     z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
     return (ndtr(z) * w[..., None, :]).sum(axis=-1)
 
 
-def _mixture_cdf_pdf(w, mu, sigma, x):
+def _mixture_cdf_pdf(w, mu, sigma, x, ndtr):
     # _mixture_cdf and the matching density, from one (..., K, L) buffer
     z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
     terms = ndtr(z)
@@ -310,7 +331,7 @@ def _mixture_cdf_pdf(w, mu, sigma, x):
     return cdf, z.sum(axis=-1)
 
 
-def _invert_mixture_cdf(w, mu, sigma, targets):
+def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     """Solve F(x) = q for mixture CDFs by safeguarded Newton, vectorized.
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
@@ -325,11 +346,11 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     hi = float((mu + 10.0 * sigma).max())
     qmin, qmax = float(targets.min()), float(targets.max())
     for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([lo])).min() <= qmin:
+        if _mixture_cdf(w, mu, sigma, np.array([lo]), ndtr).min() <= qmin:
             break
         lo -= hi - lo
     for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([hi])).max() >= qmax:
+        if _mixture_cdf(w, mu, sigma, np.array([hi]), ndtr).max() >= qmax:
             break
         hi += hi - lo
     shape = (w.shape[0], targets.size)
@@ -343,7 +364,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     step_last = step_before = np.full(shape, hi - lo)
     done = np.zeros(shape, dtype=bool)
     for _ in range(120):
-        f, dens = _mixture_cdf_pdf(w, mu, sigma, x)
+        f, dens = _mixture_cdf_pdf(w, mu, sigma, x, ndtr)
         below = f < tgt
         lo_a = np.where(below, x, lo_a)
         hi_a = np.where(below, hi_a, x)
@@ -359,7 +380,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             break
         step_last, step_before = step, step_last
     roots = x
-    resid = np.abs(_mixture_cdf(w, mu, sigma, roots) - tgt)
+    resid = np.abs(_mixture_cdf(w, mu, sigma, roots, ndtr) - tgt)
     worst = float(resid.max())
     if worst > 1e-10:
         s, k = np.unravel_index(int(resid.argmax()), resid.shape)
@@ -372,14 +393,16 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
 
 def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     """Per-draw ROC curves for paired mixture arrays of shape (S, L)."""
+    from scipy.special import ndtr
+
     interior = (grid > 0.0) & (grid < 1.0)
     curves = np.empty((w_d.shape[0], grid.size))
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0
     if np.any(interior):
         q = 1.0 - grid[interior]
-        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, q)
-        curves[:, interior] = 1.0 - _mixture_cdf(w_d, mu_d, sg_d, roots)
+        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, q, ndtr)
+        curves[:, interior] = 1.0 - _mixture_cdf(w_d, mu_d, sg_d, roots, ndtr)
     return np.clip(curves, 0.0, 1.0)
 
 
@@ -414,6 +437,8 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
 
     ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / sqrt(h_D^2 + h_ND^2))``.
     """
+    from scipy.special import ndtr
+
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
     h_d = silverman_bandwidth(d) if h_d is None else h_d
@@ -640,6 +665,8 @@ def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
     ``sum_k sum_l w_NDk w_Dl Phi(a_kl / sqrt(1 + b_kl^2))`` with
     ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``.
     """
+    from scipy.special import ndtr
+
     sg_d = np.sqrt(np.asarray(draw_d.variances, dtype=float))
     sg_nd = np.sqrt(np.asarray(draw_nd.variances, dtype=float))
     if np.any(sg_d <= 0.0):
@@ -650,11 +677,11 @@ def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
     return float(np.asarray(draw_nd.weights) @ vals @ np.asarray(draw_d.weights))
 
 
-def _cdf_from_arrays(w, mu, sg):
+def _cdf_from_arrays(w, mu, sg, ndtr):
     # CDF of one finite normal mixture as a scalar/array callable
     def cdf(c):
         x = np.atleast_1d(np.asarray(c, dtype=float))
-        vals = _mixture_cdf(w, mu, sg, x)
+        vals = _mixture_cdf(w, mu, sg, x, ndtr)
         return float(vals[0]) if np.ndim(c) == 0 else vals
 
     return cdf
@@ -662,9 +689,11 @@ def _cdf_from_arrays(w, mu, sg):
 
 def mixture_cdf_callable(draw: MixtureDraw):
     """CDF of one mixture draw as a plain callable (scalar or array in/out)."""
+    from scipy.special import ndtr
+
     return _cdf_from_arrays(np.asarray(draw.weights, dtype=float),
                             np.asarray(draw.means, dtype=float),
-                            np.sqrt(np.asarray(draw.variances, dtype=float)))
+                            np.sqrt(np.asarray(draw.variances, dtype=float)), ndtr)
 
 
 def _stack_draws(draws, loc: str = "means"):
@@ -678,6 +707,8 @@ def _stack_draws(draws, loc: str = "means"):
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
                                   youden: bool) -> PosteriorEnsemble:
     """Ensemble curves/AUCs for paired per-draw mixtures of shape (S, L)."""
+    from scipy.special import ndtr
+
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     curves = _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid)
 
@@ -695,8 +726,8 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         lo = min(float(mu_d.min()), float(mu_nd.min())) - 4.0 * sg_max
         hi = max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max
         for s in range(n_draws):
-            res = youden_from_cdfs(_cdf_from_arrays(w_d[s], mu_d[s], sg_d[s]),
-                                   _cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s]),
+            res = youden_from_cdfs(_cdf_from_arrays(w_d[s], mu_d[s], sg_d[s], ndtr),
+                                   _cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s], ndtr),
                                    lo, hi)
             yis[s], thresholds[s], p_stars[s] = res.yi, res.c_star, res.p_star
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),

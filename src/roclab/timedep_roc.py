@@ -66,7 +66,8 @@ class StepSurvival:
     ``jump_times`` are distinct times with at least one event;
     ``surv_values`` hold S just after each jump.  ``exact`` carries the
     same values as exact rationals; ``surv_values`` are their correctly
-    rounded float images.
+    rounded float images.  It is either empty (a float-only curve, on
+    which ``exact_at`` raises) or holds one value per jump.
     """
 
     jump_times: np.ndarray
@@ -82,6 +83,9 @@ class StepSurvival:
             raise InvalidInputError("jump times must be strictly increasing")
         if jt.size and (np.any(np.diff(sv) > 0.0) or sv[0] > 1.0 or np.any(sv < 0.0)):
             raise InvalidInputError("survival values must be nonincreasing within [0, 1]")
+        if len(self.exact) not in (0, jt.size):
+            raise InvalidInputError(
+                f"exact needs one value per jump time ({jt.size}), got {len(self.exact)}")
 
     def at(self, t):
         """S(t), right continuous; 1 before the first event time."""
@@ -95,8 +99,10 @@ class StepSurvival:
 
     def exact_at(self, t: float) -> Fraction:
         """S(t) as an exact rational."""
-        idx = int(np.searchsorted(np.asarray(self.jump_times, dtype=float),
-                                  float(t), side="right"))
+        jt = np.asarray(self.jump_times, dtype=float)
+        if len(self.exact) != jt.size:
+            raise InvalidInputError("curve was built without exact values")
+        idx = int(np.searchsorted(jt, float(t), side="right"))
         return Fraction(1) if idx == 0 else self.exact[idx - 1]
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from roclab import InvalidInputError, NumericError
+import roclab
+from roclab import InvalidInputError, NegativeYoudenWarning, NumericError
 from roclab.cli import main, read_cohort
 
 
@@ -382,3 +386,80 @@ class TestMetadataStability:
         assert meta["tool"] == "roclab"
         assert "numpy" in meta["libraries"] and "scipy" in meta["libraries"]
         assert list(meta) == sorted(meta)
+
+
+class TestWarningsInArtifacts:
+    def _cohort(self, tmp_path, sign):
+        # the diseased group sits below the other when sign is -1
+        rng = np.random.default_rng(85)
+        status = np.array([0, 1] * 40)
+        y = sign * 1.5 * status + rng.normal(0, 1, 80)
+        rows = "\n".join(f"{v},{s}" for v, s in zip(y, status))
+        return write_csv(tmp_path / f"c{sign}.csv", "marker,status\n" + rows + "\n")
+
+    def _run_kernel(self, p, out):
+        rc = run(["pooled", "--input", p, "--estimator", "kernel", "--outdir", out])
+        assert rc == 0
+        return {f: (out / f).read_bytes() for f in ("summary.txt", "metadata.json", "curve.csv")}
+
+    def test_reversed_marker_warning_recorded_and_rerun_identical(self, tmp_path):
+        p = self._cohort(tmp_path, -1)
+        out = tmp_path / "out"
+        with pytest.warns(NegativeYoudenWarning):
+            first = self._run_kernel(p, out)
+        note = ("NegativeYoudenWarning: best Youden gap is negative; "
+                "marker orders the groups the other way")
+        assert json.loads(first["metadata.json"])["warnings"] == [note]
+        assert first["summary.txt"].decode().splitlines()[-1] == f"warning: {note}"
+        with pytest.warns(NegativeYoudenWarning):
+            assert self._run_kernel(p, out) == first
+
+    def test_no_warnings_no_key(self, tmp_path):
+        out = tmp_path / "out"
+        blobs = self._run_kernel(self._cohort(tmp_path, 1), out)
+        assert "warnings" not in json.loads(blobs["metadata.json"])
+        assert b"warning:" not in blobs["summary.txt"]
+
+
+SCIPY_SUBMODULES = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.stats")
+
+
+def scipy_loaded_by(statement, argv=()):
+    """Run ``statement`` in a fresh interpreter; the scipy submodules it loaded."""
+    code = (f"import json, sys\n{statement}\n"
+            f"print(json.dumps(sorted(set(sys.modules) & set({SCIPY_SUBMODULES!r}))))")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(roclab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+RUN_CLI = "from roclab.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+class TestImportCost:
+    """Start-up stays on numpy: scipy modules load only where they are used."""
+
+    @pytest.mark.parametrize("statement", ["import roclab", "import roclab.cli"])
+    def test_import_loads_no_scipy_module(self, statement):
+        assert scipy_loaded_by(statement) == []
+
+    def test_numpy_only_subcommands_leave_scipy_special_unloaded(self, tmp_path):
+        pooled = write_csv(tmp_path / "c.csv", SEPARATED)
+        survival = write_csv(tmp_path / "s.csv",
+                             "marker,time,event\n1,1,1\n2,2,0\n3,3,1\n4,4,1\n")
+        for argv in (["binary", "--input", pooled, "--threshold", "5"],
+                     ["pooled", "--input", pooled, "--estimator", "empirical"],
+                     ["timedep", "--input", survival, "--time", "2.5"]):
+            loaded = scipy_loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / argv[0]])
+            assert "scipy.special" not in loaded, argv[0]
+
+    def test_rocglm_imports_scipy_on_first_use(self, tmp_path):
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        loaded = scipy_loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator",
+                                           "rocglm", "--baseline", "spline", "--covariates",
+                                           "x", "--at", "0.5", "--outdir", tmp_path / "out"])
+        assert {"scipy.interpolate", "scipy.optimize", "scipy.special"} <= set(loaded)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from roclab import (DegenerateSampleError, DpmConfig, InvalidInputError,
                     MixtureDraw, PosteriorEnsemble, SeedSpec, bb_roc, dpm_auc,
                     dpm_fit, dpm_roc, empirical_auc, empirical_roc, kernel_auc,
                     kernel_cdf, kernel_roc, lscv_bandwidth,
                     mixture_cdf_callable, silverman_bandwidth, std_normal_cdf)
+from roclab.pooled_roc import _midranks
 
 
 def brute_auc(d, nd):
@@ -41,6 +45,50 @@ class TestEmpiricalAuc:
         est = empirical_roc(d, nd, grid)
         # step curve on a grid finer than 1/(n1*n0) integrates to the AUC
         assert abs(est.auc - empirical_auc(d, nd)) < 1.0 / (60 * 80)
+
+
+# heavy ties: values drawn from a small pool that holds both signed zeros,
+# mixed with arbitrary finite floats
+tied_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324, -1e300, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+tied_samples = st.lists(tied_floats, min_size=1, max_size=40)
+# integer markers (many ties) and strictly increasing maps that keep them distinct
+lattice = st.lists(st.integers(-20, 20).map(float), min_size=1, max_size=30)
+increasing = st.sampled_from([lambda v: v ** 3, lambda v: np.exp(v / 4.0),
+                              np.arctan, lambda v: 2.0 ** v - 1e6])
+
+
+class TestEmpiricalProperties:
+    @given(tied_samples)
+    def test_midranks_equal_scipy_rankdata_bitwise(self, values):
+        x = np.array(values)
+        assert _midranks(x).tobytes() == rankdata(x).astype(float).tobytes()
+
+    @given(tied_samples, tied_samples)
+    def test_auc_equals_pair_count_bitwise(self, d, nd):
+        dv, ndv = np.array(d), np.array(nd)
+        above = int(np.sum(dv[:, None] > ndv[None, :]))
+        tied = int(np.sum(dv[:, None] == ndv[None, :]))
+        # one rounding of the exact count, as in the brute-force double loop
+        assert empirical_auc(dv, ndv) == (2 * above + tied) / (2 * dv.size * ndv.size)
+
+    @given(lattice, lattice, increasing)
+    def test_increasing_marker_transform_changes_nothing(self, d, nd, f):
+        dv, ndv = np.array(d), np.array(nd)
+        before = empirical_roc(dv, ndv)
+        after = empirical_roc(f(dv), f(ndv))
+        assert np.array_equal(before.roc, after.roc)
+        assert before.auc == after.auc == empirical_auc(f(dv), f(ndv))
+
+    @given(lattice, lattice, st.integers(0, 2**32 - 1))
+    def test_permuting_subjects_changes_nothing(self, d, nd, seed):
+        dv, ndv = np.array(d), np.array(nd)
+        rng = np.random.default_rng(seed)
+        before = empirical_roc(dv, ndv)
+        after = empirical_roc(rng.permutation(dv), rng.permutation(ndv))
+        assert np.array_equal(before.roc, after.roc)
+        assert before.auc == after.auc
 
 
 class TestEmpiricalRoc:
