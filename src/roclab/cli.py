@@ -241,9 +241,35 @@ def read_cohort(path: str, columns: list[str], *, binary_cols=(),
     return data, report
 
 
-def _split_groups(data: dict, marker: str, status: str) -> tuple[np.ndarray, np.ndarray]:
-    mask = data[status] == 1.0
-    d, nd = data[marker][mask], data[marker][~mask]
+def _cohort(opts: Options, survival: bool = False):
+    """Resolve the cohort options: ``input``, ``marker_col``, the group
+    columns (``status_col``, or ``time_col`` and ``event_col``) and
+    ``log_marker``, in that order.
+
+    Returns ``read(extra=())``, which reads the marker, the group columns
+    and the ``extra`` columns through ``read_cohort`` and returns their
+    arrays, in that order, and the input report.
+    """
+    path = opts.get("input", str, required=True)
+    marker = opts.get("marker_col", str, "marker")
+    if survival:
+        groups = [opts.get("time_col", str, "time"), opts.get("event_col", str, "event")]
+    else:
+        groups = [opts.get("status_col", str, "status")]
+    log_cols = (marker,) if opts.get("log_marker", bool, False) else ()
+
+    def read(extra=()):
+        columns = [marker, *groups, *extra]
+        data, report = read_cohort(path, columns, binary_cols=groups[-1:],
+                                   log_cols=log_cols)
+        return [data[c] for c in columns], report
+
+    return read
+
+
+def _split_groups(marker: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mask = status == 1.0
+    d, nd = marker[mask], marker[~mask]
     if d.size == 0 or nd.size == 0:
         raise InvalidInputError(
             f"empty group after filtering: {d.size} diseased, {nd.size} nondiseased")
@@ -260,7 +286,10 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         if not os.path.exists(path):
             raise InvalidInputError(f"config file not found: {path}")
         try:
-            cfg.read(path)
+            with open(path) as fh:
+                cfg.read_file(fh)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot read config file: {exc}") from None
         except configparser.Error as exc:
             raise InvalidInputError(f"cannot parse config file: {exc}") from None
     return cfg
@@ -307,17 +336,12 @@ class Options:
 
 
 def _resolve_outdir(opts: Options) -> str:
-    outdir = opts.get("outdir", str, None)
-    if outdir is None:
-        outdir = os.environ.get(ENV_OUTDIR) or "."
-        opts.resolved["outdir"] = outdir
-    os.makedirs(outdir, exist_ok=True)
+    outdir = opts.get("outdir", str, os.environ.get(ENV_OUTDIR) or ".")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot create output directory: {exc}") from None
     return outdir
-
-
-def _common_options(opts: Options) -> None:
-    opts.get("svg", bool, False)
-    opts.get("full_precision", bool, False)
 
 
 def _grid(opts: Options) -> np.ndarray:
@@ -335,24 +359,37 @@ def _parse_floats(raw: str) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (outdir, params, summary lines, curve or
-# None, input report or None) and ``_run`` writes the artifacts
+# subcommand handlers: each takes the ``Options`` that ``_run`` set up and
+# returns (summary lines, curve or None, input report or None); ``_run``
+# writes the artifacts
 
 
-def _cmd_binary(args, cfg) -> tuple:
-    opts = Options(args, cfg, "binary")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    status = opts.get("status_col", str, "status")
+def _summary_lines(head: list[str], curve, youden) -> list[str]:
+    """``head``, then the AUC and Youden lines; ``youden`` is a ``YoudenResult``
+    or a dict whose values are numbers, ``(value, lo, hi)`` or None."""
+    lines = head + [_interval_line("auc", curve.auc, *(curve.auc_ci or (None, None)))]
+    values = youden if isinstance(youden, dict) else vars(youden)
+    for name in ("yi", "c_star", "p_star"):
+        value = values[name]
+        lines.append(_interval_line(name, *value) if isinstance(value, tuple)
+                     else _interval_line(name, value))
+    return lines
+
+
+def _curve_youden(curve) -> dict:
+    """Youden index as the largest ``roc - p`` on the curve's grid."""
+    idx = int(np.argmax(curve.roc - curve.grid))
+    return {"yi": float(curve.roc[idx] - curve.grid[idx]), "c_star": None,
+            "p_star": float(curve.grid[idx])}
+
+
+def _cmd_binary(opts: Options) -> tuple:
+    read = _cohort(opts)
     threshold = opts.get("threshold", float, required=True)
     prevalence = opts.get("prevalence", float, None)
-    log_marker = opts.get("log_marker", bool, False)
 
-    data, report = read_cohort(path, [marker, status], binary_cols=(status,),
-                               log_cols=(marker,) if log_marker else ())
-    d, nd = _split_groups(data, marker, status)
+    (marker, status), report = read()
+    d, nd = _split_groups(marker, status)
     fractions = classification_fractions(d, nd, threshold)
     lines = [
         "analysis: binary",
@@ -364,12 +401,9 @@ def _cmd_binary(args, cfg) -> tuple:
         f"tnf: {_fmt6(fractions.tnf)}",
         f"fnf: {_fmt6(fractions.fnf)}",
     ]
-    if prevalence is not None:
-        ppv, npv = predictive_values(fractions, prevalence)
-        lines += [f"ppv: {_fmt6(ppv)}", f"npv: {_fmt6(npv)}"]
-    else:
-        lines += ["ppv: n/a", "npv: n/a"]
-    return outdir, opts.resolved, lines, None, report
+    ppv, npv = ((None, None) if prevalence is None
+                else predictive_values(fractions, prevalence))
+    return lines + [_interval_line("ppv", ppv), _interval_line("npv", npv)], None, report
 
 
 def _mixture_configs(opts: Options) -> tuple[DpmConfig, DpmConfig]:
@@ -390,9 +424,7 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
     estimator = opts.get("estimator", str, "empirical")
     level = opts.get("level", float, 0.95)
     if estimator == "empirical":
-        curve = empirical_roc(d, nd, grid)
-        yi = youden_empirical(d, nd)
-        return curve, {"yi": yi.yi, "c_star": yi.c_star, "p_star": yi.p_star}
+        return empirical_roc(d, nd, grid), youden_empirical(d, nd)
     if estimator == "kernel":
         method = opts.get("bandwidth_method", str, "silverman")
         if method not in ("silverman", "lscv"):
@@ -407,9 +439,8 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         curve = kernel_roc(d, nd, h_d, h_nd, grid)
         lo = float(min(d.min(), nd.min())) - 4.0 * max(h_d, h_nd)
         hi = float(max(d.max(), nd.max())) + 4.0 * max(h_d, h_nd)
-        yi = youden_from_cdfs(lambda c: kernel_cdf(d, h_d, c),
-                              lambda c: kernel_cdf(nd, h_nd, c), lo, hi)
-        return curve, {"yi": yi.yi, "c_star": yi.c_star, "p_star": yi.p_star}
+        return curve, youden_from_cdfs(lambda c: kernel_cdf(d, h_d, c),
+                                       lambda c: kernel_cdf(nd, h_nd, c), lo, hi)
     if estimator == "bb":
         n_draws = opts.get("draws", int, 1000)
         seed = opts.get("seed", int, 20260815)
@@ -425,67 +456,32 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         f"unknown estimator {estimator!r}: choose empirical, kernel, bb or dpm")
 
 
-def _youden_lines(youden) -> list[str]:
-    if youden is None:
-        return ["yi: n/a", "c_star: n/a", "p_star: n/a"]
-    out = []
-    for name in ("yi", "c_star", "p_star"):
-        value = youden.get(name)
-        if value is None:
-            out.append(f"{name}: n/a")
-        elif isinstance(value, tuple):
-            out.append(_interval_line(name, *value))
-        else:
-            out.append(_interval_line(name, value))
-    return out
-
-
-def _cmd_pooled(args, cfg) -> tuple:
-    opts = Options(args, cfg, "pooled")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    status = opts.get("status_col", str, "status")
-    log_marker = opts.get("log_marker", bool, False)
+def _cmd_pooled(opts: Options) -> tuple:
+    read = _cohort(opts)
     grid = _grid(opts)
 
-    data, report = read_cohort(path, [marker, status], binary_cols=(status,),
-                               log_cols=(marker,) if log_marker else ())
-    d, nd = _split_groups(data, marker, status)
+    (marker, status), report = read()
+    d, nd = _split_groups(marker, status)
     curve, youden = _pooled_curve_and_youden(opts, d, nd, grid)
-    ci = curve.auc_ci
-    lines = [
-        "analysis: pooled",
-        f"estimator: {opts.resolved['estimator']}",
-        f"n_diseased: {d.size}",
-        f"n_nondiseased: {nd.size}",
-        _interval_line("auc", curve.auc, *(ci if ci is not None else (None, None))),
-    ] + _youden_lines(youden)
-    return outdir, opts.resolved, lines, curve, report
+    head = ["analysis: pooled", f"estimator: {opts.resolved['estimator']}",
+            f"n_diseased: {d.size}", f"n_nondiseased: {nd.size}"]
+    return _summary_lines(head, curve, youden), curve, report
 
 
-def _regression_samples(data: dict, marker: str, status: str,
-                        covariates: list[str]) -> tuple[RegressionSample, RegressionSample]:
-    mask = data[status] == 1.0
+def _regression_samples(read, covariates: list[str]) -> tuple:
+    """Diseased and nondiseased ``RegressionSample`` s and the input report."""
+    (marker, status, *xs), report = read(covariates)
+    mask = status == 1.0
     if not (mask.any() and (~mask).any()):
         raise InvalidInputError("empty group after filtering")
-    cols = [np.ones(data[marker].size)] + [data[c] for c in covariates]
-    design = np.column_stack(cols)
-    labels = ("intercept",) + tuple(covariates)
-    mk = data[marker]
-    return (RegressionSample(mk[mask], design[mask], labels),
-            RegressionSample(mk[~mask], design[~mask], labels))
+    design = np.column_stack([np.ones(marker.size), *xs])
+    labels = ("intercept", *covariates)
+    return (RegressionSample(marker[mask], design[mask], labels),
+            RegressionSample(marker[~mask], design[~mask], labels), report)
 
 
-def _cmd_covariate(args, cfg) -> tuple:
-    opts = Options(args, cfg, "covariate")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    status = opts.get("status_col", str, "status")
-    log_marker = opts.get("log_marker", bool, False)
+def _cmd_covariate(opts: Options) -> tuple:
+    read = _cohort(opts)
     covariates = _parse_names(opts.get("covariates", str, required=True))
     at = _parse_floats(opts.get("at", str, required=True))
     if len(at) != len(covariates):
@@ -495,19 +491,13 @@ def _cmd_covariate(args, cfg) -> tuple:
     level = opts.get("level", float, 0.95)
     grid = _grid(opts)
 
-    data, report = read_cohort(path, [marker, status] + covariates,
-                               binary_cols=(status,),
-                               log_cols=(marker,) if log_marker else ())
-    sample_d, sample_nd = _regression_samples(data, marker, status, covariates)
-
-    youden = None
+    sample_d, sample_nd, report = _regression_samples(read, covariates)
     if estimator in ("faraggi", "pepe"):
         fit_d, fit_nd = ols_fit(sample_d), ols_fit(sample_nd)
         errors = "normal" if estimator == "faraggi" else "empirical"
         build = faraggi_roc if estimator == "faraggi" else pepe_semiparam_roc
         curve = build(fit_d, fit_nd, at, grid)
-        yi = location_scale_youden(fit_d, fit_nd, at, errors)
-        youden = {"yi": yi.yi, "c_star": yi.c_star, "p_star": yi.p_star}
+        youden = location_scale_youden(fit_d, fit_nd, at, errors)
     elif estimator == "ddp":
         cfg_d, cfg_nd = _mixture_configs(opts)
         draws_d = ddp_fit(sample_d, cfg_d)
@@ -524,92 +514,47 @@ def _cmd_covariate(args, cfg) -> tuple:
         curve = fit.curve(at, grid)
         opts.resolved["rocglm_alpha"] = [float(v) for v in fit.alpha]
         opts.resolved["rocglm_beta"] = [float(v) for v in fit.beta]
-        idx = int(np.argmax(curve.roc - curve.grid))
-        youden = {"yi": float(curve.roc[idx] - curve.grid[idx]), "c_star": None,
-                  "p_star": float(curve.grid[idx])}
+        youden = _curve_youden(curve)
     else:
         raise InvalidInputError(
             f"unknown estimator {estimator!r}: choose faraggi, pepe, ddp or rocglm")
-
-    ci = curve.auc_ci
-    lines = [
-        "analysis: covariate",
-        f"estimator: {estimator}",
-        f"at: {','.join(_fmt6(v) for v in at)}",
-        f"n_diseased: {sample_d.n}",
-        f"n_nondiseased: {sample_nd.n}",
-        _interval_line("auc", curve.auc, *(ci if ci is not None else (None, None))),
-    ] + _youden_lines(youden)
-    return outdir, opts.resolved, lines, curve, report
+    head = ["analysis: covariate", f"estimator: {estimator}",
+            f"at: {','.join(_fmt6(v) for v in at)}",
+            f"n_diseased: {sample_d.n}", f"n_nondiseased: {sample_nd.n}"]
+    return _summary_lines(head, curve, youden), curve, report
 
 
-def _cmd_aroc(args, cfg) -> tuple:
-    opts = Options(args, cfg, "aroc")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    status = opts.get("status_col", str, "status")
-    log_marker = opts.get("log_marker", bool, False)
+def _cmd_aroc(opts: Options) -> tuple:
+    read = _cohort(opts)
     covariates = _parse_names(opts.get("covariates", str, required=True))
     errors = opts.get("errors", str, "empirical")
     grid = _grid(opts)
 
-    data, report = read_cohort(path, [marker, status] + covariates,
-                               binary_cols=(status,),
-                               log_cols=(marker,) if log_marker else ())
-    sample_d, sample_nd = _regression_samples(data, marker, status, covariates)
+    sample_d, sample_nd, report = _regression_samples(read, covariates)
     nd_cdf = location_scale_cdf(ols_fit(sample_nd), errors)
     curve = aroc(sample_d, nd_cdf, grid)
-    idx = int(np.argmax(curve.roc - curve.grid))
-    lines = [
-        "analysis: aroc",
-        f"errors: {errors}",
-        f"n_diseased: {sample_d.n}",
-        f"n_nondiseased: {sample_nd.n}",
-        _interval_line("auc", curve.auc),
-        _interval_line("yi", float(curve.roc[idx] - curve.grid[idx])),
-        "c_star: n/a",
-        _interval_line("p_star", float(curve.grid[idx])),
-    ]
-    return outdir, opts.resolved, lines, curve, report
+    head = ["analysis: aroc", f"errors: {errors}",
+            f"n_diseased: {sample_d.n}", f"n_nondiseased: {sample_nd.n}"]
+    return _summary_lines(head, curve, _curve_youden(curve)), curve, report
 
 
-def _cmd_timedep(args, cfg) -> tuple:
-    opts = Options(args, cfg, "timedep")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    time_col = opts.get("time_col", str, "time")
-    event_col = opts.get("event_col", str, "event")
-    log_marker = opts.get("log_marker", bool, False)
+def _cmd_timedep(opts: Options) -> tuple:
+    read = _cohort(opts, survival=True)
     horizon = opts.get("time", float, required=True)
     isotonic = opts.get("isotonic", bool, False)
     grid = _grid(opts)
 
-    data, report = read_cohort(path, [marker, time_col, event_col],
-                               binary_cols=(event_col,),
-                               log_cols=(marker,) if log_marker else ())
-    sample = SurvivalSample(marker=data[marker], time=data[time_col],
-                            event=data[event_col])
+    (marker, time, event), report = read()
+    sample = SurvivalSample(marker=marker, time=time, event=event)
     curve = timedep_roc(sample, horizon, grid, isotonic=isotonic)
 
     thresholds = np.unique(sample.marker)
     tpf, tnf = cumdyn_fractions(sample, thresholds, horizon)
     youden = tpf + tnf - 1.0
     best = int(np.argmax(youden))
-    yi, c_star, p_star = youden[best], thresholds[best], 1.0 - tnf[best]
-    lines = [
-        "analysis: timedep",
-        f"time: {_fmt6(horizon)}",
-        f"n_subjects: {sample.n}",
-        _interval_line("auc", curve.auc),
-        _interval_line("yi", yi),
-        _interval_line("c_star", c_star),
-        _interval_line("p_star", p_star),
-    ]
-    return outdir, opts.resolved, lines, curve, report
+    head = ["analysis: timedep", f"time: {_fmt6(horizon)}", f"n_subjects: {sample.n}"]
+    return _summary_lines(head, curve, {"yi": youden[best], "c_star": thresholds[best],
+                                        "p_star": 1.0 - tnf[best]}), curve, report
 
 
 def _cohort_csv_text(header: list[str], rows) -> str:
@@ -619,10 +564,7 @@ def _cohort_csv_text(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(args, cfg) -> tuple:
-    opts = Options(args, cfg, "simulate")
-    outdir = _resolve_outdir(opts)
-    _common_options(opts)
+def _cmd_simulate(opts: Options) -> tuple:
     scenario = opts.get("scenario", str, "binormal")
     seed = opts.get("seed", int, 20260815)
     spec = SeedSpec(seed, 0)
@@ -676,8 +618,8 @@ def _cmd_simulate(args, cfg) -> tuple:
         raise InvalidInputError(
             f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
 
-    _atomic_write(os.path.join(outdir, "cohort.csv"), text)
-    return outdir, opts.resolved, lines, None, None
+    _atomic_write(os.path.join(opts.resolved["outdir"], "cohort.csv"), text)
+    return lines, None, None
 
 
 def _parse_names(raw: str) -> list[str]:
@@ -704,18 +646,35 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="master seed for stochastic estimators")
 
 
-def _add_cohort(sub: argparse.ArgumentParser, *, status: bool = True,
-                survival: bool = False) -> None:
+def _add_cohort(sub: argparse.ArgumentParser, survival: bool) -> None:
     sub.add_argument("--input", help="cohort CSV path")
     sub.add_argument("--marker-col", dest="marker_col", help="marker column (default marker)")
-    if status:
-        sub.add_argument("--status-col", dest="status_col", help="status column (default status)")
     if survival:
         sub.add_argument("--time-col", dest="time_col", help="time column (default time)")
         sub.add_argument("--event-col", dest="event_col", help="event column (default event)")
+    else:
+        sub.add_argument("--status-col", dest="status_col", help="status column (default status)")
     sub.add_argument("--log-marker", dest="log_marker", action="store_const",
                      const=True, default=None,
                      help="analyze the natural log of the marker")
+
+
+def _add_mixture(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--level", type=float, help="credible level (default 0.95)")
+    sub.add_argument("--truncation", type=int)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--burn-in", dest="burn_in", type=int)
+    sub.add_argument("--n-save", dest="n_save", type=int)
+
+
+def _subparser(subs, name: str, handler, help: str, *, cohort: bool = True,
+               survival: bool = False) -> argparse.ArgumentParser:
+    sub = subs.add_parser(name, help=help)
+    _add_common(sub)
+    if cohort:
+        _add_cohort(sub, survival)
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -724,32 +683,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"roclab {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("binary", help="confusion fractions at a fixed threshold")
-    _add_common(p)
-    _add_cohort(p)
+    p = _subparser(subs, "binary", _cmd_binary, "confusion fractions at a fixed threshold")
     p.add_argument("--threshold", type=float, help="positivity threshold (marker >= c)")
     p.add_argument("--prevalence", type=float, help="disease prevalence for PPV/NPV")
-    p.set_defaults(handler=_cmd_binary)
 
-    p = subs.add_parser("pooled", help="pooled ROC curve, AUC and Youden index")
-    _add_common(p)
-    _add_cohort(p)
+    p = _subparser(subs, "pooled", _cmd_pooled, "pooled ROC curve, AUC and Youden index")
     p.add_argument("--estimator", choices=["empirical", "kernel", "bb", "dpm"])
     p.add_argument("--bandwidth-method", dest="bandwidth_method",
                    choices=["silverman", "lscv"])
     p.add_argument("--bandwidth-d", dest="bandwidth_d", type=float)
     p.add_argument("--bandwidth-nd", dest="bandwidth_nd", type=float)
     p.add_argument("--draws", type=int, help="Bayesian bootstrap draws (default 1000)")
-    p.add_argument("--level", type=float, help="credible level (default 0.95)")
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--n-save", dest="n_save", type=int)
-    p.set_defaults(handler=_cmd_pooled)
+    _add_mixture(p)
 
-    p = subs.add_parser("covariate", help="covariate-specific ROC curve")
-    _add_common(p)
-    _add_cohort(p)
+    p = _subparser(subs, "covariate", _cmd_covariate, "covariate-specific ROC curve")
     p.add_argument("--estimator", choices=["faraggi", "pepe", "ddp", "rocglm"])
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("--at", help="comma-separated covariate values to condition on")
@@ -757,30 +704,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual law for the conditional reference CDF")
     p.add_argument("--baseline", choices=["parametric", "spline"],
                    help="ROC-GLM baseline form")
-    p.add_argument("--level", type=float)
-    p.add_argument("--truncation", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--n-save", dest="n_save", type=int)
-    p.set_defaults(handler=_cmd_covariate)
+    _add_mixture(p)
 
-    p = subs.add_parser("aroc", help="covariate-adjusted ROC curve")
-    _add_common(p)
-    _add_cohort(p)
+    p = _subparser(subs, "aroc", _cmd_aroc, "covariate-adjusted ROC curve")
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("--errors", choices=["empirical", "normal"])
-    p.set_defaults(handler=_cmd_aroc)
 
-    p = subs.add_parser("timedep", help="cumulative/dynamic time-dependent ROC")
-    _add_common(p)
-    _add_cohort(p, status=False, survival=True)
+    p = _subparser(subs, "timedep", _cmd_timedep, "cumulative/dynamic time-dependent ROC",
+                   survival=True)
     p.add_argument("--time", type=float, help="evaluation time t")
     p.add_argument("--isotonic", action="store_const", const=True, default=None,
                    help="project the curve to a monotone step function")
-    p.set_defaults(handler=_cmd_timedep)
 
-    p = subs.add_parser("simulate", help="generate a synthetic cohort CSV")
-    _add_common(p)
+    p = _subparser(subs, "simulate", _cmd_simulate, "generate a synthetic cohort CSV",
+                   cohort=False)
     p.add_argument("--scenario", choices=["binormal", "covariate", "survival"])
     p.add_argument("--a", type=float, help="binormal intercept parameter")
     p.add_argument("--b", type=float, help="binormal slope parameter")
@@ -793,7 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-nd", dest="beta_nd", help="nondiseased mean coefficients")
     p.add_argument("--sigma-d", dest="sigma_d", type=float)
     p.add_argument("--sigma-nd", dest="sigma_nd", type=float)
-    p.set_defaults(handler=_cmd_simulate)
     return parser
 
 
@@ -804,7 +740,7 @@ def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
         _atomic_write(os.path.join(outdir, "error.json"), json.dumps(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
             indent=2, sort_keys=True) + "\n")
-    except OSError:
+    except (OSError, InvalidInputError):  # no usable output directory
         pass
 
 
@@ -814,16 +750,23 @@ _RECORDED_WARNINGS = (AllCensoredWarning, NegativeYoudenWarning, SeparationWarni
 
 
 def _run(args, cfg: configparser.ConfigParser) -> None:
-    """Run the subcommand's handler and write its artifacts.
+    """Set up the run, call the subcommand's handler and write its artifacts.
 
+    The output directory and the ``svg``/``full_precision`` flags are
+    resolved first; the handler gets the ``Options`` and resolves the rest,
+    and everything resolved goes into ``metadata.json`` as ``params``.
     Every distinct warning the handler raises still goes to stderr once;
     the roclab ones are also listed, sorted, in the artifacts.
     """
+    opts = Options(args, cfg, args.command)
+    outdir = _resolve_outdir(opts)
+    opts.get("svg", bool, False)
+    opts.get("full_precision", bool, False)
     seen = {}
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outdir, params, lines, curve, report = args.handler(args, cfg)
+            lines, curve, report = args.handler(opts)
     finally:
         for w in caught:
             seen.setdefault((w.category, str(w.message)), w)
@@ -831,7 +774,7 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     warned = sorted(f"{category.__name__}: {message}" for category, message in seen
                     if issubclass(category, _RECORDED_WARNINGS))
-    _write_outputs(outdir, params, lines, curve, report, warned)
+    _write_outputs(outdir, opts.resolved, lines, curve, report, warned)
 
 
 def main(argv=None) -> int:
@@ -842,14 +785,11 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _run(args, cfg)
         return 0
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        code = 2 if isinstance(exc, ValueError) else 3
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(args, cfg, exc, 2)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_error(args, cfg, exc, 3)
-        return 3
+        _write_error(args, cfg, exc, code)
+        return code
 
 
 if __name__ == "__main__":

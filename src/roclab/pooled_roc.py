@@ -294,13 +294,18 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     return float(hs[int(np.argmin(quad - 2.0 * loo))])
 
 
+def _check_bandwidths(*hs: float) -> None:
+    for h in hs:
+        if not (np.isfinite(h) and h > 0.0):
+            raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
+
+
 def kernel_cdf(sample, h: float, y):
     """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``."""
     from scipy.special import ndtr
 
     s = validate_sample(sample, "sample")
-    if not np.isfinite(h) or h <= 0.0:
-        raise InvalidInputError(f"bandwidth must be positive, got {h}")
+    _check_bandwidths(h)
     yv = np.asarray(y, dtype=float)
     out = ndtr((yv[..., None] - s) / h).mean(axis=-1)
     return float(out) if np.isscalar(y) or yv.ndim == 0 else out
@@ -419,8 +424,7 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
     nd = validate_sample(nondiseased, "nondiseased")
     h_d = silverman_bandwidth(d) if h_d is None else h_d
     h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    if h_d <= 0.0 or h_nd <= 0.0:
-        raise InvalidInputError("bandwidths must be positive")
+    _check_bandwidths(h_d, h_nd)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     curves = _roc_from_mixtures(
         np.full((1, d.size), 1.0 / d.size), d[None, :], np.full((1, d.size), h_d),
@@ -443,8 +447,7 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     nd = validate_sample(nondiseased, "nondiseased")
     h_d = silverman_bandwidth(d) if h_d is None else h_d
     h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    if h_d <= 0.0 or h_nd <= 0.0:
-        raise InvalidInputError("bandwidths must be positive")
+    _check_bandwidths(h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
     total = 0.0
     for start in range(0, d.size, 512):  # chunked to bound the pair matrix

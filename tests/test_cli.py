@@ -198,6 +198,14 @@ class TestConfigAndEnv:
         assert rc == 2
         assert "config file not found" in capsys.readouterr().err
 
+    def test_config_that_cannot_be_read(self, tmp_path, capsys):
+        # a directory passes the existence check but cannot be opened
+        out = tmp_path / "out"
+        rc = run(["pooled", "--input", "x.csv", "--config", tmp_path, "--outdir", out])
+        assert rc == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+
 
 class TestErrorPaths:
     def test_invalid_input_exits_2_with_error_json(self, tmp_path, capsys):
@@ -236,6 +244,14 @@ class TestErrorPaths:
         assert "cannot read input file" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
         assert not (cwd / "error.json").exists()
+
+    def test_outdir_that_cannot_be_created(self, tmp_path, capsys):
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        for outdir in (p, tmp_path / "c.csv" / "sub"):
+            rc = run(["pooled", "--input", p, "--outdir", outdir])
+            assert rc == 2
+            assert "cannot create output directory" in capsys.readouterr().err
+        assert (tmp_path / "c.csv").read_text() == SEPARATED
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -374,6 +390,48 @@ class TestSimulateSubcommand:
             run(["simulate", "--scenario", "covariate", "--n-diseased", "50",
                  "--n-nondiseased", "50", "--seed", "11", "--outdir", out])
         assert (a / "cohort.csv").read_bytes() == (b / "cohort.csv").read_bytes()
+
+
+COMMON_PARAMS = {"outdir", "svg", "full_precision"}
+COHORT_PARAMS = COMMON_PARAMS | {"input", "marker_col", "log_marker"}
+MIXTURE_PARAMS = {"seed", "truncation", "alpha", "burn_in", "n_save"}
+
+
+class TestResolvedParams:
+    """``metadata.json`` ``params`` holds exactly the options a run resolved."""
+
+    @pytest.mark.parametrize("argv, config, keys", [
+        (["binary", "--input", "status.csv", "--threshold", "5"], None,
+         COHORT_PARAMS | {"status_col", "threshold", "prevalence"}),
+        (["pooled", "--input", "status.csv"], None,
+         COHORT_PARAMS | {"status_col", "grid_points", "estimator", "level"}),
+        (["covariate", "--input", "c.csv", "--covariates", "x", "--at", "0.5"], None,
+         COHORT_PARAMS | {"status_col", "covariates", "at", "estimator", "level",
+                          "grid_points"}),
+        (["aroc", "--input", "c.csv", "--covariates", "x"], None,
+         COHORT_PARAMS | {"status_col", "covariates", "errors", "grid_points"}),
+        (["timedep", "--input", "surv.csv", "--time", "2.5"], None,
+         COHORT_PARAMS | {"time_col", "event_col", "time", "isotonic", "grid_points"}),
+        (["simulate", "--n-diseased", "5", "--n-nondiseased", "5"], None,
+         COMMON_PARAMS | {"scenario", "seed", "a", "b", "n_diseased", "n_nondiseased"}),
+        (["pooled"], "[common]\ngrid_points = 5\n\n[pooled]\ninput = status.csv\n"
+         "estimator = dpm\nburn_in = 5\nn_save = 5\ntruncation = 3\n",
+         COHORT_PARAMS | MIXTURE_PARAMS | {"status_col", "grid_points", "estimator",
+                                           "level"}),
+    ])
+    def test_params_keys(self, tmp_path, monkeypatch, argv, config, keys):
+        monkeypatch.chdir(tmp_path)
+        write_csv(tmp_path / "status.csv", SEPARATED)
+        TestCovariateAndArocSubcommands()._cohort(tmp_path)  # writes c.csv
+        write_csv(tmp_path / "surv.csv", "marker,time,event\n1,1,1\n2,2,0\n3,3,1\n4,4,1\n")
+        if config is not None:
+            write_csv(tmp_path / "run.ini", config)
+            argv = argv + ["--config", "run.ini"]
+        assert run(argv + ["--outdir", "out"]) == 0
+        params = json.loads((tmp_path / "out" / "metadata.json").read_text())["params"]
+        assert set(params) == keys
+        if config is not None:
+            assert params["grid_points"] == 5 and params["n_save"] == 5
 
 
 class TestMetadataStability:

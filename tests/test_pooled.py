@@ -204,6 +204,14 @@ class TestKernelCdf:
 
 
 class TestKernelRoc:
+    @pytest.mark.parametrize("estimate", [kernel_roc, kernel_auc])
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_bandwidth_that_is_not_finite_and_positive(self, estimate, h):
+        d, nd = [0.5, 1.0, 2.0], [0.0, 0.3, 1.1]
+        for h_d, h_nd in ((h, 0.5), (0.5, h)):
+            with pytest.raises(InvalidInputError, match="bandwidth"):
+                estimate(d, nd, h_d, h_nd)
+
     def test_auc_closed_form_vs_grid_integration(self):
         rng = np.random.default_rng(12)
         d, nd = rng.normal(1, 1, 150), rng.normal(0, 1, 150)
