@@ -192,8 +192,14 @@ def read_cohort(path: str, columns: list[str], *, binary_cols=(),
     a float array over the retained rows; ``report`` records row counts and
     the 1-based file rows excluded for missing values.  Non-numeric cells
     and out-of-range binary codes raise validation errors naming the row
-    and column.
+    and column.  A column requested twice (say as the marker and as a
+    covariate) is rejected.
     """
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise InvalidInputError(
+            f"column(s) {', '.join(repr(c) for c in repeated)} requested in more "
+            "than one role")
     try:
         fh = open(path, newline="")
     except OSError as exc:

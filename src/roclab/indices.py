@@ -48,24 +48,79 @@ def auc_from_curve(curve) -> float:
     return float(min(1.0, max(0.0, np.trapezoid(roc, grid))))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 100):
-    # golden-section search for the maximum of f on [lo, hi]
-    a, b = lo, hi
+def _golden_max(f, lo, hi, iters: int = 100):
+    # golden-section search for the maximum of f on each bracket [lo_s, hi_s]
+    # at once: f maps S abscissae to S values, and each bracket runs the
+    # scalar recurrence elementwise and stops on its own tolerance test
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+        go = ~(b - a <= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
+        if not go.any():
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        up = go & (f1 < f2)
+        down = go & ~up
+        a = np.where(up, x1, a)
+        b = np.where(down, x2, b)
+        x1, f1, x2, f2 = (np.where(up, x2, x1), np.where(up, f2, f1),
+                          np.where(down, x1, x2), np.where(down, f1, f2))
+        x_new = np.where(up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
+        f_new = f(x_new)
+        x2, f2 = np.where(up, x_new, x2), np.where(up, f_new, f2)
+        x1, f1 = np.where(down, x_new, x1), np.where(down, f_new, f1)
+    keep = f1 >= f2
+    return np.where(keep, x1, x2), np.where(keep, f1, f2)
+
+
+# draws per block of the batched scan; the scan buffer holds
+# _SCAN_CHUNK x grid_size x components doubles
+_SCAN_CHUNK = 64
+
+
+def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int):
+    """Youden search for ``n_pairs`` CDF pairs at once.
+
+    ``cdfs(x, rows)`` returns ``(F_dbar(x), F_d(x))`` for the pairs in the
+    slice ``rows``: at the shared scan points (``x = pts``, shape ``(m,)``)
+    as ``(r, m)`` arrays, and at one abscissa per pair (``x`` of shape
+    ``(r, 1)``) as ``(r, 1)`` arrays.  The scan runs over blocks of
+    ``_SCAN_CHUNK`` pairs; the golden section then refines every pair's
+    bracket in one array recurrence.  Returns ``yi``, ``c_star`` and
+    ``p_star`` arrays of length ``n_pairs``.
+    """
+    best = np.empty(n_pairs, dtype=np.intp)
+    yi = np.empty(n_pairs)
+    for start in range(0, n_pairs, _SCAN_CHUNK):
+        rows = slice(start, start + _SCAN_CHUNK)
+        f_dbar, f_d = cdfs(pts, rows)
+        gaps = f_dbar - f_d
+        if not np.all(np.isfinite(gaps)):
+            raise NumericError("non-finite CDF evaluation during Youden search")
+        best[rows] = np.argmax(gaps, axis=1)  # first max = smallest c
+        yi[rows] = np.take_along_axis(gaps, best[rows, None], axis=1)[:, 0]
+
+    every = slice(None)
+
+    def gap(x):
+        f_dbar, f_d = cdfs(x[:, None], every)
+        return (f_dbar - f_d)[:, 0]
+
+    lo = np.where(best > 0, pts[best - 1], search_lo)
+    hi = np.where(best + 1 < pts.size, pts[np.minimum(best + 1, pts.size - 1)], search_hi)
+    c_ref, yi_ref = _golden_max(gap, lo, hi)
+    if not np.all(np.isfinite(yi_ref)):
+        raise NumericError("non-finite CDF evaluation during Youden refinement")
+    better = yi_ref > yi
+    c_star = np.where(better, c_ref, pts[best])
+    yi = np.where(better, yi_ref, yi)
+    if np.any(yi < 0.0):
+        warnings.warn("best Youden gap is negative; marker orders the groups "
+                      "the other way", NegativeYoudenWarning)
+    f_dbar, _ = cdfs(c_star[:, None], every)
+    p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
+    return yi, c_star, p_star
 
 
 def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
@@ -75,7 +130,10 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
     A dense grid scan (``grid_size`` points) locates the rough maximizer and
     a golden-section pass refines it; the refined point is kept only when it
     strictly improves the gap, so piecewise-constant (empirical) inputs keep
-    their exact grid/candidate maximum.
+    their exact grid/candidate maximum.  This is the one-pair case of the
+    batched search behind ``dpm_roc`` and ``ddp_roc``: the same scan, the
+    same golden-section recurrence (run on arrays, here of length one) and
+    the same rules, so a mixture draw gives the same bits either way.
 
     Parameters
     ----------
@@ -106,30 +164,19 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
         extra = extra[(extra >= search_lo) & (extra <= search_hi)]
         pts = np.unique(np.concatenate([pts, extra]))
 
-    gaps = np.asarray(cdf_dbar(pts), dtype=float) - np.asarray(cdf_d(pts), dtype=float)
-    if not np.all(np.isfinite(gaps)):
-        raise NumericError("non-finite CDF evaluation during Youden search")
-    best = int(np.argmax(gaps))  # first max = smallest c
-    c_star, yi = float(pts[best]), float(gaps[best])
-
     def scalar(cdf, c):
         # tolerate callables that return a length-1 array for scalar input
         return float(np.asarray(cdf(c), dtype=float).ravel()[0])
 
-    lo = float(pts[best - 1]) if best > 0 else search_lo
-    hi = float(pts[best + 1]) if best + 1 < pts.size else search_hi
-    c_ref, yi_ref = _golden_max(lambda c: scalar(cdf_dbar, c) - scalar(cdf_d, c),
-                                lo, hi)
-    if not np.isfinite(yi_ref):
-        raise NumericError("non-finite CDF evaluation during Youden refinement")
-    if yi_ref > yi:
-        c_star, yi = float(c_ref), float(yi_ref)
+    def cdfs(x, rows):
+        if x.ndim == 1:
+            return (np.asarray(cdf_dbar(x), dtype=float)[None, :],
+                    np.asarray(cdf_d(x), dtype=float)[None, :])
+        c = float(x[0, 0])
+        return np.array([[scalar(cdf_dbar, c)]]), np.array([[scalar(cdf_d, c)]])
 
-    if yi < 0.0:
-        warnings.warn("best Youden gap is negative; marker orders the groups "
-                      "the other way", NegativeYoudenWarning)
-    p_star = min(1.0, max(0.0, 1.0 - scalar(cdf_dbar, c_star)))
-    return YoudenResult(yi=yi, c_star=c_star, p_star=p_star)
+    yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1)
+    return YoudenResult(yi=float(yi[0]), c_star=float(c_star[0]), p_star=float(p_star[0]))
 
 
 def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:

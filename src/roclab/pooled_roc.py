@@ -12,10 +12,17 @@ Four estimators of ``ROC(p) = 1 - F_D(F_ND^{-1}(1-p))`` from two samples:
   normals per group, fit by truncated stick-breaking blocked Gibbs; the
   per-draw AUC again has a closed form.
 
-Smooth CDFs (kernel and mixture) are inverted by vectorized safeguarded
-Newton iteration; the empirical estimator resolves quantile ranks in exact
-integer arithmetic so grid probabilities that sit exactly on ECDF jumps are
-handled deterministically.
+Smooth CDFs (kernel and mixture) are inverted by safeguarded Newton
+iteration, started from a short per-draw table of the CDF that brackets
+every root and interpolates its first guess; the empirical estimator
+resolves quantile ranks in exact integer arithmetic so grid probabilities
+that sit exactly on ECDF jumps are handled deterministically.  Sums over
+kernel or mixture components run in bounded blocks, so memory stays linear
+in the sample size.  The kernel AUC evaluates the normal CDF only for pairs
+inside the window where it is neither exactly 1 nor below 5.3e-17.  With
+``youden=True`` the mixture estimators search every draw's Youden index in
+one batched pass (``indices._youden_search``) that gives the same bits as a
+``youden_from_cdfs`` call per draw.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from .core import (SeedSpec, as_prob_grid, default_prob_grid, dirichlet_uniform,
                    validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
-from .indices import youden_from_cdfs
+from .indices import _youden_search
 
 
 @dataclass(frozen=True)
@@ -300,21 +307,31 @@ def _check_bandwidths(*hs: float) -> None:
             raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
 
 
+# elements in one (points x components) buffer of the kernel and mixture sums
+_BLOCK = 1 << 16
+
+
 def kernel_cdf(sample, h: float, y):
-    """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``."""
+    """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``.
+
+    Evaluated over blocks of ``y`` so the (points, n) buffer stays below
+    ``_BLOCK`` elements; each point's mean is the same either way.
+    """
     from scipy.special import ndtr
 
     s = validate_sample(sample, "sample")
     _check_bandwidths(h)
     yv = np.asarray(y, dtype=float)
-    out = ndtr((yv[..., None] - s) / h).mean(axis=-1)
-    return float(out) if np.isscalar(y) or yv.ndim == 0 else out
+    flat = yv.reshape(-1)
+    out = np.empty(flat.size)
+    step = max(1, _BLOCK // s.size)
+    for start in range(0, flat.size, step):
+        out[start:start + step] = ndtr((flat[start:start + step, None] - s) / h).mean(axis=-1)
+    return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
 
 
 # The mixture helpers take scipy.special.ndtr from their caller, which
-# imports it once per public call: scipy loads on first use, and the
-# per-draw Youden closures (over 10**5 calls in one dpm_roc with youden=True)
-# pay no import.
+# imports it once per public call, so scipy loads on first use.
 
 
 def _mixture_cdf(w, mu, sigma, x, ndtr):
@@ -336,63 +353,114 @@ def _mixture_cdf_pdf(w, mu, sigma, x, ndtr):
     return cdf, z.sum(axis=-1)
 
 
+# draws per block of the inversion and the curve evaluation
+_DRAW_CHUNK = 32
+# points in each draw's starting table
+_TABLE_POINTS = 64
+
+
+def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
+    """Mixture CDF (and density, with ``density=True``) at ``x``, summed over
+    blocks of components so no buffer exceeds ``_BLOCK`` elements.
+
+    ``w, mu, sigma`` have shape (R, L) and ``x`` shape (R', K) with R == R'
+    or R == 1.  When one block holds all L components this is
+    ``_mixture_cdf`` (or ``_mixture_cdf_pdf``) bit for bit.
+    """
+    evaluate = _mixture_cdf_pdf if density else _mixture_cdf
+    step = max(1, _BLOCK // max(x.size, 1))
+    if step >= w.shape[-1]:
+        return evaluate(w, mu, sigma, x, ndtr)
+    parts = [evaluate(w[:, b:b + step], mu[:, b:b + step], sigma[:, b:b + step], x, ndtr)
+             for b in range(0, w.shape[-1], step)]
+    return tuple(map(sum, zip(*parts))) if density else sum(parts)
+
+
 def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
-    """Solve F(x) = q for mixture CDFs by safeguarded Newton, vectorized.
+    """Solve F(x) = q for mixture CDFs by table-started safeguarded Newton.
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
-    values strictly inside (0, 1); returns roots of shape (S, K).  Each
-    root keeps a bracket ``F(lo) < q <= F(hi)``; a Newton step that leaves
-    the bracket, or that fails to halve the step before last, is replaced
-    by bisection, so the steps shrink at least as fast as bisection's every
-    other iteration and convergence is quadratic near the root.  Raises when the residual in CDF scale
-    exceeds 1e-10.
+    values strictly inside (0, 1); returns roots of shape (S, K).  Draws are
+    solved in blocks of ``_DRAW_CHUNK``.  Each draw's CDF is tabulated at
+    ``_TABLE_POINTS`` points over its own ``[min mu - 10 sigma, max mu +
+    10 sigma]``, widened (doubling) while the table misses a target.  The
+    table gives each root a bracket ``F(lo) < q <= F(hi)`` one table step
+    wide and a start by linear interpolation in it.  A Newton step that
+    leaves the bracket, or that fails to halve the step before last, is
+    replaced by bisection, so the steps shrink at least as fast as
+    bisection's every other iteration and convergence is quadratic near the
+    root.  Converged roots leave the working set, and the component sums
+    run in blocks (``_mixture_sums``), so a kernel CDF with L = n keeps its
+    buffers bounded.  Raises when the residual in CDF scale exceeds 1e-10.
     """
-    lo = float((mu - 10.0 * sigma).min())
-    hi = float((mu + 10.0 * sigma).max())
+    n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
-    for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([lo]), ndtr).min() <= qmin:
-            break
-        lo -= hi - lo
-    for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([hi]), ndtr).max() >= qmax:
-            break
-        hi += hi - lo
-    shape = (w.shape[0], targets.size)
-    lo_a = np.full(shape, lo)
-    hi_a = np.full(shape, hi)
-    tgt = np.broadcast_to(targets, shape)
-    x = np.full(shape, 0.5 * (lo + hi))
-    # a root is done once its move falls below the spacing of doubles there
-    # plus a rounding floor on the bracket's scale
-    floor = np.finfo(float).eps * (hi - lo)
-    step_last = step_before = np.full(shape, hi - lo)
-    done = np.zeros(shape, dtype=bool)
-    for _ in range(120):
-        f, dens = _mixture_cdf_pdf(w, mu, sigma, x, ndtr)
-        below = f < tgt
-        lo_a = np.where(below, x, lo_a)
-        hi_a = np.where(below, hi_a, x)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            newton = x - (f - tgt) / dens
-        use_newton = ((newton >= lo_a) & (newton <= hi_a)
-                      & (np.abs(newton - x) <= 0.5 * step_before))
-        x_new = np.where(use_newton, newton, 0.5 * (lo_a + hi_a))
-        step = np.abs(x_new - x)
-        x = np.where(done, x, x_new)
-        done |= step <= 2.0 * np.spacing(np.abs(x)) + floor
-        if done.all():
-            break
-        step_last, step_before = step, step_last
-    roots = x
-    resid = np.abs(_mixture_cdf(w, mu, sigma, roots, ndtr) - tgt)
-    worst = float(resid.max())
-    if worst > 1e-10:
-        s, k = np.unravel_index(int(resid.argmax()), resid.shape)
-        raise NumericError(
-            f"CDF inversion residual {worst:.2e} at target {targets[k]:.6g} "
-            f"(draw {s}) exceeds 1e-10"
-        )
+    unit = np.linspace(0.0, 1.0, _TABLE_POINTS)
+    roots = np.empty((n_draws, n_targets))
+    for start in range(0, n_draws, _DRAW_CHUNK):
+        rows = slice(start, start + _DRAW_CHUNK)
+        wc, mc, sc = w[rows], mu[rows], sigma[rows]
+        r = wc.shape[0]
+        lo = (mc - 10.0 * sc).min(axis=1)
+        hi = (mc + 10.0 * sc).max(axis=1)
+        for _ in range(61):
+            xs = lo[:, None] + (hi - lo)[:, None] * unit
+            table = _mixture_sums(wc, mc, sc, xs, ndtr)
+            low, high = table[:, 0] >= qmin, table[:, -1] < qmax
+            if not (low.any() or high.any()):
+                break
+            width = hi - lo
+            lo = np.where(low, lo - width, lo)
+            hi = np.where(high, hi + width, hi)
+        # bracket each target between the table points around it
+        j = np.clip((table[:, :, None] < targets).sum(axis=1), 1, _TABLE_POINTS - 1)
+        x_lo = np.take_along_axis(xs, j - 1, axis=1).ravel()
+        x_hi = np.take_along_axis(xs, j, axis=1).ravel()
+        f_lo = np.take_along_axis(table, j - 1, axis=1).ravel()
+        f_hi = np.take_along_axis(table, j, axis=1).ravel()
+        tgt = np.tile(targets, r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+        x = np.where((x >= x_lo) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
+        out = x.copy()
+        owner = np.repeat(np.arange(r), n_targets)
+        # a root is done once its move falls below the spacing of doubles
+        # there plus a rounding floor on its draw's table range
+        floor = np.finfo(float).eps * (hi - lo)[owner]
+        active = np.arange(x.size)
+        step_last = step_before = x_hi - x_lo
+        for _ in range(120):
+            if r == 1:
+                f, dens = _mixture_sums(wc, mc, sc, x[None, :], ndtr, density=True)
+            else:
+                o = owner[active]
+                f, dens = _mixture_sums(wc[o], mc[o], sc[o], x[:, None], ndtr, density=True)
+            f, dens = f.ravel(), dens.ravel()
+            below = f < tgt
+            x_lo = np.where(below, x, x_lo)
+            x_hi = np.where(below, x_hi, x)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                newton = x - (f - tgt) / dens
+            use_newton = ((newton >= x_lo) & (newton <= x_hi)
+                          & (np.abs(newton - x) <= 0.5 * step_before))
+            x_new = np.where(use_newton, newton, 0.5 * (x_lo + x_hi))
+            step = np.abs(x_new - x)
+            out[active] = x_new
+            moving = step > 2.0 * np.spacing(np.abs(x_new)) + floor
+            if not moving.any():
+                break
+            active, x, x_lo, x_hi, tgt, floor = (
+                v[moving] for v in (active, x_new, x_lo, x_hi, tgt, floor))
+            step_last, step_before = step[moving], step_last[moving]
+        roots[rows] = out.reshape(r, n_targets)
+        resid = np.abs(_mixture_sums(wc, mc, sc, roots[rows], ndtr) - targets)
+        worst = float(resid.max())
+        if worst > 1e-10:
+            s, k = np.unravel_index(int(resid.argmax()), resid.shape)
+            raise NumericError(
+                f"CDF inversion residual {worst:.2e} at target {targets[k]:.6g} "
+                f"(draw {start + s}) exceeds 1e-10"
+            )
     return roots
 
 
@@ -407,7 +475,11 @@ def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     if np.any(interior):
         q = 1.0 - grid[interior]
         roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, q, ndtr)
-        curves[:, interior] = 1.0 - _mixture_cdf(w_d, mu_d, sg_d, roots, ndtr)
+        cols = np.flatnonzero(interior)
+        for start in range(0, w_d.shape[0], _DRAW_CHUNK):
+            rows = slice(start, start + _DRAW_CHUNK)
+            curves[rows, cols] = 1.0 - _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows],
+                                                     roots[rows], ndtr)
     return np.clip(curves, 0.0, 1.0)
 
 
@@ -435,25 +507,48 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
                             auc=kernel_auc(d, nd, h_d, h_nd))
 
 
+# ndtr(z) is exactly 1.0 for z >= 8.2925 and below 5.3e-17 for z <= -8.3
+_SATURATED = 8.3
+
+
 def kernel_auc(diseased, nondiseased, h_d: float | None = None,
                h_nd: float | None = None) -> float:
     """Closed-form AUC of the kernel-smoothed ROC.
 
     ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / sqrt(h_D^2 + h_ND^2))``.
+    Both samples are sorted and the diseased one is taken in blocks of 512.
+    Against each block, the nondiseased values more than 8.3 scales below
+    the block's smallest value give pairs with ``Phi = 1.0`` exactly, which
+    are counted; those more than 8.3 scales above its largest value give
+    pairs below 5.3e-17 each, which are skipped.  ``Phi`` is evaluated only
+    in the window between, in one reused buffer, so the result equals the
+    full pair sum up to rounding and the skipped tail.
     """
     from scipy.special import ndtr
 
-    d = validate_sample(diseased, "diseased")
-    nd = validate_sample(nondiseased, "nondiseased")
+    d = np.sort(validate_sample(diseased, "diseased"))
+    nd = np.sort(validate_sample(nondiseased, "nondiseased"))
     h_d = silverman_bandwidth(d) if h_d is None else h_d
     h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
     _check_bandwidths(h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
-    total = 0.0
-    for start in range(0, d.size, 512):  # chunked to bound the pair matrix
+    reach = _SATURATED * scale
+    starts = np.arange(0, d.size, 512)
+    # nd[:lo] sit strictly below the block minimum less reach, nd[hi:]
+    # strictly above the block maximum plus reach
+    lo = np.searchsorted(nd, d[starts] - reach, side="left")
+    hi = np.searchsorted(nd, d[np.minimum(starts + 511, d.size - 1)] + reach, side="right")
+    buf = np.empty((min(512, d.size), int((hi - lo).max())))
+    ones, total = 0, 0.0
+    for start, a, b in zip(starts, lo, hi):
         block = d[start:start + 512]
-        total += float(ndtr((block[:, None] - nd[None, :]) / scale).sum())
-    return total / (d.size * nd.size)
+        ones += block.size * int(a)
+        window = buf[:block.size, :b - a]
+        np.subtract(block[:, None], nd[a:b], out=window)
+        window /= scale
+        ndtr(window, out=window)
+        total += float(window.sum())
+    return (ones + total) / (d.size * nd.size)
 
 
 # ---------------------------------------------------------------------------
@@ -721,18 +816,16 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
 
     yis = thresholds = p_stars = None
     if youden:
-        n_draws = w_d.shape[0]
-        yis = np.empty(n_draws)
-        thresholds = np.empty(n_draws)
-        p_stars = np.empty(n_draws)
         sg_max = max(float(sg_d.max()), float(sg_nd.max()))
         lo = min(float(mu_d.min()), float(mu_nd.min())) - 4.0 * sg_max
         hi = max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max
-        for s in range(n_draws):
-            res = youden_from_cdfs(_cdf_from_arrays(w_d[s], mu_d[s], sg_d[s], ndtr),
-                                   _cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s], ndtr),
-                                   lo, hi)
-            yis[s], thresholds[s], p_stars[s] = res.yi, res.c_star, res.p_star
+
+        def cdfs(x, rows):
+            return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
+                    _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
+
+        yis, thresholds, p_stars = _youden_search(cdfs, np.linspace(lo, hi, 1000),
+                                                  lo, hi, w_d.shape[0])
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 

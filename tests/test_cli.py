@@ -297,6 +297,19 @@ class TestCovariateAndArocSubcommands:
                   "--covariates", "x", "--at", "0.5,0.6", "--outdir", tmp_path])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [["--covariates", "marker", "--at", "0.5"],
+                                       ["--covariates", "x", "--at", "0.5",
+                                        "--status-col", "marker"]])
+    def test_column_in_two_roles_exits_2_naming_it(self, tmp_path, capsys, flags):
+        p = self._cohort(tmp_path)
+        out = tmp_path / "out"
+        rc = run(["covariate", "--input", p, "--estimator", "faraggi", *flags,
+                  "--outdir", out])
+        assert rc == 2
+        assert "'marker' requested in more than one role" in capsys.readouterr().err
+        blob = json.loads((out / "error.json").read_text())
+        assert blob["exit_code"] == 2 and "'marker'" in blob["message"]
+
     def test_aroc_runs(self, tmp_path):
         p = self._cohort(tmp_path)
         out = tmp_path / "out"

@@ -1,15 +1,26 @@
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import rankdata
 
 from roclab import (DegenerateSampleError, DpmConfig, InvalidInputError,
-                    MixtureDraw, PosteriorEnsemble, SeedSpec, bb_roc, dpm_auc,
+                    MixtureDraw, NegativeYoudenWarning, PosteriorEnsemble,
+                    RegressionSample, SeedSpec, bb_roc, ddp_fit, ddp_roc, dpm_auc,
                     dpm_fit, dpm_roc, empirical_auc, empirical_roc, kernel_auc,
                     kernel_cdf, kernel_roc, lscv_bandwidth,
-                    mixture_cdf_callable, silverman_bandwidth, std_normal_cdf)
-from roclab.pooled_roc import _midranks
+                    mixture_cdf_callable, silverman_bandwidth, std_normal_cdf,
+                    youden_from_cdfs)
+from roclab.core import default_prob_grid
+from roclab.indices import _youden_search
+from roclab.pooled_roc import (_cdf_from_arrays, _invert_mixture_cdf, _midranks,
+                               _mixture_cdf, _mixture_cdf_pdf, _roc_from_mixtures,
+                               _stack_draws)
 
 
 def brute_auc(d, nd):
@@ -201,6 +212,22 @@ class TestKernelCdf:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(InvalidInputError):
             kernel_cdf([0.0, 1.0], 0.0, 0.5)
+
+    def test_blocks_give_the_unblocked_means_bitwise(self):
+        rng = np.random.default_rng(15)
+        s, y = rng.normal(0, 1, 3000), rng.normal(0, 2, (40, 25))
+        assert np.array_equal(kernel_cdf(s, 0.3, y), ndtr((y[..., None] - s) / 0.3).mean(axis=-1))
+
+    def test_memory_stays_below_the_point_by_sample_matrix(self):
+        rng = np.random.default_rng(16)
+        s, y = rng.normal(0, 1, 10_000), np.linspace(-4.0, 4.0, 1000)
+        tracemalloc.start()
+        try:
+            kernel_cdf(s, 0.2, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # the (1000, 10_000) matrix alone is 80 MB
 
 
 class TestKernelRoc:
@@ -395,3 +422,296 @@ class TestEnsembleSummaries:
     def test_level_domain(self):
         with pytest.raises(InvalidInputError):
             self._toy().summarize(1.0)
+
+
+# ---------------------------------------------------------------------------
+# batched posterior post-processing against per-draw references
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_youden(cdf_d, cdf_dbar, lo, hi, grid_size=1000):
+    """The per-pair Youden search on Python floats: scan, then golden section."""
+    pts = np.linspace(lo, hi, grid_size)
+    gaps = np.asarray(cdf_dbar(pts), float) - np.asarray(cdf_d(pts), float)
+    best = int(np.argmax(gaps))
+    c_star, yi = float(pts[best]), float(gaps[best])
+
+    def f(c):
+        return float(np.ravel(cdf_dbar(c))[0]) - float(np.ravel(cdf_d(c))[0])
+
+    a = float(pts[best - 1]) if best > 0 else lo
+    b = float(pts[best + 1]) if best + 1 < pts.size else hi
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(100):
+        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+    c_ref, yi_ref = (x1, f1) if f1 >= f2 else (x2, f2)
+    if yi_ref > yi:
+        c_star, yi = c_ref, yi_ref
+    p_star = min(1.0, max(0.0, 1.0 - float(np.ravel(cdf_dbar(c_star))[0])))
+    return yi, c_star, p_star
+
+
+def per_draw_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
+    """One ``youden_from_cdfs`` call per draw, over ``_cdf_from_arrays``."""
+    out = np.empty((3, w_d.shape[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeYoudenWarning)
+        for s in range(w_d.shape[0]):
+            res = youden_from_cdfs(_cdf_from_arrays(w_d[s], mu_d[s], sg_d[s], ndtr),
+                                   _cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s], ndtr),
+                                   lo, hi)
+            out[:, s] = res.yi, res.c_star, res.p_star
+    return out
+
+
+def search_range(mu_d, sg_d, mu_nd, sg_nd):
+    sg_max = max(float(sg_d.max()), float(sg_nd.max()))
+    return (min(float(mu_d.min()), float(mu_nd.min())) - 4.0 * sg_max,
+            max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max)
+
+
+def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
+    def cdfs(x, rows):
+        return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
+                _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
+
+    return np.stack(_youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0]))
+
+
+def ensemble_youden(ens):
+    return np.stack([ens.yis, ens.thresholds, ens.p_stars])
+
+
+class TestBatchedYouden:
+    @pytest.fixture(scope="class")
+    def dpm_arrays(self):
+        rng = np.random.default_rng(61)
+        y_d, y_nd = rng.normal(1.0, 1.3, 300), rng.normal(0.0, 1.0, 300)
+        draws_d = dpm_fit(y_d, DpmConfig(seed=SeedSpec(62, 0), burn_in=100, n_save=301))
+        draws_nd = dpm_fit(y_nd, DpmConfig(seed=SeedSpec(62, 1), burn_in=100, n_save=301))
+        return draws_d, draws_nd
+
+    def test_dpm_roc_equals_per_draw_search_bitwise(self, dpm_arrays):
+        draws_d, draws_nd = dpm_arrays
+        arrays = (*_stack_draws(draws_d), *_stack_draws(draws_nd))
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        got = ensemble_youden(dpm_roc(draws_d, draws_nd, youden=True))
+        assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
+
+    def test_ddp_roc_equals_per_draw_search_bitwise(self):
+        rng = np.random.default_rng(63)
+        x_d, x_nd = rng.uniform(0, 1, 200), rng.uniform(0, 1, 200)
+        y_d = 0.5 + 1.5 * x_d + rng.normal(0, 1, 200)
+        y_nd = x_nd + rng.normal(0, 1, 200)
+        design = lambda x: np.column_stack([np.ones(x.size), x])
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(64, stream), burn_in=100, n_save=300)
+        draws_d = ddp_fit(RegressionSample(y_d, design(x_d)), cfg(0))
+        draws_nd = ddp_fit(RegressionSample(y_nd, design(x_nd)), cfg(1))
+        z = np.array([1.0, 0.7])
+        w_d, coef_d, sg_d = _stack_draws(draws_d, "coef")
+        w_nd, coef_nd, sg_nd = _stack_draws(draws_nd, "coef")
+        mu_d, mu_nd = coef_d @ z, coef_nd @ z
+        lo, hi = search_range(mu_d, sg_d, mu_nd, sg_nd)
+        got = ensemble_youden(ddp_roc(draws_d, draws_nd, z, youden=True))
+        assert np.array_equal(got, per_draw_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd,
+                                                   lo, hi))
+
+    def test_reversed_groups_warn_once_per_call(self):
+        # each diseased draw is its nondiseased draw shifted down by 2, so
+        # every gap is negative
+        rng = np.random.default_rng(60)
+        w = rng.dirichlet(np.ones(3), 70)
+        mu = rng.uniform(-0.5, 0.5, (70, 3))
+        var = rng.uniform(0.7, 1.4, (70, 3))
+        draws_nd = [MixtureDraw(*row) for row in zip(w, mu, var)]
+        draws_d = [MixtureDraw(*row) for row in zip(w, mu - 2.0, var)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ens = dpm_roc(draws_d, draws_nd, youden=True)
+        assert np.all(ens.yis < 0.0)
+        assert [w.category for w in caught] == [NegativeYoudenWarning]
+        arrays = (w, mu - 2.0, np.sqrt(var), w, mu, np.sqrt(var))
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        assert np.array_equal(ensemble_youden(ens), per_draw_youden(*arrays, lo, hi))
+
+    @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 129])
+    def test_draw_counts_around_the_chunk(self, dpm_arrays, n_draws):
+        draws_d, draws_nd = dpm_arrays
+        arrays = (*_stack_draws(draws_d[:n_draws]), *_stack_draws(draws_nd[:n_draws]))
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        got = ensemble_youden(dpm_roc(draws_d[:n_draws], draws_nd[:n_draws], youden=True))
+        assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
+
+    def test_maximum_at_first_and_last_scan_point(self):
+        # normal pairs whose gap peaks at the crossing (a + b) / 2: left of,
+        # inside and right of the search interval [-1, 1]; identical pairs
+        # tie everywhere and keep the first scan point
+        a = np.array([-7.0, -0.4, 5.0, 0.3, 2.0])
+        b = np.array([-5.0, 1.1, 7.0, 0.3, 4.0])
+        one = np.ones((a.size, 1))
+        arrays = (one, b[:, None], one, one, a[:, None], one)
+        got = batched_youden(*arrays, -1.0, 1.0)
+        want = per_draw_youden(*arrays, -1.0, 1.0)
+        assert np.array_equal(got, want)
+        assert got[1, 0] == -1.0 and got[1, 3] == -1.0 and got[1, 4] == 1.0
+        assert got[1, 2] == 1.0 or got[1, 2] > 0.999
+
+    def test_scalar_path_matches_the_float_recurrence(self, dpm_arrays):
+        draws_d, draws_nd = dpm_arrays
+        for s in range(0, 300, 37):
+            cdf_d, cdf_nd = mixture_cdf_callable(draws_d[s]), mixture_cdf_callable(draws_nd[s])
+            res = youden_from_cdfs(cdf_d, cdf_nd, -6.0, 7.0)
+            assert (res.yi, res.c_star, res.p_star) == scalar_youden(cdf_d, cdf_nd, -6.0, 7.0)
+        ecdf = lambda v: (lambda c: np.searchsorted(np.sort(v), c, side="right") / len(v))
+        rng = np.random.default_rng(65)
+        d, nd = rng.normal(1, 1, 40), rng.normal(0, 1, 40)
+        res = youden_from_cdfs(ecdf(d), ecdf(nd), -4.0, 5.0)
+        assert (res.yi, res.c_star, res.p_star) == scalar_youden(ecdf(d), ecdf(nd), -4.0, 5.0)
+
+
+def global_bracket_newton(w, mu, sigma, targets):
+    """CDF inversion with every root started at the middle of one global bracket."""
+    lo = float((mu - 10.0 * sigma).min())
+    hi = float((mu + 10.0 * sigma).max())
+    qmin, qmax = float(targets.min()), float(targets.max())
+    for _ in range(60):
+        if _mixture_cdf(w, mu, sigma, np.array([lo]), ndtr).min() <= qmin:
+            break
+        lo -= hi - lo
+    for _ in range(60):
+        if _mixture_cdf(w, mu, sigma, np.array([hi]), ndtr).max() >= qmax:
+            break
+        hi += hi - lo
+    shape = (w.shape[0], targets.size)
+    lo_a, hi_a = np.full(shape, lo), np.full(shape, hi)
+    tgt = np.broadcast_to(targets, shape)
+    x = np.full(shape, 0.5 * (lo + hi))
+    floor = np.finfo(float).eps * (hi - lo)
+    step_last = step_before = np.full(shape, hi - lo)
+    done = np.zeros(shape, dtype=bool)
+    for _ in range(120):
+        f, dens = _mixture_cdf_pdf(w, mu, sigma, x, ndtr)
+        below = f < tgt
+        lo_a, hi_a = np.where(below, x, lo_a), np.where(below, hi_a, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = x - (f - tgt) / dens
+        use_newton = ((newton >= lo_a) & (newton <= hi_a)
+                      & (np.abs(newton - x) <= 0.5 * step_before))
+        x_new = np.where(use_newton, newton, 0.5 * (lo_a + hi_a))
+        step = np.abs(x_new - x)
+        x = np.where(done, x, x_new)
+        done |= step <= 2.0 * np.spacing(np.abs(x)) + floor
+        if done.all():
+            break
+        step_last, step_before = step, step_last
+    return x
+
+
+def check_inversion(w, mu, sigma, targets):
+    w, mu, sigma = (np.atleast_2d(np.asarray(v, float)) for v in (w, mu, sigma))
+    roots = _invert_mixture_cdf(w, mu, sigma, targets, ndtr)
+    oracle = global_bracket_newton(w, mu, sigma, targets)
+    # a root is fixed only to within the CDF's rounding over its slope: on a
+    # plateau between components far apart any point of the plateau solves
+    _, dens = _mixture_cdf_pdf(w, mu, sigma, oracle, ndtr)
+    with np.errstate(divide="ignore"):
+        spread = 8.0 * np.finfo(float).eps / dens
+    assert np.all(np.abs(roots - oracle) <= 1e-12 * (1.0 + np.abs(oracle)) + spread)
+    assert np.abs(_mixture_cdf(w, mu, sigma, roots, ndtr) - targets).max() <= 1e-10
+
+
+TARGETS = 1.0 - default_prob_grid()[1:-1]
+
+
+class TestTableStartedInversion:
+    def test_components_far_apart(self):
+        check_inversion([[0.3, 0.3, 0.4]], [[-40.0, 0.0, 55.0]], [[1.0, 0.5, 2.0]], TARGETS)
+
+    def test_tiny_sigma_next_to_unit_sigma(self):
+        check_inversion([[0.5, 0.5]], [[0.0, 0.3]], [[1e-6, 1.0]], TARGETS)
+
+    def test_component_a_million_sigmas_away(self):
+        check_inversion([[0.6, 0.4]], [[0.0, 1e6]], [[1.0, 1.0]], TARGETS)
+        check_inversion([[0.6, 0.4]], [[0.0, 1.0]], [[1e-6, 1e-6]], TARGETS)
+
+    def test_targets_in_the_far_tails_widen_the_table(self):
+        # F(-10) is about 4e-24 here, so 1e-30 lies left of the first table
+        # and only a widened table brackets it; the absolute residual cannot
+        # tell, the relative one can
+        q = np.array([1e-30, 1e-3, 0.5, 1.0 - 1e-15])
+        w, mu, sigma = np.array([[0.5, 0.5]]), np.array([[0.0, 2.0]]), np.array([[1.0, 0.5]])
+        check_inversion(w, mu, sigma, q)
+        roots = _invert_mixture_cdf(w, mu, sigma, q, ndtr)
+        assert np.allclose(_mixture_cdf(w, mu, sigma, roots, ndtr), q, rtol=1e-9, atol=0.0)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 70))
+    def test_random_mixtures_match_the_global_bracket(self, seed, n_comp, n_draws):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n_comp), n_draws)
+        mu = rng.normal(0.0, 5.0, (n_draws, n_comp))
+        sigma = np.exp(rng.uniform(-3.0, 2.0, (n_draws, n_comp)))
+        check_inversion(w, mu, sigma, TARGETS)
+
+    def test_dpm_draws_match_the_global_bracket(self):
+        rng = np.random.default_rng(66)
+        draws = dpm_fit(rng.normal(0.0, 1.0, 200),
+                        DpmConfig(seed=SeedSpec(67, 0), burn_in=50, n_save=150))
+        check_inversion(*_stack_draws(draws), TARGETS)
+
+    def test_kernel_inversion_memory_is_linear(self):
+        rng = np.random.default_rng(68)
+        n = 100_000
+        d, nd = rng.normal(1.0, 1.0, n), rng.normal(0.0, 1.0, n)
+        h_d, h_nd = silverman_bandwidth(d), silverman_bandwidth(nd)
+        args = (np.full((1, n), 1.0 / n), d[None, :], np.full((1, n), h_d),
+                np.full((1, n), 1.0 / n), nd[None, :], np.full((1, n), h_nd),
+                default_prob_grid())
+        tracemalloc.start()
+        try:
+            _roc_from_mixtures(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+def brute_kernel_auc(d, nd, h_d, h_nd):
+    d, nd = np.asarray(d, float), np.asarray(nd, float)
+    return float(ndtr((d[:, None] - nd[None, :]) / math.hypot(h_d, h_nd)).mean())
+
+
+class TestWindowedKernelAuc:
+    @pytest.mark.parametrize("h", [1e-12, 1e-3, 0.05, 0.3, 1e3])
+    def test_matches_the_pair_mean(self, h):
+        rng = np.random.default_rng(69)
+        d = np.round(rng.normal(0.8, 1.0, 1300), 1)  # ties; 1300 = 2 * 512 + 276
+        nd = np.round(rng.normal(0.0, 1.0, 1100), 1)
+        assert abs(kernel_auc(d, nd, h, h) - brute_kernel_auc(d, nd, h, h)) <= 1e-15
+
+    def test_every_pair_saturated(self):
+        d, nd = np.arange(600.0) + 1000.0, np.arange(700.0)
+        assert kernel_auc(d, nd, 1e-3, 1e-3) == 1.0
+        assert kernel_auc(nd, d, 1e-3, 1e-3) == 0.0
+
+    @given(st.lists(st.integers(-20, 20).map(float), min_size=1, max_size=60),
+           st.lists(st.integers(-20, 20).map(float), min_size=1, max_size=60),
+           st.sampled_from([1e-9, 0.01, 0.2, 1.0, 50.0]),
+           st.sampled_from([1e-9, 0.1, 3.0]))
+    def test_property_matches_the_pair_mean(self, d, nd, h_d, h_nd):
+        assert abs(kernel_auc(d, nd, h_d, h_nd) - brute_kernel_auc(d, nd, h_d, h_nd)) <= 1e-15
+
+    def test_same_value_when_the_samples_are_permuted(self):
+        rng = np.random.default_rng(70)
+        d, nd = rng.normal(1.0, 1.0, 900), rng.normal(0.0, 1.0, 800)
+        assert kernel_auc(d, nd, 0.2, 0.3) == kernel_auc(d[::-1], rng.permutation(nd), 0.2, 0.3)
