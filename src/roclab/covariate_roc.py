@@ -12,7 +12,8 @@ covariates and derives the conditional curve from the two fits:
 * ``ddp_fit`` / ``ddp_roc``: Bayesian linear dependent Dirichlet process
   mixture: a common set of stick-breaking weights with component means
   ``z' beta_l``, where ``z`` is a design row (typically an intercept plus
-  a cubic B-spline basis, see ``bspline_design``).
+  a cubic B-spline basis, see ``bspline_design``).  The draws form a
+  ``MixtureEnsemble`` with (S, L, d) coefficients.
 
 Direct methodology regresses the curve itself on covariates through
 placement values (``rocglm_fit``), and ``aroc`` pools covariate-specific
@@ -33,9 +34,10 @@ from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError
                      InvalidInputError, NumericError, SeparationWarning,
                      SingularDesignError)
 from .indices import YoudenResult, youden_from_cdfs
-from .pooled_roc import (DpmConfig, PosteriorEnsemble, RocCurveEstimate,
-                         _blocked_gibbs, _ensemble_from_mixture_arrays,
-                         _exact_fit, _stack_draws)
+from .pooled_roc import (DpmConfig, MixtureEnsemble, PosteriorEnsemble,
+                         RocCurveEstimate, _blocked_gibbs,
+                         _ensemble_from_mixture_arrays, _exact_fit,
+                         _mean_mixture_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +142,6 @@ class BSplineSpec:
         lo, hi = self.boundary
         return np.array([lo] * (self.degree + 1) + list(self.interior_knots)
                         + [hi] * (self.degree + 1))
-
-
-@dataclass(frozen=True)
-class DdpDraw:
-    """One dependent-mixture draw: weights, per-component coefficients, variances."""
-
-    weights: np.ndarray
-    coef: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        coef = np.asarray(self.coef, dtype=float)
-        var = np.asarray(self.variances, dtype=float)
-        if w.ndim != 1 or coef.ndim != 2 or coef.shape[0] != w.size or var.shape != w.shape:
-            raise InvalidInputError("need weights (L,), coef (L, d), variances (L,)")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(coef)) and np.all(np.isfinite(var))):
-            raise InvalidInputError("mixture draw contains non-finite values")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-10:
-            raise InvalidInputError("weights must be a simplex vector (sum 1 within 1e-10)")
-        if np.any(var <= 0.0):
-            raise InvalidInputError("variances must be strictly positive")
 
 
 # the dependent mixture shares the pooled mixture's sampler and settings
@@ -320,7 +300,7 @@ def bspline_design(x_values, spec: BSplineSpec, categorical=None,
     return np.hstack(cols)
 
 
-def ddp_fit(sample: RegressionSample, cfg: DdpConfig) -> list[DdpDraw]:
+def ddp_fit(sample: RegressionSample, cfg: DdpConfig) -> MixtureEnsemble:
     """Fit the single-weights dependent mixture by blocked Gibbs.
 
     The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with
@@ -333,54 +313,43 @@ def ddp_fit(sample: RegressionSample, cfg: DdpConfig) -> list[DdpDraw]:
     Rank-deficient designs (e.g. intercept plus a full partition-of-unity
     spline basis) are accepted: the proper prior keeps every conditional
     well defined, and default centring uses the minimum-norm least-squares
-    solution.
+    solution.  Returns a ``MixtureEnsemble`` with (S, L, d) coefficients.
     """
-    weights, coefs, variances = _blocked_gibbs(sample.outcomes, sample.design, cfg)
-    return [DdpDraw(weights=w, coef=c, variances=var)
-            for w, c, var in zip(weights, coefs, variances)]
+    return MixtureEnsemble(*_blocked_gibbs(sample.outcomes, sample.design, cfg))
 
 
 def ddp_roc(draws_d, draws_nd, z, grid=None, *, z_nd=None,
             youden: bool = False) -> PosteriorEnsemble:
     """Conditional posterior ROC ensemble at design row ``z``.
 
-    ``z`` is the design row (intercept, basis, dummies) at the covariate
-    value of interest, built the same way as the fit designs; ``z_nd``
-    overrides it for the nondiseased group when the groups use different
-    designs.  Per-draw curves and closed-form AUCs mirror the pooled
-    mixture ensemble with component means ``z' beta_l``.
+    ``draws_d``/``draws_nd`` are ``ddp_fit`` ensembles or equal-length
+    sequences of ``DdpDraw``.  ``z`` is the design row (intercept, basis,
+    dummies) at the covariate value of interest, built the same way as the
+    fit designs; ``z_nd`` overrides it for the nondiseased group when the
+    groups use different designs.  Per-draw curves and closed-form AUCs
+    mirror the pooled mixture ensemble with component means ``z' beta_l``.
     """
-    if len(draws_d) != len(draws_nd) or len(draws_d) < 1:
-        raise InvalidInputError("need equally many draws for both groups")
+    ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
     z = np.asarray(z, dtype=float).ravel()
     z2 = z if z_nd is None else np.asarray(z_nd, dtype=float).ravel()
-    if z.size != np.asarray(draws_d[0].coef).shape[1]:
-        raise InvalidInputError("design row length does not match diseased coefficients")
-    if z2.size != np.asarray(draws_nd[0].coef).shape[1]:
-        raise InvalidInputError("design row length does not match nondiseased coefficients")
-    w_d, coef_d, sg_d = _stack_draws(draws_d, "coef")
-    w_nd, coef_nd, sg_nd = _stack_draws(draws_nd, "coef")
-    return _ensemble_from_mixture_arrays(w_d, coef_d @ z, sg_d, w_nd, coef_nd @ z2,
-                                         sg_nd, grid, youden)
+    return _ensemble_from_mixture_arrays(*ens_d._normals(z), *ens_nd._normals(z2),
+                                         grid, youden)
 
 
 def ddp_conditional_cdf(draws, design_fn):
     """Posterior-mean conditional CDF from dependent-mixture draws.
 
+    ``draws`` is a ``ddp_fit`` ensemble or a sequence of ``DdpDraw``;
     ``design_fn(x)`` must return the design row for covariate vector ``x``.
     The returned ``cdf(y, x)`` averages the mixture CDF over draws.
     """
     from scipy.special import ndtr
 
-    w, coef, sg = _stack_draws(draws, "coef")
+    ensemble = MixtureEnsemble.from_draws(draws)
 
     def cdf(y, x):
         z_row = np.asarray(design_fn(x), dtype=float).ravel()
-        mu = coef @ z_row  # (S, L)
-        yv = np.asarray(y, dtype=float)
-        zval = (yv[..., None, None] - mu) / sg
-        out = (ndtr(zval) * w).sum(axis=-1).mean(axis=-1)
-        return float(out) if np.ndim(y) == 0 else out
+        return _mean_mixture_cdf(*ensemble._normals(z_row), y, ndtr)
 
     return cdf
 

@@ -9,8 +9,8 @@ Four estimators of ``ROC(p) = 1 - F_D(F_ND^{-1}(1-p))`` from two samples:
 * ``bb_roc``: Bayesian bootstrap ensemble; each draw reweights both
   samples with flat Dirichlet weights.
 * ``dpm_fit`` / ``dpm_roc`` / ``dpm_auc``: Dirichlet process mixture of
-  normals per group, fit by truncated stick-breaking blocked Gibbs; the
-  per-draw AUC again has a closed form.
+  normals per group, fit by truncated blocked Gibbs into a
+  ``MixtureEnsemble``; the per-draw AUC again has a closed form.
 
 Smooth CDFs (kernel and mixture) are inverted by safeguarded Newton
 iteration, started from a short per-draw table of the CDF that brackets
@@ -126,13 +126,27 @@ class PosteriorEnsemble:
         if self.yis is None:
             return None
         tail = 100.0 * (1.0 - level) / 2.0
-        out = {}
-        for name, vals in (("yi", self.yis), ("c_star", self.thresholds),
-                           ("p_star", self.p_stars)):
-            v = np.asarray(vals, dtype=float)
-            out[name] = (float(v.mean()), float(np.percentile(v, tail)),
-                         float(np.percentile(v, 100.0 - tail)))
-        return out
+        return {name: (float(np.mean(v)), float(np.percentile(v, tail)),
+                       float(np.percentile(v, 100.0 - tail)))
+                for name, v in (("yi", self.yis), ("c_star", self.thresholds),
+                                ("p_star", self.p_stars))}
+
+
+def _checked_mixture(weights, locations, variances, w_ndim: int, loc_ndims: tuple):
+    # the arrays as floats once they pass the rules of every mixture draw,
+    # with L >= 1 components on the last axis of weights and variances
+    w, loc, var = (np.asarray(v, dtype=float) for v in (weights, locations, variances))
+    if (w.ndim != w_ndim or w.shape[-1] < 1 or var.shape != w.shape
+            or loc.ndim not in loc_ndims or loc.shape[:w_ndim] != w.shape):
+        raise InvalidInputError(f"mixture weights {w.shape}, locations {loc.shape} and "
+                                f"variances {var.shape} do not match")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(loc)) and np.all(np.isfinite(var))):
+        raise InvalidInputError("mixture draw contains non-finite values")
+    if np.any(w < 0.0) or np.any(np.abs(w.sum(axis=-1) - 1.0) > 1e-10):
+        raise InvalidInputError("weights must be a simplex vector (sum 1 within 1e-10)")
+    if np.any(var <= 0.0):
+        raise InvalidInputError("variances must be strictly positive")
+    return w, loc, var
 
 
 @dataclass(frozen=True)
@@ -144,17 +158,72 @@ class MixtureDraw:
     variances: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
-        var = np.asarray(self.variances, dtype=float)
-        if not (w.shape == mu.shape == var.shape) or w.ndim != 1 or w.size < 1:
-            raise InvalidInputError("weights, means, variances must be equal-length vectors")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-            raise InvalidInputError("mixture draw contains non-finite values")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-10:
-            raise InvalidInputError("weights must be a simplex vector (sum 1 within 1e-10)")
-        if np.any(var <= 0.0):
-            raise InvalidInputError("variances must be strictly positive")
+        _checked_mixture(self.weights, self.means, self.variances, 1, (1,))
+
+
+@dataclass(frozen=True)
+class DdpDraw:
+    """One dependent-mixture draw: weights, per-component coefficients, variances."""
+
+    weights: np.ndarray
+    coef: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self):
+        _checked_mixture(self.weights, self.coef, self.variances, 1, (2,))
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureEnsemble:
+    """S posterior draws of a finite normal mixture, held as arrays.
+
+    ``weights`` and ``variances`` are (S, L); ``locations`` are component
+    means (S, L), or the component coefficients (S, L, d) of a dependent
+    mixture, whose means at design row ``z`` are ``locations @ z``.  All
+    rows are checked at once against the rules of a ``MixtureDraw``.  As a
+    read-only sequence, index ``s`` gives draw ``s`` as a ``MixtureDraw``
+    (a ``DdpDraw`` if dependent) over row views, and a slice an ensemble.
+    """
+
+    weights: np.ndarray
+    locations: np.ndarray
+    variances: np.ndarray
+
+    def __post_init__(self):
+        arrays = _checked_mixture(self.weights, self.locations, self.variances, 2, (2, 3))
+        for name, value in zip(("weights", "locations", "variances"), arrays):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_draws(cls, draws) -> "MixtureEnsemble":
+        """Stack a sequence of ``MixtureDraw`` or ``DdpDraw``; an ensemble is kept as is."""
+        if isinstance(draws, cls):
+            return draws
+        draws = list(draws)
+        loc = "coef" if draws and isinstance(draws[0], DdpDraw) else "means"
+        try:
+            arrays = [np.stack([getattr(d, name) for d in draws])
+                      for name in ("weights", loc, "variances")]
+        except ValueError as exc:  # no draws, or unequal component counts
+            raise InvalidInputError("need draws with equally many components") from exc
+        return cls(*arrays)
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
+
+    def __getitem__(self, index):
+        rows = (self.weights[index], self.locations[index], self.variances[index])
+        if isinstance(index, slice):
+            return MixtureEnsemble(*rows)
+        return (MixtureDraw if self.locations.ndim == 2 else DdpDraw)(*rows)
+
+    def _normals(self, z=None):
+        # weights, component means and scales, each (S, L); a dependent
+        # ensemble takes the design row z its means are evaluated at
+        if self.locations.shape[2:] != np.shape(z):
+            raise InvalidInputError("design row does not match the mixture coefficients")
+        mu = self.locations if z is None else self.locations @ z
+        return self.weights, mu, np.sqrt(self.variances)
 
 
 @dataclass(frozen=True)
@@ -334,15 +403,12 @@ def kernel_cdf(sample, h: float, y):
 # imports it once per public call, so scipy loads on first use.
 
 
-def _mixture_cdf(w, mu, sigma, x, ndtr):
-    # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns (..., K)
+def _mixture_cdf(w, mu, sigma, x, ndtr, density=False):
+    # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
+    # (..., K), or with density=True the CDF and density from one buffer
     z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
-    return (ndtr(z) * w[..., None, :]).sum(axis=-1)
-
-
-def _mixture_cdf_pdf(w, mu, sigma, x, ndtr):
-    # _mixture_cdf and the matching density, from one (..., K, L) buffer
-    z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
+    if not density:
+        return (ndtr(z) * w[..., None, :]).sum(axis=-1)
     terms = ndtr(z)
     terms *= w[..., None, :]
     cdf = terms.sum(axis=-1)
@@ -365,13 +431,11 @@ def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
 
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (R', K) with R == R'
     or R == 1.  When one block holds all L components this is
-    ``_mixture_cdf`` (or ``_mixture_cdf_pdf``) bit for bit.
+    ``_mixture_cdf`` bit for bit.
     """
-    evaluate = _mixture_cdf_pdf if density else _mixture_cdf
     step = max(1, _BLOCK // max(x.size, 1))
-    if step >= w.shape[-1]:
-        return evaluate(w, mu, sigma, x, ndtr)
-    parts = [evaluate(w[:, b:b + step], mu[:, b:b + step], sigma[:, b:b + step], x, ndtr)
+    parts = [_mixture_cdf(w[:, b:b + step], mu[:, b:b + step], sigma[:, b:b + step], x,
+                          ndtr, density)
              for b in range(0, w.shape[-1], step)]
     return tuple(map(sum, zip(*parts))) if density else sum(parts)
 
@@ -736,7 +800,7 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     return weights, coefs, variances
 
 
-def dpm_fit(sample, cfg: DpmConfig) -> list[MixtureDraw]:
+def dpm_fit(sample, cfg: DpmConfig) -> MixtureEnsemble:
     """Fit a truncated DPM of normals by blocked Gibbs sampling.
 
     The model is ``y_i ~ sum_l w_l N(mu_l, 1/tau_l)``: the mixture of
@@ -747,59 +811,49 @@ def dpm_fit(sample, cfg: DpmConfig) -> list[MixtureDraw]:
 
     Returns
     -------
-    list of MixtureDraw
+    MixtureEnsemble
         ``cfg.n_save`` posterior mixture draws, deterministic given
         ``cfg.seed``.
     """
     y = validate_sample(sample, "sample", min_size=2)
     weights, coefs, variances = _blocked_gibbs(y, np.ones((y.size, 1)), cfg)
-    return [MixtureDraw(weights=w, means=mu, variances=var)
-            for w, mu, var in zip(weights, coefs[:, :, 0], variances)]
+    return MixtureEnsemble(weights, coefs[:, :, 0], variances)
 
 
-def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
-    """Closed-form AUC between two normal-mixture draws.
+def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr):
+    """Closed-form AUC of each pair of mixtures given as (S, L) arrays.
 
     ``sum_k sum_l w_NDk w_Dl Phi(a_kl / sqrt(1 + b_kl^2))`` with
     ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``.
     """
+    a = (mu_d[:, None, :] - mu_nd[:, :, None]) / sg_d[:, None, :]
+    b = sg_nd[:, :, None] / sg_d[:, None, :]
+    return np.einsum("sk,sl,skl->s", w_nd, w_d, ndtr(a / np.sqrt(1.0 + b * b)))
+
+
+def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
+    """Closed-form AUC between two normal-mixture draws (``_mixture_aucs``)."""
     from scipy.special import ndtr
 
-    sg_d = np.sqrt(np.asarray(draw_d.variances, dtype=float))
-    sg_nd = np.sqrt(np.asarray(draw_nd.variances, dtype=float))
-    if np.any(sg_d <= 0.0):
-        raise InvalidInputError("diseased mixture has a zero-scale component")
-    a = (np.asarray(draw_d.means)[None, :] - np.asarray(draw_nd.means)[:, None]) / sg_d[None, :]
-    b = sg_nd[:, None] / sg_d[None, :]
-    vals = ndtr(a / np.sqrt(1.0 + b * b))
-    return float(np.asarray(draw_nd.weights) @ vals @ np.asarray(draw_d.weights))
+    d = MixtureEnsemble.from_draws([draw_d])._normals()
+    nd = MixtureEnsemble.from_draws([draw_nd])._normals()
+    return float(_mixture_aucs(*d, *nd, ndtr)[0])
 
 
-def _cdf_from_arrays(w, mu, sg, ndtr):
-    # CDF of one finite normal mixture as a scalar/array callable
-    def cdf(c):
-        x = np.atleast_1d(np.asarray(c, dtype=float))
-        vals = _mixture_cdf(w, mu, sg, x, ndtr)
-        return float(vals[0]) if np.ndim(c) == 0 else vals
-
-    return cdf
+def _mean_mixture_cdf(w, mu, sg, y, ndtr):
+    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg
+    yv = np.asarray(y, dtype=float)
+    points = np.broadcast_to(yv.reshape(1, -1), (w.shape[0], yv.size))
+    out = _mixture_sums(w, mu, sg, points, ndtr).mean(axis=0).reshape(yv.shape)
+    return float(out) if yv.ndim == 0 else out
 
 
 def mixture_cdf_callable(draw: MixtureDraw):
     """CDF of one mixture draw as a plain callable (scalar or array in/out)."""
     from scipy.special import ndtr
 
-    return _cdf_from_arrays(np.asarray(draw.weights, dtype=float),
-                            np.asarray(draw.means, dtype=float),
-                            np.sqrt(np.asarray(draw.variances, dtype=float)), ndtr)
-
-
-def _stack_draws(draws, loc: str = "means"):
-    """Stack mixture draws into weights, ``loc`` field and scales, one row per draw."""
-    w = np.stack([np.asarray(d.weights, dtype=float) for d in draws])
-    mu = np.stack([np.asarray(getattr(d, loc), dtype=float) for d in draws])
-    sg = np.sqrt(np.stack([np.asarray(d.variances, dtype=float) for d in draws]))
-    return w, mu, sg
+    normals = MixtureEnsemble.from_draws([draw])._normals()
+    return lambda c: _mean_mixture_cdf(*normals, c, ndtr)
 
 
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
@@ -807,12 +861,11 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
     """Ensemble curves/AUCs for paired per-draw mixtures of shape (S, L)."""
     from scipy.special import ndtr
 
+    if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
+        raise InvalidInputError("need equally many draws for both groups")
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     curves = _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid)
-
-    a = (mu_d[:, None, :] - mu_nd[:, :, None]) / sg_d[:, None, :]
-    b = sg_nd[:, :, None] / sg_d[:, None, :]
-    aucs = np.einsum("sk,sl,skl->s", w_nd, w_d, ndtr(a / np.sqrt(1.0 + b * b)))
+    aucs = _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr)
 
     yis = thresholds = p_stars = None
     if youden:
@@ -831,15 +884,12 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
 
 
 def dpm_roc(draws_d, draws_nd, grid=None, *, youden: bool = False) -> PosteriorEnsemble:
-    """Posterior ROC ensemble from paired lists of mixture draws.
+    """Posterior ROC ensemble from ``dpm_fit`` ensembles or sequences of draws.
 
-    Draw ``s`` pairs ``draws_d[s]`` with ``draws_nd[s]``; the lists must
-    have equal length.  Curves come from Newton inversion of the
-    nondiseased mixture CDF; AUCs from the closed form in ``dpm_auc``.
+    Draw ``s`` pairs ``draws_d[s]`` with ``draws_nd[s]``; both must have
+    equal length.  Curves come from Newton inversion of the nondiseased
+    mixture CDF; AUCs from the closed form in ``dpm_auc``.
     """
-    if len(draws_d) != len(draws_nd) or len(draws_d) < 1:
-        raise InvalidInputError("need equally many draws for both groups")
-    w_d, mu_d, sg_d = _stack_draws(draws_d)
-    w_nd, mu_nd, sg_nd = _stack_draws(draws_nd)
-    return _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd,
+    ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
+    return _ensemble_from_mixture_arrays(*ens_d._normals(), *ens_nd._normals(),
                                          grid, youden)

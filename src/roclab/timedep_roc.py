@@ -22,8 +22,7 @@ default, leaving the raw estimator untouched.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +63,11 @@ class StepSurvival:
     """Right-continuous product-limit survival curve.
 
     ``jump_times`` are distinct times with at least one event;
-    ``surv_values`` hold S just after each jump.  ``exact`` carries the
-    same values as exact rationals; ``surv_values`` are their correctly
-    rounded float images.  It is either empty (a float-only curve, on
-    which ``exact_at`` raises) or holds one value per jump.
+    ``surv_values`` hold S just after each jump.
     """
 
     jump_times: np.ndarray
     surv_values: np.ndarray
-    exact: tuple = field(repr=False, default=())
 
     def __post_init__(self):
         jt = np.asarray(self.jump_times, dtype=float)
@@ -83,9 +78,6 @@ class StepSurvival:
             raise InvalidInputError("jump times must be strictly increasing")
         if jt.size and (np.any(np.diff(sv) > 0.0) or sv[0] > 1.0 or np.any(sv < 0.0)):
             raise InvalidInputError("survival values must be nonincreasing within [0, 1]")
-        if len(self.exact) not in (0, jt.size):
-            raise InvalidInputError(
-                f"exact needs one value per jump time ({jt.size}), got {len(self.exact)}")
 
     def at(self, t):
         """S(t), right continuous; 1 before the first event time."""
@@ -96,14 +88,6 @@ class StepSurvival:
         sv = np.concatenate([[1.0], np.asarray(self.surv_values, dtype=float)])
         out = sv[np.searchsorted(jt, tv, side="right")]
         return float(out) if np.isscalar(t) or tv.ndim == 0 else out
-
-    def exact_at(self, t: float) -> Fraction:
-        """S(t) as an exact rational."""
-        jt = np.asarray(self.jump_times, dtype=float)
-        if len(self.exact) != jt.size:
-            raise InvalidInputError("curve was built without exact values")
-        idx = int(np.searchsorted(jt, float(t), side="right"))
-        return Fraction(1) if idx == 0 else self.exact[idx - 1]
 
 
 def _as_survival_arrays(times, events):
@@ -137,16 +121,10 @@ def kaplan_meier(times, events) -> StepSurvival:
     if not np.any(e == 1):
         warnings.warn("no events observed: survival curve is identically 1",
                       AllCensoredWarning)
-        return StepSurvival(jump_times=np.empty(0), surv_values=np.empty(0), exact=())
+        return StepSurvival(jump_times=np.empty(0), surv_values=np.empty(0))
     jump_times, at_risk, deaths = _risk_table(t, e)
-    exact = []
-    running = Fraction(1)
-    for r, d in zip(at_risk.tolist(), deaths.tolist()):
-        running *= Fraction(r - d, r)
-        exact.append(running)
     return StepSurvival(jump_times=jump_times,
-                        surv_values=np.array([float(f) for f in exact]),
-                        exact=tuple(exact))
+                        surv_values=np.cumprod((at_risk - deaths) / at_risk))
 
 
 def _check_horizon(t: float) -> float:

@@ -495,10 +495,10 @@ class TestWarningsInArtifacts:
 SCIPY_SUBMODULES = ("scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.stats")
 
 
-def scipy_loaded_by(statement, argv=()):
-    """Run ``statement`` in a fresh interpreter; the scipy submodules it loaded."""
+def loaded_by(statement, argv=(), modules=SCIPY_SUBMODULES):
+    """Run ``statement`` in a fresh interpreter; which of ``modules`` it loaded."""
     code = (f"import json, sys\n{statement}\n"
-            f"print(json.dumps(sorted(set(sys.modules) & set({SCIPY_SUBMODULES!r}))))")
+            f"print(json.dumps(sorted(set(sys.modules) & set({tuple(modules)!r}))))")
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(roclab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -516,7 +516,7 @@ class TestImportCost:
 
     @pytest.mark.parametrize("statement", ["import roclab", "import roclab.cli"])
     def test_import_loads_no_scipy_module(self, statement):
-        assert scipy_loaded_by(statement) == []
+        assert loaded_by(statement) == []
 
     def test_numpy_only_subcommands_leave_scipy_special_unloaded(self, tmp_path):
         pooled = write_csv(tmp_path / "c.csv", SEPARATED)
@@ -525,12 +525,22 @@ class TestImportCost:
         for argv in (["binary", "--input", pooled, "--threshold", "5"],
                      ["pooled", "--input", pooled, "--estimator", "empirical"],
                      ["timedep", "--input", survival, "--time", "2.5"]):
-            loaded = scipy_loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / argv[0]])
+            loaded = loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / argv[0]])
             assert "scipy.special" not in loaded, argv[0]
+
+    def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):
+        # numpy does not load the exact-rational module, so roclab must not
+        assert loaded_by("import numpy", modules=["fractions"]) == []
+        assert loaded_by("import roclab", modules=["fractions"]) == []
+        survival = write_csv(tmp_path / "s.csv",
+                             "marker,time,event\n1,1,1\n2,2,0\n3,3,1\n4,4,1\n")
+        assert loaded_by(RUN_CLI, ["timedep", "--input", survival, "--time", "2.5",
+                                         "--outdir", tmp_path / "out"],
+                               modules=["fractions"]) == []
 
     def test_rocglm_imports_scipy_on_first_use(self, tmp_path):
         p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
-        loaded = scipy_loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator",
+        loaded = loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator",
                                            "rocglm", "--baseline", "spline", "--covariates",
                                            "x", "--at", "0.5", "--outdir", tmp_path / "out"])
         assert {"scipy.interpolate", "scipy.optimize", "scipy.special"} <= set(loaded)

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import rankdata
 
-from roclab import (DegenerateSampleError, DpmConfig, InvalidInputError,
-                    MixtureDraw, NegativeYoudenWarning, PosteriorEnsemble,
-                    RegressionSample, SeedSpec, bb_roc, ddp_fit, ddp_roc, dpm_auc,
-                    dpm_fit, dpm_roc, empirical_auc, empirical_roc, kernel_auc,
-                    kernel_cdf, kernel_roc, lscv_bandwidth,
+from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
+                    InvalidInputError, MixtureDraw, MixtureEnsemble,
+                    NegativeYoudenWarning, PosteriorEnsemble, RegressionSample,
+                    SeedSpec, bb_roc, ddp_conditional_cdf, ddp_fit, ddp_roc,
+                    dpm_auc, dpm_fit, dpm_roc, empirical_auc, empirical_roc,
+                    gen_binormal, kernel_auc, kernel_cdf, kernel_roc, lscv_bandwidth,
                     mixture_cdf_callable, silverman_bandwidth, std_normal_cdf,
                     youden_from_cdfs)
 from roclab.core import default_prob_grid
 from roclab.indices import _youden_search
-from roclab.pooled_roc import (_cdf_from_arrays, _invert_mixture_cdf, _midranks,
-                               _mixture_cdf, _mixture_cdf_pdf, _roc_from_mixtures,
-                               _stack_draws)
+from roclab.pooled_roc import (_ensemble_from_mixture_arrays,
+                               _invert_mixture_cdf, _midranks, _mixture_cdf,
+                               _roc_from_mixtures)
 
 
 def brute_auc(d, nd):
@@ -462,14 +463,31 @@ def scalar_youden(cdf_d, cdf_dbar, lo, hi, grid_size=1000):
     return yi, c_star, p_star
 
 
+def stacked(draws, loc="means"):
+    """Weights, ``loc`` field and scales of a list of draws, one row per draw."""
+    w = np.stack([np.asarray(d.weights, dtype=float) for d in draws])
+    mu = np.stack([np.asarray(getattr(d, loc), dtype=float) for d in draws])
+    sg = np.sqrt(np.stack([np.asarray(d.variances, dtype=float) for d in draws]))
+    return w, mu, sg
+
+
+def cdf_from_arrays(w, mu, sg):
+    """CDF of one mixture with weights, means and scales ``w, mu, sg``."""
+    def cdf(c):
+        vals = _mixture_cdf(w, mu, sg, np.atleast_1d(np.asarray(c, dtype=float)), ndtr)
+        return float(vals[0]) if np.ndim(c) == 0 else vals
+
+    return cdf
+
+
 def per_draw_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
-    """One ``youden_from_cdfs`` call per draw, over ``_cdf_from_arrays``."""
+    """One ``youden_from_cdfs`` call per draw, over ``cdf_from_arrays``."""
     out = np.empty((3, w_d.shape[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeYoudenWarning)
         for s in range(w_d.shape[0]):
-            res = youden_from_cdfs(_cdf_from_arrays(w_d[s], mu_d[s], sg_d[s], ndtr),
-                                   _cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s], ndtr),
+            res = youden_from_cdfs(cdf_from_arrays(w_d[s], mu_d[s], sg_d[s]),
+                                   cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s]),
                                    lo, hi)
             out[:, s] = res.yi, res.c_star, res.p_star
     return out
@@ -504,7 +522,7 @@ class TestBatchedYouden:
 
     def test_dpm_roc_equals_per_draw_search_bitwise(self, dpm_arrays):
         draws_d, draws_nd = dpm_arrays
-        arrays = (*_stack_draws(draws_d), *_stack_draws(draws_nd))
+        arrays = (*stacked(draws_d), *stacked(draws_nd))
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         got = ensemble_youden(dpm_roc(draws_d, draws_nd, youden=True))
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
@@ -519,8 +537,8 @@ class TestBatchedYouden:
         draws_d = ddp_fit(RegressionSample(y_d, design(x_d)), cfg(0))
         draws_nd = ddp_fit(RegressionSample(y_nd, design(x_nd)), cfg(1))
         z = np.array([1.0, 0.7])
-        w_d, coef_d, sg_d = _stack_draws(draws_d, "coef")
-        w_nd, coef_nd, sg_nd = _stack_draws(draws_nd, "coef")
+        w_d, coef_d, sg_d = stacked(draws_d, "coef")
+        w_nd, coef_nd, sg_nd = stacked(draws_nd, "coef")
         mu_d, mu_nd = coef_d @ z, coef_nd @ z
         lo, hi = search_range(mu_d, sg_d, mu_nd, sg_nd)
         got = ensemble_youden(ddp_roc(draws_d, draws_nd, z, youden=True))
@@ -548,7 +566,7 @@ class TestBatchedYouden:
     @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 129])
     def test_draw_counts_around_the_chunk(self, dpm_arrays, n_draws):
         draws_d, draws_nd = dpm_arrays
-        arrays = (*_stack_draws(draws_d[:n_draws]), *_stack_draws(draws_nd[:n_draws]))
+        arrays = (*stacked(draws_d[:n_draws]), *stacked(draws_nd[:n_draws]))
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         got = ensemble_youden(dpm_roc(draws_d[:n_draws], draws_nd[:n_draws], youden=True))
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
@@ -601,7 +619,7 @@ def global_bracket_newton(w, mu, sigma, targets):
     step_last = step_before = np.full(shape, hi - lo)
     done = np.zeros(shape, dtype=bool)
     for _ in range(120):
-        f, dens = _mixture_cdf_pdf(w, mu, sigma, x, ndtr)
+        f, dens = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
         below = f < tgt
         lo_a, hi_a = np.where(below, x, lo_a), np.where(below, hi_a, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -624,7 +642,7 @@ def check_inversion(w, mu, sigma, targets):
     oracle = global_bracket_newton(w, mu, sigma, targets)
     # a root is fixed only to within the CDF's rounding over its slope: on a
     # plateau between components far apart any point of the plateau solves
-    _, dens = _mixture_cdf_pdf(w, mu, sigma, oracle, ndtr)
+    _, dens = _mixture_cdf(w, mu, sigma, oracle, ndtr, density=True)
     with np.errstate(divide="ignore"):
         spread = 8.0 * np.finfo(float).eps / dens
     assert np.all(np.abs(roots - oracle) <= 1e-12 * (1.0 + np.abs(oracle)) + spread)
@@ -667,7 +685,7 @@ class TestTableStartedInversion:
         rng = np.random.default_rng(66)
         draws = dpm_fit(rng.normal(0.0, 1.0, 200),
                         DpmConfig(seed=SeedSpec(67, 0), burn_in=50, n_save=150))
-        check_inversion(*_stack_draws(draws), TARGETS)
+        check_inversion(*stacked(draws), TARGETS)
 
     def test_kernel_inversion_memory_is_linear(self):
         rng = np.random.default_rng(68)
@@ -715,3 +733,178 @@ class TestWindowedKernelAuc:
         rng = np.random.default_rng(70)
         d, nd = rng.normal(1.0, 1.0, 900), rng.normal(0.0, 1.0, 800)
         assert kernel_auc(d, nd, 0.2, 0.3) == kernel_auc(d[::-1], rng.permutation(nd), 0.2, 0.3)
+
+
+def assert_same_posterior(a, b):
+    for name in ("curves", "aucs", "yis", "thresholds", "p_stars"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def assert_same_mixtures(a, b):
+    for name in ("weights", "locations", "variances"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestMixtureEnsemble:
+    @pytest.fixture(scope="class")
+    def fits(self):
+        rng = np.random.default_rng(72)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(73, stream), burn_in=50, n_save=70)
+        design = lambda x: np.column_stack([np.ones(x.size), x])
+        x_d, x_nd = rng.uniform(0, 1, 120), rng.uniform(0, 1, 120)
+        dpm = (dpm_fit(rng.normal(1.0, 1.2, 120), cfg(0)),
+               dpm_fit(rng.normal(0.0, 1.0, 120), cfg(1)))
+        ddp = (ddp_fit(RegressionSample(0.5 + x_d + rng.normal(0, 1, 120), design(x_d)), cfg(2)),
+               ddp_fit(RegressionSample(x_nd + rng.normal(0, 1, 120), design(x_nd)), cfg(3)))
+        return dpm, ddp
+
+    def test_dpm_roc_equals_the_list_and_stacked_paths(self, fits):
+        ens_d, ens_nd = fits[0]
+        got = dpm_roc(ens_d, ens_nd, youden=True)
+        assert_same_posterior(got, dpm_roc(list(ens_d), list(ens_nd), youden=True))
+        # the list path as it stacked the draws before the ensemble existed
+        listed = _ensemble_from_mixture_arrays(*stacked(list(ens_d)), *stacked(list(ens_nd)),
+                                               None, True)
+        assert_same_posterior(got, listed)
+
+    def test_ddp_roc_equals_the_list_and_stacked_paths(self, fits):
+        ens_d, ens_nd = fits[1]
+        z = np.array([1.0, 0.6])
+        got = ddp_roc(ens_d, ens_nd, z, youden=True)
+        assert_same_posterior(got, ddp_roc(list(ens_d), list(ens_nd), z, youden=True))
+        (w_d, coef_d, sg_d), (w_nd, coef_nd, sg_nd) = (stacked(list(e), "coef")
+                                                       for e in (ens_d, ens_nd))
+        listed = _ensemble_from_mixture_arrays(w_d, coef_d @ z, sg_d, w_nd, coef_nd @ z,
+                                               sg_nd, None, True)
+        assert_same_posterior(got, listed)
+
+    def test_len_slicing_and_iteration(self, fits):
+        ens = fits[0][0]
+        assert len(ens) == 70
+        part = ens[10:30:2]
+        assert isinstance(part, MixtureEnsemble) and len(part) == 10
+        assert np.array_equal(part.locations, ens.locations[10:30:2])
+        draws = list(ens)
+        assert len(draws) == 70 and all(isinstance(d, MixtureDraw) for d in draws)
+        assert all(isinstance(d, DdpDraw) for d in fits[1][0][:3])
+        with pytest.raises(IndexError):
+            ens[70]
+
+    def test_views_equal_the_array_rows(self, fits):
+        for ens, loc in ((fits[0][0], "means"), (fits[1][0], "coef")):
+            for s in (0, 33, -1):
+                draw = ens[s]
+                assert np.array_equal(draw.weights, ens.weights[s])
+                assert np.array_equal(getattr(draw, loc), ens.locations[s])
+                assert np.array_equal(draw.variances, ens.variances[s])
+            assert_same_mixtures(MixtureEnsemble.from_draws(list(ens)), ens)
+            assert MixtureEnsemble.from_draws(ens) is ens
+
+    @pytest.mark.parametrize("broken", ["simplex", "variance", "nan", "shape"])
+    def test_invalid_rows_raise(self, broken):
+        w = np.array([[0.3, 0.7], [0.5, 0.5]])
+        mu, var = np.zeros((2, 2)), np.ones((2, 2))
+        if broken == "simplex":
+            w[1] = [0.5, 0.6]
+        elif broken == "variance":
+            var[1, 1] = 0.0
+        elif broken == "nan":
+            mu[1, 0] = np.nan
+        else:
+            var = np.ones((2, 3))
+        with pytest.raises(InvalidInputError):
+            MixtureEnsemble(w, mu, var)
+        with pytest.raises(InvalidInputError):
+            MixtureEnsemble(w, mu[:, :, None], var)
+        with pytest.raises(InvalidInputError):
+            DdpDraw(w[-1], mu[-1][:, None], var[-1])
+
+    def test_draws_with_different_component_counts_raise(self):
+        one = MixtureDraw(weights=[1.0], means=[0.0], variances=[1.0])
+        two = MixtureDraw(weights=[0.5, 0.5], means=[0.0, 1.0], variances=[1.0, 1.0])
+        with pytest.raises(InvalidInputError):
+            dpm_roc([one, two], [one, one])
+
+    def test_pooled_and_dependent_draws_do_not_mix(self, fits):
+        with pytest.raises(InvalidInputError):
+            dpm_roc(*fits[1])
+        with pytest.raises(InvalidInputError):
+            ddp_roc(*fits[0], [1.0])
+
+    def test_dpm_auc_matches_the_matrix_product(self, fits):
+        for d, nd in zip(fits[0][0][:25], fits[0][1][:25]):
+            sg_d, sg_nd = np.sqrt(d.variances), np.sqrt(nd.variances)
+            a = (d.means[None, :] - nd.means[:, None]) / sg_d[None, :]
+            b = sg_nd[:, None] / sg_d[None, :]
+            ref = float(nd.weights @ ndtr(a / np.sqrt(1.0 + b * b)) @ d.weights)
+            assert abs(dpm_auc(d, nd) - ref) <= 1e-14
+
+    def test_ddp_conditional_cdf_matches_the_draw_mean(self, fits):
+        ens = fits[1][0]
+        cdf = ddp_conditional_cdf(ens, lambda x: np.concatenate([[1.0], x]))
+        ys = np.linspace(-2.0, 4.0, 13)
+        for x in (0.1, 0.8):
+            mu = ens.locations @ np.array([1.0, x])
+            ref = (ndtr((ys[:, None, None] - mu) / np.sqrt(ens.variances))
+                   * ens.weights).sum(axis=-1).mean(axis=-1)
+            assert np.max(np.abs(cdf(ys, [x]) - ref)) <= 1e-14
+            assert np.max(np.abs(cdf(ys.reshape(13, 1), [x]).ravel() - ref)) <= 1e-14
+            one = cdf(float(ys[4]), [x])
+            assert isinstance(one, float) and abs(one - ref[4]) <= 1e-14
+
+
+class TestSeedDeterminism:
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**16))
+    def test_same_seed_spec_gives_identical_results(self, seed, stream):
+        spec = SeedSpec(seed, stream)
+        scenario = BinormalScenario(a=1.0, b=1.0, n_diseased=30, n_nondiseased=25, seed=spec)
+        first, again = gen_binormal(scenario), gen_binormal(scenario)
+        assert np.array_equal(first.diseased, again.diseased)
+        assert np.array_equal(first.nondiseased, again.nondiseased)
+        d, nd = first.diseased, first.nondiseased
+        cfg = DpmConfig(seed=spec, burn_in=3, n_save=5)
+        assert_same_mixtures(dpm_fit(d, cfg), dpm_fit(d, cfg))
+        sample = RegressionSample(nd, np.column_stack([np.ones(nd.size), np.linspace(0, 1, nd.size)]))
+        assert_same_mixtures(ddp_fit(sample, cfg), ddp_fit(sample, cfg))
+        assert_same_posterior(bb_roc(d, nd, 4, seed=spec, youden=True),
+                              bb_roc(d, nd, 4, seed=spec, youden=True))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryAtScale:
+    """Peaks at n = 10^5 per group stay linear in n.
+
+    One (grid, n) float buffer on the 201-point default grid alone is
+    1608 n bytes, and an (n, n) one is 8 n^2.
+    """
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        rng = np.random.default_rng(74)
+        return rng.normal(1.0, 1.0, self.N), rng.normal(0.0, 1.0, self.N)
+
+    def test_empirical(self, samples):
+        assert traced_peak(lambda: empirical_roc(*samples)) < 400 * self.N
+        assert traced_peak(lambda: empirical_auc(*samples)) < 400 * self.N
+
+    def test_bayesian_bootstrap(self, samples):
+        assert traced_peak(lambda: bb_roc(*samples, 3, seed=SeedSpec(75, 0),
+                                          youden=True)) < 400 * self.N
+
+    def test_short_dpm_chain_and_curves(self, samples):
+        def run():
+            fits = [dpm_fit(y, DpmConfig(seed=SeedSpec(76, k), burn_in=2, n_save=4))
+                    for k, y in enumerate(samples)]
+            dpm_roc(*fits, youden=True)
+
+        assert traced_peak(run) < 800 * self.N

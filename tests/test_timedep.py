@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roclab import (AllCensoredWarning, InvalidInputError, SeedSpec,
-                    StepSurvival, SurvivalSample, TimeOutOfRangeError, classification_fractions,
+                    SurvivalSample, TimeOutOfRangeError, classification_fractions,
                     cumdyn_fractions, empirical_auc, empirical_roc, gen_survival,
                     kaplan_meier, timedep_auc, timedep_roc)
 from roclab.timedep_roc import _sweep
@@ -106,6 +106,16 @@ class TestKaplanMeier:
         # censored subject at the event time stays in the risk set
         km = kaplan_meier([1.0, 1.0, 2.0], [1, 0, 1])
         assert km.surv_values[0] == pytest.approx(2.0 / 3.0)
+
+    def test_matches_the_exact_product_limit(self):
+        rng = np.random.default_rng(71)
+        for n in (5, 60, 2000):
+            times = np.round(rng.exponential(1.0, n), 1)  # tied times
+            events = (np.arange(n) == 0) | (rng.uniform(size=n) < 0.7)
+            km = kaplan_meier(times, events.astype(int))
+            exact = [float(oracle_km_at(times, events, t)) for t in km.jump_times]
+            assert np.max(np.abs(km.surv_values - exact)) <= 1e-12
+            assert np.array_equal(km.at(km.jump_times), km.surv_values)
 
     def test_all_censored_warns(self):
         with pytest.warns(AllCensoredWarning):
@@ -242,24 +252,6 @@ class TestSurvivalSampleType:
     def test_bad_event_codes(self):
         with pytest.raises(InvalidInputError):
             SurvivalSample(marker=[1.0, 2.0], time=[1.0, 2.0], event=[1, 2])
-
-
-class TestStepSurvivalType:
-    def test_exact_values_must_match_jumps(self):
-        with pytest.raises(InvalidInputError):
-            StepSurvival(jump_times=[1.0, 2.0], surv_values=[0.5, 0.25],
-                         exact=(Fraction(1, 2),))
-
-    def test_exact_at_needs_exact_values(self):
-        km = StepSurvival(jump_times=[1.0], surv_values=[0.5])
-        assert km.at(2.0) == 0.5
-        with pytest.raises(InvalidInputError):
-            km.exact_at(2.0)
-
-    def test_exact_at_reads_kaplan_meier_rationals(self):
-        km = kaplan_meier([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0])
-        assert km.exact_at(0.5) == 1
-        assert km.exact_at(3.5) == Fraction(3, 8)
 
 
 @st.composite
