@@ -10,10 +10,16 @@ Conventions used throughout the package:
   (``p`` exactly at a jump) never depend on floating-point rounding.
 * ROC curves live on probability grids: strictly increasing 1-d arrays
   inside ``[0, 1]``.
+* Independent blocks of array work (normal-CDF sums over kernel or mixture
+  components) run through ``ordered_map``, one thread per CPU the process
+  may use; every block computes the same bits on any thread and results
+  come back in block order, so no output depends on the worker count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,3 +175,64 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
     if total <= 0.0 or not np.isfinite(total):
         raise InvalidInputError("degenerate exponential draws")
     return g / total
+
+
+# ---------------------------------------------------------------------------
+# ordered thread map
+
+# (executor, size) of the process-wide pool, made on the first parallel map
+_pool = None
+_pool_lock = threading.Lock()
+_thread = threading.local()
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on (its affinity mask, so ``taskset`` narrows it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _thread.in_worker = True
+
+
+def _forget_pool() -> None:
+    # a forked child has only the forking thread: the parent's workers and
+    # any lock one of its threads held are gone, so start afresh
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def ordered_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, with the calls spread over a thread pool.
+
+    The pool has one thread per CPU the process may use and is created on
+    first need.  The calls run serially when that is one CPU, when there is
+    one item, or when the caller is itself a pool thread, so nested maps
+    never wait on the pool they run in.  Results and the first exception
+    come back in item order, exactly as from the serial loop.  ``fn``
+    should spend its time in native code that releases the interpreter
+    lock (numpy arithmetic, ``scipy.special.ndtr``), must not warn, and
+    must set any ``np.errstate`` it needs itself: the error state is
+    context-local and a pool thread does not inherit the caller's.
+    """
+    global _pool
+    items = list(items)
+    size = 1 if len(items) < 2 or getattr(_thread, "in_worker", False) else _worker_count()
+    if size < 2:
+        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _pool_lock:
+        if _pool is None or _pool[1] != size:
+            # a replaced pool's idle threads exit once it is collected
+            _pool = (ThreadPoolExecutor(size, thread_name_prefix="roclab",
+                                        initializer=_mark_worker), size)
+        pool = _pool[0]
+    return list(pool.map(fn, items))

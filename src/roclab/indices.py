@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_prob_grid, validate_sample
+from .core import as_prob_grid, ordered_map, validate_sample
 from .errors import InvalidInputError, NegativeYoudenWarning, NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -74,32 +74,28 @@ def _golden_max(f, lo, hi, iters: int = 100):
     return np.where(keep, x1, x2), np.where(keep, f1, f2)
 
 
-# draws per block of the batched scan; the scan buffer holds
-# _SCAN_CHUNK x grid_size x components doubles
-_SCAN_CHUNK = 64
-
-
-def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int):
+def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
+                   block: int):
     """Youden search for ``n_pairs`` CDF pairs at once.
 
     ``cdfs(x, rows)`` returns ``(F_dbar(x), F_d(x))`` for the pairs in the
     slice ``rows``: at the shared scan points (``x = pts``, shape ``(m,)``)
     as ``(r, m)`` arrays, and at one abscissa per pair (``x`` of shape
     ``(r, 1)``) as ``(r, 1)`` arrays.  The scan runs over blocks of
-    ``_SCAN_CHUNK`` pairs; the golden section then refines every pair's
-    bracket in one array recurrence.  Returns ``yi``, ``c_star`` and
+    ``block`` pairs, spread over ``ordered_map``; each pair's result does
+    not depend on the block size.  The golden section then refines every
+    pair's bracket in one array recurrence.  Returns ``yi``, ``c_star`` and
     ``p_star`` arrays of length ``n_pairs``.
     """
-    best = np.empty(n_pairs, dtype=np.intp)
-    yi = np.empty(n_pairs)
-    for start in range(0, n_pairs, _SCAN_CHUNK):
-        rows = slice(start, start + _SCAN_CHUNK)
-        f_dbar, f_d = cdfs(pts, rows)
+    def scan(start):
+        f_dbar, f_d = cdfs(pts, slice(start, start + block))
         gaps = f_dbar - f_d
         if not np.all(np.isfinite(gaps)):
             raise NumericError("non-finite CDF evaluation during Youden search")
-        best[rows] = np.argmax(gaps, axis=1)  # first max = smallest c
-        yi[rows] = np.take_along_axis(gaps, best[rows, None], axis=1)[:, 0]
+        best = np.argmax(gaps, axis=1)  # first max = smallest c
+        return best, np.take_along_axis(gaps, best[:, None], axis=1)[:, 0]
+
+    best, yi = map(np.concatenate, zip(*ordered_map(scan, range(0, n_pairs, block))))
 
     every = slice(None)
 
@@ -175,7 +171,7 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
         c = float(x[0, 0])
         return np.array([[scalar(cdf_dbar, c)]]), np.array([[scalar(cdf_d, c)]])
 
-    yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1)
+    yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1, 1)
     return YoudenResult(yi=float(yi[0]), c_star=float(c_star[0]), p_star=float(p_star[0]))
 
 

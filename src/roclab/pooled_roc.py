@@ -23,6 +23,15 @@ inside the window where it is neither exactly 1 nor below 5.3e-17.  With
 ``youden=True`` the mixture estimators search every draw's Youden index in
 one batched pass (``indices._youden_search``) that gives the same bits as a
 ``youden_from_cdfs`` call per draw.
+
+Independent blocks (the kernel AUC's row blocks, the kernel CDF's point
+blocks, the component blocks of ``_mixture_sums``, the draw blocks of the
+inversion and the curve evaluation, and the Youden scan's draw blocks) run
+through ``core.ordered_map`` on one thread per usable CPU.  Each block
+computes what the serial loop would and results combine in block order, so
+outputs do not depend on the thread count.  Block sizes are fixed by the
+inputs (mostly ``_BLOCK`` elements per buffer), so each extra thread adds
+at most one block's buffers to the peak.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SeedSpec, as_prob_grid, default_prob_grid, dirichlet_uniform,
-                   validate_sample)
+                   ordered_map, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
 from .indices import _youden_search
 
@@ -383,8 +392,9 @@ _BLOCK = 1 << 16
 def kernel_cdf(sample, h: float, y):
     """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``.
 
-    Evaluated over blocks of ``y`` so the (points, n) buffer stays below
-    ``_BLOCK`` elements; each point's mean is the same either way.
+    Evaluated over blocks of ``y``, spread over ``ordered_map``, so each
+    (points, n) buffer stays below ``_BLOCK`` elements; each point's mean
+    is the same either way.
     """
     from scipy.special import ndtr
 
@@ -394,13 +404,22 @@ def kernel_cdf(sample, h: float, y):
     flat = yv.reshape(-1)
     out = np.empty(flat.size)
     step = max(1, _BLOCK // s.size)
-    for start in range(0, flat.size, step):
+
+    def block(start):
         out[start:start + step] = ndtr((flat[start:start + step, None] - s) / h).mean(axis=-1)
+
+    ordered_map(block, range(0, flat.size, step))
     return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
 
 
 # The mixture helpers take scipy.special.ndtr from their caller, which
 # imports it once per public call, so scipy loads on first use.
+#
+# Rules for every block function handed to ordered_map: compute exactly
+# what the serial loop computes for that block, and combine results in
+# block order; set any np.errstate inside the block, because a pool thread
+# does not inherit the caller's; leave warnings to the calling thread; and
+# never call ndtr with where=, which writes wrong values on scipy 1.17.1.
 
 
 def _mixture_cdf(w, mu, sigma, x, ndtr, density=False):
@@ -430,13 +449,14 @@ def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
     blocks of components so no buffer exceeds ``_BLOCK`` elements.
 
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (R', K) with R == R'
-    or R == 1.  When one block holds all L components this is
+    or R == 1.  The blocks run through ``ordered_map`` and are added in
+    block order.  When one block holds all L components this is
     ``_mixture_cdf`` bit for bit.
     """
     step = max(1, _BLOCK // max(x.size, 1))
-    parts = [_mixture_cdf(w[:, b:b + step], mu[:, b:b + step], sigma[:, b:b + step], x,
-                          ndtr, density)
-             for b in range(0, w.shape[-1], step)]
+    parts = ordered_map(lambda b: _mixture_cdf(w[:, b:b + step], mu[:, b:b + step],
+                                               sigma[:, b:b + step], x, ndtr, density),
+                        range(0, w.shape[-1], step))
     return tuple(map(sum, zip(*parts))) if density else sum(parts)
 
 
@@ -445,11 +465,12 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
     values strictly inside (0, 1); returns roots of shape (S, K).  Draws are
-    solved in blocks of ``_DRAW_CHUNK``.  Each draw's CDF is tabulated at
-    ``_TABLE_POINTS`` points over its own ``[min mu - 10 sigma, max mu +
-    10 sigma]``, widened (doubling) while the table misses a target.  The
-    table gives each root a bracket ``F(lo) < q <= F(hi)`` one table step
-    wide and a start by linear interpolation in it.  A Newton step that
+    solved in blocks of ``_DRAW_CHUNK``, spread over ``ordered_map``.  Each
+    draw's CDF is tabulated at ``_TABLE_POINTS`` points over its own
+    ``[min mu - 10 sigma, max mu + 10 sigma]``, widened (doubling) while the
+    table misses a target.  The table gives each root a bracket
+    ``F(lo) < q <= F(hi)`` one table step wide and a start by linear
+    interpolation in it.  A Newton step that
     leaves the bracket, or that fails to halve the step before last, is
     replaced by bisection, so the steps shrink at least as fast as
     bisection's every other iteration and convergence is quadratic near the
@@ -460,8 +481,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
     unit = np.linspace(0.0, 1.0, _TABLE_POINTS)
-    roots = np.empty((n_draws, n_targets))
-    for start in range(0, n_draws, _DRAW_CHUNK):
+
+    def solve(start):
         rows = slice(start, start + _DRAW_CHUNK)
         wc, mc, sc = w[rows], mu[rows], sigma[rows]
         r = wc.shape[0]
@@ -516,8 +537,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
             active, x, x_lo, x_hi, tgt, floor = (
                 v[moving] for v in (active, x_new, x_lo, x_hi, tgt, floor))
             step_last, step_before = step[moving], step_last[moving]
-        roots[rows] = out.reshape(r, n_targets)
-        resid = np.abs(_mixture_sums(wc, mc, sc, roots[rows], ndtr) - targets)
+        roots = out.reshape(r, n_targets)
+        resid = np.abs(_mixture_sums(wc, mc, sc, roots, ndtr) - targets)
         worst = float(resid.max())
         if worst > 1e-10:
             s, k = np.unravel_index(int(resid.argmax()), resid.shape)
@@ -525,7 +546,9 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
                 f"CDF inversion residual {worst:.2e} at target {targets[k]:.6g} "
                 f"(draw {start + s}) exceeds 1e-10"
             )
-    return roots
+        return roots
+
+    return np.concatenate(ordered_map(solve, range(0, n_draws, _DRAW_CHUNK)))
 
 
 def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
@@ -539,11 +562,13 @@ def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     if np.any(interior):
         q = 1.0 - grid[interior]
         roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, q, ndtr)
-        cols = np.flatnonzero(interior)
-        for start in range(0, w_d.shape[0], _DRAW_CHUNK):
+
+        def evaluate(start):
             rows = slice(start, start + _DRAW_CHUNK)
-            curves[rows, cols] = 1.0 - _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows],
-                                                     roots[rows], ndtr)
+            return 1.0 - _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows], roots[rows], ndtr)
+
+        curves[:, interior] = np.concatenate(
+            ordered_map(evaluate, range(0, w_d.shape[0], _DRAW_CHUNK)))
     return np.clip(curves, 0.0, 1.0)
 
 
@@ -573,6 +598,8 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
 
 # ndtr(z) is exactly 1.0 for z >= 8.2925 and below 5.3e-17 for z <= -8.3
 _SATURATED = 8.3
+# diseased values per task of the kernel AUC
+_AUC_ROWS = 64
 
 
 def kernel_auc(diseased, nondiseased, h_d: float | None = None,
@@ -580,13 +607,16 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     """Closed-form AUC of the kernel-smoothed ROC.
 
     ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / sqrt(h_D^2 + h_ND^2))``.
-    Both samples are sorted and the diseased one is taken in blocks of 512.
-    Against each block, the nondiseased values more than 8.3 scales below
-    the block's smallest value give pairs with ``Phi = 1.0`` exactly, which
-    are counted; those more than 8.3 scales above its largest value give
-    pairs below 5.3e-17 each, which are skipped.  ``Phi`` is evaluated only
-    in the window between, in one reused buffer, so the result equals the
-    full pair sum up to rounding and the skipped tail.
+    Both samples are sorted and the diseased one is taken in blocks of
+    ``_AUC_ROWS``, one ``ordered_map`` task each.  Against each block, the
+    nondiseased values more than 8.3 scales below the block's smallest value
+    give pairs with ``Phi = 1.0`` exactly, which are counted; those more
+    than 8.3 scales above its largest value give pairs below 5.3e-17 each,
+    which are skipped.  ``Phi`` is evaluated only in the window between, in
+    column pieces of one reused ``_BLOCK``-element buffer per task, and the
+    piece sums are added exactly (``math.fsum``), so the result equals the
+    full pair sum up to the rounding inside each piece and the skipped
+    tail, whatever the number of threads.
     """
     from scipy.special import ndtr
 
@@ -597,22 +627,32 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     _check_bandwidths(h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
     reach = _SATURATED * scale
-    starts = np.arange(0, d.size, 512)
+    starts = np.arange(0, d.size, _AUC_ROWS)
+    sizes = np.minimum(_AUC_ROWS, d.size - starts)
     # nd[:lo] sit strictly below the block minimum less reach, nd[hi:]
     # strictly above the block maximum plus reach
     lo = np.searchsorted(nd, d[starts] - reach, side="left")
-    hi = np.searchsorted(nd, d[np.minimum(starts + 511, d.size - 1)] + reach, side="right")
-    buf = np.empty((min(512, d.size), int((hi - lo).max())))
-    ones, total = 0, 0.0
-    for start, a, b in zip(starts, lo, hi):
-        block = d[start:start + 512]
-        ones += block.size * int(a)
-        window = buf[:block.size, :b - a]
-        np.subtract(block[:, None], nd[a:b], out=window)
-        window /= scale
-        ndtr(window, out=window)
-        total += float(window.sum())
-    return (ones + total) / (d.size * nd.size)
+    hi = np.searchsorted(nd, d[starts + sizes - 1] + reach, side="right")
+    cols = _BLOCK // _AUC_ROWS
+
+    def window_sums(task):
+        start, a, b = task
+        block = d[start:start + _AUC_ROWS]
+        buf = np.empty((block.size, min(cols, b - a)))
+        sums = []
+        for c in range(a, b, cols):
+            piece = nd[c:min(c + cols, b)]
+            window = buf[:, :piece.size]
+            np.subtract(block[:, None], piece, out=window)
+            window /= scale
+            ndtr(window, out=window)
+            sums.append(float(window.sum()))
+        return sums
+
+    tasks = zip(starts.tolist(), lo.tolist(), hi.tolist())
+    ones = int(sizes @ lo)
+    sums = [v for part in ordered_map(window_sums, tasks) for v in part]
+    return math.fsum([ones, *sums]) / (d.size * nd.size)
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +917,12 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
             return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
                     _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
 
-        yis, thresholds, p_stars = _youden_search(cdfs, np.linspace(lo, hi, 1000),
-                                                  lo, hi, w_d.shape[0])
+        # unblocked over components (blocking them would reorder each sum),
+        # so the draws per scan block keep its (draws, points, L) buffers
+        # within _BLOCK elements
+        pts = np.linspace(lo, hi, 1000)
+        block = max(1, _BLOCK // (pts.size * max(w_d.shape[1], w_nd.shape[1])))
+        yis, thresholds, p_stars = _youden_search(cdfs, pts, lo, hi, w_d.shape[0], block)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 

@@ -528,6 +528,10 @@ class TestImportCost:
             loaded = loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / argv[0]])
             assert "scipy.special" not in loaded, argv[0]
 
+    def test_import_leaves_the_thread_pool_unloaded(self):
+        # ordered_map imports concurrent.futures on its first parallel call
+        assert loaded_by("import roclab.cli", modules=["concurrent.futures"]) == []
+
     def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):
         # numpy does not load the exact-rational module, so roclab must not
         assert loaded_by("import numpy", modules=["fractions"]) == []

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import roclab
 from roclab import (InvalidInputError, SeedSpec, as_prob_grid, default_prob_grid,
-                    dirichlet_uniform, ecdf, quantile, std_normal_cdf,
+                    dirichlet_uniform, ecdf, kernel_cdf, quantile, std_normal_cdf,
                     std_normal_quantile, validate_sample)
+from roclab.core import _worker_count, ordered_map
 
 
 class TestSeedSpec:
@@ -166,3 +174,117 @@ class TestProbGrid:
     def test_rejects_outside_unit(self):
         with pytest.raises(InvalidInputError):
             as_prob_grid([-0.1, 0.5])
+
+
+def run_with_timeout(fn, seconds=60.0):
+    """Run ``fn`` on a fresh thread; fail if it has not returned in ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # re-raised on the test's thread
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), "ordered_map did not return"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestOrderedMap:
+    def test_worker_count_follows_the_cpu_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert _worker_count() == len(os.sched_getaffinity(0))
+        assert _worker_count() >= 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_results_in_item_order(self, force_workers, workers):
+        force_workers(workers)
+
+        def slow_square(x):
+            time.sleep(0.002 * (x % 3))  # later items often finish first
+            return x * x
+
+        assert run_with_timeout(lambda: ordered_map(slow_square, range(20))) == [
+            x * x for x in range(20)]
+        assert ordered_map(slow_square, []) == []
+        assert ordered_map(slow_square, iter([4])) == [16]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_item_in_order_is_raised(self, force_workers, workers):
+        force_workers(workers)
+
+        def fail_at_3_and_5(x):
+            if x == 3:
+                time.sleep(0.05)  # item 5 fails first in time
+            if x in (3, 5):
+                raise ValueError(x)
+            return x
+
+        with pytest.raises(ValueError) as err:
+            run_with_timeout(lambda: ordered_map(fail_at_3_and_5, range(8)))
+        assert err.value.args == (3,)
+
+    def test_nested_call_in_a_worker_runs_serially(self, force_workers):
+        force_workers(2)
+
+        def outer(x):
+            names = ordered_map(lambda y: threading.current_thread().name, range(3))
+            return threading.current_thread().name, names
+
+        results = run_with_timeout(lambda: ordered_map(outer, range(6)))
+        for name, inner in results:
+            assert name.startswith("roclab")
+            assert inner == [name] * 3
+
+    def test_more_workers_than_cpus_under_fast_switching(self, force_workers):
+        # blocks write disjoint slices of one output array
+        rng = np.random.default_rng(3)
+        sample, points = rng.normal(size=3000), rng.normal(size=900)
+        force_workers(1)
+        serial = kernel_cdf(sample, 0.3, points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            force_workers(8)
+            for _ in range(5):
+                got = run_with_timeout(lambda: kernel_cdf(sample, 0.3, points))
+                assert np.array_equal(got, serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_a_fresh_pool(self):
+        # the parent's pool threads do not exist in the child: a child that
+        # reused the pool would wait on them forever
+        code = """
+import os, sys, time
+import numpy as np
+import roclab.core
+from roclab import kernel_auc
+roclab.core._worker_count = lambda: 2
+rng = np.random.default_rng(4)
+d, nd = rng.normal(1, 1, 2000), rng.normal(0, 1, 2000)
+want = kernel_auc(d, nd, 0.2, 0.2)
+assert roclab.core._pool is not None
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if kernel_auc(d, nd, 0.2, 0.2) == want else 1)
+for _ in range(600):
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.1)
+os.kill(pid, 9)
+sys.exit("child did not finish within 60 s")
+"""
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(roclab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from scipy.stats import rankdata
 
 from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
                     InvalidInputError, MixtureDraw, MixtureEnsemble,
-                    NegativeYoudenWarning, PosteriorEnsemble, RegressionSample,
+                    NegativeYoudenWarning, NumericError, PosteriorEnsemble, RegressionSample,
                     SeedSpec, bb_roc, ddp_conditional_cdf, ddp_fit, ddp_roc,
                     dpm_auc, dpm_fit, dpm_roc, empirical_auc, empirical_roc,
                     gen_binormal, kernel_auc, kernel_cdf, kernel_roc, lscv_bandwidth,
@@ -499,12 +499,14 @@ def search_range(mu_d, sg_d, mu_nd, sg_nd):
             max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max)
 
 
-def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
+def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi, block=64):
+    """The batched search over unblocked component sums, ``block`` draws per scan block."""
     def cdfs(x, rows):
         return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
                 _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
 
-    return np.stack(_youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0]))
+    return np.stack(_youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0],
+                                   block))
 
 
 def ensemble_youden(ens):
@@ -584,6 +586,30 @@ class TestBatchedYouden:
         assert np.array_equal(got, want)
         assert got[1, 0] == -1.0 and got[1, 3] == -1.0 and got[1, 4] == 1.0
         assert got[1, 2] == 1.0 or got[1, 2] > 0.999
+
+    @pytest.mark.parametrize("truncation", [10, 50])
+    def test_scan_blocks_give_the_64_draw_blocking_bitwise(self, truncation):
+        # each (draw, point) sum over components is the same in any block
+        rng = np.random.default_rng(79)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(80, stream), truncation=truncation,
+                                       burn_in=20, n_save=150)
+        draws_d = dpm_fit(rng.normal(1.0, 1.2, 200), cfg(0))
+        draws_nd = dpm_fit(rng.normal(0.0, 1.0, 200), cfg(1))
+        arrays = (*draws_d._normals(), *draws_nd._normals())
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        got = ensemble_youden(dpm_roc(draws_d, draws_nd, youden=True))
+        assert np.array_equal(got, batched_youden(*arrays, lo, hi, block=64))
+
+    def test_scan_memory_at_truncation_50_with_two_workers(self, force_workers):
+        # one 64-draw scan block held three 64 x 1000 x 50 buffers: the
+        # unblocked scan peaked at 79.6 MB here
+        rng = np.random.default_rng(85)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(86, stream), truncation=50,
+                                       burn_in=5, n_save=256)
+        draws_d = dpm_fit(rng.normal(1.0, 1.2, 300), cfg(0))
+        draws_nd = dpm_fit(rng.normal(0.0, 1.0, 300), cfg(1))
+        force_workers(2)
+        assert traced_peak(lambda: dpm_roc(draws_d, draws_nd, youden=True)) < 40e6
 
     def test_scalar_path_matches_the_float_recurrence(self, dpm_arrays):
         draws_d, draws_nd = dpm_arrays
@@ -733,6 +759,60 @@ class TestWindowedKernelAuc:
         rng = np.random.default_rng(70)
         d, nd = rng.normal(1.0, 1.0, 900), rng.normal(0.0, 1.0, 800)
         assert kernel_auc(d, nd, 0.2, 0.3) == kernel_auc(d[::-1], rng.permutation(nd), 0.2, 0.3)
+
+
+class TestWorkerCount:
+    """One pool thread or two: every output is the same, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        rng = np.random.default_rng(81)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(82, stream), burn_in=30, n_save=100)
+        design = lambda x: np.column_stack([np.ones(x.size), x])
+        x_d, x_nd = rng.uniform(0, 1, 150), rng.uniform(0, 1, 150)
+        dpm = (dpm_fit(rng.normal(1.0, 1.2, 150), cfg(0)),
+               dpm_fit(rng.normal(0.0, 1.0, 150), cfg(1)))
+        ddp = (ddp_fit(RegressionSample(0.5 + x_d + rng.normal(0, 1, 150), design(x_d)), cfg(2)),
+               ddp_fit(RegressionSample(x_nd + rng.normal(0, 1, 150), design(x_nd)), cfg(3)))
+        return dpm, ddp
+
+    @staticmethod
+    def both(force_workers, fn):
+        force_workers(1)
+        one = fn()
+        force_workers(2)
+        return one, fn()
+
+    def test_mixture_ensembles(self, force_workers, fits):
+        (dpm_d, dpm_nd), (ddp_d, ddp_nd) = fits
+        assert_same_posterior(*self.both(force_workers,
+                                         lambda: dpm_roc(dpm_d, dpm_nd, youden=True)))
+        z = np.array([1.0, 0.4])
+        assert_same_posterior(*self.both(force_workers,
+                                         lambda: ddp_roc(ddp_d, ddp_nd, z, youden=True)))
+
+    def test_kernel_estimators(self, force_workers):
+        rng = np.random.default_rng(83)
+        d, nd = rng.normal(1.0, 1.0, 3000), rng.normal(0.0, 1.0, 2500)
+        one, two = self.both(force_workers, lambda: kernel_roc(d, nd))
+        assert np.array_equal(one.roc, two.roc) and one.auc == two.auc
+        one, two = self.both(force_workers, lambda: kernel_auc(d, nd, 0.05, 0.5))
+        assert one == two
+        points = np.linspace(-4.0, 5.0, 2000)
+        one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points))
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inversion_error_names_the_first_failing_draw(self, force_workers, workers):
+        # draws 40 and 75 (blocks 1 and 2) are steps: two components of scale
+        # 1e-150, so no root reaches the 1e-10 residual
+        force_workers(workers)
+        w = np.full((100, 2), 0.5)
+        mu = np.tile([0.0, 1.0], (100, 1))
+        sigma = np.ones((100, 2))
+        sigma[[40, 75]] = 1e-150
+        with pytest.raises(NumericError, match=r"\(draw 40\)"):
+            _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr)
 
 
 def assert_same_posterior(a, b):
@@ -900,6 +980,13 @@ class TestMemoryAtScale:
     def test_bayesian_bootstrap(self, samples):
         assert traced_peak(lambda: bb_roc(*samples, 3, seed=SeedSpec(75, 0),
                                           youden=True)) < 400 * self.N
+
+    def test_kernel_auc_with_two_workers(self, force_workers, samples):
+        # every nondiseased value within 1e-3 of 0, so the windows of the
+        # diseased values near 0 span the whole nondiseased sample
+        force_workers(2)
+        nd = np.random.default_rng(84).normal(0.0, 1e-4, self.N)
+        assert traced_peak(lambda: kernel_auc(samples[0], nd, 1e-3, 1e-3)) < 800 * self.N
 
     def test_short_dpm_chain_and_curves(self, samples):
         def run():
