@@ -14,17 +14,21 @@ Conventions used throughout the package:
   components) run through ``ordered_map``, one thread per CPU the process
   may use; every block computes the same bits on any thread and results
   come back in block order, so no output depends on the worker count.
+  Independent calls that hold the interpreter lock (the two groups' Gibbs
+  chains) run through ``forked_map``, one forked process per such CPU,
+  with the same guarantees.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 
 
 @dataclass(frozen=True)
@@ -236,3 +240,104 @@ def ordered_map(fn, items) -> list:
                                         initializer=_mark_worker), size)
         pool = _pool[0]
     return list(pool.map(fn, items))
+
+
+# ---------------------------------------------------------------------------
+# ordered process map
+
+# set in a child of forked_map, so a nested map there runs serially
+_forked = False
+
+
+def forked_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, with the calls spread over forked processes.
+
+    For work that holds the interpreter lock, where threads cannot help.
+    Items go in waves of one per CPU the process may use: the first item
+    of a wave runs in the caller and each other one in an ``os.fork``
+    child, which sends back its result or exception by pickle through a
+    pipe.  The calls run serially when that is one CPU, when there is one
+    item, when the caller is an ``ordered_map`` thread or a
+    ``forked_map`` child, or where ``os.fork`` does not exist.  Results
+    and the first exception come back in item order, exactly as from the
+    serial loop, and no child outlives the call.  A child that ends
+    without a result raises ``NumericError`` naming its exit status.
+    ``fn`` must not warn, since a child's warnings stay in the child, and
+    its result and exceptions must pickle.
+    """
+    items = list(items)
+    serial = (len(items) < 2 or _forked or getattr(_thread, "in_worker", False)
+              or not hasattr(os, "fork"))
+    size = 1 if serial else _worker_count()
+    if size < 2:
+        return [fn(x) for x in items]
+    results = []
+    for start in range(0, len(items), size):
+        results += _fork_wave(fn, items[start:start + size])
+    return results
+
+
+def _fork_wave(fn, wave) -> list:
+    import signal
+
+    children = []  # (pid, pipe) of each child not yet reaped, in item order
+    try:
+        for x in wave[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the caller runs the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _child(fn, x, read, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        forked = len(children)
+        results = [fn(wave[0])]
+        while children:
+            pid, pipe = children[0]
+            # read to the end before waiting: a child whose result does not
+            # fit in the pipe buffer cannot exit until it is read
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                raise NumericError("forked worker ended without a result "
+                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results + [fn(x) for x in wave[1 + forked:]]
+    finally:
+        for pid, pipe in children:  # after a raise: stop and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(fn, x, read, write) -> None:
+    # the body of a forked child: it sends (ok, value or exception) and
+    # leaves through os._exit, never back into the caller's frames
+    global _forked
+    code = 1
+    try:
+        os.close(read)
+        _forked = True
+        try:
+            outcome = (True, fn(x))
+        except Exception as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # an unpicklable result or exception
+            data = pickle.dumps((False, NumericError(
+                f"forked worker result cannot be sent back: {exc!r}")))
+        with open(write, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)

@@ -26,12 +26,18 @@ one batched pass (``indices._youden_search``) that gives the same bits as a
 
 Independent blocks (the kernel AUC's row blocks, the kernel CDF's point
 blocks, the component blocks of ``_mixture_sums``, the draw blocks of the
-inversion and the curve evaluation, and the Youden scan's draw blocks) run
-through ``core.ordered_map`` on one thread per usable CPU.  Each block
-computes what the serial loop would and results combine in block order, so
-outputs do not depend on the thread count.  Block sizes are fixed by the
-inputs (mostly ``_BLOCK`` elements per buffer), so each extra thread adds
-at most one block's buffers to the peak.
+inversion, the curve evaluation and the closed-form mixture AUCs, and the
+Youden scan's draw blocks) run through ``core.ordered_map`` on one thread
+per usable CPU.  Each block computes what the serial loop would and results
+combine in block order, so outputs do not depend on the thread count.
+Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
+buffer), so each extra thread adds at most one block's buffers to the peak.
+
+The Gibbs sampler itself is serial, one chain per call: its sweeps are many
+small numpy calls that hold the interpreter lock.  Its allocation step
+works on (L, n) arrays so each reduction runs along the n observations,
+with sums that round exactly as the (n, L) form did.  Callers that fit two
+groups (the CLI) run the two chains in two processes (``core.forked_map``).
 """
 
 from __future__ import annotations
@@ -747,10 +753,13 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     a conjugate ``N(centre_mean, centre_var)`` prior on each coefficient
     vector and a ``Gamma(shape, rate)`` prior on each precision.  Each
     sweep resamples the sticks from component counts, then all L
-    components at once, then the allocations; the state saved after the
-    component step gives ``cfg.n_save`` draws following ``cfg.burn_in``
-    warm-up sweeps.  An empty component has ``X'X = 0``, so its update
-    draws from the prior without a branch of its own.
+    components at once, then the allocations (``_allocate``, over (L, n)
+    arrays); the state saved after the component step gives
+    ``cfg.n_save`` draws following ``cfg.burn_in`` warm-up sweeps.  An
+    empty component has ``X'X = 0``, so its update draws from the prior
+    without a branch of its own.  The chain is a function of the data,
+    ``cfg`` and nothing else: the same bits in any process and whether or
+    not another chain runs beside it.
 
     Returns weights (S, L), coefficients (S, L, d) and variances (S, L).
     """
@@ -790,6 +799,7 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     stats = np.hstack([(design[:, :, None] * design[:, None, :]).reshape(n, d * d),
                        design * y[:, None]]).ravel()
     offsets = np.arange(k)
+    design_t = np.ascontiguousarray(design.T)
 
     # deterministic start: quantile-bin allocations, data-scale precisions
     ranks = np.argsort(np.argsort(y, kind="stable"), kind="stable")
@@ -823,21 +833,71 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
         rss = np.bincount(z, weights=r * r, minlength=L)
         tau = rng.gamma(a + 0.5 * counts, 1.0 / (b + 0.5 * rss))
 
-        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
+        if not (np.isfinite(coef).all() and np.isfinite(tau).all() and (tau > 0.0).all()):
             raise NumericError(f"non-finite mixture state at Gibbs iteration {it}")
         if it >= cfg.burn_in:
             s = it - cfg.burn_in
             weights[s], coefs[s], variances[s] = w, coef, 1.0 / tau
-
-        means = design @ coef.T
-        with np.errstate(divide="ignore"):
-            logp = np.log(w) + 0.5 * np.log(tau) - 0.5 * tau * (y[:, None] - means) ** 2
-        logp -= logp.max(axis=1, keepdims=True)
-        prob = np.exp(logp)
-        prob /= prob.sum(axis=1, keepdims=True)
-        z = (prob.cumsum(axis=1) < rng.uniform(size=(n, 1))).sum(axis=1)
-        z = np.minimum(z, L - 1).astype(np.intp)
+        z = _allocate(y, design_t, coef, w, tau, rng)
     return weights, coefs, variances
+
+
+def _allocate(y, design_t, coef, w, tau, rng):
+    """The allocation step: draw each observation's component from its
+    posterior probabilities, proportional to ``w_l N(y_i; x_i' beta_l, 1/tau_l)``.
+
+    The work is laid out (L, n) so every reduction runs along n, and it
+    rounds exactly as the (n, L) form ``p = exp(logp - max)``,
+    ``p /= p.sum(axis=1)``, ``(p.cumsum(axis=1) < u).sum(axis=1)`` does:
+    the column sums follow numpy's pairwise order (``_pairwise_rows``) and
+    the cumulative sum is the same sequence of row additions.
+    """
+    L = w.size
+    with np.errstate(divide="ignore"):
+        level = np.log(w) + 0.5 * np.log(tau)
+    # logp = level - 0.5 tau (y - x'beta)^2, one operation at a time in one
+    # buffer; np.dot, since matmul takes a slow path when d = 1
+    logp = np.dot(coef, design_t)
+    np.subtract(y, logp, out=logp)
+    np.square(logp, out=logp)
+    logp *= (0.5 * tau)[:, None]
+    np.subtract(level[:, None], logp, out=logp)
+    logp -= logp.max(axis=0)
+    prob = np.exp(logp, out=logp)
+    prob /= _pairwise_rows(prob, 0, L)
+    for l in range(1, L):
+        prob[l] += prob[l - 1]
+    z = (prob < rng.uniform(size=y.size)).sum(axis=0)
+    return np.minimum(z, L - 1).astype(np.intp)
+
+
+def _pairwise_rows(a, lo, hi):
+    """Sum of rows ``lo .. hi - 1`` of ``a``, added in the order numpy's
+    pairwise summation adds a contiguous run of ``hi - lo`` values:
+    one by one below 8, in eight interleaved partial sums up to 128, and
+    as two halves (the first a multiple of 8 long) above that.
+
+    A plain recursive function: a closure that calls itself is a
+    reference cycle that would keep every row buffer alive until the
+    cycle collector runs.
+    """
+    n = hi - lo
+    if n < 8:
+        total = a[lo].copy()
+        for i in range(lo + 1, hi):
+            total += a[i]
+        return total
+    if n <= 128:
+        end = hi - n % 8
+        acc = a[lo:lo + 8].copy()
+        for i in range(lo + 8, end, 8):
+            acc += a[i:i + 8]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(end, hi):
+            total += a[i]
+        return total
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_rows(a, lo, lo + half) + _pairwise_rows(a, lo + half, hi)
 
 
 def dpm_fit(sample, cfg: DpmConfig) -> MixtureEnsemble:
@@ -865,10 +925,18 @@ def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr):
 
     ``sum_k sum_l w_NDk w_Dl Phi(a_kl / sqrt(1 + b_kl^2))`` with
     ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``.
+    Draws go in blocks, spread over ``ordered_map``, whose (draws, L, L)
+    buffers stay within ``_BLOCK`` elements; each draw's sum is the same.
     """
-    a = (mu_d[:, None, :] - mu_nd[:, :, None]) / sg_d[:, None, :]
-    b = sg_nd[:, :, None] / sg_d[:, None, :]
-    return np.einsum("sk,sl,skl->s", w_nd, w_d, ndtr(a / np.sqrt(1.0 + b * b)))
+    step = max(1, _BLOCK // (w_d.shape[1] * w_nd.shape[1]))
+
+    def block(start):
+        rows = slice(start, start + step)
+        a = (mu_d[rows, None, :] - mu_nd[rows, :, None]) / sg_d[rows, None, :]
+        b = sg_nd[rows, :, None] / sg_d[rows, None, :]
+        return np.einsum("sk,sl,skl->s", w_nd[rows], w_d[rows], ndtr(a / np.sqrt(1.0 + b * b)))
+
+    return np.concatenate(ordered_map(block, range(0, w_d.shape[0], step)))
 
 
 def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:

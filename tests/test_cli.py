@@ -1,10 +1,14 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import roclab
 from roclab import InvalidInputError, NegativeYoudenWarning, NumericError
@@ -63,6 +67,109 @@ class TestReadCohort:
         p = write_csv(tmp_path / "c.csv", "marker,status\n-1.0,0\n2.0,1\n")
         with pytest.raises(InvalidInputError, match="log-transform"):
             read_cohort(p, ["marker", "status"], log_cols=("marker",))
+
+
+def read_cohort_dictreader(path, columns, *, binary_cols=(), log_cols=()):
+    """``read_cohort`` as first written, over ``csv.DictReader`` records."""
+    repeated = sorted({c for c in columns if columns.count(c) > 1})
+    if repeated:
+        raise InvalidInputError(
+            f"column(s) {', '.join(repr(c) for c in repeated)} requested in more "
+            "than one role")
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read input file: {exc}") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames
+        if header is None:
+            raise InvalidInputError(f"{path}: empty file, expected a CSV header")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise InvalidInputError(
+                f"{path}: missing required column(s) {', '.join(sorted(missing))}; "
+                f"found {', '.join(header)}")
+        values = {c: [] for c in columns}
+        n_rows = 0
+        excluded = []
+        for record in reader:
+            n_rows += 1
+            row = reader.line_num
+            cells = {c: (record[c] or "").strip() for c in columns}
+            if any(cell == "" for cell in cells.values()):
+                excluded.append(row)
+                continue
+            parsed = {}
+            for c in columns:
+                try:
+                    parsed[c] = float(cells[c])
+                except ValueError:
+                    raise InvalidInputError(f"non-numeric value {cells[c]!r} in column "
+                                            f"'{c}' at row {row}") from None
+            for c in binary_cols:
+                if parsed[c] not in (0.0, 1.0):
+                    raise InvalidInputError(
+                        f"column '{c}' must be 0 or 1, got {cells[c]!r} at row {row}")
+            for c in log_cols:
+                if parsed[c] <= 0.0:
+                    raise InvalidInputError(
+                        f"cannot log-transform nonpositive value {cells[c]!r} "
+                        f"in column '{c}' at row {row}")
+                parsed[c] = math.log(parsed[c])
+            for c in columns:
+                values[c].append(parsed[c])
+    if n_rows == 0:
+        raise InvalidInputError(f"{path}: no data rows")
+    data = {c: np.asarray(v, dtype=float) for c, v in values.items()}
+    report = {"path": path, "n_rows": n_rows, "n_used": n_rows - len(excluded),
+              "n_excluded": len(excluded), "excluded_rows": excluded}
+    if report["n_used"] == 0:
+        raise InvalidInputError(f"{path}: every row was excluded for missing values")
+    return data, report
+
+
+NAMES = ["marker", "status", "x"]
+CELLS = ["", " ", "0", "1", " 1 ", "2.5", "-1", "1e3", "nan", "inf", "abc", '"4\n"',
+         '"0,5"']
+csv_line = st.one_of(st.just(""), st.lists(st.sampled_from(CELLS), max_size=5).map(",".join))
+
+
+class TestReadCohortAgainstDictReader:
+    """``csv.reader`` with column indices reads as ``csv.DictReader`` did."""
+
+    @given(st.lists(st.sampled_from(NAMES + ["m"]), max_size=5),
+           st.lists(csv_line, max_size=12), st.booleans(),
+           st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True),
+           st.sets(st.sampled_from(NAMES)), st.sets(st.sampled_from(NAMES)))
+    def test_same_data_report_and_errors(self, tmp_path_factory, header, lines, no_header,
+                                         columns, binary, logs):
+        path = str(tmp_path_factory.getbasetemp() / "cohort.csv")
+        text = "" if no_header else ",".join(header) + "\n"
+        with open(path, "w", newline="") as fh:
+            fh.write(text + "".join(line + "\n" for line in lines))
+        kwargs = dict(binary_cols=[c for c in columns if c in binary],
+                      log_cols=[c for c in columns if c in logs])
+        try:
+            want = read_cohort_dictreader(path, columns, **kwargs)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError) as err:
+                read_cohort(path, columns, **kwargs)
+            assert str(err.value) == str(exc)
+            return
+        data, report = read_cohort(path, columns, **kwargs)
+        assert report == want[1]
+        assert list(data) == list(want[0])
+        for c in columns:
+            assert np.array_equal(data[c], want[0][c], equal_nan=True)
+
+    def test_blank_lines_and_duplicate_names(self, tmp_path):
+        # blank lines are neither records nor rows' numbers; a repeated
+        # name means its last column
+        p = write_csv(tmp_path / "c.csv", "marker,status,marker\n1,0,5\n\n\n2,1,\n3,1,7\n")
+        data, report = read_cohort(p, ["marker", "status"])
+        assert data["marker"].tolist() == [5.0, 7.0]
+        assert report["excluded_rows"] == [5] and report["n_rows"] == 3
 
 
 class TestBinarySubcommand:
@@ -262,6 +369,60 @@ class TestErrorPaths:
         rc = run(["pooled", "--outdir", tmp_path])  # no input anywhere
         assert rc == 2
         assert "missing required option 'input'" in capsys.readouterr().err
+
+
+class TestMixtureChainsSideBySide:
+    """The two groups' chains give the same artifacts forked as serial."""
+
+    def _cohort(self, tmp_path):
+        rng = np.random.default_rng(86)
+        x = rng.uniform(0, 1, 120)
+        status = np.array([0, 1] * 60)
+        y = 0.8 * status + x + rng.normal(0, 1, 120)
+        rows = "\n".join(f"{a},{int(s)},{b}" for a, s, b in zip(y, status, x))
+        return write_csv(tmp_path / "c.csv", "marker,status,x\n" + rows + "\n")
+
+    @pytest.mark.parametrize("argv", [["pooled", "--estimator", "dpm"],
+                                      ["covariate", "--estimator", "ddp",
+                                       "--covariates", "x", "--at", "0.4"]])
+    def test_artifacts_equal_at_one_and_two_workers(self, tmp_path, force_workers, argv):
+        p = self._cohort(tmp_path)
+        blobs = []
+        for workers in (1, 2):
+            force_workers(workers)
+            out = tmp_path / f"out{workers}"
+            assert run([*argv, "--input", p, "--burn-in", "100", "--n-save", "100",
+                        "--full-precision", "--outdir", out]) == 0
+            blobs.append({f: (out / f).read_text() for f in
+                          ("summary.txt", "curve.csv", "curve_full.csv", "metadata.json")})
+        blobs[1]["metadata.json"] = blobs[1]["metadata.json"].replace("out2", "out1")
+        assert blobs[0] == blobs[1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_degenerate_group_in_the_child_exits_2(self, tmp_path, force_workers, capsys):
+        # the nondiseased chain runs in the child; its error comes back
+        force_workers(2)
+        p = write_csv(tmp_path / "c.csv", "marker,status\n" + "".join(
+            f"{v},1\n0.5,0\n" for v in np.linspace(0, 1, 30)))
+        out = tmp_path / "out"
+        assert run(["pooled", "--estimator", "dpm", "--input", p, "--burn-in", "100",
+                    "--n-save", "100", "--outdir", out]) == 2
+        assert "zero residual variance" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] == "DegenerateSampleError"
+
+    @pytest.mark.parametrize("sweeps, forks", [(("20", "20"), 0), (("50", "149"), 0),
+                                               (("50", "150"), 1)])
+    def test_short_chains_run_one_after_the_other(self, tmp_path, force_workers,
+                                                  monkeypatch, sweeps, forks):
+        force_workers(2)
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        p = self._cohort(tmp_path)
+        assert run(["pooled", "--estimator", "dpm", "--input", p, "--burn-in", sweeps[0],
+                    "--n-save", sweeps[1], "--outdir", tmp_path / "out"]) == 0
+        assert len(calls) == forks
 
 
 class TestCovariateAndArocSubcommands:
@@ -529,8 +690,9 @@ class TestImportCost:
             assert "scipy.special" not in loaded, argv[0]
 
     def test_import_leaves_the_thread_pool_unloaded(self):
-        # ordered_map imports concurrent.futures on its first parallel call
-        assert loaded_by("import roclab.cli", modules=["concurrent.futures"]) == []
+        # ordered_map imports concurrent.futures on its first parallel call,
+        # forked_map signal on its first fork
+        assert loaded_by("import roclab.cli", modules=["concurrent.futures", "signal"]) == []
 
     def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):
         # numpy does not load the exact-rational module, so roclab must not

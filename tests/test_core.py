@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import roclab
-from roclab import (InvalidInputError, SeedSpec, as_prob_grid, default_prob_grid,
+from roclab import (DegenerateSampleError, InvalidInputError, NumericError, SeedSpec,
+                    as_prob_grid, default_prob_grid,
                     dirichlet_uniform, ecdf, kernel_cdf, quantile, std_normal_cdf,
                     std_normal_quantile, validate_sample)
-from roclab.core import _worker_count, ordered_map
+from roclab.core import _worker_count, forked_map, ordered_map
 
 
 class TestSeedSpec:
@@ -195,6 +197,17 @@ def run_with_timeout(fn, seconds=60.0):
     return box["result"]
 
 
+def run_script(code, seconds=60):
+    """Run ``code`` in a fresh interpreter that imports this roclab; fail
+    if it does not exit 0 within ``seconds``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(roclab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=seconds)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestOrderedMap:
     def test_worker_count_follows_the_cpu_affinity(self):
         if hasattr(os, "sched_getaffinity"):
@@ -282,9 +295,129 @@ for _ in range(600):
 os.kill(pid, 9)
 sys.exit("child did not finish within 60 s")
 """
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(roclab.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_script(code, seconds=120)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedMap:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_results_in_item_order(self, force_workers, workers):
+        force_workers(workers)
+
+        def square(x):
+            time.sleep(0.002 * (x % 3))  # later items often finish first
+            return x * x, os.getpid()
+
+        got = run_with_timeout(lambda: forked_map(square, range(12)))
+        assert [v for v, _ in got] == [x * x for x in range(12)]
+        pids = [pid for _, pid in got]
+        # the first item of each wave runs in the caller, the rest in children
+        callers = [pid == os.getpid() for pid in pids]
+        assert callers == [x % workers == 0 for x in range(12)]
+        children = [pid for pid, caller in zip(pids, callers) if not caller]
+        assert len(set(children)) == len(children)
+        assert forked_map(square, []) == []
+        assert forked_map(square, iter([4])) == [(16, os.getpid())]
+
+    def test_result_larger_than_the_pipe_buffer(self, force_workers):
+        force_workers(2)
+        got = run_with_timeout(lambda: forked_map(lambda n: np.arange(n, dtype=float),
+                                                  [3, 1 << 20]))
+        assert np.array_equal(got[1], np.arange(1 << 20, dtype=float))
+
+    def test_child_exception_keeps_its_type_and_message(self, force_workers):
+        force_workers(2)
+
+        def fit(x):
+            if x == 1:
+                raise DegenerateSampleError("zero residual variance: mixture fit undefined")
+            return x
+
+        with pytest.raises(DegenerateSampleError, match="^zero residual variance"):
+            run_with_timeout(lambda: forked_map(fit, range(2)))
+
+    def test_first_exception_in_item_order_wins(self, force_workers):
+        force_workers(3)
+
+        def fail(x):
+            if x == 0:
+                time.sleep(0.2)  # the children fail first in time
+            raise ValueError(x)
+
+        with pytest.raises(ValueError) as err:
+            run_with_timeout(lambda: forked_map(fail, range(3)))
+        assert err.value.args == (0,)
+
+        def fail_later(x):
+            if x == 2:
+                raise ValueError(x)
+            if x == 1:
+                time.sleep(0.2)
+                raise KeyError(x)
+            return x
+
+        with pytest.raises(KeyError):
+            run_with_timeout(lambda: forked_map(fail_later, range(3)))
+
+    def test_killed_child_raises_instead_of_hanging(self, force_workers):
+        force_workers(2)
+        parent = os.getpid()
+
+        def die(x):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with pytest.raises(NumericError, match=r"exit status -9"):
+            run_with_timeout(lambda: forked_map(die, range(2)))
+
+    def test_one_cpu_runs_serially(self, force_workers):
+        force_workers(1)
+        assert forked_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+
+    def test_inside_an_ordered_map_worker_runs_serially(self, force_workers):
+        force_workers(2)
+
+        def outer(x):
+            return forked_map(lambda y: (os.getpid(), threading.get_ident()), range(3))
+
+        for inner in run_with_timeout(lambda: ordered_map(outer, range(4))):
+            assert [pid for pid, _ in inner] == [os.getpid()] * 3
+            assert len({tid for _, tid in inner}) == 1
+
+    def test_nested_map_in_a_child_runs_serially(self, force_workers):
+        force_workers(2)
+        got = run_with_timeout(lambda: forked_map(
+            lambda x: forked_map(lambda y: os.getpid(), range(3)), range(2)))
+        assert got[0] == [os.getpid(), got[0][1], os.getpid()]
+        assert got[1] == [got[1][0]] * 3 and got[1][0] != os.getpid()
+
+    def test_fork_after_the_thread_pool_and_blas_have_run(self):
+        # the pool threads and BLAS threads of the parent do not exist in
+        # the child; the chains must still come back, equal to serial ones
+        run_script("""
+import numpy as np
+import roclab.core
+from roclab import DpmConfig, SeedSpec, dpm_fit, kernel_auc
+from roclab.core import forked_map
+roclab.core._worker_count = lambda: 2
+rng = np.random.default_rng(4)
+d, nd = rng.normal(1, 1, 2000), rng.normal(0, 1, 2000)
+kernel_auc(d, nd, 0.2, 0.2)
+assert roclab.core._pool is not None
+a = rng.normal(size=(400, 400))
+np.linalg.inv(a @ a.T + 400 * np.eye(400))
+jobs = [(d[:300], DpmConfig(seed=SeedSpec(5, 1), burn_in=20, n_save=20)),
+        (nd[:300], DpmConfig(seed=SeedSpec(5, 2), burn_in=20, n_save=20))]
+forked = forked_map(lambda job: dpm_fit(*job), jobs)
+serial = [dpm_fit(*job) for job in jobs]
+for f, s in zip(forked, serial):
+    for name in ("weights", "locations", "variances"):
+        assert np.array_equal(getattr(f, name), getattr(s, name))
+""")

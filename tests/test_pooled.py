@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import rankdata
@@ -17,11 +17,12 @@ from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
                     gen_binormal, kernel_auc, kernel_cdf, kernel_roc, lscv_bandwidth,
                     mixture_cdf_callable, silverman_bandwidth, std_normal_cdf,
                     youden_from_cdfs)
+from roclab import pooled_roc
 from roclab.core import default_prob_grid
 from roclab.indices import _youden_search
-from roclab.pooled_roc import (_ensemble_from_mixture_arrays,
-                               _invert_mixture_cdf, _midranks, _mixture_cdf,
-                               _roc_from_mixtures)
+from roclab.pooled_roc import (_allocate, _blocked_gibbs, _ensemble_from_mixture_arrays,
+                               _invert_mixture_cdf, _midranks, _mixture_aucs, _mixture_cdf,
+                               _pairwise_rows, _roc_from_mixtures)
 
 
 def brute_auc(d, nd):
@@ -995,3 +996,166 @@ class TestMemoryAtScale:
             dpm_roc(*fits, youden=True)
 
         assert traced_peak(run) < 800 * self.N
+
+
+def allocation_cdf_n_by_l(y, design, coef, w, tau):
+    # the allocation step's cumulative probabilities as the sampler first
+    # computed them, over (n, L) arrays
+    means = design @ coef.T
+    with np.errstate(divide="ignore"):
+        logp = np.log(w) + 0.5 * np.log(tau) - 0.5 * tau * (y[:, None] - means) ** 2
+    logp -= logp.max(axis=1, keepdims=True)
+    prob = np.exp(logp)
+    prob /= prob.sum(axis=1, keepdims=True)
+    return prob.cumsum(axis=1)
+
+
+def allocate_n_by_l(y, design_t, coef, w, tau, rng):
+    cum = allocation_cdf_n_by_l(y, np.ascontiguousarray(design_t.T), coef, w, tau)
+    z = (cum < rng.uniform(size=(y.size, 1))).sum(axis=1)
+    return np.minimum(z, w.size - 1).astype(np.intp)
+
+
+class FixedUniforms:
+    """A stand-in generator whose ``uniform`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        return self.u.reshape(size)
+
+
+def regression_data(n, d, seed):
+    rng = np.random.default_rng(seed)
+    design = np.column_stack([np.ones(n), rng.normal(size=(n, d - 1))])
+    y = (design @ rng.normal(size=d) + np.where(rng.random(n) < 0.3, 2.5, 0.0)
+         + rng.normal(size=n))
+    return y, design
+
+
+# L on both sides of numpy's pairwise-summation boundaries (8 and 128 terms)
+PAIRWISE_LS = [2, 7, 8, 9, 16, 17, 50, 130]
+
+
+class TestAllocationStep:
+    """The (L, n) allocation step rounds exactly as the (n, L) one did."""
+
+    def test_pairwise_rows_add_as_numpy_sums_rows(self):
+        rng = np.random.default_rng(92)
+        for L in range(1, 301):
+            x = np.exp(4.0 * rng.normal(size=(40, L)))
+            assert np.array_equal(_pairwise_rows(np.ascontiguousarray(x.T), 0, L),
+                                  x.sum(axis=1)), L
+
+    @pytest.mark.parametrize("L", PAIRWISE_LS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_draws_split_where_the_n_by_l_probabilities_do(self, L, d):
+        # uniforms placed exactly on, and one ulp either side of, the old
+        # cumulative probabilities: any rounding difference moves a count
+        y, design = regression_data(400, d, 93 + L)
+        rng = np.random.default_rng(L)
+        coef = y.mean() + rng.normal(size=(L, d))
+        w, tau = rng.dirichlet(np.ones(L)), rng.gamma(2.0, 1.0, L)
+        cum = allocation_cdf_n_by_l(y, design, coef, w, tau)
+        on = cum[np.arange(y.size), rng.integers(0, L, y.size)]
+        design_t = np.ascontiguousarray(design.T)
+        for u in (on, np.nextafter(on, 2.0), np.nextafter(on, 0.0)):
+            want = np.minimum((cum < u[:, None]).sum(axis=1), L - 1)
+            got = _allocate(y, design_t, coef, w, tau, FixedUniforms(u))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("L", PAIRWISE_LS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chain_equals_the_n_by_l_chain(self, monkeypatch, L, d):
+        y, design = regression_data(240, d, 94 + L)
+        cfg = DpmConfig(seed=SeedSpec(95, L), truncation=L, burn_in=15, n_save=15)
+        chain = _blocked_gibbs(y, design, cfg)
+        monkeypatch.setattr(pooled_roc, "_allocate", allocate_n_by_l)
+        for got, want in zip(chain, _blocked_gibbs(y, design, cfg)):
+            assert np.array_equal(got, want)
+
+    def test_sweeps_free_their_buffers(self):
+        # 200 sweeps at n = 1,000 hold well under one sweep's (L, n)
+        # buffers each; buffers kept alive until the cycle collector runs
+        # would pile up to about 10 MB
+        y = np.random.default_rng(96).normal(size=1000)
+        cfg = DpmConfig(seed=SeedSpec(97, 0), burn_in=100, n_save=100)
+        assert traced_peak(lambda: dpm_fit(y, cfg)) < 2_000_000
+
+
+def mixture_aucs_unblocked(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
+    a = (mu_d[:, None, :] - mu_nd[:, :, None]) / sg_d[:, None, :]
+    b = sg_nd[:, :, None] / sg_d[:, None, :]
+    return np.einsum("sk,sl,skl->s", w_nd, w_d, ndtr(a / np.sqrt(1.0 + b * b)))
+
+
+class TestBlockedMixtureAucs:
+    @staticmethod
+    def mixtures(S, L, seed):
+        rng = np.random.default_rng(seed)
+        return [a for k in range(2) for a in (rng.dirichlet(np.ones(L), S),
+                                              rng.normal(k, 1.0, (S, L)),
+                                              rng.uniform(0.2, 2.0, (S, L)))]
+
+    @pytest.mark.parametrize("S, L", [(1, 2), (7, 10), (1000, 10), (333, 50), (5, 130)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equal_to_the_unblocked_sum(self, force_workers, S, L, workers):
+        force_workers(workers)
+        arrays = self.mixtures(S, L, 98 + L)
+        assert np.array_equal(_mixture_aucs(*arrays, ndtr), mixture_aucs_unblocked(*arrays))
+
+    def test_memory_stays_within_blocks(self, force_workers):
+        # one (S, L, L) array at S = 1,000, L = 50 is 20 MB
+        force_workers(2)
+        arrays = self.mixtures(1000, 50, 99)
+        assert traced_peak(lambda: _mixture_aucs(*arrays, ndtr)) < 8_000_000
+
+
+# small samples on a coarse lattice, so ties are common
+lattice_sample = st.lists(st.integers(-40, 40).map(lambda v: v / 8.0), min_size=4, max_size=25)
+
+
+def assert_monotone_curves(curves):
+    assert np.all(np.diff(curves, axis=-1) >= 0.0)
+    assert np.all((curves >= 0.0) & (curves <= 1.0))
+
+
+def assert_bands_bracket(estimate):
+    assert_monotone_curves(np.stack([estimate.band_lo, estimate.roc, estimate.band_hi]))
+    assert np.all(estimate.band_lo <= estimate.roc) and np.all(estimate.roc <= estimate.band_hi)
+
+
+GRID = np.linspace(0.0, 1.0, 41)
+
+
+class TestCurveProperties:
+    """Every estimator's curves are nondecreasing in p, and bands bracket them."""
+
+    @given(lattice_sample, lattice_sample)
+    def test_empirical(self, d, nd):
+        assert_monotone_curves(empirical_roc(d, nd, GRID).roc)
+
+    @given(lattice_sample, lattice_sample)
+    def test_kernel(self, d, nd):
+        assume(np.ptp(d) > 0.0 and np.ptp(nd) > 0.0)
+        try:
+            curve = kernel_roc(d, nd, grid=GRID)
+        except DegenerateSampleError:  # no interquartile spread for a bandwidth
+            assume(False)
+        assert_monotone_curves(curve.roc)
+
+    @given(lattice_sample, lattice_sample, st.integers(0, 2**32))
+    def test_bayesian_bootstrap(self, d, nd, seed):
+        ens = bb_roc(d, nd, 12, GRID, seed=SeedSpec(seed, 0))
+        assert_monotone_curves(ens.curves)
+        assert_bands_bracket(ens.summarize(0.9))
+
+    @given(lattice_sample, lattice_sample, st.integers(0, 2**32))
+    def test_short_dpm_chain(self, d, nd, seed):
+        assume(np.ptp(d) > 0.0 and np.ptp(nd) > 0.0)
+        fits = [dpm_fit(y, DpmConfig(seed=SeedSpec(seed, k), truncation=4, burn_in=4,
+                                     n_save=6)) for k, y in enumerate((d, nd))]
+        ens = dpm_roc(*fits, GRID)
+        assert_monotone_curves(ens.curves)
+        assert_bands_bracket(ens.summarize(0.9))

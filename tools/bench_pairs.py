@@ -1,0 +1,160 @@
+"""Run the benchmark on a parent commit and on a change, in alternating pairs.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --pairs 10 --seed 401 --out BENCH_10.json
+
+The parent (``--parent``, default ``HEAD``) is exported with ``git
+archive`` into ``--work`` (default: a new temporary directory); the change
+is ``--change`` exported the same way, or, by default, a copy of the
+working tree's tracked and untracked, not ignored, files.  Both copies sit
+side by side on one filesystem, so neither pays for where it lives.  Pair
+``i`` runs ``bench/run.py --seed <seed + i>`` for each workload on both
+copies, the parent first when ``i`` is even and the change first when it
+is odd.  The output file holds every run's end-to-end metrics, each
+side's median and quartiles, the parent's quartile distance, how many
+pairs each side won, the median seconds of each analysis per side and
+the line count of ``src/roclab/*.py`` on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import glob
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(rev: str | None, dest: str) -> None:
+    """Copy commit ``rev``, or the working tree when it is None, to ``dest``."""
+    os.makedirs(dest)
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+        return
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=ROOT, check=True,
+                            capture_output=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; its result metrics and each analysis's median seconds."""
+    out = os.path.join(tree, ".bench_out")
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--out", out],
+                          cwd=tree, check=True, capture_output=True, text=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    with open(os.path.join(out, f"{workload}-seed{seed}-trace0.json")) as fh:
+        passes = json.load(fh)["pass_seconds"]
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "analysis_s": {name: statistics.median(p[name] for p in passes)
+                           for name in passes[0]}}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [round(values[0], 4)] * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+
+
+def summarize(parent: list[dict], change: list[dict], better: dict) -> dict:
+    summary = {}
+    for name, direction in better.items():
+        a = [r["metrics"][name] for r in parent]
+        b = [r["metrics"][name] for r in change]
+        sign = 1.0 if direction == "lower" else -1.0
+        qa, qb = quartiles(a), quartiles(b)
+        summary[name] = {
+            "parent": [round(v, 4) for v in a], "change": [round(v, 4) for v in b],
+            "parent_q25_median_q75": qa, "change_q25_median_q75": qb,
+            "parent_iqr": round(qa[2] - qa[0], 4),
+            "change_wins": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+            "parent_wins": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+            "median_change_pct": round(100.0 * (qb[1] - qa[1]) / qa[1], 1) if qa[1] else 0.0,
+            "pairs": len(a),
+        }
+    names = parent[0]["analysis_s"]
+    summary["analysis_median_s"] = {
+        side: {n: round(statistics.median(r["analysis_s"][n] for r in runs), 4)
+               for n in names}
+        for side, runs in (("parent", parent), ("change", change))}
+    return summary
+
+
+def src_lines(tree: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "roclab", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
+    p.add_argument("--change", default=None,
+                   help="change commit (default: the working tree)")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    p.add_argument("--workloads", default="cli_batch,compute_mix")
+    p.add_argument("--work", default=None, help="directory for the two copies")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    args = p.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    work = args.work or tempfile.mkdtemp(prefix="bench-pairs-")
+    trees = {"parent": os.path.join(work, "parent"), "change": os.path.join(work, "change")}
+    for tree in trees.values():
+        shutil.rmtree(tree, ignore_errors=True)
+    export(args.parent, trees["parent"])
+    export(args.change, trees["change"])
+
+    commits = {side: subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
+                                    capture_output=True, text=True).stdout.strip()
+               if rev else "working tree"
+               for side, rev in (("parent", args.parent), ("change", args.change))}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    runs = {w: {"parent": [], "change": []} for w in args.workloads.split(",")}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload, sides in runs.items():
+            for side in order:
+                sides[side].append(run_once(trees[side], workload, seed,
+                                            bench["run_seconds"]))
+                wall = sides[side][-1]["metrics"]["wall_s"]
+                print(f"pair {i} seed {seed} {workload} {side}: wall_s {wall:.3f}",
+                      file=sys.stderr)
+
+    report = {
+        "description": f"bench/run.py --seconds {bench['run_seconds']}, parent "
+                       f"{commits['parent']} vs change {commits['change']}, "
+                       "pairs alternating which side ran first",
+        "seeds": seeds,
+        "end_to_end": {w: summarize(s["parent"], s["change"], better)
+                       for w, s in runs.items()},
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+    }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
