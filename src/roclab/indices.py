@@ -74,26 +74,94 @@ def _golden_max(f, lo, hi, iters: int = 100):
     return np.where(keep, x1, x2), np.where(keep, f1, f2)
 
 
+# the coarse stage of the Youden scan evaluates every _STRIDE-th scan point
+_STRIDE = 16
+# how far a computed CDF may step backwards between scan points.  A true
+# CDF never does; a computed one can only through rounding: ndtr is good to
+# a few ulps, and a sum of n terms in [0, 1] rounds by at most n eps (2.2e-11
+# at n = 10^5).  1e-9 leaves a wide margin above that and stays far below
+# any gap that matters.
+_SLACK = 1e-9
+
+
+def _coarse_indices(m: int) -> np.ndarray:
+    """Indices of the coarse scan among ``m`` points: every ``_STRIDE``-th and the last."""
+    idx = np.arange(0, m, _STRIDE)
+    return idx if idx[-1] == m - 1 else np.append(idx, m - 1)
+
+
 def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
-                   block: int):
+                   budget: int):
     """Youden search for ``n_pairs`` CDF pairs at once.
 
-    ``cdfs(x, rows)`` returns ``(F_dbar(x), F_d(x))`` for the pairs in the
-    slice ``rows``: at the shared scan points (``x = pts``, shape ``(m,)``)
-    as ``(r, m)`` arrays, and at one abscissa per pair (``x`` of shape
-    ``(r, 1)``) as ``(r, 1)`` arrays.  The scan runs over blocks of
-    ``block`` pairs, spread over ``ordered_map``; each pair's result does
-    not depend on the block size.  The golden section then refines every
-    pair's bracket in one array recurrence.  Returns ``yi``, ``c_star`` and
-    ``p_star`` arrays of length ``n_pairs``.
+    ``cdfs(x, rows)`` returns ``(F_dbar(x), F_d(x))`` for the pairs
+    ``rows`` (a slice, or an index array that may repeat pairs): at shared
+    points (``x`` of shape ``(m,)``) as ``(r, m)`` arrays, and at one
+    abscissa per listed pair (``x`` of shape ``(r, 1)``) as ``(r, 1)``
+    arrays.  Both CDFs must be nondecreasing.
+
+    The scan finds each pair's first largest gap over the scan points
+    ``pts`` without evaluating all of them.  A coarse stage takes every
+    ``_STRIDE``-th point and the last; between coarse points ``x_i < x_j``
+    no gap exceeds ``F_dbar(x_j) - F_d(x_i)``, so the fine stage evaluates
+    only the points inside intervals where that bound, plus ``_SLACK`` for
+    rounding, reaches the best coarse gap.  Every point left out has a
+    smaller gap than the best one, so the point chosen, its gap and the
+    golden-section bracket are those of the full scan, bit for bit.  A
+    CDF that falls by more than ``_SLACK`` between coarse points raises
+    ``InvalidInputError``.
+
+    One ``cdfs`` call may take ``budget`` (pair, point) evaluations (for
+    mixtures of L components, a buffer's element count over L).  The scan
+    runs over blocks of as many pairs as the coarse stage fits in that,
+    spread over ``ordered_map``, and a fine-stage call takes as many
+    (pair, point) evaluations as a coarse one; each pair's result does not
+    depend on the block size.  The golden section then refines every
+    pair's bracket in one array recurrence.  Returns ``yi``, ``c_star``
+    and ``p_star`` arrays of length ``n_pairs``.
+
+    The result is that of the full scan for CDFs whose value at a point
+    does not depend on how many points one call takes.  A non-finite value
+    at a skipped point goes unseen, and so does a fall inside an interval.
     """
+    coarse = _coarse_indices(pts.size)
+    inside = np.diff(coarse) - 1  # scan points strictly inside each interval
+    block = min(n_pairs, max(1, budget // coarse.size))
+    chunk = block * coarse.size
+
     def scan(start):
-        f_dbar, f_d = cdfs(pts, slice(start, start + block))
+        rows = slice(start, start + block)
+        f_dbar, f_d = cdfs(pts[coarse], rows)
         gaps = f_dbar - f_d
         if not np.all(np.isfinite(gaps)):
             raise NumericError("non-finite CDF evaluation during Youden search")
-        best = np.argmax(gaps, axis=1)  # first max = smallest c
-        return best, np.take_along_axis(gaps, best[:, None], axis=1)[:, 0]
+        if np.any(np.diff(f_dbar, axis=1) < -_SLACK) or np.any(np.diff(f_d, axis=1) < -_SLACK):
+            raise InvalidInputError("a CDF decreases between Youden scan points")
+        k = np.argmax(gaps, axis=1)  # first max = smallest c
+        yi = gaps[np.arange(k.size), k]
+        best = coarse[k]
+        live = (f_dbar[:, 1:] - f_d[:, :-1] + _SLACK >= yi[:, None]) & (inside > 0)
+        pair, interval = np.nonzero(live)
+        # the points inside every live interval, in (pair, point) order:
+        # each interval's first inside point plus the offset within it
+        counts = inside[interval]
+        owner = np.repeat(pair, counts)
+        point = np.arange(counts.sum()) + np.repeat(
+            coarse[interval] + 1 - (np.cumsum(counts) - counts), counts)
+        for c in range(0, point.size, chunk):
+            o, p = owner[c:c + chunk], point[c:c + chunk]
+            f_dbar, f_d = cdfs(pts[p][:, None], start + o)
+            g = (f_dbar - f_d)[:, 0]
+            if not np.all(np.isfinite(g)):
+                raise NumericError("non-finite CDF evaluation during Youden search")
+            # each pair's first largest gap in this chunk, kept if it beats
+            # the best so far or ties it at a smaller index
+            order = np.lexsort((p, -g, o))
+            first = order[np.r_[True, o[order[1:]] != o[order[:-1]]]]
+            o, g, p = o[first], g[first], p[first]
+            better = (g > yi[o]) | ((g == yi[o]) & (p < best[o]))
+            yi[o[better]], best[o[better]] = g[better], p[better]
+        return best, yi
 
     best, yi = map(np.concatenate, zip(*ordered_map(scan, range(0, n_pairs, block))))
 
@@ -123,18 +191,29 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
                      candidates=None, grid_size: int = 1000) -> YoudenResult:
     """Maximize ``cdf_dbar(c) - cdf_d(c)`` over ``[search_lo, search_hi]``.
 
-    A dense grid scan (``grid_size`` points) locates the rough maximizer and
-    a golden-section pass refines it; the refined point is kept only when it
-    strictly improves the gap, so piecewise-constant (empirical) inputs keep
-    their exact grid/candidate maximum.  This is the one-pair case of the
-    batched search behind ``dpm_roc`` and ``ddp_roc``: the same scan, the
-    same golden-section recurrence (run on arrays, here of length one) and
-    the same rules, so a mixture draw gives the same bits either way.
+    A grid scan (``grid_size`` points, coarse to fine as in the batched
+    search) locates the rough maximizer and a golden-section pass refines
+    it; the refined point is kept only when it strictly improves the gap, so
+    piecewise-constant (empirical) inputs keep their exact grid/candidate
+    maximum.  This is the one-pair case of the batched search behind
+    ``dpm_roc`` and ``ddp_roc``: the same scan, the same golden-section
+    recurrence (run on arrays, here of length one) and the same rules, so a
+    mixture draw gives the same bits either way.  The CDFs are always called
+    with 1-D arrays, of 1 to ``grid_size`` points, and must evaluate each
+    element on its own, with bits that do not depend on how many points one
+    call takes (true of every CDF callable in this package); then the
+    result is the full scan's, bit for bit.
 
     Parameters
     ----------
     cdf_d, cdf_dbar : callable
-        CDFs of the diseased and nondiseased populations.
+        CDFs of the diseased and nondiseased populations.  Both must be
+        nondecreasing: the scan skips points where that rule says the gap
+        cannot reach its best.  A CDF that falls by more than 1e-9 between
+        coarse scan points (every 16th) raises ``InvalidInputError``; one
+        that falls only between two coarse points, or is non-finite at a
+        skipped point, is not detected and may give another answer than
+        the full scan.
     search_lo, search_hi : float
         Search interval; must cover both supports for a meaningful answer.
     candidates : array_like, optional
@@ -160,18 +239,14 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
         extra = extra[(extra >= search_lo) & (extra <= search_hi)]
         pts = np.unique(np.concatenate([pts, extra]))
 
-    def scalar(cdf, c):
-        # tolerate callables that return a length-1 array for scalar input
-        return float(np.asarray(cdf(c), dtype=float).ravel()[0])
-
     def cdfs(x, rows):
-        if x.ndim == 1:
-            return (np.asarray(cdf_dbar(x), dtype=float)[None, :],
-                    np.asarray(cdf_d(x), dtype=float)[None, :])
-        c = float(x[0, 0])
-        return np.array([[scalar(cdf_dbar, c)]]), np.array([[scalar(cdf_d, c)]])
+        # shared scan points (m,) come back as one (1, m) row, per-pair
+        # points (r, 1) as they came
+        shape = (1, -1) if x.ndim == 1 else x.shape
+        return (np.asarray(cdf_dbar(x.ravel()), dtype=float).reshape(shape),
+                np.asarray(cdf_d(x.ravel()), dtype=float).reshape(shape))
 
-    yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1, 1)
+    yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1, pts.size)
     return YoudenResult(yi=float(yi[0]), c_star=float(c_star[0]), p_star=float(p_star[0]))
 
 

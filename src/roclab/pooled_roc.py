@@ -18,18 +18,23 @@ every root and interpolates its first guess; the empirical estimator
 resolves quantile ranks in exact integer arithmetic so grid probabilities
 that sit exactly on ECDF jumps are handled deterministically.  Sums over
 kernel or mixture components run in bounded blocks, so memory stays linear
-in the sample size.  The kernel AUC evaluates the normal CDF only for pairs
-inside the window where it is neither exactly 1 nor below 5.3e-17.  With
-``youden=True`` the mixture estimators search every draw's Youden index in
-one batched pass (``indices._youden_search``) that gives the same bits as a
-``youden_from_cdfs`` call per draw.
+in the sample size.  The kernel AUC takes only pairs inside the window
+where the normal CDF is neither exactly 1 nor below 5.3e-17, and where
+diseased values crowd into a bin half a combined bandwidth wide it expands
+the CDF about the bin centre, so it takes one ``ndtr`` per (bin,
+nondiseased value) instead of one per pair.  With ``youden=True`` the
+mixture estimators search every draw's Youden index in one batched pass
+(``indices._youden_search``, coarse to fine: only scan points whose gap
+can reach the best one are evaluated) that gives the same bits as a full
+1000-point scan and as a ``youden_from_cdfs`` call per draw.
 
-Independent blocks (the kernel AUC's row blocks, the kernel CDF's point
-blocks, the component blocks of ``_mixture_sums``, the draw blocks of the
-inversion, the curve evaluation and the closed-form mixture AUCs, and the
-Youden scan's draw blocks) run through ``core.ordered_map`` on one thread
-per usable CPU.  Each block computes what the serial loop would and results
-combine in block order, so outputs do not depend on the thread count.
+Independent blocks (the kernel AUC's Taylor blocks and row runs, the
+kernel CDF's point blocks, the component blocks of ``_mixture_sums``, the
+draw blocks of the inversion, the curve evaluation and the closed-form
+mixture AUCs, and the Youden scan's draw blocks) run through
+``core.ordered_map`` on one thread per usable CPU.  Each block computes
+what the serial loop would and results combine in block order, so outputs
+do not depend on the thread count.
 Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
 buffer), so each extra thread adds at most one block's buffers to the peak.
 
@@ -431,9 +436,12 @@ def kernel_cdf(sample, h: float, y):
 def _mixture_cdf(w, mu, sigma, x, ndtr, density=False):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
     # (..., K), or with density=True the CDF and density from one buffer
-    z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
+    z = np.subtract(x[..., :, None], mu[..., None, :])
+    z /= sigma[..., None, :]
     if not density:
-        return (ndtr(z) * w[..., None, :]).sum(axis=-1)
+        terms = ndtr(z, out=z)
+        terms *= w[..., None, :]
+        return terms.sum(axis=-1)
     terms = ndtr(z)
     terms *= w[..., None, :]
     cdf = terms.sum(axis=-1)
@@ -450,16 +458,17 @@ _DRAW_CHUNK = 32
 _TABLE_POINTS = 64
 
 
-def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
+def _mixture_sums(w, mu, sigma, x, ndtr, density=False, step=None):
     """Mixture CDF (and density, with ``density=True``) at ``x``, summed over
-    blocks of components so no buffer exceeds ``_BLOCK`` elements.
+    blocks of ``step`` components, by default as many as keep each buffer
+    within ``_BLOCK`` elements.
 
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (R', K) with R == R'
     or R == 1.  The blocks run through ``ordered_map`` and are added in
     block order.  When one block holds all L components this is
     ``_mixture_cdf`` bit for bit.
     """
-    step = max(1, _BLOCK // max(x.size, 1))
+    step = max(1, _BLOCK // max(x.size, 1)) if step is None else step
     parts = ordered_map(lambda b: _mixture_cdf(w[:, b:b + step], mu[:, b:b + step],
                                                sigma[:, b:b + step], x, ndtr, density),
                         range(0, w.shape[-1], step))
@@ -604,25 +613,83 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
 
 # ndtr(z) is exactly 1.0 for z >= 8.2925 and below 5.3e-17 for z <= -8.3
 _SATURATED = 8.3
-# diseased values per task of the kernel AUC
+# diseased values per task of the kernel AUC's direct pair sums
 _AUC_ROWS = 64
+# order of the kernel AUC's Taylor expansion, and the fewest diseased
+# values in a Taylor block: with 16 to 24 the direct pair sums measured as
+# fast at n = 10^4 on a 2-CPU VM, so 32 keeps every case at least as fast
+_TAYLOR_ORDER = 16
+_TAYLOR_ROWS = 32
+# e^m / m! times the m-th derivative of Phi is e^m (-1)^(m-1) He_(m-1) phi / m!
+_TAYLOR_SIGNS = np.array([1.0] + [(-1.0) ** (m - 1) / math.factorial(m)
+                                  for m in range(1, _TAYLOR_ORDER + 1)])
+
+
+def _taylor_row_sums(rows, window, scale, ndtr):
+    """``sum_i Phi((y - window_i) / scale)`` for each ``y`` in ``rows``, a
+    sorted block at most ``0.5 scale`` wide, by expansion about its centre.
+
+    With ``t_i = (c - window_i) / scale`` and ``e = (y - c) / scale``,
+    ``Phi(t + e) = sum_m e^m / m! Phi^(m)(t)`` and
+    ``Phi^(m) = (-1)^(m-1) He_(m-1) phi`` for ``m >= 1``.  The window
+    sums of ``Phi(t_i)`` and of ``He_k(t_i) phi(t_i)`` (by the recursion
+    ``He_(k+1) = t He_k - k He_(k-1)``) are taken once, in column pieces
+    of one ``_BLOCK``-element buffer, and each row is one polynomial in
+    ``e``.
+    """
+    c = 0.5 * (rows[0] + rows[-1])
+    cols = max(1, min(window.size, _BLOCK // (_TAYLOR_ORDER + 3)))
+    buf = np.empty((_TAYLOR_ORDER + 3, cols))
+    sums = np.zeros(_TAYLOR_ORDER + 1)
+    for start in range(0, window.size, cols):
+        piece = window[start:start + cols]
+        h, t, tmp = buf[:-2, :piece.size], buf[-2, :piece.size], buf[-1, :piece.size]
+        np.subtract(c, piece, out=t)
+        t /= scale
+        ndtr(t, out=h[0])
+        np.square(t, out=h[1])
+        h[1] *= -0.5
+        np.exp(h[1], out=h[1])
+        h[1] *= 1.0 / math.sqrt(2.0 * math.pi)
+        np.multiply(t, h[1], out=h[2])
+        for k in range(2, _TAYLOR_ORDER):  # h[k + 1] = He_k phi
+            np.multiply(t, h[k], out=h[k + 1])
+            np.multiply(h[k - 1], k - 1, out=tmp)
+            h[k + 1] -= tmp
+        sums += h.sum(axis=1)
+    coef = sums * _TAYLOR_SIGNS
+    e = (rows - c) / scale
+    out = np.full(rows.size, coef[-1])
+    for a in coef[-2::-1]:
+        out *= e
+        out += a
+    return out
 
 
 def kernel_auc(diseased, nondiseased, h_d: float | None = None,
                h_nd: float | None = None) -> float:
     """Closed-form AUC of the kernel-smoothed ROC.
 
-    ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / sqrt(h_D^2 + h_ND^2))``.
-    Both samples are sorted and the diseased one is taken in blocks of
-    ``_AUC_ROWS``, one ``ordered_map`` task each.  Against each block, the
-    nondiseased values more than 8.3 scales below the block's smallest value
-    give pairs with ``Phi = 1.0`` exactly, which are counted; those more
-    than 8.3 scales above its largest value give pairs below 5.3e-17 each,
-    which are skipped.  ``Phi`` is evaluated only in the window between, in
-    column pieces of one reused ``_BLOCK``-element buffer per task, and the
-    piece sums are added exactly (``math.fsum``), so the result equals the
-    full pair sum up to the rounding inside each piece and the skipped
-    tail, whatever the number of threads.
+    ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / s)`` with
+    ``s = sqrt(h_D^2 + h_ND^2)``.  Both samples are sorted.  Each block of
+    diseased values has a window of nondiseased values: those more than
+    8.3 s below its smallest value give pairs with ``Phi = 1.0`` exactly,
+    which are counted; those more than 8.3 s above its largest value give
+    pairs below 5.3e-17 each, which are skipped.
+
+    The diseased values are cut into blocks by bins ``0.5 s`` wide.  A
+    block of at least ``_TAYLOR_ROWS`` values expands
+    ``Phi((c - y_NDi)/s + e)`` to order 16 in ``e`` about the block centre
+    ``c`` (``_taylor_row_sums``): one ``ndtr`` and one ``exp`` per window
+    value, then one polynomial per diseased value.  Since ``|e| <= 1/4``
+    and, by Cramer's inequality, ``|He_k phi| <= 0.434 sqrt(k!)``, each
+    pair is off by at most ``0.434 (1/4)^17 / (17 sqrt(16!))``, about
+    3e-19.  The other diseased values go in runs of at most
+    ``_AUC_ROWS``, whose window pairs are evaluated directly in column
+    pieces of one reused ``_BLOCK``-element buffer.  Blocks and runs are
+    fixed by the data and run through ``ordered_map``; their row and piece
+    sums are added exactly (``math.fsum``), so the result does not depend
+    on the number of threads.
     """
     from scipy.special import ndtr
 
@@ -633,31 +700,45 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     _check_bandwidths(h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
     reach = _SATURATED * scale
-    starts = np.arange(0, d.size, _AUC_ROWS)
-    sizes = np.minimum(_AUC_ROWS, d.size - starts)
-    # nd[:lo] sit strictly below the block minimum less reach, nd[hi:]
-    # strictly above the block maximum plus reach
-    lo = np.searchsorted(nd, d[starts] - reach, side="left")
-    hi = np.searchsorted(nd, d[starts + sizes - 1] + reach, side="right")
+    # Taylor blocks: bins of width 0.5 scale with enough values in them (a
+    # bin measured wider, from rounding at extreme ratios, goes direct)
+    bins = np.floor((d - d[0]) / (0.5 * scale))
+    starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
+    ends = np.r_[starts[1:], d.size]
+    taylor = (ends - starts >= _TAYLOR_ROWS) & (d[ends - 1] - d[starts] <= 0.5 * scale)
+    in_taylor = np.repeat(taylor, ends - starts)
+    # task boundaries: every Taylor block, and the other values cut at
+    # multiples of _AUC_ROWS
+    runs = np.arange(0, d.size, _AUC_ROWS)
+    first = np.union1d(runs[~in_taylor[runs]], np.r_[starts[taylor], ends[taylor]])
+    first = first[first < d.size]
+    last = np.r_[first[1:], d.size] - 1
+    # nd[:lo] sit strictly below the task minimum less reach, nd[hi:]
+    # strictly above the task maximum plus reach
+    lo = np.searchsorted(nd, d[first] - reach, side="left")
+    hi = np.searchsorted(nd, d[last] + reach, side="right")
     cols = _BLOCK // _AUC_ROWS
 
-    def window_sums(task):
-        start, a, b = task
-        block = d[start:start + _AUC_ROWS]
-        buf = np.empty((block.size, min(cols, b - a)))
+    def task(args):
+        a, b, wa, wb, expand = args
+        rows, window = d[a:b + 1], nd[wa:wb]
+        if expand:
+            return _taylor_row_sums(rows, window, scale, ndtr).tolist()
+        buf = np.empty((rows.size, min(cols, window.size)))
         sums = []
-        for c in range(a, b, cols):
-            piece = nd[c:min(c + cols, b)]
-            window = buf[:, :piece.size]
-            np.subtract(block[:, None], piece, out=window)
-            window /= scale
-            ndtr(window, out=window)
-            sums.append(float(window.sum()))
+        for c in range(0, window.size, cols):
+            piece = window[c:c + cols]
+            pairs = buf[:, :piece.size]
+            np.subtract(rows[:, None], piece, out=pairs)
+            pairs /= scale
+            ndtr(pairs, out=pairs)
+            sums.append(float(pairs.sum()))
         return sums
 
-    tasks = zip(starts.tolist(), lo.tolist(), hi.tolist())
-    ones = int(sizes @ lo)
-    sums = [v for part in ordered_map(window_sums, tasks) for v in part]
+    tasks = zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist(),
+                in_taylor[first].tolist())
+    ones = int((last - first + 1) @ lo)
+    sums = [v for part in ordered_map(task, tasks) for v in part]
     return math.fsum([ones, *sums]) / (d.size * nd.size)
 
 
@@ -831,7 +912,8 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
         coef = mean + noise
         r = y - np.einsum("ij,ij->i", design, coef[z])
         rss = np.bincount(z, weights=r * r, minlength=L)
-        tau = rng.gamma(a + 0.5 * counts, 1.0 / (b + 0.5 * rss))
+        # rng.gamma(shape, scale) in bits and stream, at half the cost
+        tau = rng.standard_gamma(a + 0.5 * counts) * (1.0 / (b + 0.5 * rss))
 
         if not (np.isfinite(coef).all() and np.isfinite(tau).all() and (tau > 0.0).all()):
             raise NumericError(f"non-finite mixture state at Gibbs iteration {it}")
@@ -949,11 +1031,26 @@ def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
 
 
 def _mean_mixture_cdf(w, mu, sg, y, ndtr):
-    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg
+    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg.
+    # A value's bits do not depend on how many points one call takes (the
+    # Youden scan calls with 1 to 1000): the component blocks are fixed by
+    # S and L, the points go in chunks that keep each buffer within _BLOCK
+    # elements, and the draws are added in row order (a mean down axis 0
+    # would add pairwise for one point and row by row for several)
     yv = np.asarray(y, dtype=float)
-    points = np.broadcast_to(yv.reshape(1, -1), (w.shape[0], yv.size))
-    out = _mixture_sums(w, mu, sg, points, ndtr).mean(axis=0).reshape(yv.shape)
-    return float(out) if yv.ndim == 0 else out
+    flat = yv.reshape(-1)
+    n_draws, n_comp = w.shape
+    step = min(n_comp, max(1, _BLOCK // n_draws))
+    per = max(1, _BLOCK // (n_draws * step))
+
+    def chunk(start):
+        piece = flat[start:start + per]
+        sums = _mixture_sums(w, mu, sg, np.broadcast_to(piece, (n_draws, piece.size)), ndtr,
+                             step=step)
+        return np.cumsum(sums, axis=0)[-1] / n_draws
+
+    out = np.concatenate(ordered_map(chunk, range(0, max(flat.size, 1), per)))
+    return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
 
 def mixture_cdf_callable(draw: MixtureDraw):
@@ -986,11 +1083,11 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
                     _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
 
         # unblocked over components (blocking them would reorder each sum),
-        # so the draws per scan block keep its (draws, points, L) buffers
-        # within _BLOCK elements
-        pts = np.linspace(lo, hi, 1000)
-        block = max(1, _BLOCK // (pts.size * max(w_d.shape[1], w_nd.shape[1])))
-        yis, thresholds, p_stars = _youden_search(cdfs, pts, lo, hi, w_d.shape[0], block)
+        # so a budget of _BLOCK // L (pair, point) evaluations per call keeps
+        # the (draws, points, L) buffers within _BLOCK elements
+        budget = _BLOCK // max(w_d.shape[1], w_nd.shape[1])
+        yis, thresholds, p_stars = _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi,
+                                                  w_d.shape[0], budget)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 

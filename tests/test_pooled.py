@@ -19,7 +19,7 @@ from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
                     youden_from_cdfs)
 from roclab import pooled_roc
 from roclab.core import default_prob_grid
-from roclab.indices import _youden_search
+from roclab.indices import _golden_max, _youden_search
 from roclab.pooled_roc import (_allocate, _blocked_gibbs, _ensemble_from_mixture_arrays,
                                _invert_mixture_cdf, _midranks, _mixture_aucs, _mixture_cdf,
                                _pairwise_rows, _roc_from_mixtures)
@@ -427,14 +427,21 @@ class TestEnsembleSummaries:
 
 
 # ---------------------------------------------------------------------------
+# small samples on a coarse lattice, so ties are common
+lattice_sample = st.lists(st.integers(-40, 40).map(lambda v: v / 8.0), min_size=4, max_size=25)
+
+
 # batched posterior post-processing against per-draw references
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def scalar_youden(cdf_d, cdf_dbar, lo, hi, grid_size=1000):
-    """The per-pair Youden search on Python floats: scan, then golden section."""
+def scalar_youden(cdf_d, cdf_dbar, lo, hi, grid_size=1000, candidates=None):
+    """The per-pair Youden search on Python floats: a full scan, then golden section."""
     pts = np.linspace(lo, hi, grid_size)
+    if candidates is not None:
+        extra = np.asarray(candidates, dtype=float)
+        pts = np.unique(np.concatenate([pts, extra[(extra >= lo) & (extra <= hi)]]))
     gaps = np.asarray(cdf_dbar(pts), float) - np.asarray(cdf_d(pts), float)
     best = int(np.argmax(gaps))
     c_star, yi = float(pts[best]), float(gaps[best])
@@ -500,14 +507,51 @@ def search_range(mu_d, sg_d, mu_nd, sg_nd):
             max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max)
 
 
-def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi, block=64):
-    """The batched search over unblocked component sums, ``block`` draws per scan block."""
+def mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
+    """The ``cdfs(x, rows)`` of ``_youden_search`` over unblocked component sums."""
     def cdfs(x, rows):
         return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
                 _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
 
-    return np.stack(_youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0],
-                                   block))
+    return cdfs
+
+
+def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi, budget=64 * 64):
+    """The batched search over unblocked component sums, ``budget`` (pair,
+    point) evaluations per call: 64 draws per scan block by default."""
+    return np.stack(_youden_search(mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd),
+                                   np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0], budget))
+
+
+def full_scan_youden(cdfs, pts, lo, hi, n_pairs):
+    """The batched search with every scan point of every pair evaluated:
+    the first largest gap, then the same golden section and rules."""
+    every = slice(None)
+    f_dbar, f_d = cdfs(pts, every)
+    gaps = f_dbar - f_d
+    best = np.argmax(gaps, axis=1)
+    yi = gaps[np.arange(n_pairs), best]
+
+    def gap(x):
+        f_dbar, f_d = cdfs(x[:, None], every)
+        return (f_dbar - f_d)[:, 0]
+
+    a = np.where(best > 0, pts[best - 1], lo)
+    b = np.where(best + 1 < pts.size, pts[np.minimum(best + 1, pts.size - 1)], hi)
+    c_ref, yi_ref = _golden_max(gap, a, b)
+    better = yi_ref > yi
+    c_star = np.where(better, c_ref, pts[best])
+    yi = np.where(better, yi_ref, yi)
+    f_dbar, _ = cdfs(c_star[:, None], every)
+    return np.stack([yi, c_star, np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))])
+
+
+def oracle_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
+    """``full_scan_youden`` of mixture pairs on the 1000-point scan of ``[lo, hi]``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeYoudenWarning)
+        return full_scan_youden(mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd),
+                                np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0])
 
 
 def ensemble_youden(ens):
@@ -529,6 +573,7 @@ class TestBatchedYouden:
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         got = ensemble_youden(dpm_roc(draws_d, draws_nd, youden=True))
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
+        assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
 
     def test_ddp_roc_equals_per_draw_search_bitwise(self):
         rng = np.random.default_rng(63)
@@ -545,8 +590,9 @@ class TestBatchedYouden:
         mu_d, mu_nd = coef_d @ z, coef_nd @ z
         lo, hi = search_range(mu_d, sg_d, mu_nd, sg_nd)
         got = ensemble_youden(ddp_roc(draws_d, draws_nd, z, youden=True))
-        assert np.array_equal(got, per_draw_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd,
-                                                   lo, hi))
+        arrays = (w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd)
+        assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
+        assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
 
     def test_reversed_groups_warn_once_per_call(self):
         # each diseased draw is its nondiseased draw shifted down by 2, so
@@ -573,6 +619,7 @@ class TestBatchedYouden:
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         got = ensemble_youden(dpm_roc(draws_d[:n_draws], draws_nd[:n_draws], youden=True))
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
+        assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
 
     def test_maximum_at_first_and_last_scan_point(self):
         # normal pairs whose gap peaks at the crossing (a + b) / 2: left of,
@@ -585,6 +632,7 @@ class TestBatchedYouden:
         got = batched_youden(*arrays, -1.0, 1.0)
         want = per_draw_youden(*arrays, -1.0, 1.0)
         assert np.array_equal(got, want)
+        assert np.array_equal(got, oracle_youden(*arrays, -1.0, 1.0))
         assert got[1, 0] == -1.0 and got[1, 3] == -1.0 and got[1, 4] == 1.0
         assert got[1, 2] == 1.0 or got[1, 2] > 0.999
 
@@ -599,7 +647,7 @@ class TestBatchedYouden:
         arrays = (*draws_d._normals(), *draws_nd._normals())
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         got = ensemble_youden(dpm_roc(draws_d, draws_nd, youden=True))
-        assert np.array_equal(got, batched_youden(*arrays, lo, hi, block=64))
+        assert np.array_equal(got, batched_youden(*arrays, lo, hi, budget=64 * 64))
 
     def test_scan_memory_at_truncation_50_with_two_workers(self, force_workers):
         # one 64-draw scan block held three 64 x 1000 x 50 buffers: the
@@ -623,6 +671,122 @@ class TestBatchedYouden:
         d, nd = rng.normal(1, 1, 40), rng.normal(0, 1, 40)
         res = youden_from_cdfs(ecdf(d), ecdf(nd), -4.0, 5.0)
         assert (res.yi, res.c_star, res.p_star) == scalar_youden(ecdf(d), ecdf(nd), -4.0, 5.0)
+
+
+def youden_mixtures(seed, S, L, kind):
+    """Paired (S, L) mixture arrays: random, multimodal or identical pairs."""
+    rng = np.random.default_rng(seed)
+    w_nd = rng.dirichlet(np.ones(L), S)
+    if kind == "multimodal":
+        # clusters 6 apart with the diseased one shifted by about 1 in
+        # each: the gap has one peak of similar height per cluster
+        mu_nd = 6.0 * rng.integers(0, 3, (S, L)) + rng.normal(0.0, 0.05, (S, L))
+        sg_nd = rng.uniform(0.5, 0.7, (S, L))
+        arrays = (w_nd, mu_nd + rng.normal(1.0, 0.02, (S, L)), sg_nd, w_nd, mu_nd, sg_nd)
+    else:
+        mu_nd = rng.normal(0.0, 2.0, (S, L))
+        sg_nd = np.exp(rng.uniform(-2.0, 1.0, (S, L)))
+        if kind == "identical":
+            arrays = (w_nd, mu_nd, sg_nd, w_nd, mu_nd, sg_nd)
+        else:
+            arrays = (rng.dirichlet(np.ones(L), S), rng.normal(1.0, 2.0, (S, L)),
+                      np.exp(rng.uniform(-2.0, 1.0, (S, L))), w_nd, mu_nd, sg_nd)
+    return arrays
+
+
+def ecdf_callable(v):
+    v = np.sort(np.asarray(v, dtype=float))
+    return lambda c: np.searchsorted(v, c, side="right") / v.size
+
+
+class TestCoarseToFineYouden:
+    """The coarse-to-fine scan picks the full scan's point, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 10, 50]),
+           st.sampled_from(["random", "multimodal", "identical"]), st.integers(1, 4096))
+    def test_equals_the_full_scan(self, seed, S, L, kind, budget):
+        arrays = youden_mixtures(seed, S, L, kind)
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NegativeYoudenWarning)
+            got = batched_youden(*arrays, lo, hi, budget)
+        assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
+        if kind == "identical":  # every gap is 0: the first scan point
+            assert np.all(got[0] == 0.0) and np.all(got[1] == lo)
+
+    @given(lattice_sample, lattice_sample, st.integers(2, 1200))
+    def test_ecdfs_with_candidates_and_ties(self, d, nd, grid_size):
+        cdf_d, cdf_nd = ecdf_callable(d), ecdf_callable(nd)
+        lo, hi = min(d + nd) - 1.0, max(d + nd) + 1.0
+        res = youden_from_cdfs(cdf_d, cdf_nd, lo, hi, candidates=d + nd, grid_size=grid_size)
+        want = scalar_youden(cdf_d, cdf_nd, lo, hi, grid_size, candidates=d + nd)
+        assert (res.yi, res.c_star, res.p_star) == want
+
+    def test_a_decreasing_cdf_raises(self):
+        with pytest.raises(InvalidInputError, match="decreases"):
+            youden_from_cdfs(lambda c: ndtr(-np.asarray(c)), ndtr, -5.0, 5.0)
+        with pytest.raises(InvalidInputError, match="decreases"):
+            youden_from_cdfs(ndtr, lambda c: 1.0 - ndtr(np.asarray(c) - 1.0), -5.0, 5.0)
+
+    def test_a_fall_between_two_coarse_points_is_not_detected(self):
+        # the documented limit of the check: only every 16th scan point is
+        # tested, so a dip of F_d at scan point 8 (inside an interval the
+        # bound rules out) is not seen, and the gap of 0.5 it makes there,
+        # which the full scan finds, is not found
+        pts = np.linspace(-5.0, 5.0, 1000)
+        cdf_d = lambda c: np.where(np.asarray(c) == pts[8], -0.5, ndtr(np.asarray(c) - 1.0))
+        res = youden_from_cdfs(cdf_d, ndtr, -5.0, 5.0)
+        assert abs(res.c_star - 0.5) < 1e-5 and res.yi < 0.4
+        assert scalar_youden(cdf_d, ndtr, -5.0, 5.0)[0] > 0.5
+
+    def test_mixture_cdf_callable_gives_the_full_scan(self):
+        # 130 components: more than a 1000-point call's component block
+        # would hold if blocks were sized by the number of points
+        rng = np.random.default_rng(91)
+        draw = lambda shift: MixtureDraw(weights=rng.dirichlet(np.ones(130)),
+                                         means=rng.normal(shift, 2.0, 130),
+                                         variances=np.exp(rng.uniform(-2.0, 1.0, 130)))
+        cdf_d, cdf_nd = mixture_cdf_callable(draw(1.0)), mixture_cdf_callable(draw(0.0))
+        ys = np.linspace(-8.0, 9.0, 1000)
+        assert np.array_equal(cdf_d(ys), [cdf_d(y) for y in ys[::-1]][::-1])
+        res = youden_from_cdfs(cdf_d, cdf_nd, -8.0, 9.0)
+        assert (res.yi, res.c_star, res.p_star) == scalar_youden(cdf_d, cdf_nd, -8.0, 9.0)
+
+    def test_ddp_conditional_cdf_gives_the_full_scan(self):
+        # 12 draws: more than numpy adds one by one in a pairwise sum, so a
+        # mean over draws for one point would round differently
+        rng = np.random.default_rng(92)
+        draws = lambda shift: [DdpDraw(weights=rng.dirichlet(np.ones(10)),
+                                       coef=np.c_[rng.normal(shift, 1.5, 10),
+                                                  rng.normal(0.5, 0.3, 10)],
+                                       variances=np.exp(rng.uniform(-1.5, 0.5, 10)))
+                               for _ in range(12)]
+        design = lambda x: np.concatenate([[1.0], x])
+        cdf_d, cdf_nd = ddp_conditional_cdf(draws(1.0), design), ddp_conditional_cdf(draws(0.0), design)
+        ys = np.linspace(-6.0, 7.0, 1000)
+        assert np.array_equal(cdf_d(ys, [0.3]), [cdf_d(y, [0.3]) for y in ys])
+        f_d, f_nd = lambda c: cdf_d(c, [0.3]), lambda c: cdf_nd(c, [0.3])
+        res = youden_from_cdfs(f_d, f_nd, -6.0, 7.0)
+        assert (res.yi, res.c_star, res.p_star) == scalar_youden(f_d, f_nd, -6.0, 7.0)
+
+    def test_rounding_steps_within_the_slack_are_accepted(self):
+        # a CDF that steps back by 1e-12 between scan points still passes
+        wobble = lambda c: ndtr(np.asarray(c)) - 1e-12 * (np.floor(np.asarray(c) * 7.0) % 2)
+        res = youden_from_cdfs(lambda c: ndtr(np.asarray(c) - 1.0), wobble, -6.0, 6.0)
+        assert abs(res.c_star - 0.5) < 1e-5
+
+    def test_fine_stage_memory_when_every_interval_survives(self, force_workers):
+        # identical pairs: every gap is 0, so every interval survives.  All
+        # 20 draws of one block at all 936 fine points would be three 7.5 MB
+        # buffers per thread
+        force_workers(2)
+        arrays = youden_mixtures(87, 256, 50, "identical")
+        lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        cdfs = mixture_cdfs(*arrays)
+        pts = np.linspace(lo, hi, 1000)
+        budget = pooled_roc._BLOCK // 50
+        peak = traced_peak(lambda: _youden_search(cdfs, pts, lo, hi, 256, budget))
+        assert peak < 6_000_000
 
 
 def global_bracket_newton(w, mu, sigma, targets):
@@ -760,6 +924,48 @@ class TestWindowedKernelAuc:
         rng = np.random.default_rng(70)
         d, nd = rng.normal(1.0, 1.0, 900), rng.normal(0.0, 1.0, 800)
         assert kernel_auc(d, nd, 0.2, 0.3) == kernel_auc(d[::-1], rng.permutation(nd), 0.2, 0.3)
+
+
+def exact_kernel_auc(d, nd, h_d, h_nd):
+    """The pair mean with each Phi rounded once and the pair sum exact."""
+    z = (np.asarray(d, float)[:, None] - np.asarray(nd, float)[None, :]) / math.hypot(h_d, h_nd)
+    return math.fsum(ndtr(z).ravel().tolist()) / z.size
+
+
+def kernel_sample(rng, kind, n, shift):
+    if kind == "normal":
+        return rng.normal(shift, 1.0, n)
+    if kind == "t2":
+        return rng.standard_t(2, n) + shift
+    if kind == "exponential":
+        return rng.exponential(1.0 + shift, n)
+    return np.round(rng.normal(shift, 1.0, n), 1)  # ties
+
+
+class TestTaylorKernelAuc:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 300),
+           st.sampled_from(["normal", "t2", "exponential", "tied"]),
+           st.floats(-9.0, 3.0), st.floats(-1.0, 1.0))
+    def test_within_two_ulps_of_the_exact_pair_sum(self, seed, n_d, n_nd, kind, log_h, tilt):
+        # the skipped tail is below 5.3e-17 per pair and the expansion is
+        # off by at most 3e-19, so ulps measure the error where the AUC is
+        # at least 1/2: the groups go in the order that gives that
+        rng = np.random.default_rng(seed)
+        d, nd = kernel_sample(rng, kind, n_d, 0.5), kernel_sample(rng, kind, n_nd, 0.0)
+        h_d, h_nd = 10.0 ** log_h, 10.0 ** (log_h + tilt)
+        want = exact_kernel_auc(d, nd, h_d, h_nd)
+        if want < 0.5:
+            d, nd, h_d, h_nd = nd, d, h_nd, h_d
+            want = exact_kernel_auc(d, nd, h_d, h_nd)
+        assert abs(kernel_auc(d, nd, h_d, h_nd) - want) <= 2.0 * np.spacing(want)
+
+    def test_blocks_are_expanded_and_stay_exact(self):
+        # 2,000 values in a range of 2 scales: every pair is in a Taylor
+        # block, and the samples have no ties
+        rng = np.random.default_rng(71)
+        d, nd = rng.uniform(0.0, 1.0, 2000), rng.uniform(-0.2, 0.8, 1500)
+        want = exact_kernel_auc(d, nd, 0.4, 0.3)
+        assert abs(kernel_auc(d, nd, 0.4, 0.3) - want) <= 2.0 * np.spacing(want)
 
 
 class TestWorkerCount:
@@ -1084,6 +1290,75 @@ class TestAllocationStep:
         assert traced_peak(lambda: dpm_fit(y, cfg)) < 2_000_000
 
 
+def blocked_gibbs_reference(y, design, cfg):
+    """The sampler with its earlier precision draw, ``rng.gamma``."""
+    n, d = design.shape
+    beta_hat, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta_hat
+    sigma2 = float(resid @ resid) / max(n - rank, 1)
+    L = cfg.truncation
+    m = beta_hat
+    s_inv = np.linalg.inv(10.0 * sigma2 * np.eye(d))
+    s_inv_m = s_inv @ m
+    a, b = float(cfg.shape), sigma2
+    rng = cfg.seed.rng()
+    k = d * d + d
+    stats = np.hstack([(design[:, :, None] * design[:, None, :]).reshape(n, d * d),
+                       design * y[:, None]]).ravel()
+    offsets = np.arange(k)
+    design_t = np.ascontiguousarray(design.T)
+    ranks = np.argsort(np.argsort(y, kind="stable"), kind="stable")
+    z = np.minimum((ranks * L) // n, L - 1).astype(np.intp)
+    tau = np.full(L, 1.0 / sigma2)
+    weights = np.empty((cfg.n_save, L))
+    coefs = np.empty((cfg.n_save, L, d))
+    variances = np.empty((cfg.n_save, L))
+    for it in range(cfg.burn_in + cfg.n_save):
+        counts = np.bincount(z, minlength=L)
+        tail = counts[::-1].cumsum()[::-1]
+        v = rng.beta(1.0 + counts[:-1], cfg.alpha + tail[1:])
+        w = np.concatenate([v, [1.0]]) * np.concatenate([[1.0], np.cumprod(1.0 - v)])
+        sums = np.bincount((z[:, None] * k + offsets).ravel(), weights=stats,
+                           minlength=L * k).reshape(L, k)
+        prec = s_inv + tau[:, None, None] * sums[:, :d * d].reshape(L, d, d)
+        rhs = s_inv_m + tau[:, None] * sums[:, d * d:]
+        chol = np.linalg.cholesky(prec)
+        mean = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
+        noise = np.linalg.solve(chol.transpose(0, 2, 1),
+                                rng.standard_normal((L, d))[:, :, None])[:, :, 0]
+        coef = mean + noise
+        r = y - np.einsum("ij,ij->i", design, coef[z])
+        rss = np.bincount(z, weights=r * r, minlength=L)
+        tau = rng.gamma(a + 0.5 * counts, 1.0 / (b + 0.5 * rss))
+        assert np.isfinite(coef).all() and np.isfinite(tau).all() and (tau > 0.0).all()
+        if it >= cfg.burn_in:
+            s = it - cfg.burn_in
+            weights[s], coefs[s], variances[s] = w, coef, 1.0 / tau
+        z = _allocate(y, design_t, coef, w, tau, rng)
+    return weights, coefs, variances
+
+
+class TestComponentStep:
+    """The precisions drawn by ``standard_gamma`` times the scale are ``rng.gamma``'s."""
+
+    @pytest.mark.parametrize("L", [2, 10, 50])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_chain_equals_the_reference_chain(self, L, d):
+        y, design = regression_data(300, d, 120 + L)
+        cfg = DpmConfig(seed=SeedSpec(121, L), truncation=L, burn_in=40, n_save=40)
+        for got, want in zip(_blocked_gibbs(y, design, cfg),
+                             blocked_gibbs_reference(y, design, cfg)):
+            assert np.array_equal(got, want)
+
+    def test_dpm_fit_chain_over_a_thousand_values(self):
+        y = np.random.default_rng(122).standard_t(3, 1000)
+        cfg = DpmConfig(seed=SeedSpec(123, 0), burn_in=100, n_save=100)
+        fit = dpm_fit(y, cfg)
+        want = blocked_gibbs_reference(y, np.ones((y.size, 1)), cfg)
+        got = (fit.weights, fit.locations[:, :, None], fit.variances)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def mixture_aucs_unblocked(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
     a = (mu_d[:, None, :] - mu_nd[:, :, None]) / sg_d[:, None, :]
     b = sg_nd[:, :, None] / sg_d[:, None, :]
@@ -1110,10 +1385,6 @@ class TestBlockedMixtureAucs:
         force_workers(2)
         arrays = self.mixtures(1000, 50, 99)
         assert traced_peak(lambda: _mixture_aucs(*arrays, ndtr)) < 8_000_000
-
-
-# small samples on a coarse lattice, so ties are common
-lattice_sample = st.lists(st.integers(-40, 40).map(lambda v: v / 8.0), min_size=4, max_size=25)
 
 
 def assert_monotone_curves(curves):

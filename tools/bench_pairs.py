@@ -15,6 +15,12 @@ is odd.  The output file holds every run's end-to-end metrics, each
 side's median and quartiles, the parent's quartile distance, how many
 pairs each side won, the median seconds of each analysis per side and
 the line count of ``src/roclab/*.py`` on both sides.
+
+With ``--trace``, each pair also runs one traced pass per workload and
+side (``bench/run.py --trace 1 --seconds 0``: one untraced pass, then
+the traced one), in the same alternating order, and the output file gets
+each side's median of every per-layer time (the metrics ending in
+``_s``) under ``trace``.
 """
 
 from __future__ import annotations
@@ -62,6 +68,16 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "analysis_s": {name: statistics.median(p[name] for p in passes)
                            for name in passes[0]}}
+
+
+def trace_once(tree: str, workload: str, seed: int) -> dict:
+    """One traced pass; its per-layer times in seconds."""
+    out = os.path.join(tree, ".bench_out")
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", "0", "--trace", "1",
+                           "--out", out], cwd=tree, check=True, capture_output=True, text=True)
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    return {k: v["value"] for k, v in metrics.items() if k.endswith("_s")}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -113,6 +129,8 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", default="cli_batch,compute_mix")
     p.add_argument("--work", default=None, help="directory for the two copies")
     p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--trace", action="store_true",
+                   help="also run one traced pass per workload, side and pair")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -131,6 +149,7 @@ def main(argv=None) -> int:
                for side, rev in (("parent", args.parent), ("change", args.change))}
     seeds = [args.seed + i for i in range(args.pairs)]
     runs = {w: {"parent": [], "change": []} for w in args.workloads.split(",")}
+    traces = {w: {"parent": [], "change": []} for w in runs}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload, sides in runs.items():
@@ -140,6 +159,9 @@ def main(argv=None) -> int:
                 wall = sides[side][-1]["metrics"]["wall_s"]
                 print(f"pair {i} seed {seed} {workload} {side}: wall_s {wall:.3f}",
                       file=sys.stderr)
+        for workload in traces if args.trace else ():
+            for side in order:
+                traces[workload][side].append(trace_once(trees[side], workload, seed))
 
     report = {
         "description": f"bench/run.py --seconds {bench['run_seconds']}, parent "
@@ -150,6 +172,12 @@ def main(argv=None) -> int:
                        for w, s in runs.items()},
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
+    if args.trace:
+        report["trace"] = {
+            w: {side: {name: round(statistics.median(t[name] for t in got), 4)
+                       for name in sorted(set.intersection(*map(set, got)))}
+                for side, got in sides.items()}
+            for w, sides in traces.items()}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
