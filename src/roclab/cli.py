@@ -49,7 +49,7 @@ from .pooled_roc import (DpmConfig, bb_roc, dpm_fit, dpm_roc, empirical_roc,
                          silverman_bandwidth)
 from .simulate import (BinormalScenario, gen_binormal, gen_covariate_linear,
                        gen_survival, true_binormal_auc, true_binormal_youden)
-from .timedep_roc import SurvivalSample, cumdyn_fractions, timedep_roc
+from .timedep_roc import SurvivalSample, _roc_and_youden
 
 ENV_OUTDIR = "ROCLAB_OUTDIR"
 
@@ -569,15 +569,9 @@ def _cmd_timedep(opts: Options) -> tuple:
 
     (marker, time, event), report = read()
     sample = SurvivalSample(marker=marker, time=time, event=event)
-    curve = timedep_roc(sample, horizon, grid, isotonic=isotonic)
-
-    thresholds = np.unique(sample.marker)
-    tpf, tnf = cumdyn_fractions(sample, thresholds, horizon)
-    youden = tpf + tnf - 1.0
-    best = int(np.argmax(youden))
+    curve, youden = _roc_and_youden(sample, horizon, grid, isotonic=isotonic)
     head = ["analysis: timedep", f"time: {_fmt6(horizon)}", f"n_subjects: {sample.n}"]
-    return _summary_lines(head, curve, {"yi": youden[best], "c_star": thresholds[best],
-                                        "p_star": 1.0 - tnf[best]}), curve, report
+    return _summary_lines(head, curve, youden), curve, report
 
 
 def _cohort_csv_text(header: list[str], rows) -> str:

@@ -50,26 +50,28 @@ def auc_from_curve(curve) -> float:
 
 def _golden_max(f, lo, hi, iters: int = 100):
     # golden-section search for the maximum of f on each bracket [lo_s, hi_s]
-    # at once: f maps S abscissae to S values, and each bracket runs the
-    # scalar recurrence elementwise and stops on its own tolerance test
+    # at once: f(x, rows) maps one abscissa per bracket listed in the index
+    # array rows to its value there, and each bracket runs the scalar
+    # recurrence and is evaluated only until its own tolerance test stops it
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    every = np.arange(a.size)
+    f1, f2 = f(x1, every), f(x2, every)
     for _ in range(iters):
-        go = ~(b - a <= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
-        if not go.any():
+        live = np.flatnonzero(~(b - a <= 1e-13 * (1.0 + np.abs(a) + np.abs(b))))
+        if live.size == 0:
             break
-        up = go & (f1 < f2)
-        down = go & ~up
-        a = np.where(up, x1, a)
-        b = np.where(down, x2, b)
-        x1, f1, x2, f2 = (np.where(up, x2, x1), np.where(up, f2, f1),
-                          np.where(down, x1, x2), np.where(down, f1, f2))
-        x_new = np.where(up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
-        f_new = f(x_new)
-        x2, f2 = np.where(up, x_new, x2), np.where(up, f_new, f2)
-        x1, f1 = np.where(down, x_new, x1), np.where(down, f_new, f1)
+        up = f1[live] < f2[live]
+        u, d = live[up], live[~up]
+        a[u], b[d] = x1[u], x2[d]
+        x1[u], f1[u] = x2[u], f2[u]
+        x2[d], f2[d] = x1[d], f1[d]
+        span = b[live] - a[live]
+        x_new = np.where(up, a[live] + _INVPHI * span, b[live] - _INVPHI * span)
+        f_new = f(x_new, live)
+        x2[u], f2[u] = x_new[up], f_new[up]
+        x1[d], f1[d] = x_new[~up], f_new[~up]
     keep = f1 >= f2
     return np.where(keep, x1, x2), np.where(keep, f1, f2)
 
@@ -111,14 +113,15 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     CDF that falls by more than ``_SLACK`` between coarse points raises
     ``InvalidInputError``.
 
-    One ``cdfs`` call may take ``budget`` (pair, point) evaluations (for
-    mixtures of L components, a buffer's element count over L).  The scan
-    runs over blocks of as many pairs as the coarse stage fits in that,
-    spread over ``ordered_map``, and a fine-stage call takes as many
+    One ``cdfs`` call may take ``budget`` (pair, point) evaluations.  The
+    scan runs over blocks of as many pairs as the coarse stage fits in
+    that, spread over ``ordered_map``, and a fine-stage call takes as many
     (pair, point) evaluations as a coarse one; each pair's result does not
     depend on the block size.  The golden section then refines every
-    pair's bracket in one array recurrence.  Returns ``yi``, ``c_star``
-    and ``p_star`` arrays of length ``n_pairs``.
+    pair's bracket in one array recurrence, whose calls list (as an index
+    array) only the pairs whose brackets are still above tolerance.
+    Returns ``yi``, ``c_star`` and ``p_star`` arrays of length
+    ``n_pairs``.
 
     The result is that of the full scan for CDFs whose value at a point
     does not depend on how many points one call takes.  A non-finite value
@@ -165,10 +168,8 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
 
     best, yi = map(np.concatenate, zip(*ordered_map(scan, range(0, n_pairs, block))))
 
-    every = slice(None)
-
-    def gap(x):
-        f_dbar, f_d = cdfs(x[:, None], every)
+    def gap(x, rows):
+        f_dbar, f_d = cdfs(x[:, None], rows)
         return (f_dbar - f_d)[:, 0]
 
     lo = np.where(best > 0, pts[best - 1], search_lo)
@@ -182,7 +183,7 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     if np.any(yi < 0.0):
         warnings.warn("best Youden gap is negative; marker orders the groups "
                       "the other way", NegativeYoudenWarning)
-    f_dbar, _ = cdfs(c_star[:, None], every)
+    f_dbar, _ = cdfs(c_star[:, None], slice(None))
     p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
     return yi, c_star, p_star
 

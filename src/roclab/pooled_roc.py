@@ -16,22 +16,29 @@ Smooth CDFs (kernel and mixture) are inverted by safeguarded Newton
 iteration, started from a short per-draw table of the CDF that brackets
 every root and interpolates its first guess; the empirical estimator
 resolves quantile ranks in exact integer arithmetic so grid probabilities
-that sit exactly on ECDF jumps are handled deterministically.  Sums over
-kernel or mixture components run in bounded blocks, so memory stays linear
-in the sample size.  The kernel AUC takes only pairs inside the window
-where the normal CDF is neither exactly 1 nor below 5.3e-17, and where
-diseased values crowd into a bin half a combined bandwidth wide it expands
-the CDF about the bin centre, so it takes one ``ndtr`` per (bin,
-nondiseased value) instead of one per pair.  With ``youden=True`` the
+that sit exactly on ECDF jumps are handled deterministically.  The kernel
+AUC takes only pairs inside the window where the normal CDF is neither
+exactly 1 nor below 5.3e-17, and where diseased values crowd into a bin
+half a combined bandwidth wide it expands the CDF about the bin centre, so
+it takes one ``ndtr`` per (bin, nondiseased value) instead of one per
+pair.  With ``youden=True`` the
 mixture estimators search every draw's Youden index in one batched pass
 (``indices._youden_search``, coarse to fine: only scan points whose gap
 can reach the best one are evaluated) that gives the same bits as a full
 1000-point scan and as a ``youden_from_cdfs`` call per draw.
 
-Independent blocks (the kernel AUC's Taylor blocks and row runs, the
-kernel CDF's point blocks, the component blocks of ``_mixture_sums``, the
-draw blocks of the inversion, the curve evaluation and the closed-form
-mixture AUCs, and the Youden scan's draw blocks) run through
+Every smooth CDF is a sum ``sum_l w_l Phi((x - mu_l) / sigma_l)``; the
+kernel CDF is the one with n equal weights.  One function takes all of
+them, ``_mixture_sums``, with one block rule: (row, point) blocks of at
+most ``_BLOCK`` elements (at least one evaluation), never splitting the
+components, so each value is one unblocked sum whose bits do not depend on
+the shape of the call.  The kernel CDF, the inversion's tables and Newton
+passes, the curve evaluation, the Youden scan and the posterior-mean CDFs
+all call it, and memory stays linear in the sample size.
+
+Independent blocks (those of ``_mixture_sums``, the draw blocks of the
+inversion and of the closed-form mixture AUCs, the kernel AUC's Taylor
+blocks and row runs, and the Youden scan's pair blocks) run through
 ``core.ordered_map`` on one thread per usable CPU.  Each block computes
 what the serial loop would and results combine in block order, so outputs
 do not depend on the thread count.
@@ -396,30 +403,26 @@ def _check_bandwidths(*hs: float) -> None:
             raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
 
 
-# elements in one (points x components) buffer of the kernel and mixture sums
+# elements in one (rows x points x components) buffer of a normal-CDF sum
 _BLOCK = 1 << 16
 
 
 def kernel_cdf(sample, h: float, y):
     """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``.
 
-    Evaluated over blocks of ``y``, spread over ``ordered_map``, so each
-    (points, n) buffer stays below ``_BLOCK`` elements; each point's mean
-    is the same either way.
+    The n-component mixture with unit weights, summed by ``_mixture_sums``
+    and divided once by n, which gives the bits of
+    ``ndtr((y - y_i) / h).mean(-1)`` in buffers of at most ``_BLOCK``
+    elements (or one point's n).
     """
     from scipy.special import ndtr
 
     s = validate_sample(sample, "sample")
     _check_bandwidths(h)
     yv = np.asarray(y, dtype=float)
-    flat = yv.reshape(-1)
-    out = np.empty(flat.size)
-    step = max(1, _BLOCK // s.size)
-
-    def block(start):
-        out[start:start + step] = ndtr((flat[start:start + step, None] - s) / h).mean(axis=-1)
-
-    ordered_map(block, range(0, flat.size, step))
+    sums = _mixture_sums(np.ones((1, s.size)), s[None, :], np.full((1, s.size), h, dtype=float),
+                         yv.reshape(-1), ndtr)
+    out = sums[0] / s.size
     return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
 
 
@@ -452,27 +455,39 @@ def _mixture_cdf(w, mu, sigma, x, ndtr, density=False):
     return cdf, z.sum(axis=-1)
 
 
-# draws per block of the inversion and the curve evaluation
+# draws per block of the inversion
 _DRAW_CHUNK = 32
 # points in each draw's starting table
 _TABLE_POINTS = 64
 
 
-def _mixture_sums(w, mu, sigma, x, ndtr, density=False, step=None):
-    """Mixture CDF (and density, with ``density=True``) at ``x``, summed over
-    blocks of ``step`` components, by default as many as keep each buffer
-    within ``_BLOCK`` elements.
+def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
+    """Mixture CDF (and density, with ``density=True``) at ``x``, as
+    ``_mixture_cdf`` computes it, in blocks of (row, point) evaluations.
 
-    ``w, mu, sigma`` have shape (R, L) and ``x`` shape (R', K) with R == R'
-    or R == 1.  The blocks run through ``ordered_map`` and are added in
-    block order.  When one block holds all L components this is
-    ``_mixture_cdf`` bit for bit.
+    ``w, mu, sigma`` have shape (R, L) and ``x`` shape (K,), points shared
+    by every row, or (R, K).  A block takes as many evaluations as keep its
+    (rows, points, L) buffer within ``_BLOCK`` elements, and at least one;
+    the blocks run through ``ordered_map``.  The components are never
+    split, so each value is one sum over all L of them, with the bits of an
+    unblocked ``_mixture_cdf`` call whatever the shape of the call.  This
+    is the only place a sum of normal CDFs is blocked.
     """
-    step = max(1, _BLOCK // max(x.size, 1)) if step is None else step
-    parts = ordered_map(lambda b: _mixture_cdf(w[:, b:b + step], mu[:, b:b + step],
-                                               sigma[:, b:b + step], x, ndtr, density),
-                        range(0, w.shape[-1], step))
-    return tuple(map(sum, zip(*parts))) if density else sum(parts)
+    rows, k = w.shape[0], x.shape[-1]
+    x = np.broadcast_to(x, (rows, k))
+    per = max(1, _BLOCK // w.shape[1])
+    cols = max(1, min(k, per))
+    step = per // cols
+    out = np.empty((2 if density else 1, rows, k))
+
+    def block(at):
+        r, c = at
+        out[:, r:r + step, c:c + cols] = _mixture_cdf(
+            w[r:r + step], mu[r:r + step], sigma[r:r + step], x[r:r + step, c:c + cols],
+            ndtr, density)
+
+    ordered_map(block, [(r, c) for r in range(0, rows, step) for c in range(0, k, cols)])
+    return (out[0], out[1]) if density else out[0]
 
 
 def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
@@ -489,9 +504,12 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     leaves the bracket, or that fails to halve the step before last, is
     replaced by bisection, so the steps shrink at least as fast as
     bisection's every other iteration and convergence is quadratic near the
-    root.  Converged roots leave the working set, and the component sums
-    run in blocks (``_mixture_sums``), so a kernel CDF with L = n keeps its
-    buffers bounded.  Raises when the residual in CDF scale exceeds 1e-10.
+    root.  Converged roots leave the working set.  The tables, the Newton
+    passes and the residual check take their sums from ``_mixture_sums``,
+    in (row, point) blocks of at most ``_BLOCK`` elements that never split
+    the components, so a kernel CDF with L = n keeps its buffers bounded
+    and each value's bits do not depend on the working set.  Raises when
+    the residual in CDF scale exceeds 1e-10.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
@@ -575,15 +593,8 @@ def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0
     if np.any(interior):
-        q = 1.0 - grid[interior]
-        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, q, ndtr)
-
-        def evaluate(start):
-            rows = slice(start, start + _DRAW_CHUNK)
-            return 1.0 - _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows], roots[rows], ndtr)
-
-        curves[:, interior] = np.concatenate(
-            ordered_map(evaluate, range(0, w_d.shape[0], _DRAW_CHUNK)))
+        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior], ndtr)
+        curves[:, interior] = 1.0 - _mixture_sums(w_d, mu_d, sg_d, roots, ndtr)
     return np.clip(curves, 0.0, 1.0)
 
 
@@ -1031,25 +1042,12 @@ def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
 
 
 def _mean_mixture_cdf(w, mu, sg, y, ndtr):
-    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg.
-    # A value's bits do not depend on how many points one call takes (the
-    # Youden scan calls with 1 to 1000): the component blocks are fixed by
-    # S and L, the points go in chunks that keep each buffer within _BLOCK
-    # elements, and the draws are added in row order (a mean down axis 0
-    # would add pairwise for one point and row by row for several)
+    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg,
+    # with the draws added in row order: a mean down axis 0 would add
+    # pairwise for one point and row by row for several
     yv = np.asarray(y, dtype=float)
-    flat = yv.reshape(-1)
-    n_draws, n_comp = w.shape
-    step = min(n_comp, max(1, _BLOCK // n_draws))
-    per = max(1, _BLOCK // (n_draws * step))
-
-    def chunk(start):
-        piece = flat[start:start + per]
-        sums = _mixture_sums(w, mu, sg, np.broadcast_to(piece, (n_draws, piece.size)), ndtr,
-                             step=step)
-        return np.cumsum(sums, axis=0)[-1] / n_draws
-
-    out = np.concatenate(ordered_map(chunk, range(0, max(flat.size, 1), per)))
+    sums = _mixture_sums(w, mu, sg, yv.reshape(-1), ndtr)
+    out = np.cumsum(sums, axis=0, out=sums)[-1] / w.shape[0]
     return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
 
@@ -1079,12 +1077,12 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         hi = max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max
 
         def cdfs(x, rows):
-            return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
-                    _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
+            return (_mixture_sums(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
+                    _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
 
-        # unblocked over components (blocking them would reorder each sum),
-        # so a budget of _BLOCK // L (pair, point) evaluations per call keeps
-        # the (draws, points, L) buffers within _BLOCK elements
+        # a fine-stage call gathers one (L,) parameter row per (pair,
+        # point), so _BLOCK // L evaluations per call keep those within
+        # _BLOCK elements
         budget = _BLOCK // max(w_d.shape[1], w_nd.shape[1])
         yis, thresholds, p_stars = _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi,
                                                   w_d.shape[0], budget)

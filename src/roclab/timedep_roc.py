@@ -246,6 +246,33 @@ def _pav_nonincreasing(values: np.ndarray) -> np.ndarray:
     return np.asarray(out[::-1])
 
 
+def _roc_and_youden(s: SurvivalSample, t: float, grid=None, *, isotonic: bool = False):
+    """``timedep_roc`` and the Youden index over the distinct markers, from one sweep.
+
+    The Youden index is the largest ``TPF + TNF - 1`` of the rules
+    ``Y >= c`` at the distinct markers, the smallest such ``c`` on ties,
+    with the fractions ``cumdyn_fractions`` gives.  Returns the curve and a
+    dict of ``yi``, ``c_star`` and ``p_star``.
+    """
+    t = _check_horizon(t)
+    grid = default_prob_grid() if grid is None else as_prob_grid(grid)
+    sw = _sweep(s, t, "FPF")
+    key, bound, tpf = sw.fp / sw.controls, grid, sw.tp / sw.cases
+    if isotonic:
+        key, tpf = _pav_nonincreasing(key), _pav_nonincreasing(tpf)
+    elif sw.counted:
+        # fp / controls <= num / den exactly when fp <= num * controls // den
+        key, bound = sw.fp, np.array([num * sw.controls // den for num, den in
+                                      map(float.as_integer_ratio, grid.tolist())])
+    # the first threshold whose FPF is at most p is the first whose running minimum is
+    first = np.searchsorted(-np.minimum.accumulate(key), -bound, side="left")
+    curve = RocCurveEstimate(grid=grid, roc=tpf[first], auc=_trapezoid(sw))
+    tnf = sw.tn[:-1] / sw.controls
+    youden = sw.tp[:-1] / sw.cases + tnf - 1.0
+    best = int(np.argmax(youden))
+    return curve, {"yi": youden[best], "c_star": sw.thresholds[best], "p_star": 1.0 - tnf[best]}
+
+
 def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
                 isotonic: bool = False) -> RocCurveEstimate:
     """Time-dependent ROC at horizon ``t``: ``ROC(p, t) = TPF(FPF^{-1}(p))``.
@@ -260,19 +287,7 @@ def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
     projected onto monotone sequences by pool-adjacent-violators;
     comparisons then run in float arithmetic.
     """
-    t = _check_horizon(t)
-    grid = default_prob_grid() if grid is None else as_prob_grid(grid)
-    sw = _sweep(s, t, "FPF")
-    key, bound, tpf = sw.fp / sw.controls, grid, sw.tp / sw.cases
-    if isotonic:
-        key, tpf = _pav_nonincreasing(key), _pav_nonincreasing(tpf)
-    elif sw.counted:
-        # fp / controls <= num / den exactly when fp <= num * controls // den
-        key, bound = sw.fp, np.array([num * sw.controls // den for num, den in
-                                      map(float.as_integer_ratio, grid.tolist())])
-    # the first threshold whose FPF is at most p is the first whose running minimum is
-    first = np.searchsorted(-np.minimum.accumulate(key), -bound, side="left")
-    return RocCurveEstimate(grid=grid, roc=tpf[first], auc=_trapezoid(sw))
+    return _roc_and_youden(s, t, grid, isotonic=isotonic)[0]
 
 
 def timedep_auc(s: SurvivalSample, t: float) -> float:

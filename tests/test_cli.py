@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -521,6 +522,15 @@ class TestTimedepSubcommand:
         for key, value in expected.items():
             assert lines[key] == format(float(value), ".6g"), key
         assert blobs[0] == blobs[1]
+
+    def test_one_sweep_per_run(self, tmp_path, monkeypatch):
+        # the package's timedep_roc is the function, not the module
+        td = importlib.import_module("roclab.timedep_roc")
+        p, med = self._cohort(tmp_path)
+        calls, sweep = [], td._sweep
+        monkeypatch.setattr(td, "_sweep", lambda *args: calls.append(args) or sweep(*args))
+        assert run(["timedep", "--input", p, "--time", med, "--outdir", tmp_path / "out"]) == 0
+        assert len(calls) == 1
 
     def test_time_before_events_is_input_error(self, tmp_path, capsys):
         p, _ = self._cohort(tmp_path)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import rankdata
@@ -22,7 +22,7 @@ from roclab.core import default_prob_grid
 from roclab.indices import _golden_max, _youden_search
 from roclab.pooled_roc import (_allocate, _blocked_gibbs, _ensemble_from_mixture_arrays,
                                _invert_mixture_cdf, _midranks, _mixture_aucs, _mixture_cdf,
-                               _pairwise_rows, _roc_from_mixtures)
+                               _mixture_sums, _pairwise_rows, _roc_from_mixtures)
 
 
 def brute_auc(d, nd):
@@ -230,6 +230,15 @@ class TestKernelCdf:
         finally:
             tracemalloc.stop()
         assert peak < 8e6  # the (1000, 10_000) matrix alone is 80 MB
+
+    def test_memory_at_n_100_000(self, force_workers):
+        # each buffer holds one point's 10^5 terms (800 kB): the unit
+        # weights, the bandwidth row and one buffer per thread stay near
+        # 3.2 MB, where the (200, 10^5) matrix alone is 160 MB
+        force_workers(2)
+        rng = np.random.default_rng(17)
+        s, y = rng.normal(0, 1, 100_000), np.linspace(-4.0, 4.0, 200)
+        assert traced_peak(lambda: kernel_cdf(s, 0.05, y)) < 6e6
 
 
 class TestKernelRoc:
@@ -523,6 +532,32 @@ def batched_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi, budget=64 * 64):
                                    np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0], budget))
 
 
+def all_bracket_golden_max(f, lo, hi, iters=100):
+    """Golden-section search on every bracket at once, with ``f(x)`` taking
+    one abscissa per bracket on every iteration until the last bracket
+    has converged; each bracket runs the scalar recurrence elementwise."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        go = ~(b - a <= 1e-13 * (1.0 + np.abs(a) + np.abs(b)))
+        if not go.any():
+            break
+        up = go & (f1 < f2)
+        down = go & ~up
+        a = np.where(up, x1, a)
+        b = np.where(down, x2, b)
+        x1, f1, x2, f2 = (np.where(up, x2, x1), np.where(up, f2, f1),
+                          np.where(down, x1, x2), np.where(down, f1, f2))
+        x_new = np.where(up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
+        f_new = f(x_new)
+        x2, f2 = np.where(up, x_new, x2), np.where(up, f_new, f2)
+        x1, f1 = np.where(down, x_new, x1), np.where(down, f_new, f1)
+    keep = f1 >= f2
+    return np.where(keep, x1, x2), np.where(keep, f1, f2)
+
+
 def full_scan_youden(cdfs, pts, lo, hi, n_pairs):
     """The batched search with every scan point of every pair evaluated:
     the first largest gap, then the same golden section and rules."""
@@ -538,7 +573,7 @@ def full_scan_youden(cdfs, pts, lo, hi, n_pairs):
 
     a = np.where(best > 0, pts[best - 1], lo)
     b = np.where(best + 1 < pts.size, pts[np.minimum(best + 1, pts.size - 1)], hi)
-    c_ref, yi_ref = _golden_max(gap, a, b)
+    c_ref, yi_ref = all_bracket_golden_max(gap, a, b)
     better = yi_ref > yi
     c_star = np.where(better, c_ref, pts[best])
     yi = np.where(better, yi_ref, yi)
@@ -789,6 +824,34 @@ class TestCoarseToFineYouden:
         assert peak < 6_000_000
 
 
+class TestLiveBracketGolden:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_live_brackets_match_the_all_bracket_recurrence(self, seed, n):
+        # gaps of normal CDF pairs on brackets 1e-15 to 10 wide, so some
+        # start converged and the others need different iteration counts
+        rng = np.random.default_rng(seed)
+        m1, m2 = rng.normal(0.0, 2.0, (2, n))
+        s1, s2 = np.exp(rng.uniform(-2.0, 1.0, (2, n)))
+        width = 10.0 ** rng.uniform(-15.0, 1.0, n)
+        lo = rng.normal(0.0, 3.0, n)
+        hi = lo + width
+
+        def gap(x, rows):
+            return ndtr((x - m1[rows]) / s1[rows]) - ndtr((x - m2[rows]) / s2[rows])
+
+        every, live, alone = [], [], []
+        want = all_bracket_golden_max(lambda x: every.append(x.size) or gap(x, slice(None)),
+                                      lo, hi)
+        got = _golden_max(lambda x, rows: live.append(rows.size) or gap(x, rows), lo, hi)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # each bracket is evaluated as often as when it runs alone
+        for s in range(n):
+            rows = slice(s, s + 1)
+            all_bracket_golden_max(lambda x: alone.append(1) or gap(x, rows), lo[rows], hi[rows])
+        assert sum(live) == len(alone) <= sum(every)
+
+
 def global_bracket_newton(w, mu, sigma, targets):
     """CDF inversion with every root started at the middle of one global bracket."""
     lo = float((mu - 10.0 * sigma).min())
@@ -893,6 +956,34 @@ class TestTableStartedInversion:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+class TestOneEvaluator:
+    """``_mixture_sums``, which blocks every sum of normal CDFs, against one
+    unblocked ``_mixture_cdf`` call."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_blocks_give_the_unblocked_sums(self, force_workers, workers, data):
+        force_workers(workers)
+        n_comp = data.draw(st.sampled_from([1, 10, 50, 7_000, 70_000]), "L")
+        rows = data.draw(st.integers(1, 40), "R")
+        # at most about 10^6 terms (or one point per row), so L = 70,000 stays fast
+        points = data.draw(st.integers(1, max(1, min(300, 1_000_000 // (rows * n_comp)))), "K")
+        shared = data.draw(st.booleans(), "shared points")
+        density = data.draw(st.booleans(), "density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        w = rng.dirichlet(np.ones(n_comp), rows)
+        mu = rng.normal(0.0, 2.0, (rows, n_comp))
+        sigma = np.exp(rng.uniform(-3.0, 1.0, (rows, n_comp)))
+        x = rng.normal(0.0, 3.0, points if shared else (rows, points))
+        got = _mixture_sums(w, mu, sigma, x, ndtr, density)
+        want = _mixture_cdf(w, mu, sigma, x, ndtr, density)
+        if not density:
+            got, want = (got,), (want,)
+        for a, b in zip(got, want):
+            assert a.shape == (rows, points) and np.array_equal(a, b)
 
 
 def brute_kernel_auc(d, nd, h_d, h_nd):

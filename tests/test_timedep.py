@@ -9,7 +9,7 @@ from roclab import (AllCensoredWarning, InvalidInputError, SeedSpec,
                     SurvivalSample, TimeOutOfRangeError, classification_fractions,
                     cumdyn_fractions, empirical_auc, empirical_roc, gen_survival,
                     kaplan_meier, timedep_auc, timedep_roc)
-from roclab.timedep_roc import _sweep
+from roclab.timedep_roc import _roc_and_youden, _sweep
 
 
 # Reference oracle: the exact-rational estimator, one product-limit fit per
@@ -348,6 +348,24 @@ class TestSweepAgainstOracle:
         for iso in (False, True):
             a, b = timedep_roc(s, t, isotonic=iso), timedep_roc(moved, t, isotonic=iso)
             assert np.array_equal(a.roc, b.roc) and a.auc == b.auc
+
+    @given(survival_cases(), st.booleans())
+    def test_one_sweep_youden_equals_cumdyn_fractions(self, case, isotonic):
+        # the CLI's Youden index, from the sweep behind the curve, against
+        # the fractions of a second sweep at every distinct marker
+        s, t = case
+        if oracle_survival_at(s, t) is None:
+            with pytest.raises(TimeOutOfRangeError):
+                _roc_and_youden(s, t)
+            return
+        curve, youden = _roc_and_youden(s, t, isotonic=isotonic)
+        est = timedep_roc(s, t, isotonic=isotonic)
+        assert np.array_equal(curve.roc, est.roc) and curve.auc == est.auc
+        cs = np.unique(s.marker)
+        tpf, tnf = cumdyn_fractions(s, cs, t)
+        j = tpf + tnf - 1.0
+        best = int(np.argmax(j))
+        assert youden == {"yi": j[best], "c_star": cs[best], "p_star": 1.0 - tnf[best]}
 
     @given(survival_cases())
     def test_array_thresholds_equal_scalar_calls(self, case):

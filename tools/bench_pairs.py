@@ -14,7 +14,8 @@ copies, the parent first when ``i`` is even and the change first when it
 is odd.  The output file holds every run's end-to-end metrics, each
 side's median and quartiles, the parent's quartile distance, how many
 pairs each side won, the median seconds of each analysis per side and
-the line count of ``src/roclab/*.py`` on both sides.
+the line count of ``src/roclab/*.py`` on both sides, split into code,
+docstring, comment and blank lines.
 
 With ``--trace``, each pair also runs one traced pass per workload and
 side (``bench/run.py --trace 1 --seconds 0``: one untraced pass, then
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import io
 import json
 import os
 import shutil
@@ -34,6 +36,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -111,12 +114,50 @@ def summarize(parent: list[dict], change: list[dict], better: dict) -> dict:
     return summary
 
 
-def src_lines(tree: str) -> int:
-    total = 0
-    for path in glob.glob(os.path.join(tree, "src", "roclab", "*.py")):
-        with open(path) as fh:
-            total += sum(1 for _ in fh)
-    return total
+# tokens that make no line a code line
+_LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER, tokenize.COMMENT}
+
+
+def line_kinds(path: str) -> dict:
+    """Lines of one Python file by kind: a line with any code token is code;
+    else docstring (a statement that is a string alone), comment or blank."""
+    with open(path, "rb") as fh:
+        source = fh.read()
+    tokens = list(tokenize.tokenize(io.BytesIO(source).readline))
+    kind = {}
+    rank = {"comment": 1, "docstring": 2, "code": 3}
+    significant = [t for t in tokens if t.type not in (tokenize.NL, tokenize.COMMENT)]
+    docstrings = {id(t) for prev, t, nxt in zip(significant, significant[1:], significant[2:])
+                  if t.type == tokenize.STRING and nxt.type == tokenize.NEWLINE
+                  and prev.type in (tokenize.ENCODING, tokenize.NEWLINE,
+                                    tokenize.INDENT, tokenize.DEDENT)}
+    for t in tokens:
+        if t.type == tokenize.COMMENT:
+            name = "comment"
+        elif id(t) in docstrings:
+            name = "docstring"
+        elif t.type in _LAYOUT:
+            continue
+        else:
+            name = "code"
+        for line in range(t.start[0], t.end[0] + 1):
+            if rank[name] > rank.get(kind.get(line), 0):
+                kind[line] = name
+    counts = {name: sum(1 for k in kind.values() if k == name) for name in rank}
+    counts["blank"] = len(source.splitlines()) - len(kind)
+    return counts
+
+
+def src_lines(tree: str) -> dict:
+    """Lines of ``src/roclab/*.py``: the total and its split by ``line_kinds``."""
+    totals = {"total": 0, "code": 0, "docstring": 0, "comment": 0, "blank": 0}
+    for path in sorted(glob.glob(os.path.join(tree, "src", "roclab", "*.py"))):
+        counts = line_kinds(path)
+        totals["total"] += sum(counts.values())
+        for name, value in counts.items():
+            totals[name] += value
+    return totals
 
 
 def main(argv=None) -> int:
