@@ -3,8 +3,8 @@
 The positivity rule is ``y >= c`` everywhere: a result at the threshold
 counts as positive.  Fractions are computed as single integer-count
 divisions so that values like 2/3 come out correctly rounded and agree
-bit-for-bit with the exact-rational survival-based estimators when the two
-coincide mathematically.
+bit-for-bit with ``cumdyn_fractions`` on the labels ``I(T <= t)`` when
+nobody is censored at or before ``t``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ Conventions used throughout the package:
   ECDF level reaches ``p``.  The rank is resolved in exact integer
   arithmetic on the binary value of ``p`` so that boundary probabilities
   (``p`` exactly at a jump) never depend on floating-point rounding.
+  ``quantile`` and every empirical ROC curve take their ranks from this
+  one rule, ``_exact_ranks``.
 * ROC curves live on probability grids: strictly increasing 1-d arrays
   inside ``[0, 1]``.
 * Independent blocks of array work (normal-CDF sums over kernel or mixture
@@ -117,11 +119,17 @@ def ecdf(sample, y):
     return float(out) if np.isscalar(y) or yv.ndim == 0 else out
 
 
-def _exact_rank(n: int, p: float) -> int:
-    # smallest k with k/n >= p, i.e. ceil(n*p), decided on the exact binary
-    # rational of p so jump boundaries are deterministic
-    num, den = float(p).as_integer_ratio()
-    return -((-n * num) // den)
+def _exact_ranks(n: int, probs: np.ndarray, complement: bool = False) -> np.ndarray:
+    """Smallest ``k`` with ``k/n >= p`` (or ``>= 1 - p`` with ``complement``).
+
+    That is ``ceil(n p)``, decided on the exact binary rational of each
+    ``p``, so a level exactly on an ECDF jump never depends on rounding.
+    """
+    def rank(p: float) -> int:
+        num, den = p.as_integer_ratio()
+        return -((-n * (den - num if complement else num)) // den)
+
+    return np.fromiter(map(rank, probs.tolist()), dtype=np.intp, count=probs.size)
 
 
 def quantile(sample, p):
@@ -135,9 +143,7 @@ def quantile(sample, p):
     pv = np.asarray(p, dtype=float)
     if np.any(pv <= 0.0) or np.any(pv > 1.0):
         raise InvalidInputError("quantile probability must be in (0, 1]")
-    flat = np.atleast_1d(pv)
-    idx = np.fromiter((_exact_rank(s.size, q) - 1 for q in flat), dtype=np.intp, count=flat.size)
-    out = s[idx]
+    out = s[_exact_ranks(s.size, pv.ravel()) - 1]
     return float(out[0]) if pv.ndim == 0 else out.reshape(pv.shape)
 
 

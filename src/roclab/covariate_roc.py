@@ -28,16 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (as_prob_grid, default_prob_grid, quantile, std_normal_cdf,
-                   validate_sample)
+from .core import as_prob_grid, default_prob_grid, std_normal_cdf, validate_sample
 from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError,
                      InvalidInputError, NumericError, SeparationWarning,
                      SingularDesignError)
-from .indices import YoudenResult, youden_from_cdfs
+from .indices import YoudenResult, _clamped_trapezoid, youden_from_cdfs
 from .pooled_roc import (DpmConfig, MixtureEnsemble, PosteriorEnsemble,
                          RocCurveEstimate, _blocked_gibbs,
                          _ensemble_from_mixture_arrays, _exact_fit,
-                         _mean_mixture_cdf)
+                         _mean_mixture_cdf, empirical_roc)
 
 
 # ---------------------------------------------------------------------------
@@ -203,31 +202,22 @@ def pepe_semiparam_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
     """Semiparametric conditional ROC via standardized-residual ECDFs.
 
     The curve is ``1 - Fhat_eD(a(x) + b Qhat_eND(1-p))`` with residual
-    ECDF/quantile in place of the normal law.  The AUC is the conditional
+    ECDF/quantile in place of the normal law: since ``b > 0`` the map
+    ``e -> a(x) + b e`` keeps the order of the residuals, so this is
+    ``empirical_roc`` of the diseased residuals against the mapped
+    nondiseased ones, with its exact rank rule (with intercept-only fits,
+    the empirical curve of the two samples).  The AUC is the conditional
     Mann-Whitney form: the fraction of residual pairs with
     ``mu_ND(x) + sigma_ND e_NDi <= mu_D(x) + sigma_D e_Dj`` (ties count
     fully, matching the closed-form expression for continuous data).
     """
-    grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     a_x, b = _roc_scale_params(fit_d, fit_nd, x)
-    res_d = np.sort(fit_d.residuals)
-    res_nd = fit_nd.residuals
-    roc = np.empty(grid.size)
-    for i, p in enumerate(grid):
-        if p == 0.0:
-            thr = a_x + b * float(np.max(res_nd))
-            roc[i] = (res_d.size - np.searchsorted(res_d, thr, side="right")) / res_d.size
-        elif p == 1.0:
-            roc[i] = 1.0
-        else:
-            thr = a_x + b * quantile(res_nd, 1.0 - p)
-            roc[i] = (res_d.size - np.searchsorted(res_d, thr, side="right")) / res_d.size
-
+    curve = empirical_roc(fit_d.residuals, a_x + b * fit_nd.residuals, grid)
     v_d = fit_d.mean_at(x) + fit_d.sigma * fit_d.residuals
-    v_nd = np.sort(fit_nd.mean_at(x) + fit_nd.sigma * res_nd)
+    v_nd = np.sort(fit_nd.mean_at(x) + fit_nd.sigma * fit_nd.residuals)
     pairs = int(np.searchsorted(v_nd, v_d, side="right").sum())
-    auc = pairs / (v_d.size * v_nd.size)
-    return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
+    return RocCurveEstimate(grid=curve.grid, roc=curve.roc,
+                            auc=pairs / (v_d.size * v_nd.size))
 
 
 def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
@@ -426,8 +416,7 @@ class RocGlmFit:
         if np.any(interior):
             h = self._baseline_matrix(grid[interior])
             roc[interior] = ndtr(h @ self.alpha + shift)
-        auc = float(min(1.0, max(0.0, np.trapezoid(roc, grid))))
-        return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
+        return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
 def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
@@ -540,8 +529,7 @@ def aroc(sample_d: RegressionSample, nondiseased_cdf, grid=None) -> RocCurveEsti
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     pv = np.sort(placement_values(sample_d, nondiseased_cdf))
     roc = np.searchsorted(pv, grid, side="right") / pv.size
-    auc = float(min(1.0, max(0.0, np.trapezoid(roc, grid))))
-    return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
+    return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
 # ---------------------------------------------------------------------------

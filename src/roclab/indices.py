@@ -45,6 +45,11 @@ def auc_from_curve(curve) -> float:
     roc = np.asarray(curve.roc, dtype=float)
     if roc.shape != grid.shape:
         raise InvalidInputError("curve and grid lengths differ")
+    return _clamped_trapezoid(roc, grid)
+
+
+def _clamped_trapezoid(roc: np.ndarray, grid: np.ndarray) -> float:
+    # the trapezoid rule over a probability grid, clamped to [0, 1]
     return float(min(1.0, max(0.0, np.trapezoid(roc, grid))))
 
 

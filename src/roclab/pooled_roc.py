@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SeedSpec, as_prob_grid, default_prob_grid, dirichlet_uniform,
-                   ordered_map, validate_sample)
+from .core import (SeedSpec, _exact_ranks, as_prob_grid, default_prob_grid,
+                   dirichlet_uniform, ordered_map, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
 from .indices import _youden_search
 
@@ -329,11 +329,6 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _inverse_rank(n: int, one_minus_p_num: int, den: int) -> int:
-    # smallest j with j/n >= (den - num)/den for p = num/den, as exact ints
-    return -((-n * one_minus_p_num) // den)
-
-
 def empirical_roc(diseased, nondiseased, grid=None) -> RocCurveEstimate:
     """Plug-in ECDF estimate of the ROC curve on a probability grid.
 
@@ -341,20 +336,16 @@ def empirical_roc(diseased, nondiseased, grid=None) -> RocCurveEstimate:
     statistic whose ECDF level reaches ``1 - p``; ``roc(1) = 1`` by
     convention and ``roc(0)`` is the right limit (the fraction of diseased
     above the nondiseased maximum).  Rank selection uses exact integer
-    arithmetic on the binary value of each grid probability.
+    arithmetic on the binary value of each grid probability
+    (``core._exact_ranks``, the rank rule of ``quantile`` too).
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
-    roc = np.empty(grid.size)
-    for i, p in enumerate(grid):
-        if p == 1.0:
-            roc[i] = 1.0
-            continue
-        num, den = float(p).as_integer_ratio()
-        j = _inverse_rank(nd.size, den - num, den)
-        q = nd[j - 1]
-        roc[i] = (d.size - np.searchsorted(d, q, side="right")) / d.size
+    ranks = _exact_ranks(nd.size, grid, complement=True)
+    # rank 0 (p = 1) takes no order statistic: below every value, roc(1) = 1
+    q = np.where(ranks > 0, nd[ranks - 1], -np.inf)
+    roc = (d.size - np.searchsorted(d, q, side="right")) / d.size
     return RocCurveEstimate(grid=grid, roc=roc, auc=empirical_auc(d, nd))
 
 

@@ -9,14 +9,16 @@ estimates through Bayes' rule:
 
 with marker-subset and overall product-limit estimates, all read from one
 sweep over the distinct markers.  With no censoring at or before ``t``
-these telescope to plain counts, each fraction and the AUC are integer
-ratios rounded once, and everything agrees bit-for-bit with the
-binary-label estimators applied to ``D = I(T <= t)``.  Under censoring the
-products are taken in floats.
+these telescope to plain counts: each fraction is a count ratio rounded
+once, and the curve and AUC are ``empirical_roc`` and ``empirical_auc`` of
+the labels ``D = I(T <= t)``.  Under censoring the products are taken in
+floats.
 
-The resulting curve is not automatically monotone under censoring; an
-optional pool-adjacent-violators correction is available and off by
-default, leaving the raw estimator untouched.
+The curve is not automatically monotone under censoring; an optional
+pool-adjacent-violators correction (``isotonic``) is available and off by
+default, leaving the raw estimator untouched.  Without censoring at or
+before ``t`` the fractions are monotone already and ``isotonic`` does
+nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .core import as_prob_grid, default_prob_grid
 from .errors import AllCensoredWarning, InvalidInputError, TimeOutOfRangeError
-from .pooled_roc import RocCurveEstimate
+from .pooled_roc import RocCurveEstimate, empirical_auc, empirical_roc
 
 __all__ = ["SurvivalSample", "StepSurvival", "kaplan_meier",
            "cumdyn_fractions", "timedep_roc", "timedep_auc"]
@@ -139,17 +141,16 @@ class _Sweep:
     """Fractions of the rules ``Y >= c`` at the ascending distinct markers.
 
     The arrays have one entry more than ``thresholds``, for a rule above
-    every marker.  TPF = tp / cases, FPF = fp / controls, TNF = tn /
-    controls: integer counts when ``counted``, else float fractions over 1.
+    every marker: TPF ``tp``, FPF ``fp`` and TNF ``tn``.  ``labels`` is the
+    case indicator ``I(T <= t)`` when nobody is censored at or before
+    ``t`` (each fraction is then a count ratio rounded once), else None.
     """
 
     thresholds: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
     tn: np.ndarray
-    cases: int
-    controls: int
-    counted: bool
+    labels: np.ndarray | None
 
 
 def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
@@ -179,7 +180,8 @@ def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
     if not np.any((events == 0) & (times <= t)):
         cases = int(deaths.sum())
         fp = n_ge - cases_ge
-        return _Sweep(thresholds, cases_ge, fp, n - cases - fp, cases, n - cases, True)
+        return _Sweep(thresholds, cases_ge / cases, fp / (n - cases),
+                      (n - cases - fp) / (n - cases), case)
 
     # row 0 counts {Y >= c} and row 1 counts {Y < c} at each event time
     steps = np.searchsorted(event_times, times, side="right")
@@ -200,13 +202,7 @@ def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
     tp = np.clip(n_ge / n * (1.0 - s_ge) / (1.0 - s_t), 0.0, 1.0)
     fp = np.clip(n_ge / n * s_ge / s_t, 0.0, 1.0)
     tn = np.clip((n - n_ge) / n * s_lt / s_t, 0.0, 1.0)
-    return _Sweep(thresholds, tp, fp, tn, 1, 1, False)
-
-
-def _trapezoid(sw: _Sweep) -> float:
-    # with counts the integer sum is divided once, so it rounds once
-    area = np.sum((sw.tp[:-1] + sw.tp[1:]) * (sw.fp[:-1] - sw.fp[1:]))
-    return float(np.clip(area / (2 * sw.cases * sw.controls), 0.0, 1.0))
+    return _Sweep(thresholds, tp, fp, tn, None)
 
 
 def cumdyn_fractions(s: SurvivalSample, c, t: float):
@@ -215,8 +211,11 @@ def cumdyn_fractions(s: SurvivalSample, c, t: float):
     Requires ``0 < 1 - S(t)`` and ``S(t) > 0``; otherwise the corresponding
     fraction is undefined and a time-out-of-range error names ``t``.
     Without censoring at or before ``t`` each fraction is a count ratio
-    rounded once; under censoring a float ratio clamped to [0, 1].  A scalar
-    ``c`` gives two floats, an array of thresholds two arrays (one sweep).
+    rounded once, as ``classification_fractions`` gives for the labels
+    ``I(T <= t)``; under censoring a float ratio clamped to [0, 1].  These
+    are the raw fractions, which ``timedep_roc(isotonic=True)`` corrects
+    only under censoring.  A scalar ``c`` gives two floats, an array of
+    thresholds two arrays (one sweep).
     """
     t = _check_horizon(t)
     cv = np.asarray(c, dtype=float)
@@ -224,7 +223,7 @@ def cumdyn_fractions(s: SurvivalSample, c, t: float):
         raise InvalidInputError("threshold is NaN")
     sw = _sweep(s, t, "TNF")
     k = np.searchsorted(sw.thresholds, cv, side="left")
-    tpf, tnf = sw.tp[k] / sw.cases, sw.tn[k] / sw.controls
+    tpf, tnf = sw.tp[k], sw.tn[k]
     return (float(tpf), float(tnf)) if cv.ndim == 0 else (tpf, tnf)
 
 
@@ -257,20 +256,27 @@ def _roc_and_youden(s: SurvivalSample, t: float, grid=None, *, isotonic: bool = 
     t = _check_horizon(t)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     sw = _sweep(s, t, "FPF")
-    key, bound, tpf = sw.fp / sw.controls, grid, sw.tp / sw.cases
-    if isotonic:
-        key, tpf = _pav_nonincreasing(key), _pav_nonincreasing(tpf)
-    elif sw.counted:
-        # fp / controls <= num / den exactly when fp <= num * controls // den
-        key, bound = sw.fp, np.array([num * sw.controls // den for num, den in
-                                      map(float.as_integer_ratio, grid.tolist())])
-    # the first threshold whose FPF is at most p is the first whose running minimum is
-    first = np.searchsorted(-np.minimum.accumulate(key), -bound, side="left")
-    curve = RocCurveEstimate(grid=grid, roc=tpf[first], auc=_trapezoid(sw))
-    tnf = sw.tn[:-1] / sw.controls
-    youden = sw.tp[:-1] / sw.cases + tnf - 1.0
+    if sw.labels is not None:
+        # count ratios are already monotone: the empirical curve of the labels
+        curve = empirical_roc(s.marker[sw.labels], s.marker[~sw.labels], grid)
+    else:
+        fpf, tpf = sw.fp, sw.tp
+        if isotonic:
+            fpf, tpf = _pav_nonincreasing(fpf), _pav_nonincreasing(tpf)
+        # the first threshold whose FPF is at most p is the first whose running minimum is
+        first = np.searchsorted(-np.minimum.accumulate(fpf), -grid, side="left")
+        curve = RocCurveEstimate(grid=grid, roc=tpf[first], auc=_auc(s, sw))
+    youden = sw.tp[:-1] + sw.tn[:-1] - 1.0
     best = int(np.argmax(youden))
-    return curve, {"yi": youden[best], "c_star": sw.thresholds[best], "p_star": 1.0 - tnf[best]}
+    return curve, {"yi": youden[best], "c_star": sw.thresholds[best],
+                   "p_star": 1.0 - sw.tn[best]}
+
+
+def _auc(s: SurvivalSample, sw: _Sweep) -> float:
+    if sw.labels is not None:
+        return float(empirical_auc(s.marker[sw.labels], s.marker[~sw.labels]))
+    area = np.sum((sw.tp[:-1] + sw.tp[1:]) * (sw.fp[:-1] - sw.fp[1:]))
+    return float(np.clip(area / 2, 0.0, 1.0))
 
 
 def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
@@ -279,13 +285,12 @@ def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
 
     The threshold sweep runs over all observed marker values; the
     generalized inverse picks, for each grid ``p``, the smallest threshold
-    whose FPF is at most ``p``, compared exactly in integers without
-    censoring at or before ``t`` and in floats under censoring.  The
-    attached ``auc`` is ``timedep_auc`` over the same sweep.
-
-    With ``isotonic=True`` both swept fraction sequences are first
-    projected onto monotone sequences by pool-adjacent-violators;
-    comparisons then run in float arithmetic.
+    whose FPF is at most ``p``.  Without censoring at or before ``t`` that
+    is ``empirical_roc`` of the labels ``I(T <= t)``, with its exact rank
+    rule, whatever ``isotonic`` says.  Under censoring the comparisons run
+    in floats, and ``isotonic=True`` first projects both swept fraction
+    sequences onto monotone sequences by pool-adjacent-violators.  The
+    attached ``auc`` is ``timedep_auc``, from the raw fractions.
     """
     return _roc_and_youden(s, t, grid, isotonic=isotonic)[0]
 
@@ -294,8 +299,9 @@ def timedep_auc(s: SurvivalSample, t: float) -> float:
     """Area under the swept time-dependent curve (trapezoid).
 
     The trapezoid over the swept vertices reproduces the Mann-Whitney
-    half-tie convention.  Without censoring at or before ``t`` it is one
-    integer sum divided once, so it equals the empirical AUC of the induced
-    labels bit-for-bit; under censoring it is summed in floats.
+    half-tie convention.  Without censoring at or before ``t`` it is
+    ``empirical_auc`` of the labels ``I(T <= t)``; under censoring it is
+    summed in floats.  The raw fractions are used with or without the
+    curve's ``isotonic`` correction.
     """
-    return _trapezoid(_sweep(s, _check_horizon(t), "FPF"))
+    return _auc(s, _sweep(s, _check_horizon(t), "FPF"))

@@ -146,6 +146,20 @@ class TestPepeSemiparamRoc:
             assert curve.auc == brute
 
 
+    @pytest.mark.parametrize("n_nd", [10, 20, 40, 50, 100])
+    def test_intercept_only_is_the_empirical_curve(self, n_nd):
+        # grid points on ECDF jumps take the rank of the exact 1 - p, as in
+        # empirical_roc, not of its rounded float
+        rng = np.random.default_rng(45 + n_nd)
+        for _ in range(20):
+            y_d = rng.normal(1.0, rng.uniform(0.5, 2.0), int(rng.integers(5, 80)))
+            y_nd = rng.normal(0.0, 1.0, n_nd)
+            fit_d, fit_nd = ols_fit(_ones_sample(y_d)), ols_fit(_ones_sample(y_nd))
+            for grid in (np.linspace(0.0, 1.0, 201), np.arange(n_nd + 1) / n_nd):
+                assert np.array_equal(pepe_semiparam_roc(fit_d, fit_nd, [], grid).roc,
+                                      empirical_roc(y_d, y_nd, grid).roc)
+
+
 class TestBsplineDesign:
     def test_partition_of_unity(self):
         spec = BSplineSpec(interior_knots=(0.3, 0.5, 0.8), boundary=(0.0, 1.0))

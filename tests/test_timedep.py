@@ -289,16 +289,18 @@ class TestSweepAgainstOracle:
             return
         fpf, tpf = oracle_sweep(s, t)
         sw = _sweep(s, t, "FPF")
-        assert sw.counted
-        assert np.array_equal(sw.fp / sw.controls, [float(f) for f in fpf])
-        assert np.array_equal(sw.tp / sw.cases, [float(f) for f in tpf])
+        assert np.array_equal(sw.labels, (s.event == 1) & (s.time <= t))
+        assert np.array_equal(sw.fp, [float(f) for f in fpf])
+        assert np.array_equal(sw.tp, [float(f) for f in tpf])
         cs = np.append(sw.thresholds, np.inf)
         ref = np.array([[float(f) for f in oracle_fractions(s, c, t)] for c in cs])
         assert np.array_equal(np.column_stack(cumdyn_fractions(s, cs, t)), ref)
         for grid in _grids(s, fpf):
-            est = timedep_roc(s, t, grid)
-            assert np.array_equal(est.roc, oracle_curve(fpf, tpf, grid))
-        assert est.auc == timedep_auc(s, t) == oracle_auc(fpf, tpf)
+            # the count ratios are monotone already, so isotonic changes nothing
+            for isotonic in (False, True):
+                est = timedep_roc(s, t, grid, isotonic=isotonic)
+                assert np.array_equal(est.roc, oracle_curve(fpf, tpf, grid))
+                assert est.auc == timedep_auc(s, t) == oracle_auc(fpf, tpf)
 
     @given(survival_cases(censored_by_t=True))
     def test_censored_within_tolerance_of_oracle(self, case):
@@ -309,10 +311,10 @@ class TestSweepAgainstOracle:
             return
         fpf, tpf = oracle_sweep(s, t)
         sw = _sweep(s, t, "FPF")
-        assert not sw.counted
+        assert sw.labels is None
         ref_fpf = np.array([float(f) for f in fpf])
-        assert np.allclose(sw.fp / sw.controls, ref_fpf, rtol=0.0, atol=1e-12)
-        assert np.allclose(sw.tp / sw.cases, [float(f) for f in tpf], rtol=0.0, atol=1e-12)
+        assert np.allclose(sw.fp, ref_fpf, rtol=0.0, atol=1e-12)
+        assert np.allclose(sw.tp, [float(f) for f in tpf], rtol=0.0, atol=1e-12)
         cs = np.append(sw.thresholds, np.inf)
         ref = np.array([[float(f) for f in oracle_fractions(s, c, t)] for c in cs])
         assert np.allclose(np.column_stack(cumdyn_fractions(s, cs, t)), ref,

@@ -15,7 +15,8 @@ is odd.  The output file holds every run's end-to-end metrics, each
 side's median and quartiles, the parent's quartile distance, how many
 pairs each side won, the median seconds of each analysis per side and
 the line count of ``src/roclab/*.py`` on both sides, split into code,
-docstring, comment and blank lines.
+docstring, comment and blank lines.  ``--pairs 0`` writes only that line
+count, without running the benchmark.
 
 With ``--trace``, each pair also runs one traced pass per workload and
 side (``bench/run.py --trace 1 --seconds 0``: one untraced pass, then
@@ -183,6 +184,13 @@ def main(argv=None) -> int:
         shutil.rmtree(tree, ignore_errors=True)
     export(args.parent, trees["parent"])
     export(args.change, trees["change"])
+
+    if args.pairs == 0:  # the line split alone, without benchmark runs
+        with open(args.out, "w") as fh:
+            json.dump({"src_lines": {side: src_lines(tree) for side, tree in trees.items()}},
+                      fh, indent=1)
+            fh.write("\n")
+        return 0
 
     commits = {side: subprocess.run(["git", "rev-parse", "--short", rev], cwd=ROOT, check=True,
                                     capture_output=True, text=True).stdout.strip()
