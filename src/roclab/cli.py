@@ -221,11 +221,12 @@ def read_cohort(path: str, columns: list[str], *, binary_cols=(),
         values: list[float] = []  # row after row
         n_rows = 0
         excluded: list[int] = []
+        last = reader.line_num  # a record's row is its first line
         for fields in reader:
+            row, last = last + 1, reader.line_num
             if not fields:  # blank lines are skipped and not counted
                 continue
             n_rows += 1
-            row = reader.line_num
             width = len(fields)
             cells = [fields[i].strip() if i < width else "" for i in index]
             if "" in cells:

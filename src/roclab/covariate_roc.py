@@ -249,6 +249,33 @@ def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
 # B-spline designs and the dependent mixture
 
 
+def _bspline_basis(x: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """Every degree-``k`` B-spline on knots ``t`` at ``x`` in ``[t[k], t[-k-1]]``.
+
+    Cox-de Boor's triangular recursion on each point's ``k + 1`` nonzero
+    splines, in the operation order of FITPACK's ``fpbspl`` (as scipy's
+    ``BSpline`` evaluates them): a point on a knot belongs to the
+    interval on its right, the right boundary to the last interval.
+    """
+    n_basis = t.size - k - 1
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
+    vals = np.zeros((x.size, k + 1))
+    vals[:, 0] = 1.0
+    for j in range(1, k + 1):
+        prev = vals[:, :j].copy()
+        vals[:, 0] = 0.0
+        for m in range(1, j + 1):
+            right, left = t[ell + m], t[ell + m - j]
+            # a zero-length span (repeated knot) carries no spline
+            w = np.divide(prev[:, m - 1], right - left, out=np.zeros(x.size),
+                          where=right > left)
+            vals[:, m - 1] += w * (right - x)
+            vals[:, m] = w * (x - left)
+    basis = np.zeros((x.size, n_basis))
+    basis[np.arange(x.size)[:, None], ell[:, None] + np.arange(-k, 1)] = vals
+    return basis
+
+
 def bspline_design(x_values, spec: BSplineSpec, categorical=None,
                    interactions: bool = False) -> np.ndarray:
     """Design matrix: intercept, cubic B-spline basis, dummies, interactions.
@@ -262,15 +289,13 @@ def bspline_design(x_values, spec: BSplineSpec, categorical=None,
 
     Raises an extrapolation error when any ``x`` lies outside the boundary.
     """
-    from scipy.interpolate import BSpline
-
     x = validate_sample(x_values, "covariate")
     lo, hi = spec.boundary
     if np.any(x < lo) or np.any(x > hi):
         bad = int(np.argmax((x < lo) | (x > hi)))
         raise ExtrapolationError(
             f"covariate value {x[bad]} outside spline boundary [{lo}, {hi}]")
-    basis = BSpline.design_matrix(x, spec.knot_vector(), spec.degree).toarray()
+    basis = _bspline_basis(x, spec.knot_vector(), spec.degree)
     cols = [np.ones((x.size, 1)), basis]
     dummies = []
     if categorical is not None:
@@ -359,18 +384,23 @@ def placement_values(sample_d: RegressionSample, nondiseased_cdf) -> np.ndarray:
 
 
 def _ispline_basis(p: np.ndarray, interior_knots: tuple[float, ...]) -> np.ndarray:
-    """Monotone (integrated B-spline) basis on [0, 1], each column 0 to 1."""
-    from scipy.interpolate import BSpline
+    """Monotone (integrated B-spline) basis on [0, 1], each column 0 to 1.
 
-    t = np.array([0.0] * 4 + list(interior_knots) + [1.0] * 4)
+    Column i is the antiderivative of cubic B-spline i over its value at
+    1.  With ``tau`` the cubic knots, that antiderivative is the sum of the
+    degree-4 B-splines after i, on ``tau`` extended by one knot at each
+    end, each times ``(tau[i+4] - tau[i]) / 4``; the products are summed
+    in spline order, which gives the bits of scipy's
+    ``BSpline(tau, e_i, 3).antiderivative()``.
+    """
+    t = np.array([0.0] * 5 + list(interior_knots) + [1.0] * 5)
     m = len(interior_knots) + 4
+    quartic = _bspline_basis(np.append(p, 1.0), t, 4)
+    coef = (t[5:m + 5] - t[1:m + 1]) / 4.0
     cols = []
     for i in range(m):
-        c = np.zeros(m)
-        c[i] = 1.0
-        anti = BSpline(t, c, 3).antiderivative()
-        total = float(anti(1.0))
-        cols.append(np.asarray(anti(p)) / total)
+        anti = np.add.accumulate(coef[i] * quartic[:, i + 1:], axis=1)[:, -1]
+        cols.append(anti[:-1] / anti[-1])
     return np.column_stack(cols)
 
 
@@ -419,6 +449,62 @@ class RocGlmFit:
         return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
+def _nonneg_lstsq(a: np.ndarray, b: np.ndarray, bounded: np.ndarray,
+                  max_steps: int | None = None) -> np.ndarray:
+    """Exact ``argmin ||a x - b||`` subject to ``x[bounded] >= 0``.
+
+    One QR factorisation ``a = Q R`` turns the problem into one on the
+    small triangular system ``R x ~ Q'b``, solved by Lawson and Hanson's
+    active-set method (*Solving Least Squares Problems*, 1974, ch. 23)
+    with the unbounded columns always free.  A bounded column at its bound
+    enters the free set when the gradient favours it most; a step that
+    would take a free bounded coefficient below zero stops where the first
+    one reaches zero, and that one returns to its bound as exactly 0.0.
+    Each subproblem is a minimum-norm ``lstsq``, so rank-deficient designs
+    are fine.  More than ``max_steps`` (default ``10 * columns + 10``)
+    entering and leaving steps raise a convergence error.
+    """
+    q, r = np.linalg.qr(a)
+    c = q.T @ b
+    n = r.shape[1]
+    limit = 10 * n + 10 if max_steps is None else max_steps
+    tol = 10.0 * n * np.finfo(float).eps * np.linalg.norm(r) * np.linalg.norm(c)
+
+    def solve(free: np.ndarray) -> np.ndarray:
+        z = np.zeros(n)
+        z[free] = np.linalg.lstsq(r[:, free], c, rcond=None)[0]
+        return z
+
+    free = ~bounded
+    x = z = solve(free)
+    stuck = np.zeros(n, dtype=bool)  # entered, but rounding left them at <= 0
+    for _ in range(limit + 1):  # the last pass may only find x optimal
+        low = free & bounded & (z <= 0.0)
+        if low.any():  # leave: walk from x towards z until a coefficient is 0
+            ratio = np.where(low, x / np.where(low, x - z, 1.0), np.inf)
+            k = int(np.argmin(ratio))
+            x = x + ratio[k] * (z - x)
+            leave = free & bounded & (x <= 0.0)
+            leave[k] = True
+            x[leave] = 0.0
+            free &= ~leave
+            z = solve(free)
+            continue
+        x = z
+        grad = r.T @ (c - r @ x)  # minus the gradient of half the squared norm
+        enter = bounded & ~free & ~stuck & (grad > tol)
+        if not enter.any():
+            return x
+        j = int(np.argmax(np.where(enter, grad, -np.inf)))
+        free[j] = True
+        z = solve(free)
+        if z[j] <= 0.0:
+            free[j], stuck[j], z = False, True, x
+        else:
+            stuck[:] = False
+    raise ConvergenceError(f"bounded least squares did not converge in {limit} steps")
+
+
 def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
                baseline: str = "parametric") -> RocGlmFit:
     """Direct ROC regression through placement-value indicators.
@@ -437,7 +523,6 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
     """
-    from scipy.optimize import lsq_linear
     from scipy.special import ndtr, ndtri
 
     if baseline not in ("parametric", "spline"):
@@ -468,10 +553,9 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     n_base = h.shape[1]
     n_coef = x_mat.shape[1]
 
+    bounded = np.zeros(n_coef, dtype=bool)
     if baseline == "spline":
-        lower = np.full(n_coef, -np.inf)
-        lower[1:n_base] = 0.0  # monotone baseline: spline coefficients >= 0
-        upper = np.full(n_coef, np.inf)
+        bounded[1:n_base] = True  # monotone baseline: spline coefficients >= 0
 
     def deviance(b: np.ndarray) -> float:
         mu = np.clip(ndtr(x_mat @ b), 1e-12, 1.0 - 1e-12)
@@ -491,8 +575,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
         a_mat = x_mat * sw[:, None]
         rhs = work * sw
         if baseline == "spline":
-            res = lsq_linear(a_mat, rhs, bounds=(lower, upper))
-            proposal = res.x
+            proposal = _nonneg_lstsq(a_mat, rhs, bounded)
         else:
             proposal, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
         new_dev = deviance(proposal)

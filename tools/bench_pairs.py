@@ -16,13 +16,19 @@ side's median and quartiles, the parent's quartile distance, how many
 pairs each side won, the median seconds of each analysis per side and
 the line count of ``src/roclab/*.py`` on both sides, split into code,
 docstring, comment and blank lines.  ``--pairs 0`` writes only that line
-count, without running the benchmark.
+count (and the ``--tier1`` results), without running the benchmark.
 
 With ``--trace``, each pair also runs one traced pass per workload and
 side (``bench/run.py --trace 1 --seconds 0``: one untraced pass, then
 the traced one), in the same alternating order, and the output file gets
 each side's median of every per-layer time (the metrics ending in
 ``_s``) under ``trace``.
+
+With ``--tier1``, the tier-1 suite (``python -m pytest -q
+--continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) runs
+once on each copy after the pairs, the parent first, and the output file
+gets each side's wall seconds, exit code, counts from pytest's summary
+line and ``ACCEPTANCE n: ...`` verdict lines under ``tier1``.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ import glob
 import io
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,6 +90,23 @@ def trace_once(tree: str, workload: str, seed: int) -> dict:
                            "--out", out], cwd=tree, check=True, capture_output=True, text=True)
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
     return {k: v["value"] for k, v in metrics.items() if k.endswith("_s")}
+
+
+def tier1_once(tree: str) -> dict:
+    """One tier-1 run; its wall time, exit code, counts and acceptance verdicts."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(tree, "src"),
+                                                      env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.splitlines() or [""])[-1]
+    return {"wall_s": round(wall, 1), "exit_code": proc.returncode,
+            "counts": {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)},
+            "summary": summary.strip("= "),
+            "acceptance": re.findall(r"ACCEPTANCE \d+: .*", proc.stdout)}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -173,6 +198,8 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--trace", action="store_true",
                    help="also run one traced pass per workload, side and pair")
+    p.add_argument("--tier1", action="store_true",
+                   help="also run the tier-1 tests once per side, after the pairs")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -186,9 +213,11 @@ def main(argv=None) -> int:
     export(args.change, trees["change"])
 
     if args.pairs == 0:  # the line split alone, without benchmark runs
+        report = {"src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
+        if args.tier1:
+            report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
         with open(args.out, "w") as fh:
-            json.dump({"src_lines": {side: src_lines(tree) for side, tree in trees.items()}},
-                      fh, indent=1)
+            json.dump(report, fh, indent=1)
             fh.write("\n")
         return 0
 
@@ -227,6 +256,8 @@ def main(argv=None) -> int:
                        for name in sorted(set.intersection(*map(set, got)))}
                 for side, got in sides.items()}
             for w, sides in traces.items()}
+    if args.tier1:
+        report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
