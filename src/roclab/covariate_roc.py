@@ -449,8 +449,10 @@ class RocGlmFit:
         return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
-def _nonneg_lstsq(a: np.ndarray, b: np.ndarray, bounded: np.ndarray,
-                  max_steps: int | None = None) -> np.ndarray:
+_LH_STEPS_PER_COLUMN = 10
+
+
+def _nonneg_lstsq(a: np.ndarray, b: np.ndarray, bounded: np.ndarray) -> np.ndarray:
     """Exact ``argmin ||a x - b||`` subject to ``x[bounded] >= 0``.
 
     One QR factorisation ``a = Q R`` turns the problem into one on the
@@ -461,13 +463,13 @@ def _nonneg_lstsq(a: np.ndarray, b: np.ndarray, bounded: np.ndarray,
     would take a free bounded coefficient below zero stops where the first
     one reaches zero, and that one returns to its bound as exactly 0.0.
     Each subproblem is a minimum-norm ``lstsq``, so rank-deficient designs
-    are fine.  More than ``max_steps`` (default ``10 * columns + 10``)
-    entering and leaving steps raise a convergence error.
+    are fine.  More than ``_LH_STEPS_PER_COLUMN * (columns + 1)`` entering
+    and leaving steps raise a convergence error.
     """
     q, r = np.linalg.qr(a)
     c = q.T @ b
     n = r.shape[1]
-    limit = 10 * n + 10 if max_steps is None else max_steps
+    limit = _LH_STEPS_PER_COLUMN * (n + 1)
     tol = 10.0 * n * np.finfo(float).eps * np.linalg.norm(r) * np.linalg.norm(c)
 
     def solve(free: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from roclab import (BSplineSpec, ConvergenceError, DdpConfig, DegenerateSampleEr
                     mixture_cdf_callable, ols_fit, pepe_semiparam_roc,
                     placement_values, rocglm_fit, std_normal_cdf,
                     youden_from_cdfs, youden_from_curve)
+from roclab import covariate_roc
 from roclab.covariate_roc import _bspline_basis, _ispline_basis, _nonneg_lstsq
 
 
@@ -287,15 +288,17 @@ class TestNonnegLstsq:
             ref = lsq_linear(a, b, bounds=(np.where(bounded, 0.0, -np.inf), np.inf)).x
         assert np.sum((a @ x - b) ** 2) <= np.sum((a @ ref - b) ** 2) * (1.0 + 1e-12)
 
-    def test_step_cap_raises_instead_of_a_partial_answer(self):
+    def test_step_cap_raises_instead_of_a_partial_answer(self, monkeypatch):
         # three bounded coefficients that all end up positive: three entering steps
         a = np.vstack([np.eye(3), np.ones((2, 3))])
         b = np.array([1.0, 2.0, 3.0, 6.0, 6.0])
         bounded = np.ones(3, dtype=bool)
-        x = _nonneg_lstsq(a, b, bounded, max_steps=3)
+        monkeypatch.setattr(covariate_roc, "_LH_STEPS_PER_COLUMN", 1)  # cap of 4
+        x = _nonneg_lstsq(a, b, bounded)
         assert np.all(x > 0.0)
+        monkeypatch.setattr(covariate_roc, "_LH_STEPS_PER_COLUMN", 0)  # cap of 0
         with pytest.raises(ConvergenceError):
-            _nonneg_lstsq(a, b, bounded, max_steps=2)
+            _nonneg_lstsq(a, b, bounded)
 
     def test_binding_coefficients_are_exactly_zero(self):
         a = np.column_stack([np.ones(6), np.arange(6.0), -np.arange(6.0) ** 2])

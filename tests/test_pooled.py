@@ -183,25 +183,6 @@ class TestBandwidths:
         y = np.random.default_rng(12).standard_t(5, size=1040)
         assert lscv_bandwidth(y) == self._lscv_unchunked(y)
 
-    @staticmethod
-    def _lscv_ordered_pairs(sample, n_steps=60):
-        # reference: the criterion over all n^2 ordered pairs, two exp per
-        # pair and bandwidth, in 512-row blocks of the unsorted sample
-        y = np.asarray(sample, dtype=float)
-        h0 = silverman_bandwidth(y)
-        n = y.size
-        hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
-        quad, loo = np.zeros((2, n_steps))
-        for start in range(0, n, 512):
-            diff2 = (y[start:start + 512, None] - y[None, :]) ** 2
-            for j, h in enumerate(hs):
-                quad[j] += np.exp(-diff2 / (4.0 * h * h)).sum()
-                loo[j] += np.exp(-diff2 / (2.0 * h * h)).sum()
-        quad /= 2.0 * math.sqrt(math.pi) * hs * n * n
-        loo -= n
-        loo /= math.sqrt(2.0 * math.pi) * hs * n * (n - 1)
-        return float(hs[int(np.argmin(quad - 2.0 * loo))])
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(3, 400),
            st.sampled_from(["normal", "t5", "tied", "clustered"]))
@@ -217,7 +198,7 @@ class TestBandwidths:
             centres = rng.normal(scale=5.0, size=rng.integers(1, 5))
             y = centres[rng.integers(0, centres.size, n)] + rng.normal(scale=1e-3, size=n)
         try:
-            want = self._lscv_ordered_pairs(y)
+            want = self._lscv_unchunked(y)
         except DegenerateSampleError:
             with pytest.raises(DegenerateSampleError):
                 lscv_bandwidth(y)
