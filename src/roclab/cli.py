@@ -201,7 +201,9 @@ def read_cohort(path: str, columns: list[str], *, binary_cols=(),
             f"column(s) {', '.join(repr(c) for c in repeated)} requested in more "
             "than one role")
     try:
-        fh = open(path, newline="")
+        # utf-8-sig: a file saved with a byte-order mark (as spreadsheets
+        # write it) reads as the same file without one
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file: {exc}") from None
     with fh:
@@ -774,7 +776,8 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
     resolved first; the handler gets the ``Options`` and resolves the rest,
     and everything resolved goes into ``metadata.json`` as ``params``.
     Every distinct warning the handler raises still goes to stderr once;
-    the roclab ones are also listed, sorted, in the artifacts.
+    the roclab ones are also listed, sorted, in the artifacts.  An
+    ``OSError`` while writing them is an input error (exit 2).
     """
     opts = Options(args, cfg, args.command)
     outdir = _resolve_outdir(opts)
@@ -792,7 +795,10 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     warned = sorted(f"{category.__name__}: {message}" for category, message in seen
                     if issubclass(category, _RECORDED_WARNINGS))
-    _write_outputs(outdir, opts.resolved, lines, curve, report, warned)
+    try:
+        _write_outputs(outdir, opts.resolved, lines, curve, report, warned)
+    except OSError as exc:  # e.g. a directory named summary.txt in the way
+        raise InvalidInputError(f"cannot write artifacts: {exc}") from None
 
 
 def main(argv=None) -> int:

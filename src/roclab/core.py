@@ -17,8 +17,10 @@ Conventions used throughout the package:
   may use; every block computes the same bits on any thread and results
   come back in block order, so no output depends on the worker count.
   Independent calls that hold the interpreter lock (the two groups' Gibbs
-  chains) run through ``forked_map``, one forked process per such CPU,
-  with the same guarantees.
+  chains, the parts of a large batched Youden search or Bayesian
+  bootstrap) run through ``forked_map``, one forked process per such CPU,
+  with the same guarantees.  Each call of either map is a part; maps
+  nested inside a part run serially.
 """
 
 from __future__ import annotations
@@ -193,6 +195,8 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
 # (executor, size) of the process-wide pool, made on the first parallel map
 _pool = None
 _pool_lock = threading.Lock()
+# _thread.in_part is set while this thread runs a part of a map: a pool
+# thread, the caller's own part of forked_map, and a forked child
 _thread = threading.local()
 
 
@@ -205,7 +209,7 @@ def _worker_count() -> int:
 
 
 def _mark_worker() -> None:
-    _thread.in_worker = True
+    _thread.in_part = True
 
 
 def _forget_pool() -> None:
@@ -224,8 +228,10 @@ def ordered_map(fn, items) -> list:
 
     The pool has one thread per CPU the process may use and is created on
     first need.  The calls run serially when that is one CPU, when there is
-    one item, or when the caller is itself a pool thread, so nested maps
-    never wait on the pool they run in.  Results and the first exception
+    one item, or when the caller runs inside a part of a map (a pool
+    thread, or any part of ``forked_map``), so nested maps never wait on the
+    pool they run in and a part never uses more than its one CPU.  Results
+    and the first exception
     come back in item order, exactly as from the serial loop.  ``fn``
     should spend its time in native code that releases the interpreter
     lock (numpy arithmetic, ``scipy.special.ndtr``), must not warn, and
@@ -234,7 +240,7 @@ def ordered_map(fn, items) -> list:
     """
     global _pool
     items = list(items)
-    size = 1 if len(items) < 2 or getattr(_thread, "in_worker", False) else _worker_count()
+    size = 1 if len(items) < 2 or _in_part() else _worker_count()
     if size < 2:
         return [fn(x) for x in items]
     from concurrent.futures import ThreadPoolExecutor
@@ -248,11 +254,12 @@ def ordered_map(fn, items) -> list:
     return list(pool.map(fn, items))
 
 
+def _in_part() -> bool:
+    return getattr(_thread, "in_part", False)
+
+
 # ---------------------------------------------------------------------------
 # ordered process map
-
-# set in a child of forked_map, so a nested map there runs serially
-_forked = False
 
 
 def forked_map(fn, items) -> list:
@@ -262,18 +269,18 @@ def forked_map(fn, items) -> list:
     Items go in waves of one per CPU the process may use: the first item
     of a wave runs in the caller and each other one in an ``os.fork``
     child, which sends back its result or exception by pickle through a
-    pipe.  The calls run serially when that is one CPU, when there is one
-    item, when the caller is an ``ordered_map`` thread or a
-    ``forked_map`` child, or where ``os.fork`` does not exist.  Results
-    and the first exception come back in item order, exactly as from the
-    serial loop, and no child outlives the call.  A child that ends
-    without a result raises ``NumericError`` naming its exit status.
-    ``fn`` must not warn, since a child's warnings stay in the child, and
-    its result and exceptions must pickle.
+    pipe.  Each item is a part: maps nested in it, in a child as in the
+    caller's own part, run serially, so the parts use one CPU each.  The
+    calls run serially when that is one CPU, when there is one item, when
+    the caller runs inside a part of a map, or where ``os.fork`` does not
+    exist.  Results and the first exception come back in item order,
+    exactly as from the serial loop, and no child outlives the call.  A
+    child that ends without a result raises ``NumericError`` naming its
+    exit status.  ``fn`` must not warn, since a child's warnings stay in
+    the child, and its result and exceptions must pickle.
     """
     items = list(items)
-    serial = (len(items) < 2 or _forked or getattr(_thread, "in_worker", False)
-              or not hasattr(os, "fork"))
+    serial = len(items) < 2 or _in_part() or not hasattr(os, "fork")
     size = 1 if serial else _worker_count()
     if size < 2:
         return [fn(x) for x in items]
@@ -281,6 +288,20 @@ def forked_map(fn, items) -> list:
     for start in range(0, len(items), size):
         results += _fork_wave(fn, items[start:start + size])
     return results
+
+
+def forked_spans(fn, n: int, fork: bool) -> list:
+    """``[fn(start, stop), ...]`` over consecutive spans that cover ``range(n)``.
+
+    With ``fork`` the spans are one per CPU the process may use, run side by
+    side as the parts of one ``forked_map``; without it (the caller's
+    measure of work is below its floor) there is one span, ``fn(0, n)``,
+    run here.  ``fn`` must give each item the same result whatever span
+    holds it.
+    """
+    count = max(1, min(n, _worker_count() if fork else 1))
+    edges = [n * i // count for i in range(count + 1)]
+    return forked_map(lambda span: fn(*span), list(zip(edges[:-1], edges[1:])))
 
 
 def _fork_wave(fn, wave) -> list:
@@ -301,7 +322,7 @@ def _fork_wave(fn, wave) -> list:
             os.close(write)
             children.append((pid, open(read, "rb")))
         forked = len(children)
-        results = [fn(wave[0])]
+        results = [_run_part(fn, wave[0])]
         while children:
             pid, pipe = children[0]
             # read to the end before waiting: a child whose result does not
@@ -325,14 +346,22 @@ def _fork_wave(fn, wave) -> list:
             os.waitpid(pid, 0)
 
 
+def _run_part(fn, x):
+    # fn(x) in the caller's own part, with nested maps serial
+    _thread.in_part = True
+    try:
+        return fn(x)
+    finally:
+        _thread.in_part = False
+
+
 def _child(fn, x, read, write) -> None:
     # the body of a forked child: it sends (ok, value or exception) and
     # leaves through os._exit, never back into the caller's frames
-    global _forked
     code = 1
     try:
         os.close(read)
-        _forked = True
+        _thread.in_part = True
         try:
             outcome = (True, fn(x))
         except Exception as exc:

@@ -91,6 +91,13 @@ _STRIDE = 16
 _SLACK = 1e-9
 
 
+def _warn_if_negative(yi) -> None:
+    """One ``NegativeYoudenWarning`` when any best gap in ``yi`` is negative."""
+    if np.any(np.asarray(yi) < 0.0):
+        warnings.warn("best Youden gap is negative; marker orders the groups "
+                      "the other way", NegativeYoudenWarning)
+
+
 def _coarse_indices(m: int) -> np.ndarray:
     """Indices of the coarse scan among ``m`` points: every ``_STRIDE``-th and the last."""
     idx = np.arange(0, m, _STRIDE)
@@ -126,7 +133,8 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     pair's bracket in one array recurrence, whose calls list (as an index
     array) only the pairs whose brackets are still above tolerance.
     Returns ``yi``, ``c_star`` and ``p_star`` arrays of length
-    ``n_pairs``.
+    ``n_pairs``.  It never warns: a caller that runs it in parts warns
+    once for the whole call (``_warn_if_negative``).
 
     The result is that of the full scan for CDFs whose value at a point
     does not depend on how many points one call takes.  A non-finite value
@@ -185,9 +193,6 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     better = yi_ref > yi
     c_star = np.where(better, c_ref, pts[best])
     yi = np.where(better, yi_ref, yi)
-    if np.any(yi < 0.0):
-        warnings.warn("best Youden gap is negative; marker orders the groups "
-                      "the other way", NegativeYoudenWarning)
     f_dbar, _ = cdfs(c_star[:, None], slice(None))
     p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
     return yi, c_star, p_star
@@ -253,6 +258,7 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
                 np.asarray(cdf_d(x.ravel()), dtype=float).reshape(shape))
 
     yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1, pts.size)
+    _warn_if_negative(yi)
     return YoudenResult(yi=float(yi[0]), c_star=float(c_star[0]), p_star=float(p_star[0]))
 
 
@@ -270,9 +276,7 @@ def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:
     gaps = roc - grid
     best = int(gaps.size - 1 - np.argmax(gaps[::-1]))  # last max = largest p
     yi, p_star = float(gaps[best]), float(grid[best])
-    if yi < 0.0:
-        warnings.warn("best Youden gap is negative; marker orders the groups "
-                      "the other way", NegativeYoudenWarning)
+    _warn_if_negative(yi)
     c_star = -math.inf if p_star >= 1.0 else float(nondiseased_quantile(1.0 - p_star))
     return YoudenResult(yi=yi, c_star=c_star, p_star=p_star)
 

@@ -44,6 +44,10 @@ what the serial loop would and results combine in block order, so outputs
 do not depend on the thread count.
 Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
 buffer), so each extra thread adds at most one block's buffers to the peak.
+Two per-draw loops hold the interpreter lock, the batched Youden search
+of the mixture ensembles and the draws of ``bb_roc``; above a measured
+work floor (``_FORK_YOUDEN``, ``_FORK_BB``) they run in one span of
+draws per CPU through ``core.forked_spans``, again with the same bits.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
 small numpy calls that hold the interpreter lock.  Its allocation step
@@ -55,14 +59,16 @@ groups (the CLI) run the two chains in two processes (``core.forked_map``).
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (SeedSpec, _exact_ranks, as_prob_grid, default_prob_grid,
-                   dirichlet_uniform, ordered_map, validate_sample)
+                   dirichlet_uniform, forked_spans, ordered_map, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
-from .indices import _youden_search
+from .indices import _warn_if_negative, _youden_search
 
 
 @dataclass(frozen=True)
@@ -440,23 +446,43 @@ def kernel_cdf(sample, h: float, y):
 # never call ndtr with where=, which writes wrong values on scipy 1.17.1.
 
 
-def _mixture_cdf(w, mu, sigma, x, ndtr, density=False):
+def _mixture_cdf(w, mu, sigma, x, ndtr, density=False, bufs=None):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
-    # (..., K), or with density=True the CDF and density from one buffer
-    z = np.subtract(x[..., :, None], mu[..., None, :])
+    # (..., K), or with density=True the CDF and density from one buffer.
+    # The buffers are fresh, or bufs[0:3] (see _scratch); the bits are the
+    # same either way
+    shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
+    z = np.subtract(x[..., :, None], mu[..., None, :], out=_scratch(bufs, 0, shape))
     z /= sigma[..., None, :]
     if not density:
         terms = ndtr(z, out=z)
         terms *= w[..., None, :]
         return terms.sum(axis=-1)
-    terms = ndtr(z)
+    terms = ndtr(z, out=_scratch(bufs, 1, shape))
     terms *= w[..., None, :]
     cdf = terms.sum(axis=-1)
     np.multiply(z, z, out=z)
     z *= -0.5
     np.exp(z, out=z)
-    z *= (w / (sigma * math.sqrt(2.0 * math.pi)))[..., None, :]
+    scale = np.multiply(sigma, math.sqrt(2.0 * math.pi), out=_scratch(bufs, 2, sigma.shape))
+    z *= np.divide(w, scale, out=scale)[..., None, :]
     return cdf, z.sum(axis=-1)
+
+
+def _scratch(bufs, i, shape):
+    # an uninitialised array of this shape: fresh when bufs is None, else
+    # the front of work buffer bufs[i], made on first need (at least _BLOCK
+    # elements) as an anonymous mapping of its own.  Such a buffer lives for
+    # a whole call: in the malloc heap it pushed the call's other
+    # allocations above it (compute_mix peak RSS measured 5 MB higher); a
+    # mapping stays apart, costs only the pages touched and is unmapped
+    # when dropped
+    if bufs is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if bufs[i] is None or bufs[i].size < size:
+        bufs[i] = np.frombuffer(mmap.mmap(-1, 8 * max(_BLOCK, size)), dtype=float)
+    return bufs[i][:size].reshape(shape)
 
 
 # draws per block of the inversion
@@ -465,32 +491,55 @@ _DRAW_CHUNK = 32
 _TABLE_POINTS = 64
 
 
-def _mixture_sums(w, mu, sigma, x, ndtr, density=False):
+def _mixture_sums(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
     """Mixture CDF (and density, with ``density=True``) at ``x``, as
     ``_mixture_cdf`` computes it, in blocks of (row, point) evaluations.
 
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (K,), points shared
-    by every row, or (R, K).  A block takes as many evaluations as keep its
-    (rows, points, L) buffer within ``_BLOCK`` elements, and at least one;
-    the blocks run through ``ordered_map``.  The components are never
-    split, so each value is one sum over all L of them, with the bits of an
-    unblocked ``_mixture_cdf`` call whatever the shape of the call.  This
-    is the only place a sum of normal CDFs is blocked.
+    by every row, or (R, K).  With ``rows`` (an index array, or a slice)
+    output row ``i`` takes parameter row ``rows[i]``, and ``x`` is
+    (len(rows), K) or (K,): each block gathers its own rows into work
+    buffers, so no caller copies (len(rows), L) arrays.  A block takes as
+    many evaluations as keep its (rows, points, L) buffer within ``_BLOCK``
+    elements, and at least one; the blocks run through ``ordered_map``.
+    The components are never split, so each value is one sum over all L of
+    them, with the bits of an unblocked ``_mixture_cdf`` call whatever the
+    shape of the call.  This is the only place a sum of normal CDFs is
+    blocked.
+
+    With ``work`` (a ``threading.local`` that a caller creates and passes
+    to many calls) each thread's blocks evaluate into at most six work
+    buffers of max(_BLOCK, L) elements, made on first need and kept there,
+    so the calls reuse those pages instead of faulting in fresh ones.
+    Without it each block evaluates into fresh arrays, which costs less for
+    a short call than mapping buffers.
     """
-    rows, k = w.shape[0], x.shape[-1]
-    x = np.broadcast_to(x, (rows, k))
-    per = max(1, _BLOCK // w.shape[1])
+    if isinstance(rows, slice):
+        w, mu, sigma, rows = w[rows], mu[rows], sigma[rows], None
+    n_comp = w.shape[1]
+    n_rows, k = (w.shape[0] if rows is None else rows.size), x.shape[-1]
+    x = np.broadcast_to(x, (n_rows, k))
+    per = max(1, _BLOCK // n_comp)
     cols = max(1, min(k, per))
     step = per // cols
-    out = np.empty((2 if density else 1, rows, k))
+    out = np.empty((2 if density else 1, n_rows, k))
 
     def block(at):
         r, c = at
+        bufs = None if work is None else vars(work).setdefault("bufs", [None] * 6)
+        if rows is None:
+            params = w[r:r + step], mu[r:r + step], sigma[r:r + step]
+        else:
+            at_rows = rows[r:r + step]
+            # mode="clip" writes straight into the buffer; "raise" would
+            # copy through a temporary
+            params = [np.take(a, at_rows, axis=0, mode="clip",
+                              out=_scratch(bufs, 3 + i, (at_rows.size, n_comp)))
+                      for i, a in enumerate((w, mu, sigma))]
         out[:, r:r + step, c:c + cols] = _mixture_cdf(
-            w[r:r + step], mu[r:r + step], sigma[r:r + step], x[r:r + step, c:c + cols],
-            ndtr, density)
+            *params, x[r:r + step, c:c + cols], ndtr, density, bufs)
 
-    ordered_map(block, [(r, c) for r in range(0, rows, step) for c in range(0, k, cols)])
+    ordered_map(block, [(r, c) for r in range(0, n_rows, step) for c in range(0, k, cols)])
     return (out[0], out[1]) if density else out[0]
 
 
@@ -508,16 +557,28 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     leaves the bracket, or that fails to halve the step before last, is
     replaced by bisection, so the steps shrink at least as fast as
     bisection's every other iteration and convergence is quadratic near the
-    root.  Converged roots leave the working set.  The tables, the Newton
-    passes and the residual check take their sums from ``_mixture_sums``,
-    in (row, point) blocks of at most ``_BLOCK`` elements that never split
-    the components, so a kernel CDF with L = n keeps its buffers bounded
-    and each value's bits do not depend on the working set.  Raises when
-    the residual in CDF scale exceeds 1e-10.
+    root.  A root is done, and leaves the working set, once the step from
+    the point just evaluated is below the spacing of doubles there plus a
+    rounding floor (the smaller of ``eps`` times the table range and
+    ``8 eps`` over the density there).  The root returned is that last
+    evaluated point, not the point the final step would reach (at most
+    one such step away), so its residual ``|F(x) - q|`` comes from that
+    evaluation and no second CDF pass is needed.
+
+    The tables and the Newton passes take their sums from
+    ``_mixture_sums``, in (row, point) blocks of at most ``_BLOCK``
+    elements that never split the components, so a kernel CDF with L = n
+    keeps its buffers bounded and each value's bits do not depend on the
+    working set.  A pass gathers the parameter rows of the roots still
+    active block by block (``rows=``), and every call shares one
+    ``threading.local`` of work buffers, at most six of max(_BLOCK, L)
+    elements per thread, that live for the whole call, so the passes reuse
+    the same pages.  Raises when the residual in CDF scale exceeds 1e-10.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
     unit = np.linspace(0.0, 1.0, _TABLE_POINTS)
+    work = threading.local()
 
     def solve(start):
         rows = slice(start, start + _DRAW_CHUNK)
@@ -527,7 +588,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
         hi = (mc + 10.0 * sc).max(axis=1)
         for _ in range(61):
             xs = lo[:, None] + (hi - lo)[:, None] * unit
-            table = _mixture_sums(wc, mc, sc, xs, ndtr)
+            table = _mixture_sums(wc, mc, sc, xs, ndtr, work=work)
             low, high = table[:, 0] >= qmin, table[:, -1] < qmax
             if not (low.any() or high.any()):
                 break
@@ -544,20 +605,25 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
         x = np.where((x >= x_lo) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
-        out = x.copy()
+        out, resid = np.empty((2, x.size))
         owner = np.repeat(np.arange(r), n_targets)
         # a root is done once its move falls below the spacing of doubles
-        # there plus a rounding floor on its draw's table range
+        # there plus a rounding floor: the smaller of one on its draw's
+        # table range and 8 eps over the slope, how far a few ulps of CDF
+        # rounding move a root.  The point just evaluated, which it
+        # returns, is then within that distance of the next one
         floor = np.finfo(float).eps * (hi - lo)[owner]
         active = np.arange(x.size)
         step_last = step_before = x_hi - x_lo
         for _ in range(120):
             if r == 1:
-                f, dens = _mixture_sums(wc, mc, sc, x[None, :], ndtr, density=True)
+                f, dens = _mixture_sums(wc, mc, sc, x[None, :], ndtr, density=True, work=work)
             else:
-                o = owner[active]
-                f, dens = _mixture_sums(wc[o], mc[o], sc[o], x[:, None], ndtr, density=True)
+                f, dens = _mixture_sums(wc, mc, sc, x[:, None], ndtr, density=True,
+                                        rows=owner[active], work=work)
             f, dens = f.ravel(), dens.ravel()
+            out[active] = x
+            resid[active] = np.abs(f - tgt)
             below = f < tgt
             x_lo = np.where(below, x, x_lo)
             x_hi = np.where(below, x_hi, x)
@@ -567,23 +633,22 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
                           & (np.abs(newton - x) <= 0.5 * step_before))
             x_new = np.where(use_newton, newton, 0.5 * (x_lo + x_hi))
             step = np.abs(x_new - x)
-            out[active] = x_new
-            moving = step > 2.0 * np.spacing(np.abs(x_new)) + floor
+            with np.errstate(divide="ignore"):
+                slack = np.minimum(floor, 8.0 * np.finfo(float).eps / dens)
+            moving = step > 2.0 * np.spacing(np.abs(x_new)) + slack
             if not moving.any():
                 break
             active, x, x_lo, x_hi, tgt, floor = (
                 v[moving] for v in (active, x_new, x_lo, x_hi, tgt, floor))
             step_last, step_before = step[moving], step_last[moving]
-        roots = out.reshape(r, n_targets)
-        resid = np.abs(_mixture_sums(wc, mc, sc, roots, ndtr) - targets)
         worst = float(resid.max())
         if worst > 1e-10:
-            s, k = np.unravel_index(int(resid.argmax()), resid.shape)
+            s, k = np.unravel_index(int(resid.argmax()), (r, n_targets))
             raise NumericError(
                 f"CDF inversion residual {worst:.2e} at target {targets[k]:.6g} "
                 f"(draw {start + s}) exceeds 1e-10"
             )
-        return roots
+        return out.reshape(r, n_targets)
 
     return np.concatenate(ordered_map(solve, range(0, n_draws, _DRAW_CHUNK)))
 
@@ -761,6 +826,13 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
 # Bayesian bootstrap
 
 
+# draws times subjects at which bb_roc runs its draws in forked parts.
+# Measured as for _FORK_YOUDEN, with Youden: 500 draws at n = 1,000 per
+# group (10^6) took 55 ms either way, 200 draws at n = 10,000 (4 x 10^6)
+# 155 -> 82 ms forked
+_FORK_BB = 1_000_000
+
+
 def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
            seed: SeedSpec, youden: bool = False) -> PosteriorEnsemble:
     """Bayesian bootstrap ROC ensemble.
@@ -771,6 +843,15 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     sample to form the curve ``ROC(p) = sum_j q2_j I(U_j <= p)`` and the
     closed-form ``auc = 1 - sum_j q2_j U_j``.  Draw ``s`` uses the child
     stream ``seed.rng(s)``, so results do not depend on evaluation order.
+
+    The curve adds the diseased weights in the stable ascending order of
+    ``U``.  Over the sorted diseased values ``U`` is nonincreasing (suffix
+    sums of nonnegative weights, at nondecreasing positions, clipped at 1),
+    so that order is the reversal with each run of equal values put back
+    in index order (``_stable_order_of_nonincreasing``), found without a
+    sort.  The per-draw loop holds the interpreter lock, so with at least
+    ``_FORK_BB`` draws times subjects the draws go in one span per CPU, side
+    by side through ``core.forked_spans``.
 
     With ``youden=True`` the per-draw weighted-ECDF Youden index, threshold
     and FPF are tracked (candidate thresholds are the pooled data values).
@@ -795,40 +876,56 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
         cand_nd = np.searchsorted(nd_sorted, cand, side="right")
         cand_d = np.searchsorted(d_sorted, cand, side="right")
 
-    curves = np.empty((n_draws, grid.size))
-    aucs = np.empty(n_draws)
-    yis = np.empty(n_draws) if youden else None
-    thresholds = np.empty(n_draws) if youden else None
-    p_stars = np.empty(n_draws) if youden else None
+    def draws(start, stop):
+        curves = np.empty((stop - start, grid.size))
+        aucs = np.empty(stop - start)
+        yis, thresholds, p_stars = np.empty((3, stop - start)) if youden else (None,) * 3
+        for i, s in enumerate(range(start, stop)):
+            rng = seed.rng(s)
+            # weights are drawn in input order, then carried to the sort order
+            q1_sorted = dirichlet_uniform(nd.size, rng)[nd_order]
+            q2_sorted = dirichlet_uniform(d.size, rng)[d_order]
+            tail = np.concatenate([np.cumsum(q1_sorted[::-1])[::-1], [0.0]])
+            # cumulative rounding can push a full suffix sum one ulp above 1,
+            # which would leave that point uncounted even at p=1
+            u = np.minimum(tail[pos], 1.0)  # placement value of d_sorted[j]
+            order_u = _stable_order_of_nonincreasing(u)
+            cum = np.concatenate([[0.0], np.cumsum(q2_sorted[order_u])])
+            curves[i] = cum[np.searchsorted(u[::-1], grid, side="right")]
+            aucs[i] = 1.0 - float(u @ q2_sorted)
+            if youden:
+                f_nd = np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd]
+                f_d = np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d]
+                gap = f_nd - f_d
+                k = int(np.argmax(gap))
+                yis[i] = gap[k]
+                thresholds[i] = cand[k]
+                p_stars[i] = 1.0 - f_nd[k]
+        return curves, aucs, yis, thresholds, p_stars
 
-    for s in range(n_draws):
-        rng = seed.rng(s)
-        # weights are drawn in input order, then carried to the sort order
-        q1_sorted = dirichlet_uniform(nd.size, rng)[nd_order]
-        q2_sorted = dirichlet_uniform(d.size, rng)[d_order]
-        tail = np.concatenate([np.cumsum(q1_sorted[::-1])[::-1], [0.0]])
-        # cumulative rounding can push a full suffix sum one ulp above 1,
-        # which would leave that point uncounted even at p=1
-        u = np.minimum(tail[pos], 1.0)  # placement value of d_sorted[j]
-        order_u = np.argsort(u, kind="stable")
-        u_sorted = u[order_u]
-        cum = np.concatenate([[0.0], np.cumsum(q2_sorted[order_u])])
-        curves[s] = cum[np.searchsorted(u_sorted, grid, side="right")]
-        aucs[s] = 1.0 - float(u @ q2_sorted)
-        if youden:
-            f_nd = np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd]
-            f_d = np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d]
-            gap = f_nd - f_d
-            k = int(np.argmax(gap))
-            yis[s] = gap[k]
-            thresholds[s] = cand[k]
-            p_stars[s] = 1.0 - f_nd[k]
+    parts = forked_spans(draws, n_draws, n_draws * (d.size + nd.size) >= _FORK_BB)
+    curves, aucs, yis, thresholds, p_stars = (
+        None if part[0] is None else np.concatenate(part) for part in zip(*parts))
     curves = np.clip(curves, 0.0, 1.0)
     # every U_j <= 1, so p=1 counts the whole diseased mass; only cumsum
     # rounding keeps the float sum from being exactly 1
     curves[:, grid == 1.0] = 1.0
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
+
+
+def _stable_order_of_nonincreasing(u: np.ndarray) -> np.ndarray:
+    """``np.argsort(u, kind="stable")`` for a nonincreasing ``u``, without a sort.
+
+    The ascending order is the reversal, except that a run of equal values
+    keeps its index order: for the run ``[s, e)`` of ``u[::-1]``,
+    ``order[k] = n - s - e + k``.
+    """
+    n = u.size
+    v = u[::-1]
+    starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    ends = np.r_[starts[1:], n]
+    return n - np.repeat(starts + ends, ends - starts) + np.arange(n)
 
 
 # ---------------------------------------------------------------------------
@@ -1063,9 +1160,25 @@ def mixture_cdf_callable(draw: MixtureDraw):
     return lambda c: _mean_mixture_cdf(*normals, c, ndtr)
 
 
+# A forked part costs about 5-10 ms before it pays (fork, the pages it
+# writes, the pickled result back), and the serial search already spreads
+# its array work over threads.  Measured on a 2-CPU VM in a 70 MB process
+# (medians of 15), the Youden search of S draws of L = 10 components took
+# 24 -> 28 ms forked at S = 200, 36 -> 36 ms at 300, 56 -> 50 ms at 600
+# and 94 -> 77 ms at 1,000; so parts start at 6,000 draw components
+_FORK_YOUDEN = 6000
+
+
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
                                   youden: bool) -> PosteriorEnsemble:
-    """Ensemble curves/AUCs for paired per-draw mixtures of shape (S, L)."""
+    """Ensemble curves/AUCs for paired per-draw mixtures of shape (S, L).
+
+    The Youden search (``indices._youden_search``) holds the interpreter
+    lock for most of its time, so with at least ``_FORK_YOUDEN`` draw
+    components (S times L) the draws go in one span per CPU, side by side
+    through ``core.forked_spans``; each draw's result does not depend on
+    its span.  ``NegativeYoudenWarning`` is issued here, once per call.
+    """
     from scipy.special import ndtr
 
     if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
@@ -1079,17 +1192,27 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         sg_max = max(float(sg_d.max()), float(sg_nd.max()))
         lo = min(float(mu_d.min()), float(mu_nd.min())) - 4.0 * sg_max
         hi = max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max
-
-        def cdfs(x, rows):
-            return (_mixture_sums(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
-                    _mixture_sums(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
-
         # a fine-stage call gathers one (L,) parameter row per (pair,
         # point), so _BLOCK // L evaluations per call keep those within
         # _BLOCK elements
-        budget = _BLOCK // max(w_d.shape[1], w_nd.shape[1])
-        yis, thresholds, p_stars = _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi,
-                                                  w_d.shape[0], budget)
+        n_comp = max(w_d.shape[1], w_nd.shape[1])
+        budget = _BLOCK // n_comp
+
+        def part(start, stop):
+            pairs = slice(start, stop)
+            nd = w_nd[pairs], mu_nd[pairs], sg_nd[pairs]
+            d = w_d[pairs], mu_d[pairs], sg_d[pairs]
+            work = threading.local()
+
+            def cdfs(x, rows):
+                return (_mixture_sums(*nd, x, ndtr, rows=rows, work=work),
+                        _mixture_sums(*d, x, ndtr, rows=rows, work=work))
+
+            return _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, stop - start, budget)
+
+        parts = forked_spans(part, w_d.shape[0], w_d.shape[0] * n_comp >= _FORK_YOUDEN)
+        yis, thresholds, p_stars = map(np.concatenate, zip(*parts))
+        _warn_if_negative(yis)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 

@@ -142,6 +142,30 @@ CELLS = ["", " ", "0", "1", " 1 ", "2.5", "-1", "1e3", "nan", "inf", "abc", '"4\
 csv_line = st.one_of(st.just(""), st.lists(st.sampled_from(CELLS), max_size=5).map(",".join))
 
 
+class TestByteOrderMark:
+    @pytest.mark.parametrize("text", [SEPARATED, "marker,status,x\n1,0,a\n,1,2\n3.5,1,\n"])
+    def test_a_bom_prefixed_file_reads_like_the_plain_one(self, tmp_path, text):
+        plain = write_csv(tmp_path / "plain.csv", text)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = read_cohort(plain, ["marker", "status"], binary_cols=("status",))
+        got = read_cohort(str(bom), ["marker", "status"], binary_cols=("status",))
+        assert got[1] == {**want[1], "path": str(bom)}
+        assert got[0].keys() == want[0].keys()
+        assert all(np.array_equal(got[0][c], want[0][c]) for c in want[0])
+
+    def test_cli_reads_a_bom_prefixed_file(self, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + SEPARATED.encode())
+        plain = write_csv(tmp_path / "plain.csv", SEPARATED)
+        for name, path in (("bom", bom), ("plain", plain)):
+            assert run(["pooled", "--input", path, "--outdir", tmp_path / name]) == 0
+        assert ((tmp_path / "bom" / "curve.csv").read_text()
+                == (tmp_path / "plain" / "curve.csv").read_text())
+        assert ((tmp_path / "bom" / "summary.txt").read_text()
+                == (tmp_path / "plain" / "summary.txt").read_text())
+
+
 class TestReadCohortAgainstDictReader:
     """``csv.reader`` with column indices reads as ``csv.DictReader`` did."""
 
@@ -377,6 +401,20 @@ class TestErrorPaths:
             assert rc == 2
             assert "cannot create output directory" in capsys.readouterr().err
         assert (tmp_path / "c.csv").read_text() == SEPARATED
+
+    def test_artifact_write_error_exits_2_with_error_json(self, tmp_path, capsys):
+        # a directory named summary.txt: metadata.json is written, then the
+        # summary cannot replace the directory
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        rc = run(["binary", "--input", p, "--threshold", "5", "--outdir", out])
+        assert rc == 2
+        assert "cannot write artifacts" in capsys.readouterr().err
+        blob = json.loads((out / "error.json").read_text())
+        assert blob["error"] == "InvalidInputError" and blob["exit_code"] == 2
+        assert (out / "summary.txt").is_dir()
+        assert not [f for f in os.listdir(out) if f.startswith(".roclab-")]
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -392,11 +392,27 @@ class TestForkedMap:
             assert len({tid for _, tid in inner}) == 1
 
     def test_nested_map_in_a_child_runs_serially(self, force_workers):
+        # in the child and in the caller's own part alike
         force_workers(2)
         got = run_with_timeout(lambda: forked_map(
             lambda x: forked_map(lambda y: os.getpid(), range(3)), range(2)))
-        assert got[0] == [os.getpid(), got[0][1], os.getpid()]
+        assert got[0] == [os.getpid()] * 3
         assert got[1] == [got[1][0]] * 3 and got[1][0] != os.getpid()
+
+    def test_nested_ordered_map_in_a_part_runs_serially(self, force_workers):
+        force_workers(2)
+
+        def part(x):
+            return ordered_map(lambda y: (os.getpid(), threading.get_ident()), range(4))
+
+        def run():
+            # the caller's own part leaves no mark on the caller's thread
+            return forked_map(part, range(2)), roclab.core._in_part()
+
+        inner, in_part_after = run_with_timeout(run)
+        assert [len(set(i)) for i in inner] == [1, 1]
+        assert inner[0][0][0] == os.getpid() and inner[1][0][0] != os.getpid()
+        assert not in_part_after
 
     def test_fork_after_the_thread_pool_and_blas_have_run(self):
         # the pool threads and BLAS threads of the parent do not exist in

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -1133,6 +1134,168 @@ class TestWorkerCount:
         sigma[[40, 75]] = 1e-150
         with pytest.raises(NumericError, match=r"\(draw 40\)"):
             _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr)
+
+
+def bb_roc_argsort_oracle(d, nd, n_draws, grid, seed, youden):
+    """``bb_roc``'s per-draw loop as it was before the sort-free order:
+    a stable argsort of the placement values in every draw."""
+    nd_order, d_order = np.argsort(nd, kind="stable"), np.argsort(d, kind="stable")
+    nd_sorted, d_sorted = nd[nd_order], d[d_order]
+    pos = np.searchsorted(nd_sorted, d_sorted, side="left")
+    cand = np.unique(np.concatenate([d, nd]))
+    cand_nd = np.searchsorted(nd_sorted, cand, side="right")
+    cand_d = np.searchsorted(d_sorted, cand, side="right")
+    curves, aucs, yis, thresholds, p_stars = (np.empty((n_draws, grid.size)),
+                                              *np.empty((4, n_draws)))
+    for s in range(n_draws):
+        rng = seed.rng(s)
+        q1_sorted = pooled_roc.dirichlet_uniform(nd.size, rng)[nd_order]
+        q2_sorted = pooled_roc.dirichlet_uniform(d.size, rng)[d_order]
+        tail = np.concatenate([np.cumsum(q1_sorted[::-1])[::-1], [0.0]])
+        u = np.minimum(tail[pos], 1.0)
+        order_u = np.argsort(u, kind="stable")
+        u_sorted = u[order_u]
+        cum = np.concatenate([[0.0], np.cumsum(q2_sorted[order_u])])
+        curves[s] = cum[np.searchsorted(u_sorted, grid, side="right")]
+        aucs[s] = 1.0 - float(u @ q2_sorted)
+        f_nd = np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd]
+        f_d = np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d]
+        gap = f_nd - f_d
+        k = int(np.argmax(gap))
+        yis[s], thresholds[s], p_stars[s] = gap[k], cand[k], 1.0 - f_nd[k]
+    curves = np.clip(curves, 0.0, 1.0)
+    curves[:, grid == 1.0] = 1.0
+    if not youden:
+        yis = thresholds = p_stars = None
+    return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
+                             yis=yis, thresholds=thresholds, p_stars=p_stars)
+
+
+def counted_forks(monkeypatch):
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestPosteriorWorkAfterTheFit:
+    """Work buffers, forked parts and the sort-free bootstrap order give
+    the same answers, bit for bit, at any worker count."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        rng = np.random.default_rng(91)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(92, stream), burn_in=30, n_save=90)
+        return (dpm_fit(rng.normal(1.0, 1.2, 150), cfg(0)),
+                dpm_fit(rng.normal(0.0, 1.0, 150), cfg(1)))
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_roc_from_mixtures_at_one_and_two_workers(self, force_workers, fits):
+        args = (*fits[0]._normals(), *fits[1]._normals(), default_prob_grid())
+        one, two = TestWorkerCount.both(force_workers, lambda: _roc_from_mixtures(*args))
+        assert np.array_equal(one, two)
+
+    def test_inversion_makes_no_active_by_components_copy(self, force_workers):
+        # S = 1,000 draws of L = 50 components: one (active, L) float array
+        # of a full draw chunk is 32 x 199 x 50 x 8 bytes, about 2.5 MB, and
+        # a pass that copied w, mu and sigma would hold three of them (the
+        # peak was 12.4 MB so).  The work buffers are at most six of _BLOCK
+        # elements, about 3.1 MB, and the roots are held twice (the chunks
+        # and their concatenation); less than one copy is left above that
+        force_workers(1)
+        rng = np.random.default_rng(93)
+        S, L = 1000, 50
+        w = rng.dirichlet(np.ones(L), S)
+        mu, sigma = rng.normal(0.0, 2.0, (S, L)), np.exp(rng.uniform(-2.0, 1.0, (S, L)))
+        copy = pooled_roc._DRAW_CHUNK * TARGETS.size * L * 8
+        roots = S * TARGETS.size * 8
+        peak = traced_peak(lambda: _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr))
+        assert peak < 6 * pooled_roc._BLOCK * 8 + 2 * roots + copy
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7]), min_size=1,
+                    max_size=40),
+           st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    def test_sort_free_order_is_the_stable_argsort(self, weights, positions):
+        # as in bb_roc: suffix sums of nonnegative weights at nondecreasing
+        # positions, clipped at 1 (the weights may sum above 1 here, so
+        # the clip makes ties too)
+        q = np.array(weights)
+        tail = np.concatenate([np.cumsum(q[::-1])[::-1], [0.0]])
+        pos = np.sort(np.minimum(positions, q.size))
+        u = np.minimum(tail[pos], 1.0)
+        assert np.all(np.diff(u) <= 0.0)
+        got = pooled_roc._stable_order_of_nonincreasing(u)
+        assert np.array_equal(got, np.argsort(u, kind="stable"))
+
+    @pytest.mark.parametrize("youden", [False, True])
+    @pytest.mark.parametrize("floor", [0, 10**12])
+    def test_bb_roc_equals_the_argsort_loop(self, force_workers, monkeypatch, youden, floor):
+        # ties in the data and at the clip; forked parts and one process
+        force_workers(2)
+        monkeypatch.setattr(pooled_roc, "_FORK_BB", floor)
+        forks = counted_forks(monkeypatch)
+        rng = np.random.default_rng(94)
+        d, nd = np.round(rng.normal(1.0, 1.0, 300), 1), np.round(rng.normal(0.0, 1.0, 250), 1)
+        grid = default_prob_grid()
+        got = bb_roc(d, nd, 41, grid, seed=SeedSpec(95, 0), youden=youden)
+        want = bb_roc_argsort_oracle(d, nd, 41, grid, SeedSpec(95, 0), youden)
+        assert_same_posterior(got, want)
+        assert len(forks) == (1 if floor == 0 else 0)
+
+    def test_youden_parts_forked_and_serial(self, force_workers, monkeypatch, fits):
+        force_workers(2)
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 10**12)
+        serial = dpm_roc(*fits, youden=True)
+        assert forks == []
+        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 0)
+        assert_same_posterior(dpm_roc(*fits, youden=True), serial)
+        assert len(forks) == 1
+        force_workers(1)
+        assert_same_posterior(dpm_roc(*fits, youden=True), serial)
+        assert len(forks) == 1
+
+    def test_nothing_forks_below_the_floor(self, force_workers, monkeypatch):
+        force_workers(2)
+        forks = counted_forks(monkeypatch)
+        rng = np.random.default_rng(96)
+        S = (pooled_roc._FORK_YOUDEN - 1) // 3  # draws of three components
+        w, var = rng.dirichlet(np.ones(3), S), rng.uniform(0.5, 2.0, (S, 3))
+        mu = rng.normal(0.0, 1.0, (S, 3))
+        ens_d, ens_nd = MixtureEnsemble(w, mu + 1.0, var), MixtureEnsemble(w, mu, var)
+        dpm_roc(ens_d, ens_nd, youden=True)
+        n = 500
+        bb_roc(rng.normal(1, 1, n), rng.normal(0, 1, n), (pooled_roc._FORK_BB - 1) // (2 * n),
+               seed=SeedSpec(97, 0), youden=True)
+        assert forks == []
+        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 3 * S)
+        dpm_roc(ens_d, ens_nd, youden=True)
+        assert len(forks) == 1
+
+    def test_negative_gap_in_the_child_part_warns_once(self, force_workers, monkeypatch):
+        # the second half of the draws is reversed, so only the forked
+        # child's part finds negative gaps; the caller warns once
+        force_workers(2)
+        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 0)
+        forks = counted_forks(monkeypatch)
+        rng = np.random.default_rng(98)
+        w = rng.dirichlet(np.ones(3), 40)
+        mu = rng.uniform(-0.5, 0.5, (40, 3))
+        var = rng.uniform(0.7, 1.4, (40, 3))
+        shift = np.where(np.arange(40) < 20, 2.0, -2.0)[:, None]
+        ens_d = MixtureEnsemble(w, mu + shift, var)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ens = dpm_roc(ens_d, MixtureEnsemble(w, mu, var), youden=True)
+        assert len(forks) == 1
+        assert np.all(ens.yis[:20] > 0.0) and np.all(ens.yis[20:] < 0.0)
+        assert [w.category for w in caught] == [NegativeYoudenWarning]
 
 
 def assert_same_posterior(a, b):

@@ -24,6 +24,16 @@ the traced one), in the same alternating order, and the output file gets
 each side's median of every per-layer time (the metrics ending in
 ``_s``) under ``trace``.
 
+With ``--artifacts``, every analysis of every workload (at full size)
+runs once per seed of the pairs as a fresh ``python -m roclab.cli``
+process on each copy, with its default flags and again with
+``--full-precision``, on the same input files (written by the parent's
+``bench/workloads.py``).  The output file gets, per artifact, "identical"
+when the bytes match on every seed, else the largest |difference| of its
+numeric cells and the seeds where it differs, under ``artifacts``.
+Output directories in ``metadata.json`` are normalised first.  With
+``--pairs 0`` the artifacts run on ``--seed`` alone.
+
 With ``--tier1``, the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) runs
 once on each copy after the pairs, the parent first, and the output file
@@ -46,6 +56,8 @@ import sys
 import tempfile
 import time
 import tokenize
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,6 +119,99 @@ def tier1_once(tree: str) -> dict:
             "counts": {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)},
             "summary": summary.strip("= "),
             "acceptance": re.findall(r"ACCEPTANCE \d+: .*", proc.stdout)}
+
+
+# a number in an artifact: the cells of the CSV files, the values in
+# summary.txt, metadata.json and the SVG
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def build_analyses(tree: str, workload: str, seed: int, inputs: str) -> list:
+    """``(name, argv)`` of each full-size analysis of ``workload``, with its
+    input files written under ``inputs`` by ``tree``'s benchmark code."""
+    code = ("import json, sys; sys.path[:0] = ['bench', 'src']; import workloads; "
+            f"a = workloads.WORKLOADS[{workload!r}].build(workloads.SIZES['full'], {seed}, "
+            f"{inputs!r}); print(json.dumps([[x.name, x.argv] for x in a]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
+                          capture_output=True, text=True, env=pinned_env(tree))
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def pinned_env(tree: str) -> dict:
+    """The environment ``bench/run.py`` gives the CLI: ``tree``'s ``src`` and
+    BLAS and OpenMP threads pinned to the usable CPUs."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    nproc = str(len(os.sched_getaffinity(0)))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        env[var] = nproc
+    return env
+
+
+def artifact_delta(a: bytes, b: bytes) -> float | str:
+    """0.0 for equal bytes, else the largest |difference| of the numeric
+    cells, or "text differs" when the text between the numbers differs."""
+    if a == b:
+        return 0.0
+    ta, tb = a.decode(), b.decode()
+    if _NUMBER.split(ta) != _NUMBER.split(tb):
+        return "text differs"
+    na, nb = (np.array([float(v) for v in _NUMBER.findall(t)]) for t in (ta, tb))
+    same = (na == nb) | (np.isnan(na) & np.isnan(nb))
+    return float(np.abs(na - nb)[~same].max()) if (~same).any() else 0.0
+
+
+def compare_artifacts(trees: dict, workloads: list[str], seeds: list[int], work: str) -> dict:
+    """Run every analysis on both trees and compare the artifacts file by file."""
+    root = os.path.join(work, "artifacts")
+    shutil.rmtree(root, ignore_errors=True)
+    found = {}  # file key -> {seed: delta}
+    for seed in seeds:
+        for workload in workloads:
+            inputs = os.path.join(root, "inputs", f"{workload}-{seed}")
+            os.makedirs(inputs)
+            analyses = build_analyses(trees["parent"], workload, seed, inputs)
+            for i, (name, argv) in enumerate(analyses):
+                for mode, extra in (("default", []), ("full", ["--full-precision"])):
+                    outs = {}
+                    for side, tree in trees.items():
+                        outs[side] = os.path.join(root, side, f"{workload}-{seed}",
+                                                  f"{i:02d}-{name}-{mode}")
+                        code = subprocess.run(
+                            [sys.executable, "-m", "roclab.cli", *argv, *extra,
+                             "--outdir", outs[side]], cwd=tree, env=pinned_env(tree),
+                            capture_output=True).returncode
+                        if code != 0:
+                            found.setdefault(f"{workload}/{name}/{mode}/exit code", {})[
+                                seed] = f"{side} exited {code}"
+                    files = sorted(set(os.listdir(outs["parent"]))
+                                   | set(os.listdir(outs["change"])))
+                    for f in files:
+                        blobs = {}
+                        for side, out in outs.items():
+                            path = os.path.join(out, f)
+                            blob = open(path, "rb").read() if os.path.isfile(path) else None
+                            if blob is not None and f == "metadata.json":
+                                blob = blob.replace(out.encode(), b"<outdir>")
+                            blobs[side] = blob
+                        key = f"{workload}/{name}/{mode}/{f}"
+                        if None in blobs.values():
+                            delta = "missing on one side"
+                        else:
+                            delta = artifact_delta(blobs["parent"], blobs["change"])
+                        found.setdefault(key, {})[seed] = delta
+            print(f"artifacts seed {seed} {workload}: compared", file=sys.stderr)
+    report = {}
+    for key, by_seed in sorted(found.items()):
+        differing = {s: d for s, d in by_seed.items() if d != 0.0}
+        if not differing:
+            report[key] = "identical"
+            continue
+        numeric = [d for d in differing.values() if isinstance(d, float)]
+        report[key] = {"max_abs_diff": max(numeric) if numeric else None,
+                       "seeds_differing": sorted(differing),
+                       "other": sorted({d for d in differing.values() if isinstance(d, str)})}
+    return {"seeds": seeds, "files": report}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -200,6 +305,8 @@ def main(argv=None) -> int:
                    help="also run one traced pass per workload, side and pair")
     p.add_argument("--tier1", action="store_true",
                    help="also run the tier-1 tests once per side, after the pairs")
+    p.add_argument("--artifacts", action="store_true",
+                   help="also compare every analysis's artifacts on both sides")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -212,8 +319,11 @@ def main(argv=None) -> int:
     export(args.parent, trees["parent"])
     export(args.change, trees["change"])
 
+    workloads = args.workloads.split(",")
     if args.pairs == 0:  # the line split alone, without benchmark runs
         report = {"src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
+        if args.artifacts:
+            report["artifacts"] = compare_artifacts(trees, workloads, [args.seed], work)
         if args.tier1:
             report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
         with open(args.out, "w") as fh:
@@ -226,7 +336,7 @@ def main(argv=None) -> int:
                if rev else "working tree"
                for side, rev in (("parent", args.parent), ("change", args.change))}
     seeds = [args.seed + i for i in range(args.pairs)]
-    runs = {w: {"parent": [], "change": []} for w in args.workloads.split(",")}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     traces = {w: {"parent": [], "change": []} for w in runs}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -256,6 +366,8 @@ def main(argv=None) -> int:
                        for name in sorted(set.intersection(*map(set, got)))}
                 for side, got in sides.items()}
             for w, sides in traces.items()}
+    if args.artifacts:
+        report["artifacts"] = compare_artifacts(trees, workloads, seeds, work)
     if args.tier1:
         report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
     with open(args.out, "w") as fh:
