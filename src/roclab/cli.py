@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import math
@@ -58,16 +59,28 @@ ENV_OUTDIR = "ROCLAB_OUTDIR"
 # atomic artifact writers
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".roclab-")
+def _write_files(outdir: str, files: list[tuple[str, str]]) -> None:
+    """Write ``(name, text)`` pairs into ``outdir`` as one set.
+
+    Every text goes to a temporary file before any is renamed into place,
+    in the order given.  On a failure the temporary files and the files
+    this call already renamed are removed, so a failed call leaves none of
+    the set behind.
+    """
+    tmps, placed = [], []
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for _, text in files:
+            fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".roclab-")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+        for (name, _), tmp in zip(files, tmps):
+            os.replace(tmp, os.path.join(outdir, name))
+            placed.append(os.path.join(outdir, name))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path in tmps + placed:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
         raise
 
 
@@ -152,18 +165,17 @@ def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
     if warned:
         meta["warnings"] = warned
         summary_lines = summary_lines + [f"warning: {w}" for w in warned]
-    _atomic_write(os.path.join(outdir, "metadata.json"),
-                  json.dumps(meta, indent=2, sort_keys=True, default=_json_default) + "\n")
-    _atomic_write(os.path.join(outdir, "summary.txt"),
-                  "\n".join(summary_lines) + "\n")
+    files = [("summary.txt", "\n".join(summary_lines) + "\n")]
     if curve is not None:
-        _atomic_write(os.path.join(outdir, "curve.csv"),
-                      _curve_csv_text(curve, _fmt6))
+        files.append(("curve.csv", _curve_csv_text(curve, _fmt6)))
         if params.get("full_precision"):
-            _atomic_write(os.path.join(outdir, "curve_full.csv"),
-                          _curve_csv_text(curve, _fmt_full))
+            files.append(("curve_full.csv", _curve_csv_text(curve, _fmt_full)))
         if params.get("svg"):
-            _atomic_write(os.path.join(outdir, "curve.svg"), _svg_text(curve))
+            files.append(("curve.svg", _svg_text(curve)))
+    # metadata.json is renamed last: a directory that has it has the whole set
+    files.append(("metadata.json", json.dumps(meta, indent=2, sort_keys=True,
+                                              default=_json_default) + "\n"))
+    _write_files(outdir, files)
 
 
 def _library_versions() -> dict:
@@ -638,7 +650,7 @@ def _cmd_simulate(opts: Options) -> tuple:
         raise InvalidInputError(
             f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
 
-    _atomic_write(os.path.join(opts.resolved["outdir"], "cohort.csv"), text)
+    _write_files(opts.resolved["outdir"], [("cohort.csv", text)])
     return lines, None, None
 
 
@@ -757,9 +769,9 @@ def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
                  code: int) -> None:
     try:
         outdir = _resolve_outdir(Options(args, cfg, args.command))
-        _atomic_write(os.path.join(outdir, "error.json"), json.dumps(
+        _write_files(outdir, [("error.json", json.dumps(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
-            indent=2, sort_keys=True) + "\n")
+            indent=2, sort_keys=True) + "\n")])
     except (OSError, InvalidInputError):  # no usable output directory
         pass
 

@@ -403,8 +403,8 @@ class TestErrorPaths:
         assert (tmp_path / "c.csv").read_text() == SEPARATED
 
     def test_artifact_write_error_exits_2_with_error_json(self, tmp_path, capsys):
-        # a directory named summary.txt: metadata.json is written, then the
-        # summary cannot replace the directory
+        # a directory named summary.txt: the summary cannot replace it, and
+        # the failed run leaves no metadata.json beside its error.json
         p = write_csv(tmp_path / "c.csv", SEPARATED)
         out = tmp_path / "out"
         (out / "summary.txt").mkdir(parents=True)
@@ -414,7 +414,21 @@ class TestErrorPaths:
         blob = json.loads((out / "error.json").read_text())
         assert blob["error"] == "InvalidInputError" and blob["exit_code"] == 2
         assert (out / "summary.txt").is_dir()
+        assert not (out / "metadata.json").exists()
         assert not [f for f in os.listdir(out) if f.startswith(".roclab-")]
+
+    def test_failed_artifact_set_leaves_no_file_of_the_set(self, tmp_path):
+        # metadata.json is renamed last, so the summary and the curve are
+        # in place when it fails; they are removed again, old copies too
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        out = tmp_path / "out"
+        assert run(["pooled", "--input", p, "--svg", "--outdir", out]) == 0
+        assert {"summary.txt", "curve.csv", "curve.svg"} <= set(os.listdir(out))
+        (out / "metadata.json").unlink()
+        (out / "metadata.json").mkdir()
+        assert run(["pooled", "--input", p, "--svg", "--outdir", out]) == 2
+        assert sorted(os.listdir(out)) == ["error.json", "metadata.json"]
+        assert (out / "metadata.json").is_dir()
 
     def test_unknown_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -425,6 +439,23 @@ class TestErrorPaths:
         rc = run(["pooled", "--outdir", tmp_path])  # no input anywhere
         assert rc == 2
         assert "missing required option 'input'" in capsys.readouterr().err
+
+
+class TestBayesianBootstrapYouden:
+    def test_reversed_marker_prints_no_probability_below_zero(self, tmp_path):
+        # a 60 + 60 binormal cohort with the marker negated: some draws'
+        # weighted ECDFs sum to just above 1 at the best threshold
+        assert run(["simulate", "--scenario", "binormal", "--n-diseased", "60",
+                    "--n-nondiseased", "60", "--seed", "3", "--outdir", tmp_path / "sim"]) == 0
+        lines = (tmp_path / "sim" / "cohort.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        p = write_csv(tmp_path / "neg.csv", "marker,status\n" + "".join(
+            f"{-float(marker)!r},{status}\n" for marker, status in rows))
+        out = tmp_path / "out"
+        assert run(["pooled", "--input", p, "--estimator", "bb", "--outdir", out]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        p_star = next(line for line in summary if line.startswith("p_star:"))
+        assert p_star == "p_star: 0.419917 (0, 0.994811)"
 
 
 class TestMixtureChainsSideBySide:

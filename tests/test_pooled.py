@@ -896,7 +896,7 @@ def global_bracket_newton(w, mu, sigma, targets):
     step_last = step_before = np.full(shape, hi - lo)
     done = np.zeros(shape, dtype=bool)
     for _ in range(120):
-        f, dens = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
+        f, dens, _ = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
         below = f < tgt
         lo_a, hi_a = np.where(below, x, lo_a), np.where(below, hi_a, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -919,7 +919,7 @@ def check_inversion(w, mu, sigma, targets):
     oracle = global_bracket_newton(w, mu, sigma, targets)
     # a root is fixed only to within the CDF's rounding over its slope: on a
     # plateau between components far apart any point of the plateau solves
-    _, dens = _mixture_cdf(w, mu, sigma, oracle, ndtr, density=True)
+    _, dens, _ = _mixture_cdf(w, mu, sigma, oracle, ndtr, density=True)
     with np.errstate(divide="ignore"):
         spread = 8.0 * np.finfo(float).eps / dens
     assert np.all(np.abs(roots - oracle) <= 1e-12 * (1.0 + np.abs(oracle)) + spread)
@@ -979,6 +979,62 @@ class TestTableStartedInversion:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+def density_as_before(w, mu, sigma, x):
+    """The CDF and density of ``_mixture_cdf(density=True)`` with the
+    density terms evaluated in place in z: where the terms live must not
+    move a bit."""
+    z = (x[..., :, None] - mu[..., None, :]) / sigma[..., None, :]
+    cdf = (ndtr(z) * w[..., None, :]).sum(axis=-1)
+    np.multiply(z, z, out=z)
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= (w / (sigma * math.sqrt(2.0 * math.pi)))[..., None, :]
+    return cdf, z.sum(axis=-1)
+
+
+class TestHalleyInversion:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8), st.integers(1, 30))
+    def test_density_bits_unchanged_and_slope_is_the_analytic_sum(self, seed, n_comp, rows,
+                                                                   points):
+        rng = np.random.default_rng(seed)
+        w = rng.dirichlet(np.ones(n_comp), rows)
+        mu = rng.normal(0.0, 2.0, (rows, n_comp))
+        sigma = np.exp(rng.uniform(-3.0, 1.0, (rows, n_comp)))
+        x = rng.normal(0.0, 3.0, (rows, points))
+        cdf, dens, slope = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
+        want_cdf, want_dens = density_as_before(w, mu, sigma, x)
+        assert np.array_equal(cdf, want_cdf) and np.array_equal(dens, want_dens)
+        assert np.array_equal(cdf, _mixture_cdf(w, mu, sigma, x, ndtr))
+        # f'(x) = -sum_l w_l phi(z_l) z_l / sigma_l^2, rounded another way;
+        # terms below the smallest normal double keep no relative precision
+        z = (x[:, :, None] - mu[:, None, :]) / sigma[:, None, :]
+        terms = w[:, None, :] * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * z
+        terms /= (sigma * sigma)[:, None, :]
+        info = np.finfo(float)
+        bound = (n_comp + 8) * info.eps * np.abs(terms).sum(axis=-1) + info.tiny
+        assert np.all(np.abs(slope + terms.sum(axis=-1)) <= bound)
+
+    def test_cli_default_dpm_draws_take_at_most_2_5_evaluations_per_root(self, monkeypatch):
+        # 1,000 nondiseased values, burn-in 500, 1,000 draws of 10
+        # components: the CLI's defaults.  Only the passes count; the
+        # starting tables are a fixed 64 points per draw
+        rng = np.random.default_rng(94)
+        fit = dpm_fit(rng.normal(0.0, 1.0, 1000), DpmConfig(seed=SeedSpec(95, 2)))
+        w, mu, sigma = fit._normals()
+        evaluated = []
+        real = pooled_roc._mixture_sums
+
+        def counted(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
+            if density:
+                evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
+            return real(w, mu, sigma, x, ndtr, density, rows, work)
+
+        monkeypatch.setattr(pooled_roc, "_mixture_sums", counted)
+        roots = _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr)
+        assert roots.shape == (1000, TARGETS.size)
+        assert sum(evaluated) / roots.size <= 2.5
 
 
 class TestOneEvaluator:
@@ -1123,10 +1179,12 @@ class TestWorkerCount:
         one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points))
         assert np.array_equal(one, two)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_inversion_error_names_the_first_failing_draw(self, force_workers, workers):
         # draws 40 and 75 (blocks 1 and 2) are steps: two components of scale
-        # 1e-150, so no root reaches the 1e-10 residual
+        # 1e-150, so no root reaches the 1e-10 residual.  Their scale cubed
+        # is 0, and the step bound that divides by it warns of nothing
         force_workers(workers)
         w = np.full((100, 2), 0.5)
         mu = np.tile([0.0, 1.0], (100, 1))

@@ -34,6 +34,17 @@ numeric cells and the seeds where it differs, under ``artifacts``.
 Output directories in ``metadata.json`` are normalised first.  With
 ``--pairs 0`` the artifacts run on ``--seed`` alone.
 
+With ``--layers``, each side times the smooth-CDF layer in its own
+``python`` process, in ``--pairs`` rounds (one with ``--pairs 0``) that
+alternate which side runs first: the median seconds of one
+``dpm_roc(youden=True)`` on fits at CLI defaults (1,000 + 1,000 binormal
+values from ``--seed``; burn-in 500, 1,000 draws, truncation 10) and of
+one ``kernel_roc`` on 10,000 + 10,000 values, over 5 calls per round after
+a warm call, plus the CDF evaluations per root and the passes of the
+inversion in one such ``dpm_roc`` and one such ``kernel_roc``, counted
+through a wrapped ``_mixture_sums``.  The output file gets them under
+``layers``.
+
 With ``--tier1``, the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) runs
 once on each copy after the pairs, the parent first, and the output file
@@ -119,6 +130,67 @@ def tier1_once(tree: str) -> dict:
             "counts": {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)},
             "summary": summary.strip("= "),
             "acceptance": re.findall(r"ACCEPTANCE \d+: .*", proc.stdout)}
+
+
+def layer_once(seed: int, calls: int) -> dict:
+    """The smooth-CDF layer of the ``roclab`` on ``sys.path``, timed and
+    counted in this process (see ``--layers``)."""
+    import roclab.pooled_roc as pooled
+    from roclab import DpmConfig, SeedSpec, dpm_fit, dpm_roc, kernel_roc
+
+    rng = np.random.default_rng(seed)
+    d, nd = rng.normal(1.0, 1.0, 1000), rng.normal(0.0, 1.0, 1000)
+    fits = [dpm_fit(y, DpmConfig(seed=SeedSpec(seed, stream))) for y, stream in ((d, 1), (nd, 2))]
+    big_d, big_nd = rng.normal(1.0, 1.0, 10_000), rng.normal(0.0, 1.0, 10_000)
+    runs = {"dpm_roc": lambda: dpm_roc(*fits, youden=True),
+            "kernel_roc": lambda: kernel_roc(big_d, big_nd)}
+    report = {}
+    real = pooled._mixture_sums
+    for name, fn in runs.items():
+        evaluated = []
+
+        def counted(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
+            if density:  # a pass of the inversion
+                evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
+            return real(w, mu, sigma, x, ndtr, density, rows, work)
+
+        pooled._mixture_sums = counted
+        try:  # this call also warms the caches
+            out = fn()
+        finally:
+            pooled._mixture_sums = real
+        curves = np.atleast_2d(out.curves if name == "dpm_roc" else out.roc)
+        roots = curves.shape[0] * int(((out.grid > 0.0) & (out.grid < 1.0)).sum())
+        seconds = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            fn()
+            seconds.append(time.perf_counter() - start)
+        report[name] = {"seconds": seconds, "passes": len(evaluated),
+                        "evaluations_per_root": round(sum(evaluated) / roots, 4)}
+    return report
+
+
+def layers(trees: dict, seed: int, rounds: int) -> dict:
+    """``layer_once`` on both trees in alternating rounds; medians per side."""
+    code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'tools')!r}); "
+            f"import bench_pairs; print(json.dumps(bench_pairs.layer_once({seed}, 5)))")
+    got = {side: [] for side in trees}
+    for i in range(max(1, rounds)):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            proc = subprocess.run([sys.executable, "-c", code], cwd=trees[side], check=True,
+                                  capture_output=True, text=True, env=pinned_env(trees[side]))
+            got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            print(f"layers round {i} {side}: done", file=sys.stderr)
+    report = {}
+    for side, runs in got.items():
+        report[side] = {}
+        for name, first in runs[0].items():
+            seconds = [s for r in runs for s in r[name]["seconds"]]
+            report[side][f"{name}_s_q25_median_q75"] = quartiles(seconds)
+            report[side][f"{name}.evaluations_per_root"] = first["evaluations_per_root"]
+            report[side][f"{name}.passes"] = first["passes"]
+    return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5, "by_side": report}
 
 
 # a number in an artifact: the cells of the CSV files, the values in
@@ -307,6 +379,8 @@ def main(argv=None) -> int:
                    help="also run the tier-1 tests once per side, after the pairs")
     p.add_argument("--artifacts", action="store_true",
                    help="also compare every analysis's artifacts on both sides")
+    p.add_argument("--layers", action="store_true",
+                   help="also time the smooth-CDF layer on both sides")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -324,6 +398,8 @@ def main(argv=None) -> int:
         report = {"src_lines": {side: src_lines(tree) for side, tree in trees.items()}}
         if args.artifacts:
             report["artifacts"] = compare_artifacts(trees, workloads, [args.seed], work)
+        if args.layers:
+            report["layers"] = layers(trees, args.seed, 0)
         if args.tier1:
             report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
         with open(args.out, "w") as fh:
@@ -368,6 +444,8 @@ def main(argv=None) -> int:
             for w, sides in traces.items()}
     if args.artifacts:
         report["artifacts"] = compare_artifacts(trees, workloads, seeds, work)
+    if args.layers:
+        report["layers"] = layers(trees, args.seed, args.pairs)
     if args.tier1:
         report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
     with open(args.out, "w") as fh:
