@@ -8,7 +8,8 @@ configured analysis, and write artifacts into an output directory:
   estimators without uncertainty bands); always includes p=0 and p=1.
 * ``summary.txt``: AUC with interval plus Youden index, threshold and
   optimal-FPF lines, then one ``warning:`` line per distinct roclab
-  warning the analysis raised.
+  warning the analysis raised (``NegativeYoudenWarning`` when the reported
+  AUC is below 0.5).
 * ``metadata.json``: every parameter, seed and library version needed to
   reproduce the run byte-exactly, and the sorted ``warnings`` list when
   there are any.  No timestamps.
@@ -44,7 +45,7 @@ from .covariate_roc import (RegressionSample, aroc, ddp_fit, ddp_roc, faraggi_ro
                             pepe_semiparam_roc, rocglm_fit)
 from .errors import (AllCensoredWarning, InvalidInputError, NegativeYoudenWarning,
                      SeparationWarning)
-from .indices import youden_empirical, youden_from_cdfs
+from .indices import _curve_gap, youden_empirical, youden_from_cdfs
 from .pooled_roc import (DpmConfig, bb_roc, dpm_fit, dpm_roc, empirical_roc,
                          kernel_cdf, kernel_roc, lscv_bandwidth,
                          silverman_bandwidth)
@@ -153,7 +154,7 @@ def _json_default(obj):
 
 
 def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
-                   curve, report, warned: list[str]) -> None:
+                   curve, report, warned: list[str], extra: list) -> None:
     meta = {
         "tool": "roclab",
         "version": __version__,
@@ -165,7 +166,7 @@ def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
     if warned:
         meta["warnings"] = warned
         summary_lines = summary_lines + [f"warning: {w}" for w in warned]
-    files = [("summary.txt", "\n".join(summary_lines) + "\n")]
+    files = [("summary.txt", "\n".join(summary_lines) + "\n"), *extra]
     if curve is not None:
         files.append(("curve.csv", _curve_csv_text(curve, _fmt6)))
         if params.get("full_precision"):
@@ -391,13 +392,26 @@ def _parse_floats(raw: str) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the ``Options`` that ``_run`` set up and
-# returns (summary lines, curve or None, input report or None); ``_run``
-# writes the artifacts
+# returns (summary lines, curve or None, input report or None), then any
+# further (name, text) artifacts; ``_run`` writes them all as one set
 
 
-def _summary_lines(head: list[str], curve, youden) -> list[str]:
+def _summary_lines(head: list[str], curve, youden=None) -> list[str]:
     """``head``, then the AUC and Youden lines; ``youden`` is a ``YoudenResult``
-    or a dict whose values are numbers, ``(value, lo, hi)`` or None."""
+    or a dict whose values are numbers, ``(value, lo, hi)`` or None, and
+    by default the curve's own largest gap (``indices._curve_gap``) with no
+    threshold.
+
+    Every Youden-reporting analysis passes here, so this is the one place
+    that issues ``NegativeYoudenWarning``: when the reported AUC (the
+    posterior mean for an ensemble) is below 0.5, whatever the estimator.
+    """
+    if curve.auc < 0.5:
+        warnings.warn("AUC below 0.5; marker orders the groups the other way",
+                      NegativeYoudenWarning)
+    if youden is None:
+        yi, p_star = _curve_gap(curve)
+        youden = {"yi": yi, "c_star": None, "p_star": p_star}
     lines = head + [_interval_line("auc", curve.auc, *(curve.auc_ci or (None, None)))]
     values = youden if isinstance(youden, dict) else vars(youden)
     for name in ("yi", "c_star", "p_star"):
@@ -405,13 +419,6 @@ def _summary_lines(head: list[str], curve, youden) -> list[str]:
         lines.append(_interval_line(name, *value) if isinstance(value, tuple)
                      else _interval_line(name, value))
     return lines
-
-
-def _curve_youden(curve) -> dict:
-    """Youden index as the largest ``roc - p`` on the curve's grid."""
-    idx = int(np.argmax(curve.roc - curve.grid))
-    return {"yi": float(curve.roc[idx] - curve.grid[idx]), "c_star": None,
-            "p_star": float(curve.grid[idx])}
 
 
 def _cmd_binary(opts: Options) -> tuple:
@@ -552,7 +559,7 @@ def _cmd_covariate(opts: Options) -> tuple:
         curve = fit.curve(at, grid)
         opts.resolved["rocglm_alpha"] = [float(v) for v in fit.alpha]
         opts.resolved["rocglm_beta"] = [float(v) for v in fit.beta]
-        youden = _curve_youden(curve)
+        youden = None
     else:
         raise InvalidInputError(
             f"unknown estimator {estimator!r}: choose faraggi, pepe, ddp or rocglm")
@@ -573,7 +580,7 @@ def _cmd_aroc(opts: Options) -> tuple:
     curve = aroc(sample_d, nd_cdf, grid)
     head = ["analysis: aroc", f"errors: {errors}",
             f"n_diseased: {sample_d.n}", f"n_nondiseased: {sample_nd.n}"]
-    return _summary_lines(head, curve, _curve_youden(curve)), curve, report
+    return _summary_lines(head, curve), curve, report
 
 
 def _cmd_timedep(opts: Options) -> tuple:
@@ -650,8 +657,7 @@ def _cmd_simulate(opts: Options) -> tuple:
         raise InvalidInputError(
             f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
 
-    _write_files(opts.resolved["outdir"], [("cohort.csv", text)])
-    return lines, None, None
+    return lines, None, None, ("cohort.csv", text)
 
 
 def _parse_names(raw: str) -> list[str]:
@@ -799,7 +805,7 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            lines, curve, report = args.handler(opts)
+            lines, curve, report, *extra = args.handler(opts)
     finally:
         for w in caught:
             seen.setdefault((w.category, str(w.message)), w)
@@ -808,7 +814,7 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
     warned = sorted(f"{category.__name__}: {message}" for category, message in seen
                     if issubclass(category, _RECORDED_WARNINGS))
     try:
-        _write_outputs(outdir, opts.resolved, lines, curve, report, warned)
+        _write_outputs(outdir, opts.resolved, lines, curve, report, warned, extra)
     except OSError as exc:  # e.g. a directory named summary.txt in the way
         raise InvalidInputError(f"cannot write artifacts: {exc}") from None
 

@@ -60,4 +60,8 @@ class AllCensoredWarning(UserWarning):
 
 
 class NegativeYoudenWarning(UserWarning):
-    """Best achievable Youden index is negative (marker anti-ordered)."""
+    """The reported AUC is below 0.5: the marker orders the groups the other way.
+
+    The CLI issues it from the data, for every estimator alike; library
+    functions return a negative or trivial Youden index without it.
+    """

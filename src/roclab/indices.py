@@ -4,18 +4,35 @@ The Youden index is the largest vertical gap between the two population
 CDFs, ``max_c {F_nondiseased(c) - F_diseased(c)}``, equivalently
 ``max_p {roc(p) - p}``.  Its maximizer is the optimal threshold ``c*`` and
 ``p* = 1 - F_nondiseased(c*)`` is the false positive fraction in use there.
+Ties go to the smallest threshold (the largest ``p``) everywhere, and three
+rules compute it:
+
+* **Step rule** (``youden_empirical`` with unit weights, every ``bb_roc``
+  draw with its bootstrap weights): two weighted ECDFs compared at the
+  pooled values and at one value below the pooled minimum, with the gap
+  cross-multiplied by the total weights ``W_D`` and ``W_ND``.  Both
+  trivial rules (everyone positive, everyone negative) score exactly 0
+  and ``p* = (W_ND - F_ND(c*)) / W_ND`` lies in [0, 1] without a clamp.
+* **Curve rule** (``youden_from_curve``, and the CLI's curves without a
+  threshold): the largest ``roc(p) - p`` on the curve's grid.
+* **Smooth rule** (``youden_from_cdfs`` and the batched search behind the
+  mixture ensembles): a coarse-to-fine scan refined by golden section.
+
+None of them warns when the best gap is negative: they return the numbers
+as computed.  Whether a marker orders the groups the other way is a fact
+about the data, which the CLI reports from the AUC
+(``NegativeYoudenWarning``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_prob_grid, ordered_map, validate_sample
-from .errors import InvalidInputError, NegativeYoudenWarning, NumericError
+from .errors import InvalidInputError, NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -91,13 +108,6 @@ _STRIDE = 16
 _SLACK = 1e-9
 
 
-def _warn_if_negative(yi) -> None:
-    """One ``NegativeYoudenWarning`` when any best gap in ``yi`` is negative."""
-    if np.any(np.asarray(yi) < 0.0):
-        warnings.warn("best Youden gap is negative; marker orders the groups "
-                      "the other way", NegativeYoudenWarning)
-
-
 def _coarse_indices(m: int) -> np.ndarray:
     """Indices of the coarse scan among ``m`` points: every ``_STRIDE``-th and the last."""
     idx = np.arange(0, m, _STRIDE)
@@ -133,8 +143,7 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     pair's bracket in one array recurrence, whose calls list (as an index
     array) only the pairs whose brackets are still above tolerance.
     Returns ``yi``, ``c_star`` and ``p_star`` arrays of length
-    ``n_pairs``.  It never warns: a caller that runs it in parts warns
-    once for the whole call (``_warn_if_negative``).
+    ``n_pairs``.
 
     The result is that of the full scan for CDFs whose value at a point
     does not depend on how many points one call takes.  A non-finite value
@@ -239,8 +248,9 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
     Notes
     -----
     Ties are broken toward the smallest threshold.  A negative best gap is
-    returned as computed, with a warning; reversing the positivity rule is
-    left to the caller.
+    returned as computed, without a warning; reversing the positivity rule
+    is left to the caller.  ``p*`` is clamped to [0, 1], since a smooth CDF
+    may round just above 1.
     """
     if not np.isfinite(search_lo) or not np.isfinite(search_hi) or search_lo >= search_hi:
         raise InvalidInputError("need finite search_lo < search_hi")
@@ -258,47 +268,77 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
                 np.asarray(cdf_d(x.ravel()), dtype=float).reshape(shape))
 
     yi, c_star, p_star = _youden_search(cdfs, pts, search_lo, search_hi, 1, pts.size)
-    _warn_if_negative(yi)
     return YoudenResult(yi=float(yi[0]), c_star=float(c_star[0]), p_star=float(p_star[0]))
 
 
-def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:
-    """Maximize ``roc(p) - p`` over the curve grid.
-
-    ``c* = nondiseased_quantile(1 - p*)``.  Ties are broken toward the
-    largest ``p`` (equivalently the smallest threshold).  When the maximizer
-    is ``p* = 1`` the threshold is ``-inf``: everything classified positive.
-    """
+def _curve_gap(curve) -> tuple[float, float]:
+    """The curve rule: the largest ``roc(p) - p`` on the curve's grid and its
+    ``p``, the largest ``p`` (the smallest threshold) on ties."""
     grid = as_prob_grid(curve.grid)
     roc = np.asarray(curve.roc, dtype=float)
     if roc.shape != grid.shape:
         raise InvalidInputError("curve and grid lengths differ")
     gaps = roc - grid
     best = int(gaps.size - 1 - np.argmax(gaps[::-1]))  # last max = largest p
-    yi, p_star = float(gaps[best]), float(grid[best])
-    _warn_if_negative(yi)
+    return float(gaps[best]), float(grid[best])
+
+
+def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:
+    """Maximize ``roc(p) - p`` over the curve grid (the curve rule).
+
+    ``c* = nondiseased_quantile(1 - p*)``.  Ties are broken toward the
+    largest ``p`` (equivalently the smallest threshold).  When the maximizer
+    is ``p* = 1`` the threshold is ``-inf``: everything classified positive.
+    """
+    yi, p_star = _curve_gap(curve)
     c_star = -math.inf if p_star >= 1.0 else float(nondiseased_quantile(1.0 - p_star))
     return YoudenResult(yi=yi, c_star=c_star, p_star=p_star)
+
+
+def _step_candidates(d: np.ndarray, nd: np.ndarray):
+    """Candidate thresholds of the step rule for sorted samples ``d`` and
+    ``nd``: one value below the pooled minimum, then the pooled values in
+    ascending order.  Returns them with the positions in ``d`` and in
+    ``nd`` that end at or below each (``searchsorted(..., "right")``)."""
+    cand = np.unique(np.concatenate([[min(d[0], nd[0]) - 1.0], d, nd]))
+    return (cand, np.searchsorted(d, cand, side="right"),
+            np.searchsorted(nd, cand, side="right"))
+
+
+def _step_youden(cand: np.ndarray, cum_d: np.ndarray, cum_nd: np.ndarray):
+    """The step rule: Youden index of two weighted ECDFs.
+
+    ``cum_d`` and ``cum_nd`` are each sample's weight at or below every
+    candidate of ``_step_candidates``, so their first entries are 0 and
+    their last the totals ``W_D`` and ``W_ND``.  The gap is taken
+    cross-multiplied, ``cum_nd W_D - cum_d W_ND``, which is exactly 0 at
+    both ends, and divided once by ``W_D W_ND``; the first maximum (the
+    smallest threshold) wins.  Returns ``yi``, ``c*`` and
+    ``p* = (W_ND - cum_nd) / W_ND``, which lies in [0, 1] as computed.
+    With unit weights and counts below 2^53 every product is exact, so
+    ``yi`` is the correctly rounded exact rational.
+    """
+    w_d, w_nd = cum_d[-1], cum_nd[-1]
+    gap = cum_nd * w_d - cum_d * w_nd
+    k = int(np.argmax(gap))
+    return float(gap[k] / (w_d * w_nd)), float(cand[k]), float((w_nd - cum_nd[k]) / w_nd)
 
 
 def youden_empirical(diseased, nondiseased) -> YoudenResult:
     """Youden index from the two empirical CDFs, exact over pooled values.
 
-    The ECDF gap at every pooled observation is carried as an integer count
+    The step rule with unit weights: the ECDF gap at every pooled
+    observation is carried as exact counts
     (``#{nd <= c} n_D - #{d <= c} n_ND``) and divided once at the end, so
     ``yi`` is the correctly rounded one-sided two-sample Kolmogorov-Smirnov
     statistic, bit-identical to an exact-rational evaluation.  Ties break
     toward the smallest threshold; a candidate below the pooled minimum
     (gap zero: everything classified positive) is included, matching the
-    search-interval behaviour of ``youden_from_cdfs``.
+    search-interval behaviour of ``youden_from_cdfs``.  A reversed marker
+    gives ``yi = 0`` there, with ``p* = 1``.
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))
-    cand = np.unique(np.concatenate([[d[0] - 1.0, nd[0] - 1.0], d, nd]))
-    k_nd = np.searchsorted(nd, cand, side="right").astype(np.int64)
-    k_d = np.searchsorted(d, cand, side="right").astype(np.int64)
-    num = k_nd * d.size - k_d * nd.size
-    best = int(np.argmax(num))  # first max = smallest threshold
-    yi = float(num[best] / (d.size * nd.size))
-    p_star = float((nd.size - k_nd[best]) / nd.size)
-    return YoudenResult(yi=yi, c_star=float(cand[best]), p_star=p_star)
+    cand, k_d, k_nd = _step_candidates(d, nd)
+    yi, c_star, p_star = _step_youden(cand, k_d.astype(float), k_nd.astype(float))
+    return YoudenResult(yi=yi, c_star=c_star, p_star=p_star)

@@ -71,7 +71,7 @@ import numpy as np
 from .core import (SeedSpec, _exact_ranks, as_prob_grid, default_prob_grid,
                    dirichlet_uniform, forked_spans, ordered_map, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
-from .indices import _warn_if_negative, _youden_search
+from .indices import _step_candidates, _step_youden, _youden_search
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,13 @@ class RocCurveEstimate:
             hi = np.asarray(self.band_hi, dtype=float)
             if np.any(lo > roc + 1e-12) or np.any(hi < roc - 1e-12):
                 raise InvalidInputError("bands must bracket the curve")
+
+
+def _tail_percent(level: float) -> float:
+    """The percent in each tail of an equal-tail interval at ``level``."""
+    if not 0.0 < level < 1.0:
+        raise InvalidInputError("level must be in (0, 1)")
+    return 100.0 * (1.0 - level) / 2.0
 
 
 @dataclass(frozen=True)
@@ -141,9 +148,7 @@ class PosteriorEnsemble:
 
     def summarize(self, level: float = 0.95) -> RocCurveEstimate:
         """Ensemble mean curve with equal-tail pointwise percentile bands."""
-        if not 0.0 < level < 1.0:
-            raise InvalidInputError("level must be in (0, 1)")
-        tail = 100.0 * (1.0 - level) / 2.0
+        tail = _tail_percent(level)
         curves = np.asarray(self.curves, dtype=float)
         mean = curves.mean(axis=0)
         lo = np.percentile(curves, tail, axis=0)
@@ -159,9 +164,9 @@ class PosteriorEnsemble:
 
     def youden_summary(self, level: float = 0.95) -> dict | None:
         """Posterior mean and equal-tail interval for yi, c* and p*."""
+        tail = _tail_percent(level)
         if self.yis is None:
             return None
-        tail = 100.0 * (1.0 - level) / 2.0
         return {name: (float(np.mean(v)), float(np.percentile(v, tail)),
                        float(np.percentile(v, 100.0 - tail)))
                 for name, v in (("yi", self.yis), ("c_star", self.thresholds),
@@ -910,8 +915,11 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     ``_FORK_BB`` draws times subjects the draws go in one span per CPU, side
     by side through ``core.forked_spans``.
 
-    With ``youden=True`` the per-draw weighted-ECDF Youden index, threshold
-    and FPF are tracked (candidate thresholds are the pooled data values).
+    With ``youden=True`` each draw also gives the Youden index, threshold
+    and FPF of its two weighted ECDFs by the step rule of ``indices``, as
+    ``youden_empirical`` does with unit weights: the pooled values and one
+    below their minimum are the candidates, both trivial rules score
+    exactly 0, and p* lies in [0, 1] without a clamp.
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
@@ -929,9 +937,7 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     # weights at or above that position make up U_j
     pos = np.searchsorted(nd_sorted, d_sorted, side="left")
     if youden:
-        cand = np.unique(np.concatenate([d, nd]))
-        cand_nd = np.searchsorted(nd_sorted, cand, side="right")
-        cand_d = np.searchsorted(d_sorted, cand, side="right")
+        cand, cand_d, cand_nd = _step_candidates(d_sorted, nd_sorted)
 
     def draws(start, stop):
         curves = np.empty((stop - start, grid.size))
@@ -951,13 +957,9 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
             curves[i] = cum[np.searchsorted(u[::-1], grid, side="right")]
             aucs[i] = 1.0 - float(u @ q2_sorted)
             if youden:
-                f_nd = np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd]
-                f_d = np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d]
-                gap = f_nd - f_d
-                k = int(np.argmax(gap))
-                yis[i] = gap[k]
-                thresholds[i] = cand[k]
-                p_stars[i] = 1.0 - f_nd[k]
+                yis[i], thresholds[i], p_stars[i] = _step_youden(
+                    cand, np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d],
+                    np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd])
         return curves, aucs, yis, thresholds, p_stars
 
     parts = forked_spans(draws, n_draws, n_draws * (d.size + nd.size) >= _FORK_BB)
@@ -967,9 +969,6 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     # every U_j <= 1, so p=1 counts the whole diseased mass; only cumsum
     # rounding keeps the float sum from being exactly 1
     curves[:, grid == 1.0] = 1.0
-    # 1 - F_ND rounds below 0 where the weighted ECDF sums to just above 1
-    if youden:
-        p_stars = np.clip(p_stars, 0.0, 1.0)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 
@@ -1237,7 +1236,7 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
     lock for most of its time, so with at least ``_FORK_YOUDEN`` draw
     components (S times L) the draws go in one span per CPU, side by side
     through ``core.forked_spans``; each draw's result does not depend on
-    its span.  ``NegativeYoudenWarning`` is issued here, once per call.
+    its span.
     """
     from scipy.special import ndtr
 
@@ -1272,7 +1271,6 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
 
         parts = forked_spans(part, w_d.shape[0], w_d.shape[0] * n_comp >= _FORK_YOUDEN)
         yis, thresholds, p_stars = map(np.concatenate, zip(*parts))
-        _warn_if_negative(yis)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 

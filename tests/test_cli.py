@@ -441,21 +441,84 @@ class TestErrorPaths:
         assert "missing required option 'input'" in capsys.readouterr().err
 
 
+def negated_cohort(path, cohort):
+    """``cohort`` (a ``marker,status`` CSV) with the marker negated, written to ``path``."""
+    rows = [line.split(",") for line in cohort.read_text().splitlines()[1:]]
+    return write_csv(path, "marker,status\n" + "".join(
+        f"{-float(marker)!r},{status}\n" for marker, status in rows))
+
+
 class TestBayesianBootstrapYouden:
     def test_reversed_marker_prints_no_probability_below_zero(self, tmp_path):
         # a 60 + 60 binormal cohort with the marker negated: some draws'
-        # weighted ECDFs sum to just above 1 at the best threshold
+        # weighted ECDFs sum to just above 1, which the step rule's
+        # cross-multiplied gap and p* absorb without a clamp
         assert run(["simulate", "--scenario", "binormal", "--n-diseased", "60",
                     "--n-nondiseased", "60", "--seed", "3", "--outdir", tmp_path / "sim"]) == 0
-        lines = (tmp_path / "sim" / "cohort.csv").read_text().splitlines()
-        rows = [line.split(",") for line in lines[1:]]
-        p = write_csv(tmp_path / "neg.csv", "marker,status\n" + "".join(
-            f"{-float(marker)!r},{status}\n" for marker, status in rows))
+        p = negated_cohort(tmp_path / "neg.csv", tmp_path / "sim" / "cohort.csv")
         out = tmp_path / "out"
         assert run(["pooled", "--input", p, "--estimator", "bb", "--outdir", out]) == 0
         summary = (out / "summary.txt").read_text().splitlines()
         p_star = next(line for line in summary if line.startswith("p_star:"))
-        assert p_star == "p_star: 0.419917 (0, 0.994811)"
+        assert p_star == "p_star: 0.815917 (0.046781, 1)"
+        for name in ("auc", "yi", "p_star"):
+            line = next(line for line in summary if line.startswith(f"{name}:"))
+            values = line.split(":", 1)[1].replace("(", " ").replace(")", " ").replace(",", " ")
+            assert min(float(v) for v in values.split()) >= 0.0, line
+
+
+# every Youden-reporting analysis, as (cohort kind, arguments)
+AT = ["--covariates", "x", "--at", "0.5"]
+MIXTURE = ["--burn-in", "100", "--n-save", "100"]
+YOUDEN_ANALYSES = {
+    "empirical": ("pooled", ["pooled", "--estimator", "empirical"]),
+    "kernel": ("pooled", ["pooled", "--estimator", "kernel"]),
+    "bb": ("pooled", ["pooled", "--estimator", "bb", "--draws", "200"]),
+    "dpm": ("pooled", ["pooled", "--estimator", "dpm", *MIXTURE]),
+    "faraggi": ("covariate", ["covariate", "--estimator", "faraggi", *AT]),
+    "pepe": ("covariate", ["covariate", "--estimator", "pepe", *AT]),
+    "rocglm": ("covariate", ["covariate", "--estimator", "rocglm", *AT]),
+    "ddp": ("covariate", ["covariate", "--estimator", "ddp", *AT, *MIXTURE]),
+    "aroc": ("covariate", ["aroc", "--covariates", "x"]),
+    "timedep": ("survival", ["timedep", "--time", "0.5"]),
+}
+
+
+class TestSignWarningFollowsTheData:
+    """``NegativeYoudenWarning`` comes from the reported AUC, for every
+    estimator alike: once on a reversed cohort, never on a forward one."""
+
+    @pytest.fixture(scope="class")
+    def cohorts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cohorts")
+        paths = {}
+        for direction, sign in (("forward", "1.0"), ("reversed", "-1.0")):
+            out = root / direction
+            assert run(["simulate", "--n-diseased", "60", "--n-nondiseased", "60",
+                        "--seed", "3", "--outdir", out / "pooled"]) == 0
+            assert run(["simulate", "--scenario", "covariate", f"--beta-d={sign},1.0",
+                        "--seed", "3", "--outdir", out / "covariate"]) == 0
+            assert run(["simulate", "--scenario", "survival", "--n", "200", f"--gamma={sign}",
+                        "--censor-rate", "0.3", "--seed", "3", "--outdir", out / "survival"]) == 0
+            paths[direction] = {kind: str(out / kind / "cohort.csv")
+                                for kind in ("pooled", "covariate", "survival")}
+        paths["reversed"]["pooled"] = negated_cohort(
+            root / "negated.csv", root / "forward" / "pooled" / "cohort.csv")
+        return paths
+
+    @pytest.mark.parametrize("direction", ["forward", "reversed"])
+    @pytest.mark.parametrize("analysis", list(YOUDEN_ANALYSES))
+    def test_one_warning_on_a_reversed_cohort_none_on_a_forward_one(
+            self, tmp_path, cohorts, analysis, direction):
+        kind, argv = YOUDEN_ANALYSES[analysis]
+        out = tmp_path / "out"
+        assert run([*argv, "--input", cohorts[direction][kind], "--outdir", out]) == 0
+        warned = json.loads((out / "metadata.json").read_text()).get("warnings", [])
+        if direction == "forward":
+            assert warned == []
+        else:
+            assert warned == ["NegativeYoudenWarning: AUC below 0.5; "
+                              "marker orders the groups the other way"]
 
 
 class TestMixtureChainsSideBySide:
@@ -654,6 +717,16 @@ class TestSimulateSubcommand:
                   "--outdir", tmp_path / "ana"])
         assert rc == 0
 
+    def test_cohort_write_error_exits_2_with_error_json(self, tmp_path, capsys):
+        # cohort.csv is one artifact of the set: a directory in its way
+        # fails the whole set, and the run leaves only its error.json
+        out = tmp_path / "out"
+        (out / "cohort.csv").mkdir(parents=True)
+        assert run(["simulate", "--scenario", "binormal", "--outdir", out]) == 2
+        assert "cannot write artifacts" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert sorted(os.listdir(out)) == ["cohort.csv", "error.json"]
+
     def test_simulate_rerun_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -735,7 +808,7 @@ class TestWarningsInArtifacts:
         out = tmp_path / "out"
         with pytest.warns(NegativeYoudenWarning):
             first = self._run_kernel(p, out)
-        note = ("NegativeYoudenWarning: best Youden gap is negative; "
+        note = ("NegativeYoudenWarning: AUC below 0.5; "
                 "marker orders the groups the other way")
         assert json.loads(first["metadata.json"])["warnings"] == [note]
         assert first["summary.txt"].decode().splitlines()[-1] == f"warning: {note}"

@@ -1,10 +1,16 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from roclab import (InvalidInputError, NegativeYoudenWarning, RocCurveEstimate,
-                    YoudenResult, auc_from_curve, quantile, std_normal_cdf,
-                    youden_empirical, youden_from_cdfs, youden_from_curve)
+from roclab import (InvalidInputError, RocCurveEstimate, YoudenResult, auc_from_curve,
+                    quantile, std_normal_cdf, youden_empirical, youden_from_cdfs,
+                    youden_from_curve)
+from roclab.indices import _step_candidates, _step_youden
 
 
 def _binormal_cdfs(mu=1.0, sigma=1.0):
@@ -68,10 +74,11 @@ class TestYoudenFromCdfs:
         assert res.yi == 0.5
         assert res.c_star in (0.0, 1.0, 2.0, 3.0)
 
-    def test_negative_gap_warns(self):
+    def test_negative_gap_is_returned_without_warning(self):
         # reversed marker and a search window inside the supports
         cdf_d, cdf_nd = _binormal_cdfs(mu=-1.5)
-        with pytest.warns(NegativeYoudenWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = youden_from_cdfs(cdf_d, cdf_nd, -0.5, 0.5)
         assert res.yi < 0.0
 
@@ -153,6 +160,78 @@ class TestYoudenEmpirical:
         res = youden_empirical([0.0, 1.0], [10.0, 11.0])
         assert res.yi == 0.0
         assert res.p_star == 1.0
+
+
+# a small weighted sample: values on a coarse lattice (so ties are common)
+# with positive weights
+weighted_sample = st.lists(st.tuples(st.integers(0, 6), st.floats(0.01, 1.0)),
+                           min_size=1, max_size=12)
+
+
+def step_inputs(sample_d, sample_nd):
+    """Candidates and cumulative weights of the step rule, as ``bb_roc`` builds them."""
+    sides = []
+    for sample in (sample_d, sample_nd):
+        values, weights = (np.array(v, dtype=float) for v in zip(*sample))
+        order = np.argsort(values, kind="stable")
+        sides.append((values[order], weights[order]))
+    cand, pos_d, pos_nd = _step_candidates(sides[0][0], sides[1][0])
+    cum = [np.concatenate([[0.0], np.cumsum(w)])[pos]
+           for (_, w), pos in zip(sides, (pos_d, pos_nd))]
+    return cand, cum[0], cum[1]
+
+
+def exact_gaps(cand, sample_d, sample_nd):
+    """``F_ND(c) - F_D(c)`` at every candidate, in exact rationals."""
+    def ecdf(sample, c):
+        total = sum(Fraction(w) for _, w in sample)
+        return sum(Fraction(w) for v, w in sample if v <= c) / total
+    return [ecdf(sample_nd, c) - ecdf(sample_d, c) for c in cand]
+
+
+class TestStepRule:
+    """The step rule shared by ``youden_empirical`` and ``bb_roc``'s draws."""
+
+    @given(weighted_sample, weighted_sample)
+    def test_argmax_matches_the_exact_rationals(self, sample_d, sample_nd):
+        cand, cum_d, cum_nd = step_inputs(sample_d, sample_nd)
+        yi, c_star, _ = _step_youden(cand, cum_d, cum_nd)
+        gaps = exact_gaps(cand, sample_d, sample_nd)
+        best = max(gaps)
+        k = gaps.index(best)  # first max = smallest threshold
+        runner_up = max(gaps[:k] + gaps[k + 1:], default=best - 1)
+        assert abs(yi - best) <= 1e-12
+        if best - runner_up > 1e-12:
+            assert c_star == cand[k]
+
+    @given(weighted_sample, weighted_sample)
+    def test_trivial_rules_score_exactly_zero(self, sample_d, sample_nd):
+        cand, cum_d, cum_nd = step_inputs(sample_d, sample_nd)
+        # everyone positive (below the minimum) and everyone negative (at
+        # the maximum) alone: a tie at exactly 0, which the first one wins
+        ends = [0, -1]
+        assert _step_youden(cand[ends], cum_d[ends], cum_nd[ends]) == (0.0, cand[0], 1.0)
+        assert _step_youden(cand[-1:], cum_d[-1:], cum_nd[-1:]) == (0.0, cand[-1], 0.0)
+        assert _step_youden(cand, cum_d, cum_nd)[0] >= 0.0
+
+    @given(weighted_sample, weighted_sample)
+    def test_p_star_is_a_probability_as_computed(self, sample_d, sample_nd):
+        yi, _, p_star = _step_youden(*step_inputs(sample_d, sample_nd))
+        assert 0.0 <= p_star <= 1.0
+        assert 0.0 <= yi <= 1.0
+
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=25),
+           st.lists(st.integers(-30, 30), min_size=1, max_size=25), st.randoms())
+    def test_empirical_invariant_to_order_and_increasing_transforms(self, d, nd, random):
+        d, nd = np.array(d) / 10.0, np.array(nd) / 10.0
+        res = youden_empirical(d, nd)
+        shuffled = youden_empirical(random.sample(list(d), d.size),
+                                    random.sample(list(nd), nd.size))
+        assert shuffled == res
+        moved = youden_empirical(np.exp(d), np.exp(nd))
+        assert (moved.yi, moved.p_star) == (res.yi, res.p_star)
+        if res.c_star in np.concatenate([d, nd]):
+            assert moved.c_star == np.exp(res.c_star)
 
 
 class TestYoudenResultType:

@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 
 from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
                     InvalidInputError, MixtureDraw, MixtureEnsemble,
-                    NegativeYoudenWarning, NumericError, PosteriorEnsemble, RegressionSample,
+                    NumericError, PosteriorEnsemble, RegressionSample,
                     SeedSpec, bb_roc, ddp_conditional_cdf, ddp_fit, ddp_roc,
                     dpm_auc, dpm_fit, dpm_roc, empirical_auc, empirical_roc,
                     gen_binormal, kernel_auc, kernel_cdf, kernel_roc, lscv_bandwidth,
@@ -350,6 +350,15 @@ class TestBayesianBootstrap:
         assert lo <= mean <= hi
         assert bb_roc(d, nd, 3, seed=SeedSpec(9, 0)).youden_summary() is None
 
+    @pytest.mark.parametrize("level", [0.0, 1.5])
+    def test_youden_summary_rejects_a_level_outside_0_1(self, level):
+        rng = np.random.default_rng(22)
+        ens = bb_roc(rng.normal(1, 1, 20), rng.normal(0, 1, 20), 5, seed=SeedSpec(9, 0),
+                     youden=True)
+        for summary in (ens.summarize, ens.youden_summary):
+            with pytest.raises(InvalidInputError, match=r"level must be in \(0, 1\)"):
+                summary(level)
+
 
 class TestDpm:
     def _fit(self, y, stream, **kw):
@@ -523,13 +532,11 @@ def cdf_from_arrays(w, mu, sg):
 def per_draw_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
     """One ``youden_from_cdfs`` call per draw, over ``cdf_from_arrays``."""
     out = np.empty((3, w_d.shape[0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeYoudenWarning)
-        for s in range(w_d.shape[0]):
-            res = youden_from_cdfs(cdf_from_arrays(w_d[s], mu_d[s], sg_d[s]),
-                                   cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s]),
-                                   lo, hi)
-            out[:, s] = res.yi, res.c_star, res.p_star
+    for s in range(w_d.shape[0]):
+        res = youden_from_cdfs(cdf_from_arrays(w_d[s], mu_d[s], sg_d[s]),
+                               cdf_from_arrays(w_nd[s], mu_nd[s], sg_nd[s]),
+                               lo, hi)
+        out[:, s] = res.yi, res.c_star, res.p_star
     return out
 
 
@@ -606,10 +613,8 @@ def full_scan_youden(cdfs, pts, lo, hi, n_pairs):
 
 def oracle_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
     """``full_scan_youden`` of mixture pairs on the 1000-point scan of ``[lo, hi]``."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeYoudenWarning)
-        return full_scan_youden(mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd),
-                                np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0])
+    return full_scan_youden(mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd),
+                            np.linspace(lo, hi, 1000), lo, hi, w_d.shape[0])
 
 
 def ensemble_youden(ens):
@@ -652,9 +657,9 @@ class TestBatchedYouden:
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
         assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
 
-    def test_reversed_groups_warn_once_per_call(self):
+    def test_reversed_groups_give_negative_gaps_without_warning(self):
         # each diseased draw is its nondiseased draw shifted down by 2, so
-        # every gap is negative
+        # every gap is negative; the ensemble returns them as computed
         rng = np.random.default_rng(60)
         w = rng.dirichlet(np.ones(3), 70)
         mu = rng.uniform(-0.5, 0.5, (70, 3))
@@ -665,7 +670,7 @@ class TestBatchedYouden:
             warnings.simplefilter("always")
             ens = dpm_roc(draws_d, draws_nd, youden=True)
         assert np.all(ens.yis < 0.0)
-        assert [w.category for w in caught] == [NegativeYoudenWarning]
+        assert caught == []
         arrays = (w, mu - 2.0, np.sqrt(var), w, mu, np.sqrt(var))
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
         assert np.array_equal(ensemble_youden(ens), per_draw_youden(*arrays, lo, hi))
@@ -765,9 +770,7 @@ class TestCoarseToFineYouden:
     def test_equals_the_full_scan(self, seed, S, L, kind, budget):
         arrays = youden_mixtures(seed, S, L, kind)
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NegativeYoudenWarning)
-            got = batched_youden(*arrays, lo, hi, budget)
+        got = batched_youden(*arrays, lo, hi, budget)
         assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
         if kind == "identical":  # every gap is 0: the first scan point
             assert np.all(got[0] == 0.0) and np.all(got[1] == lo)
@@ -1200,7 +1203,7 @@ def bb_roc_argsort_oracle(d, nd, n_draws, grid, seed, youden):
     nd_order, d_order = np.argsort(nd, kind="stable"), np.argsort(d, kind="stable")
     nd_sorted, d_sorted = nd[nd_order], d[d_order]
     pos = np.searchsorted(nd_sorted, d_sorted, side="left")
-    cand = np.unique(np.concatenate([d, nd]))
+    cand = np.unique(np.concatenate([[min(d.min(), nd.min()) - 1.0], d, nd]))
     cand_nd = np.searchsorted(nd_sorted, cand, side="right")
     cand_d = np.searchsorted(d_sorted, cand, side="right")
     curves, aucs, yis, thresholds, p_stars = (np.empty((n_draws, grid.size)),
@@ -1218,9 +1221,10 @@ def bb_roc_argsort_oracle(d, nd, n_draws, grid, seed, youden):
         aucs[s] = 1.0 - float(u @ q2_sorted)
         f_nd = np.concatenate([[0.0], np.cumsum(q1_sorted)])[cand_nd]
         f_d = np.concatenate([[0.0], np.cumsum(q2_sorted)])[cand_d]
-        gap = f_nd - f_d
+        gap = f_nd * f_d[-1] - f_d * f_nd[-1]
         k = int(np.argmax(gap))
-        yis[s], thresholds[s], p_stars[s] = gap[k], cand[k], 1.0 - f_nd[k]
+        yis[s] = gap[k] / (f_d[-1] * f_nd[-1])
+        thresholds[s], p_stars[s] = cand[k], (f_nd[-1] - f_nd[k]) / f_nd[-1]
     curves = np.clip(curves, 0.0, 1.0)
     curves[:, grid == 1.0] = 1.0
     if not youden:
@@ -1336,9 +1340,9 @@ class TestPosteriorWorkAfterTheFit:
         dpm_roc(ens_d, ens_nd, youden=True)
         assert len(forks) == 1
 
-    def test_negative_gap_in_the_child_part_warns_once(self, force_workers, monkeypatch):
+    def test_negative_gaps_from_the_child_part_come_back(self, force_workers, monkeypatch):
         # the second half of the draws is reversed, so only the forked
-        # child's part finds negative gaps; the caller warns once
+        # child's part finds negative gaps; they come back as computed
         force_workers(2)
         monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 0)
         forks = counted_forks(monkeypatch)
@@ -1353,7 +1357,7 @@ class TestPosteriorWorkAfterTheFit:
             ens = dpm_roc(ens_d, MixtureEnsemble(w, mu, var), youden=True)
         assert len(forks) == 1
         assert np.all(ens.yis[:20] > 0.0) and np.all(ens.yis[20:] < 0.0)
-        assert [w.category for w in caught] == [NegativeYoudenWarning]
+        assert caught == []
 
 
 def assert_same_posterior(a, b):
