@@ -342,7 +342,8 @@ def ddp_roc(draws_d, draws_nd, z, grid=None, *, z_nd=None,
     dummies) at the covariate value of interest, built the same way as the
     fit designs; ``z_nd`` overrides it for the nondiseased group when the
     groups use different designs.  Per-draw curves and closed-form AUCs
-    mirror the pooled mixture ensemble with component means ``z' beta_l``.
+    mirror the pooled mixture ensemble with component means ``z' beta_l``,
+    in the same forked parts above the same floor as ``dpm_roc``.
     """
     ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
     z = np.asarray(z, dtype=float).ravel()

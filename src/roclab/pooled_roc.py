@@ -47,10 +47,12 @@ what the serial loop would and results combine in block order, so outputs
 do not depend on the thread count.
 Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
 buffer), so each extra thread adds at most one block's buffers to the peak.
-Two per-draw loops hold the interpreter lock, the batched Youden search
-of the mixture ensembles and the draws of ``bb_roc``; above a measured
-work floor (``_FORK_YOUDEN``, ``_FORK_BB``) they run in one span of
-draws per CPU through ``core.forked_spans``, again with the same bits.
+Above a measured work floor (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture
+ensemble (curves, AUCs and the batched Youden search, whose loops hold the
+interpreter lock) and the draws of ``bb_roc`` run in one span of draws per
+CPU, in one wave of ``core.forked_spans``.  Each part runs its blocks
+serially, so the caller holds no pool thread's buffers, and the bits are
+again the same.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
 small numpy calls that hold the interpreter lock.  Its allocation step
@@ -594,7 +596,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
     values strictly inside (0, 1); returns roots of shape (S, K).  Draws are
-    solved in blocks of ``_DRAW_CHUNK``, spread over ``ordered_map``.  Each
+    solved in blocks of ``_DRAW_CHUNK``, spread over ``ordered_map``, and
+    each block writes its roots into its rows of the one (S, K) result.  Each
     draw's CDF is tabulated at ``_TABLE_POINTS`` points over its own
     ``[min mu - 10 sigma, max mu + 10 sigma]``, widened (doubling) while the
     table misses a target.  The table gives each root a bracket
@@ -641,6 +644,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     # whose weights sum to 1 rounds by at most about L eps
     allowance = 2.0 * w.shape[1] * eps
     work = threading.local()
+    roots = np.empty((n_draws, n_targets))
 
     def solve(start):
         rows = slice(start, start + _DRAW_CHUNK)
@@ -669,7 +673,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
         with np.errstate(divide="ignore", invalid="ignore"):
             x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
         x = np.where((x >= x_lo) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
-        out, resid = np.empty((2, x.size))
+        out, resid = roots[start:start + r].reshape(-1), np.empty(x.size)
         owner = np.repeat(np.arange(r), n_targets)
         # a sigma of 0, or one whose cube underflows, makes M3 infinite,
         # which proves no step
@@ -710,9 +714,9 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
                 f"CDF inversion residual {worst:.2e} at target {targets[k]:.6g} "
                 f"(draw {start + s}) exceeds 1e-10"
             )
-        return out.reshape(r, n_targets)
 
-    return np.concatenate(ordered_map(solve, range(0, n_draws, _DRAW_CHUNK)))
+    ordered_map(solve, range(0, n_draws, _DRAW_CHUNK))
+    return roots
 
 
 def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
@@ -725,8 +729,9 @@ def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     curves[:, grid == 1.0] = 1.0
     if np.any(interior):
         roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior], ndtr)
-        curves[:, interior] = 1.0 - _mixture_sums(w_d, mu_d, sg_d, roots, ndtr)
-    return np.clip(curves, 0.0, 1.0)
+        f_d = _mixture_sums(w_d, mu_d, sg_d, roots, ndtr)
+        curves[:, interior] = np.subtract(1.0, f_d, out=f_d)
+    return np.clip(curves, 0.0, 1.0, out=curves)
 
 
 def kernel_roc(diseased, nondiseased, h_d: float | None = None,
@@ -889,10 +894,16 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
 
 
 # draws times subjects at which bb_roc runs its draws in forked parts.
-# Measured as for _FORK_YOUDEN, with Youden: 500 draws at n = 1,000 per
+# Measured as for _FORK_ENSEMBLE, with Youden: 500 draws at n = 1,000 per
 # group (10^6) took 55 ms either way, 200 draws at n = 10,000 (4 x 10^6)
 # 155 -> 82 ms forked
 _FORK_BB = 1_000_000
+
+
+def _joined(parts):
+    # each field of forked_spans' parts joined in span order; one span's
+    # arrays (and None) are kept as they are, not copied
+    return [f[0] if len(f) == 1 or f[0] is None else np.concatenate(f) for f in zip(*parts)]
 
 
 def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
@@ -963,9 +974,8 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
         return curves, aucs, yis, thresholds, p_stars
 
     parts = forked_spans(draws, n_draws, n_draws * (d.size + nd.size) >= _FORK_BB)
-    curves, aucs, yis, thresholds, p_stars = (
-        None if part[0] is None else np.concatenate(part) for part in zip(*parts))
-    curves = np.clip(curves, 0.0, 1.0)
+    curves, aucs, yis, thresholds, p_stars = _joined(parts)
+    np.clip(curves, 0.0, 1.0, out=curves)
     # every U_j <= 1, so p=1 counts the whole diseased mass; only cumsum
     # rounding keeps the float sum from being exactly 1
     curves[:, grid == 1.0] = 1.0
@@ -1220,57 +1230,65 @@ def mixture_cdf_callable(draw: MixtureDraw):
 
 
 # A forked part costs about 5-10 ms before it pays (fork, the pages it
-# writes, the pickled result back), and the serial search already spreads
-# its array work over threads.  Measured on a 2-CPU VM in a 70 MB process
-# (medians of 15), the Youden search of S draws of L = 10 components took
-# 24 -> 28 ms forked at S = 200, 36 -> 36 ms at 300, 56 -> 50 ms at 600
-# and 94 -> 77 ms at 1,000; so parts start at 6,000 draw components
-_FORK_YOUDEN = 6000
+# writes, the pickled result back), and one span here spreads its array
+# work over threads.  Measured on a 2-CPU VM in a 70 MB process (two runs,
+# medians of 15 calls), an ensemble of S draws of L = 10 components took,
+# threads -> forked: without Youden 30-42 -> 36-54 ms at S = 100, 81-87 ->
+# 84-102 ms at 400, 97-106 -> 93-97 ms at 500, 110-114 -> 110-113 ms at 600
+# and 187-195 -> 180-185 ms at 1,000; with Youden 46-48 -> 42 ms at 100,
+# 63-74 -> 55-75 ms at 200, 120-134 -> 117-118 ms at 400, 157-160 -> 134-137
+# ms at 500 and 240-290 -> 213-247 ms at 1,000.  So parts start at 5,000
+# draw components, where both win
+_FORK_ENSEMBLE = 5000
 
 
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
                                   youden: bool) -> PosteriorEnsemble:
-    """Ensemble curves/AUCs for paired per-draw mixtures of shape (S, L).
+    """Ensemble curves, AUCs and Youden indices for paired per-draw
+    mixtures of shape (S, L).
 
-    The Youden search (``indices._youden_search``) holds the interpreter
-    lock for most of its time, so with at least ``_FORK_YOUDEN`` draw
-    components (S times L) the draws go in one span per CPU, side by side
-    through ``core.forked_spans``; each draw's result does not depend on
-    its span.
+    Each span of draws gets its curves (``_roc_from_mixtures``), its
+    closed-form AUCs (``_mixture_aucs``) and, with ``youden``, its Youden
+    search (``indices._youden_search``) over one range taken from all the
+    draws.  With at least ``_FORK_ENSEMBLE`` draw components (S times L)
+    the spans are one per CPU, side by side in one wave of
+    ``core.forked_spans``, and each part does its work serially; below it
+    one span runs here, its array work spread over the thread pool.  Each
+    draw's result does not depend on its span, so the bits are the same
+    either way.
     """
     from scipy.special import ndtr
 
     if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
         raise InvalidInputError("need equally many draws for both groups")
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
-    curves = _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid)
-    aucs = _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr)
-
-    yis = thresholds = p_stars = None
+    n_comp = max(w_d.shape[1], w_nd.shape[1])
     if youden:
         sg_max = max(float(sg_d.max()), float(sg_nd.max()))
         lo = min(float(mu_d.min()), float(mu_nd.min())) - 4.0 * sg_max
         hi = max(float(mu_d.max()), float(mu_nd.max())) + 4.0 * sg_max
+
+    def part(start, stop):
+        pairs = slice(start, stop)
+        d = w_d[pairs], mu_d[pairs], sg_d[pairs]
+        nd = w_nd[pairs], mu_nd[pairs], sg_nd[pairs]
+        found = (_roc_from_mixtures(*d, *nd, grid), _mixture_aucs(*d, *nd, ndtr))
+        if not youden:
+            return found + (None,) * 3
+        work = threading.local()
+
+        def cdfs(x, rows):
+            return (_mixture_sums(*nd, x, ndtr, rows=rows, work=work),
+                    _mixture_sums(*d, x, ndtr, rows=rows, work=work))
+
         # a fine-stage call gathers one (L,) parameter row per (pair,
         # point), so _BLOCK // L evaluations per call keep those within
         # _BLOCK elements
-        n_comp = max(w_d.shape[1], w_nd.shape[1])
-        budget = _BLOCK // n_comp
+        return found + _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, stop - start,
+                                      _BLOCK // n_comp)
 
-        def part(start, stop):
-            pairs = slice(start, stop)
-            nd = w_nd[pairs], mu_nd[pairs], sg_nd[pairs]
-            d = w_d[pairs], mu_d[pairs], sg_d[pairs]
-            work = threading.local()
-
-            def cdfs(x, rows):
-                return (_mixture_sums(*nd, x, ndtr, rows=rows, work=work),
-                        _mixture_sums(*d, x, ndtr, rows=rows, work=work))
-
-            return _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, stop - start, budget)
-
-        parts = forked_spans(part, w_d.shape[0], w_d.shape[0] * n_comp >= _FORK_YOUDEN)
-        yis, thresholds, p_stars = map(np.concatenate, zip(*parts))
+    parts = forked_spans(part, w_d.shape[0], w_d.shape[0] * n_comp >= _FORK_ENSEMBLE)
+    curves, aucs, yis, thresholds, p_stars = _joined(parts)
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 
@@ -1280,7 +1298,10 @@ def dpm_roc(draws_d, draws_nd, grid=None, *, youden: bool = False) -> PosteriorE
 
     Draw ``s`` pairs ``draws_d[s]`` with ``draws_nd[s]``; both must have
     equal length.  Curves come from Halley inversion of the nondiseased
-    mixture CDF; AUCs from the closed form in ``dpm_auc``.
+    mixture CDF; AUCs from the closed form in ``dpm_auc``.  From
+    ``_FORK_ENSEMBLE`` draws times components on, the draws go in one
+    forked part per CPU, each computing its curves, AUCs and Youden
+    indices (``_ensemble_from_mixture_arrays``), with the same bits.
     """
     ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
     return _ensemble_from_mixture_arrays(*ens_d._normals(), *ens_nd._normals(),

@@ -548,3 +548,69 @@ class TestCovariateYouden:
         via_curve = youden_from_curve(curve, q_nd)
         assert abs(via_cdfs.yi - via_curve.yi) < 1e-3
         assert abs(via_cdfs.c_star - via_curve.c_star) < 0.01
+
+
+def _cohort(seed, n_d, n_nd, slope):
+    # a linear-covariate cohort with a diseased shift and unequal scales
+    rng = np.random.default_rng(seed)
+    x_d, x_nd = rng.uniform(0, 1, n_d), rng.uniform(0, 1, n_nd)
+    return (_linear_sample(1.0 + slope * x_d + rng.standard_normal(n_d), x_d),
+            _linear_sample(slope * x_nd + 1.3 * rng.standard_normal(n_nd), x_nd))
+
+
+def _covariate_curves(s_d, s_nd, at):
+    fit_d, fit_nd = ols_fit(s_d), ols_fit(s_nd)
+    cdf = location_scale_cdf(fit_nd, "empirical")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SeparationWarning)
+        rocglm = rocglm_fit(s_d, cdf).curve([at])
+    return {"faraggi": faraggi_roc(fit_d, fit_nd, [at]),
+            "pepe": pepe_semiparam_roc(fit_d, fit_nd, [at]),
+            "rocglm": rocglm, "aroc": aroc(s_d, cdf)}
+
+
+def _permuted(sample, rng):
+    order = rng.permutation(sample.n)
+    return RegressionSample(sample.outcomes[order], sample.design[order])
+
+
+def assert_nondecreasing_inside_bands(curve):
+    assert np.all(np.diff(curve.roc) >= 0.0)
+    assert np.all((curve.roc >= 0.0) & (curve.roc <= 1.0))
+    if curve.band_lo is not None:
+        assert np.all(curve.band_lo <= curve.roc) and np.all(curve.roc <= curve.band_hi)
+
+
+cohorts = (st.integers(0, 2**32 - 1), st.integers(5, 80), st.integers(5, 80),
+           st.floats(-2.0, 2.0), st.floats(0.0, 1.0))
+
+
+class TestCovariateCurveProperties:
+    @given(*cohorts)
+    def test_curves_are_nondecreasing(self, seed, n_d, n_nd, slope, at):
+        for curve in _covariate_curves(*_cohort(seed, n_d, n_nd, slope), at).values():
+            assert_nondecreasing_inside_bands(curve)
+
+    @settings(max_examples=40)
+    @given(*cohorts)
+    def test_short_ddp_chains_give_nondecreasing_curves_inside_their_bands(
+            self, seed, n_d, n_nd, slope, at):
+        s_d, s_nd = _cohort(seed, n_d, n_nd, slope)
+        cfg = lambda stream: DdpConfig(seed=SeedSpec(seed, stream), burn_in=20, n_save=15)
+        ens = ddp_roc(ddp_fit(s_d, cfg(0)), ddp_fit(s_nd, cfg(1)), np.array([1.0, at]))
+        assert np.all(np.diff(ens.curves, axis=1) >= 0.0)
+        summary = ens.summarize()
+        assert summary.band_lo is not None
+        assert_nondecreasing_inside_bands(summary)
+
+    @given(*cohorts)
+    def test_permuting_subjects_changes_nothing(self, seed, n_d, n_nd, slope, at):
+        # the least-squares fits add in subject order, so the smooth
+        # curves may move in the last bits, and no more
+        s_d, s_nd = _cohort(seed, n_d, n_nd, slope)
+        rng = np.random.default_rng(seed)
+        before = _covariate_curves(s_d, s_nd, at)
+        after = _covariate_curves(_permuted(s_d, rng), _permuted(s_nd, rng), at)
+        for name, curve in before.items():
+            assert np.allclose(curve.roc, after[name].roc, rtol=0.0, atol=1e-12), name
+            assert curve.auc == pytest.approx(after[name].auc, rel=0.0, abs=1e-12), name

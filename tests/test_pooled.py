@@ -292,6 +292,17 @@ class TestKernelRoc:
         assert est.roc[0] >= 0.0 and est.roc[-1] == 1.0
         assert np.all(np.diff(est.roc) >= -1e-9)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(2, 200))
+    def test_permuting_subjects_changes_nothing(self, seed, n_d, n_nd):
+        # the bandwidths and CDF sums add in subject order, so values may
+        # move in the last bits, and no more
+        rng = np.random.default_rng(seed)
+        d, nd = rng.normal(1.0, 1.0, n_d), rng.normal(0.0, 1.3, n_nd)
+        before = kernel_roc(d, nd)
+        after = kernel_roc(rng.permutation(d), rng.permutation(nd))
+        assert np.allclose(before.roc, after.roc, rtol=0.0, atol=1e-12)
+        assert before.auc == pytest.approx(after.auc, rel=0.0, abs=1e-12)
+
     def test_two_points_closed_form(self):
         # AUC = Phi((d - nd) / hypot(h_d, h_nd)) for singleton samples
         got = kernel_auc([1.0], [0.0], h_d=1.0, h_nd=1.0)
@@ -1233,6 +1244,26 @@ def bb_roc_argsort_oracle(d, nd, n_draws, grid, seed, youden):
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 
 
+class SpanFault(Exception):
+    pass
+
+
+def pool_calls(monkeypatch):
+    # a stand-in for the thread pool, at the forced worker count, that
+    # records each function mapped on it
+    import roclab.core
+
+    calls = []
+
+    class Pool:
+        def map(self, fn, items):
+            calls.append(fn)
+            return map(fn, items)
+
+    monkeypatch.setattr(roclab.core, "_pool", (Pool(), roclab.core._worker_count()))
+    return calls
+
+
 def counted_forks(monkeypatch):
     calls = []
     fork = os.fork
@@ -1252,6 +1283,20 @@ class TestPosteriorWorkAfterTheFit:
         return (dpm_fit(rng.normal(1.0, 1.2, 150), cfg(0)),
                 dpm_fit(rng.normal(0.0, 1.0, 150), cfg(1)))
 
+    @pytest.fixture(scope="class")
+    def ensembles(self, fits):
+        # dpm_roc and ddp_roc of 81 draws: the two spans (40 and 41 draws)
+        # differ in length, and each is long enough that run alone it would
+        # map more than one block on the thread pool
+        rng = np.random.default_rng(99)
+        cfg = lambda stream: DpmConfig(seed=SeedSpec(92, stream), burn_in=30, n_save=81)
+        design = lambda x: np.column_stack([np.ones(x.size), x])
+        x_d, x_nd = rng.uniform(0, 1, 150), rng.uniform(0, 1, 150)
+        ddp = (ddp_fit(RegressionSample(0.5 + x_d + rng.normal(0, 1, 150), design(x_d)), cfg(2)),
+               ddp_fit(RegressionSample(x_nd + rng.normal(0, 1, 150), design(x_nd)), cfg(3)))
+        return {"dpm_roc": lambda youden: dpm_roc(fits[0][:81], fits[1][:81], youden=youden),
+                "ddp_roc": lambda youden: ddp_roc(*ddp, np.array([1.0, 0.6]), youden=youden)}
+
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
@@ -1268,8 +1313,9 @@ class TestPosteriorWorkAfterTheFit:
         # of a full draw chunk is 32 x 199 x 50 x 8 bytes, about 2.5 MB, and
         # a pass that copied w, mu and sigma would hold three of them (the
         # peak was 12.4 MB so).  The work buffers are at most six of _BLOCK
-        # elements, about 3.1 MB, and the roots are held twice (the chunks
-        # and their concatenation); less than one copy is left above that
+        # elements, about 3.1 MB, and the roots are held once (each chunk
+        # writes its rows of one (S, K) array); less than one copy is left
+        # above that
         force_workers(1)
         rng = np.random.default_rng(93)
         S, L = 1000, 50
@@ -1278,7 +1324,7 @@ class TestPosteriorWorkAfterTheFit:
         copy = pooled_roc._DRAW_CHUNK * TARGETS.size * L * 8
         roots = S * TARGETS.size * 8
         peak = traced_peak(lambda: _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr))
-        assert peak < 6 * pooled_roc._BLOCK * 8 + 2 * roots + copy
+        assert peak < 6 * pooled_roc._BLOCK * 8 + roots + copy
 
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7]), min_size=1,
                     max_size=40),
@@ -1310,24 +1356,48 @@ class TestPosteriorWorkAfterTheFit:
         assert_same_posterior(got, want)
         assert len(forks) == (1 if floor == 0 else 0)
 
-    def test_youden_parts_forked_and_serial(self, force_workers, monkeypatch, fits):
+    @pytest.mark.parametrize("youden", [False, True])
+    @pytest.mark.parametrize("estimator", ["dpm_roc", "ddp_roc"])
+    def test_ensemble_parts_forked_and_serial(self, force_workers, monkeypatch, ensembles,
+                                              estimator, youden):
         force_workers(2)
         forks = counted_forks(monkeypatch)
-        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 10**12)
-        serial = dpm_roc(*fits, youden=True)
-        assert forks == []
-        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 0)
-        assert_same_posterior(dpm_roc(*fits, youden=True), serial)
-        assert len(forks) == 1
+        submitted = pool_calls(monkeypatch)
+        monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 10**12)
+        serial = ensembles[estimator](youden)
+        assert forks == [] and submitted != []
+        assert (serial.yis is not None) == youden
+        submitted.clear()
+        monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
+        assert_same_posterior(ensembles[estimator](youden), serial)
+        # one wave, and the parent's part maps nothing on the thread pool
+        assert len(forks) == 1 and submitted == []
         force_workers(1)
-        assert_same_posterior(dpm_roc(*fits, youden=True), serial)
+        assert_same_posterior(ensembles[estimator](youden), serial)
+        assert len(forks) == 1
+
+    def test_a_fault_in_the_second_span_reaches_the_caller(self, force_workers, monkeypatch,
+                                                          ensembles):
+        force_workers(2)
+        monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
+        forks = counted_forks(monkeypatch)
+        real = pooled_roc._mixture_aucs
+
+        def aucs(*args):
+            if args[0].shape[0] == 41:  # the second of the spans 0-40 and 40-81
+                raise SpanFault("in the span of 41 draws")
+            return real(*args)
+
+        monkeypatch.setattr(pooled_roc, "_mixture_aucs", aucs)
+        with pytest.raises(SpanFault, match="in the span of 41 draws"):
+            ensembles["dpm_roc"](True)
         assert len(forks) == 1
 
     def test_nothing_forks_below_the_floor(self, force_workers, monkeypatch):
         force_workers(2)
         forks = counted_forks(monkeypatch)
         rng = np.random.default_rng(96)
-        S = (pooled_roc._FORK_YOUDEN - 1) // 3  # draws of three components
+        S = (pooled_roc._FORK_ENSEMBLE - 1) // 3  # draws of three components
         w, var = rng.dirichlet(np.ones(3), S), rng.uniform(0.5, 2.0, (S, 3))
         mu = rng.normal(0.0, 1.0, (S, 3))
         ens_d, ens_nd = MixtureEnsemble(w, mu + 1.0, var), MixtureEnsemble(w, mu, var)
@@ -1336,7 +1406,7 @@ class TestPosteriorWorkAfterTheFit:
         bb_roc(rng.normal(1, 1, n), rng.normal(0, 1, n), (pooled_roc._FORK_BB - 1) // (2 * n),
                seed=SeedSpec(97, 0), youden=True)
         assert forks == []
-        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 3 * S)
+        monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 3 * S)
         dpm_roc(ens_d, ens_nd, youden=True)
         assert len(forks) == 1
 
@@ -1344,7 +1414,7 @@ class TestPosteriorWorkAfterTheFit:
         # the second half of the draws is reversed, so only the forked
         # child's part finds negative gaps; they come back as computed
         force_workers(2)
-        monkeypatch.setattr(pooled_roc, "_FORK_YOUDEN", 0)
+        monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
         forks = counted_forks(monkeypatch)
         rng = np.random.default_rng(98)
         w = rng.dirichlet(np.ones(3), 40)

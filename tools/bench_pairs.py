@@ -42,8 +42,15 @@ values from ``--seed``; burn-in 500, 1,000 draws, truncation 10) and of
 one ``kernel_roc`` on 10,000 + 10,000 values, over 5 calls per round after
 a warm call, plus the CDF evaluations per root and the passes of the
 inversion in one such ``dpm_roc`` and one such ``kernel_roc``, counted
-through a wrapped ``_mixture_sums``.  The output file gets them under
-``layers``.
+through a wrapped ``_mixture_sums``.  The counting call runs with the
+ensemble's fork floor (``_FORK_ENSEMBLE``, where the side has one) raised,
+so its inversion runs in the counting process; the timed calls run as the
+side's code runs them.  Each round also runs one ``dpm_roc(youden=True)``
+at CLI defaults in another fresh process per side, which reports, in MB,
+its peak RSS (``ru_maxrss``) before that call (with ``scipy.special``
+loaded) and after it, the rise, and the peak of its largest forked part
+(``RUSAGE_CHILDREN``).  The output file gets them under ``layers``: the
+times and peaks as quartiles over the rounds, the counts of the first.
 
 With ``--tier1``, the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) runs
@@ -132,20 +139,31 @@ def tier1_once(tree: str) -> dict:
             "acceptance": re.findall(r"ACCEPTANCE \d+: .*", proc.stdout)}
 
 
+def cli_default_fits(seed: int):
+    """The two ``dpm_fit`` ensembles at CLI defaults that ``--layers`` uses,
+    and the generator that drew their data."""
+    from roclab import DpmConfig, SeedSpec, dpm_fit
+
+    rng = np.random.default_rng(seed)
+    d, nd = rng.normal(1.0, 1.0, 1000), rng.normal(0.0, 1.0, 1000)
+    return [dpm_fit(y, DpmConfig(seed=SeedSpec(seed, stream)))
+            for y, stream in ((d, 1), (nd, 2))], rng
+
+
 def layer_once(seed: int, calls: int) -> dict:
     """The smooth-CDF layer of the ``roclab`` on ``sys.path``, timed and
     counted in this process (see ``--layers``)."""
     import roclab.pooled_roc as pooled
-    from roclab import DpmConfig, SeedSpec, dpm_fit, dpm_roc, kernel_roc
+    from roclab import dpm_roc, kernel_roc
 
-    rng = np.random.default_rng(seed)
-    d, nd = rng.normal(1.0, 1.0, 1000), rng.normal(0.0, 1.0, 1000)
-    fits = [dpm_fit(y, DpmConfig(seed=SeedSpec(seed, stream))) for y, stream in ((d, 1), (nd, 2))]
+    fits, rng = cli_default_fits(seed)
     big_d, big_nd = rng.normal(1.0, 1.0, 10_000), rng.normal(0.0, 1.0, 10_000)
     runs = {"dpm_roc": lambda: dpm_roc(*fits, youden=True),
             "kernel_roc": lambda: kernel_roc(big_d, big_nd)}
     report = {}
-    real = pooled._mixture_sums
+    saved = {name: getattr(pooled, name) for name in ("_mixture_sums", "_FORK_ENSEMBLE")
+             if hasattr(pooled, name)}
+    real = saved["_mixture_sums"]
     for name, fn in runs.items():
         evaluated = []
 
@@ -154,13 +172,18 @@ def layer_once(seed: int, calls: int) -> dict:
                 evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
             return real(w, mu, sigma, x, ndtr, density, rows, work)
 
+        # a forked part's counts would stay in the child
         pooled._mixture_sums = counted
-        try:  # this call also warms the caches
+        if "_FORK_ENSEMBLE" in saved:
+            pooled._FORK_ENSEMBLE = float("inf")
+        try:
             out = fn()
         finally:
-            pooled._mixture_sums = real
+            for attr, value in saved.items():
+                setattr(pooled, attr, value)
         curves = np.atleast_2d(out.curves if name == "dpm_roc" else out.roc)
         roots = curves.shape[0] * int(((out.grid > 0.0) & (out.grid < 1.0)).sum())
+        fn()  # warms the caches as the timed calls run
         seconds = []
         for _ in range(calls):
             start = time.perf_counter()
@@ -171,25 +194,52 @@ def layer_once(seed: int, calls: int) -> dict:
     return report
 
 
+def memory_once(seed: int) -> dict:
+    """Peak RSS in MB of this process before and after one
+    ``dpm_roc(youden=True)`` at CLI defaults, and of its largest forked part
+    (see ``--layers``)."""
+    import resource
+
+    import scipy.special  # noqa: F401  (its first load is not the call's)
+
+    from roclab import dpm_roc
+
+    fits, _ = cli_default_fits(seed)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    dpm_roc(*fits, youden=True)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    parts = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return {"peak_before_mb": before, "peak_after_mb": after, "rise_mb": after - before,
+            "parts_peak_mb": parts}
+
+
 def layers(trees: dict, seed: int, rounds: int) -> dict:
-    """``layer_once`` on both trees in alternating rounds; medians per side."""
+    """``layer_once`` and ``memory_once`` on both trees in alternating
+    rounds, each in a fresh process; quartiles per side."""
     code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'tools')!r}); "
-            f"import bench_pairs; print(json.dumps(bench_pairs.layer_once({seed}, 5)))")
+            "import bench_pairs; print(json.dumps(bench_pairs.{}))")
     got = {side: [] for side in trees}
     for i in range(max(1, rounds)):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            proc = subprocess.run([sys.executable, "-c", code], cwd=trees[side], check=True,
-                                  capture_output=True, text=True, env=pinned_env(trees[side]))
-            got[side].append(json.loads(proc.stdout.strip().splitlines()[-1]))
+            got[side].append({})
+            for call in (f"layer_once({seed}, 5)", f"memory_once({seed})"):
+                proc = subprocess.run([sys.executable, "-c", code.format(call)],
+                                      cwd=trees[side], check=True, capture_output=True,
+                                      text=True, env=pinned_env(trees[side]))
+                got[side][-1].update(json.loads(proc.stdout.strip().splitlines()[-1]))
             print(f"layers round {i} {side}: done", file=sys.stderr)
     report = {}
     for side, runs in got.items():
         report[side] = {}
-        for name, first in runs[0].items():
+        for name in runs[0]:
+            if name.endswith("_mb"):
+                report[side][f"dpm_roc.{name}_q25_median_q75"] = quartiles(
+                    [r[name] for r in runs])
+                continue
             seconds = [s for r in runs for s in r[name]["seconds"]]
             report[side][f"{name}_s_q25_median_q75"] = quartiles(seconds)
-            report[side][f"{name}.evaluations_per_root"] = first["evaluations_per_root"]
-            report[side][f"{name}.passes"] = first["passes"]
+            report[side][f"{name}.evaluations_per_root"] = runs[0][name]["evaluations_per_root"]
+            report[side][f"{name}.passes"] = runs[0][name]["passes"]
     return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5, "by_side": report}
 
 
