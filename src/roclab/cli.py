@@ -11,8 +11,10 @@ configured analysis, and write artifacts into an output directory:
   warning the analysis raised (``NegativeYoudenWarning`` when the reported
   AUC is below 0.5).
 * ``metadata.json``: every parameter, seed and library version needed to
-  reproduce the run byte-exactly, and the sorted ``warnings`` list when
-  there are any.  No timestamps.
+  reproduce the run byte-exactly, the sorted ``warnings`` list when
+  there are any, and deterministic fit ``diagnostics`` where an analysis
+  has them (ROC-GLM: whether IRLS converged and its iteration count).  No
+  timestamps.
 * ``curve.svg`` (optional): fixed-size static plot.
 * ``curve_full.csv`` (optional): full-precision sidecar.
 
@@ -154,13 +156,16 @@ def _json_default(obj):
 
 
 def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
-                   curve, report, warned: list[str], extra: list) -> None:
+                   curve, report, warned: list[str], extra: list,
+                   diagnostics: dict) -> None:
     meta = {
         "tool": "roclab",
         "version": __version__,
         "libraries": _library_versions(),
         "params": params,
     }
+    if diagnostics:
+        meta["diagnostics"] = diagnostics
     if report is not None:
         meta["input_report"] = report
     if warned:
@@ -345,6 +350,8 @@ class Options:
         self.cfg = cfg
         self.section = section
         self.resolved: dict = {}
+        # deterministic facts about the fit, for metadata.json's diagnostics
+        self.diagnostics: dict = {}
 
     def get(self, key: str, cast, default=None, required: bool = False):
         value = getattr(self.args, key, None)
@@ -559,6 +566,7 @@ def _cmd_covariate(opts: Options) -> tuple:
         curve = fit.curve(at, grid)
         opts.resolved["rocglm_alpha"] = [float(v) for v in fit.alpha]
         opts.resolved["rocglm_beta"] = [float(v) for v in fit.beta]
+        opts.diagnostics["rocglm"] = {"converged": fit.converged, "n_iter": fit.n_iter}
         youden = None
     else:
         raise InvalidInputError(
@@ -814,7 +822,8 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
     warned = sorted(f"{category.__name__}: {message}" for category, message in seen
                     if issubclass(category, _RECORDED_WARNINGS))
     try:
-        _write_outputs(outdir, opts.resolved, lines, curve, report, warned, extra)
+        _write_outputs(outdir, opts.resolved, lines, curve, report, warned, extra,
+                       opts.diagnostics)
     except OSError as exc:  # e.g. a directory named summary.txt in the way
         raise InvalidInputError(f"cannot write artifacts: {exc}") from None
 

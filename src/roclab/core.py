@@ -17,10 +17,11 @@ Conventions used throughout the package:
   may use; every block computes the same bits on any thread and results
   come back in block order, so no output depends on the worker count.
   Independent calls that hold the interpreter lock (the two groups' Gibbs
-  chains, the parts of a large batched Youden search or Bayesian
-  bootstrap) run through ``forked_map``, one forked process per such CPU,
-  with the same guarantees.  Each call of either map is a part; maps
-  nested inside a part run serially.
+  chains, the spans of a large posterior ensemble or Bayesian bootstrap)
+  run through ``forked_map``, one forked process per such CPU, with the
+  same guarantees.  Each call of either map is a part, and so is the one
+  span of a ``forked_spans`` below its floor; maps nested inside a part
+  run serially.
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
 _pool = None
 _pool_lock = threading.Lock()
 # _thread.in_part is set while this thread runs a part of a map: a pool
-# thread, the caller's own part of forked_map, and a forked child
+# thread, the caller's own part of forked_map or forked_spans, and a
+# forked child
 _thread = threading.local()
 
 
@@ -296,10 +298,13 @@ def forked_spans(fn, n: int, fork: bool) -> list:
     With ``fork`` the spans are one per CPU the process may use, run side by
     side as the parts of one ``forked_map``; without it (the caller's
     measure of work is below its floor) there is one span, ``fn(0, n)``,
-    run here.  ``fn`` must give each item the same result whatever span
-    holds it.
+    run here as the caller's own part, so its nested maps run serially
+    too.  ``fn`` must give each item the same result whatever span holds
+    it.
     """
     count = max(1, min(n, _worker_count() if fork else 1))
+    if count == 1:
+        return [_run_part(lambda span: fn(*span), (0, n))]
     edges = [n * i // count for i in range(count + 1)]
     return forked_map(lambda span: fn(*span), list(zip(edges[:-1], edges[1:])))
 
@@ -348,11 +353,12 @@ def _fork_wave(fn, wave) -> list:
 
 def _run_part(fn, x):
     # fn(x) in the caller's own part, with nested maps serial
+    outer = _in_part()
     _thread.in_part = True
     try:
         return fn(x)
     finally:
-        _thread.in_part = False
+        _thread.in_part = outer
 
 
 def _child(fn, x, read, write) -> None:

@@ -33,7 +33,7 @@ from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError
                      InvalidInputError, NumericError, SeparationWarning,
                      SingularDesignError)
 from .indices import YoudenResult, _clamped_trapezoid, youden_from_cdfs
-from .pooled_roc import (DpmConfig, MixtureEnsemble, PosteriorEnsemble,
+from .pooled_roc import (_BLOCK, DpmConfig, MixtureEnsemble, PosteriorEnsemble,
                          RocCurveEstimate, _blocked_gibbs,
                          _ensemble_from_mixture_arrays, _exact_fit,
                          _mean_mixture_cdf, empirical_roc)
@@ -166,7 +166,8 @@ def ols_fit(sample: RegressionSample) -> LocationScaleFit:
     if rank < ncol:
         raise SingularDesignError(f"design rank {rank} below column count {ncol}")
     resid = y - x @ beta
-    sigma2 = float(resid @ resid) / (n - ncol)
+    with np.errstate(over="ignore"):  # _exact_fit names an overflow
+        sigma2 = float(resid @ resid) / (n - ncol)
     if _exact_fit(y, sigma2):
         raise DegenerateSampleError("zero residual variance: exact linear fit")
     sigma = math.sqrt(sigma2)
@@ -453,29 +454,30 @@ class RocGlmFit:
 _LH_STEPS_PER_COLUMN = 10
 
 
-def _nonneg_lstsq(a: np.ndarray, b: np.ndarray, bounded: np.ndarray) -> np.ndarray:
-    """Exact ``argmin ||a x - b||`` subject to ``x[bounded] >= 0``.
+def _nonneg_lstsq(r: np.ndarray, c: np.ndarray, bounded: np.ndarray,
+                  rcond: float | None = None) -> np.ndarray:
+    """Exact ``argmin ||a x - b||`` subject to ``x[bounded] >= 0``, given the
+    triangular system ``R x ~ Q'b`` of a QR factorisation ``a = Q R``.
 
-    One QR factorisation ``a = Q R`` turns the problem into one on the
-    small triangular system ``R x ~ Q'b``, solved by Lawson and Hanson's
-    active-set method (*Solving Least Squares Problems*, 1974, ch. 23)
-    with the unbounded columns always free.  A bounded column at its bound
-    enters the free set when the gradient favours it most; a step that
-    would take a free bounded coefficient below zero stops where the first
-    one reaches zero, and that one returns to its bound as exactly 0.0.
-    Each subproblem is a minimum-norm ``lstsq``, so rank-deficient designs
-    are fine.  More than ``_LH_STEPS_PER_COLUMN * (columns + 1)`` entering
-    and leaving steps raise a convergence error.
+    ``||a x - b||^2 = ||R x - Q'b||^2 + const``, so the small system holds
+    the whole problem.  It is solved by Lawson and Hanson's active-set
+    method (*Solving Least Squares Problems*, 1974, ch. 23) with the
+    unbounded columns always free.  A bounded column at its bound enters
+    the free set when the gradient favours it most; a step that would take
+    a free bounded coefficient below zero stops where the first one
+    reaches zero, and that one returns to its bound as exactly 0.0.  Each
+    subproblem is a minimum-norm ``lstsq`` with rank cut ``rcond`` (pass
+    the one a solve on ``a`` would use, which ``R`` alone does not carry),
+    so rank-deficient designs are fine.  More than ``_LH_STEPS_PER_COLUMN * (columns + 1)`` entering and
+    leaving steps raise a convergence error.
     """
-    q, r = np.linalg.qr(a)
-    c = q.T @ b
     n = r.shape[1]
     limit = _LH_STEPS_PER_COLUMN * (n + 1)
     tol = 10.0 * n * np.finfo(float).eps * np.linalg.norm(r) * np.linalg.norm(c)
 
     def solve(free: np.ndarray) -> np.ndarray:
         z = np.zeros(n)
-        z[free] = np.linalg.lstsq(r[:, free], c, rcond=None)[0]
+        z[free] = np.linalg.lstsq(r[:, free], c, rcond=rcond)[0]
         return z
 
     free = ~bounded
@@ -514,7 +516,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
 
     The five-step procedure: fix a set of FPF points; form each diseased
     subject's placement value under the conditional nondiseased CDF; build
-    binary indicators ``u_jl = I(pv_j <= p_l)``; stack one record per
+    binary indicators ``u_jl = I(pv_j <= p_l)``; take one record per
     (subject, FPF point) with regressors ``(h(p_l), x_j)``; and fit the
     probit-link binary regression by iteratively reweighted least squares.
 
@@ -522,6 +524,17 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     covariates the fit is the binormal curve ``Phi(a + b Phi^{-1}(p))``;
     ``baseline="spline"`` uses an intercept plus a monotone integrated
     B-spline basis with nonnegative coefficients.
+
+    The records are never stacked.  The linear predictor is
+    ``eta_jl = (h alpha)_l + (x beta)_j``, and each IRLS step walks the
+    subjects in blocks whose weighted records fill at most ``_BLOCK``
+    elements.  Each block's rows are folded into one running triangular
+    factor of the weighted least squares, with its ``Q'z`` (tall-skinny
+    QR: Demmel, Grigori, Hoemmen and Langou 2012, *SIAM J. Sci. Comput.*
+    34:A206), and both baselines solve that small system: the parametric
+    one by minimum-norm least squares, the spline one by
+    ``_nonneg_lstsq``.  The deviance is summed over the same blocks, so
+    memory does not grow with the number of FPF points times subjects.
 
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
@@ -538,8 +551,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
             raise InvalidInputError("p_grid must lie strictly inside (0, 1)")
     pv = placement_values(sample_d, nondiseased_cdf)
     n, n_p = pv.size, p_grid.size
-    u = (pv[:, None] <= p_grid[None, :]).astype(float).ravel()
-    if np.all(u == u[0]):
+    if np.all(pv <= p_grid[0]) or np.all(pv > p_grid[-1]):
         # every placement value on the same side of the whole grid: the
         # baseline intercept has no finite maximizer
         warnings.warn("placement-value indicators are all identical; the "
@@ -552,35 +564,61 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     else:
         h = np.column_stack([np.ones(n_p), _ispline_basis(p_grid, knots)])
     covs = sample_d.design[:, 1:]
-    x_mat = np.hstack([np.tile(h, (n, 1)), np.repeat(covs, n_p, axis=0)])
     n_base = h.shape[1]
-    n_coef = x_mat.shape[1]
+    n_coef = n_base + covs.shape[1]
 
     bounded = np.zeros(n_coef, dtype=bool)
     if baseline == "spline":
         bounded[1:n_base] = True  # monotone baseline: spline coefficients >= 0
+    # subjects per block: their weighted records and working response,
+    # n_p rows of n_coef + 1 columns each, fill at most _BLOCK elements
+    per_block = max(1, _BLOCK // (n_p * (n_coef + 1)))
+    # the rank cut of a least-squares solve on the records themselves
+    rcond = np.finfo(float).eps * max(n * n_p, n_coef)
+
+    def blocks(b: np.ndarray):
+        # (subjects, eta, indicators) of each block, in subject order
+        hb, xb = h @ b[:n_base], covs @ b[n_base:]
+        for start in range(0, n, per_block):
+            rows = slice(start, start + per_block)
+            yield rows, hb + xb[rows, None], pv[rows, None] <= p_grid
 
     def deviance(b: np.ndarray) -> float:
-        mu = np.clip(ndtr(x_mat @ b), 1e-12, 1.0 - 1e-12)
-        return -2.0 * float(u @ np.log(mu) + (1.0 - u) @ np.log1p(-mu))
+        total = 0.0
+        for _, eta, u in blocks(b):
+            mu = np.clip(ndtr(eta), 1e-12, 1.0 - 1e-12)
+            total += float(np.where(u, np.log(mu), np.log1p(-mu)).sum())
+        return -2.0 * total
+
+    def weighted_system(b: np.ndarray):
+        # R and Q'z of the IRLS step's weighted least squares: each block's
+        # rows go under the running factor (with Q'z as its last column,
+        # so mode "r" keeps it) and are factored again
+        fold = np.zeros((n_coef + 1, n_coef + 1))
+        for rows, eta, u in blocks(b):
+            eta = np.clip(eta, -8.0, 8.0)
+            mu = np.clip(ndtr(eta), 1e-10, 1.0 - 1e-10)
+            dens = np.maximum(np.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi), 1e-10)
+            sw = np.sqrt(dens * dens / (mu * (1.0 - mu)))
+            stacked = np.empty((n_coef + 1 + sw.size, n_coef + 1))
+            stacked[:n_coef + 1] = fold
+            records = stacked[n_coef + 1:].reshape(*sw.shape, n_coef + 1)
+            records[..., :n_base] = h * sw[..., None]
+            records[..., n_base:n_coef] = covs[rows, None, :] * sw[..., None]
+            records[..., n_coef] = (eta + (u - mu) / dens) * sw
+            fold = np.linalg.qr(stacked, mode="r")
+        return fold[:n_coef, :n_coef], fold[:n_coef, n_coef]
 
     beta = np.zeros(n_coef)
     dev = deviance(beta)
     converged = False
     it = 0
     for it in range(1, 101):
-        eta = np.clip(x_mat @ beta, -8.0, 8.0)
-        mu = np.clip(ndtr(eta), 1e-10, 1.0 - 1e-10)
-        dens = np.maximum(np.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi), 1e-10)
-        wts = dens * dens / (mu * (1.0 - mu))
-        work = eta + (u - mu) / dens
-        sw = np.sqrt(wts)
-        a_mat = x_mat * sw[:, None]
-        rhs = work * sw
+        r, c = weighted_system(beta)
         if baseline == "spline":
-            proposal = _nonneg_lstsq(a_mat, rhs, bounded)
+            proposal = _nonneg_lstsq(r, c, bounded, rcond)
         else:
-            proposal, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+            proposal = np.linalg.lstsq(r, c, rcond=rcond)[0]
         new_dev = deviance(proposal)
         halvings = 0
         while new_dev > dev + 1e-10 and halvings < 30:
@@ -596,7 +634,10 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
         dev = new_dev
     if not converged:
         raise ConvergenceError("IRLS did not converge within 100 iterations")
-    if float(np.max(np.abs(x_mat @ beta))) >= 8.0 - 1e-9:
+    # rounding is monotone, so the largest and smallest eta_jl are the sums
+    # of the largest and of the smallest terms
+    hb, xb = h @ beta[:n_base], covs @ beta[n_base:]
+    if max(hb.max() + xb.max(), -(hb.min() + xb.min())) >= 8.0 - 1e-9:
         warnings.warn("placement-value indicators look separated; estimates "
                       "were clamped at the working-response bound", SeparationWarning)
 

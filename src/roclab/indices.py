@@ -16,12 +16,13 @@ rules compute it:
 * **Curve rule** (``youden_from_curve``, and the CLI's curves without a
   threshold): the largest ``roc(p) - p`` on the curve's grid.
 * **Smooth rule** (``youden_from_cdfs`` and the batched search behind the
-  mixture ensembles): a coarse-to-fine scan refined by golden section.
+  mixture ensembles): a coarse-to-fine scan refined by golden section,
+  with the everyone-positive rule at the search interval's lower end as a
+  candidate that scores exactly 0.
 
-None of them warns when the best gap is negative: they return the numbers
-as computed.  Whether a marker orders the groups the other way is a fact
-about the data, which the CLI reports from the AUC
-(``NegativeYoudenWarning``).
+The step and smooth rules never score below 0.  None of the rules warns:
+whether a marker orders the groups the other way is a fact about the
+data, which the CLI reports from the AUC (``NegativeYoudenWarning``).
 """
 
 from __future__ import annotations
@@ -141,9 +142,11 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     (pair, point) evaluations as a coarse one; each pair's result does not
     depend on the block size.  The golden section then refines every
     pair's bracket in one array recurrence, whose calls list (as an index
-    array) only the pairs whose brackets are still above tolerance.
-    Returns ``yi``, ``c_star`` and ``p_star`` arrays of length
-    ``n_pairs``.
+    array) only the pairs whose brackets are still above tolerance.  The
+    everyone-positive rule is a candidate too: gap exactly 0 at
+    ``search_lo`` with ``p* = 1``, as in the step rule, so a pair whose
+    best gap is not above 0 gets that rule.  Returns ``yi``, ``c_star``
+    and ``p_star`` arrays of length ``n_pairs``.
 
     The result is that of the full scan for CDFs whose value at a point
     does not depend on how many points one call takes.  A non-finite value
@@ -204,7 +207,11 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     yi = np.where(better, yi_ref, yi)
     f_dbar, _ = cdfs(c_star[:, None], slice(None))
     p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
-    return yi, c_star, p_star
+    # the everyone-positive rule: gap exactly 0 at search_lo with p* = 1;
+    # ties go to the smallest threshold, so only a larger gap beats it
+    trivial = ~(yi > 0.0)
+    return (np.where(trivial, 0.0, yi), np.where(trivial, search_lo, c_star),
+            np.where(trivial, 1.0, p_star))
 
 
 def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
@@ -247,9 +254,10 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
 
     Notes
     -----
-    Ties are broken toward the smallest threshold.  A negative best gap is
-    returned as computed, without a warning; reversing the positivity rule
-    is left to the caller.  ``p*`` is clamped to [0, 1], since a smooth CDF
+    Ties are broken toward the smallest threshold.  When no gap is above 0
+    the result is the everyone-positive rule, ``yi = 0`` at ``search_lo``
+    with ``p* = 1``, without a warning; reversing the positivity rule is
+    left to the caller.  ``p*`` is clamped to [0, 1], since a smooth CDF
     may round just above 1.
     """
     if not np.isfinite(search_lo) or not np.isfinite(search_hi) or search_lo >= search_hi:

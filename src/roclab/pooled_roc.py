@@ -42,17 +42,18 @@ all call it, and memory stays linear in the sample size.
 Independent blocks (those of ``_mixture_sums``, the draw blocks of the
 inversion and of the closed-form mixture AUCs, the kernel AUC's Taylor
 blocks and row runs, and the Youden scan's pair blocks) run through
-``core.ordered_map`` on one thread per usable CPU.  Each block computes
-what the serial loop would and results combine in block order, so outputs
-do not depend on the thread count.
+``core.ordered_map``: on one thread per usable CPU for the kernel
+estimators' sums over one sample, serially inside a part of a posterior
+ensemble.  Each block computes what the serial loop would and results
+combine in block order, so outputs do not depend on the thread count.
 Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
 buffer), so each extra thread adds at most one block's buffers to the peak.
 Above a measured work floor (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture
 ensemble (curves, AUCs and the batched Youden search, whose loops hold the
 interpreter lock) and the draws of ``bb_roc`` run in one span of draws per
-CPU, in one wave of ``core.forked_spans``.  Each part runs its blocks
-serially, so the caller holds no pool thread's buffers, and the bits are
-again the same.
+CPU, in one wave of ``core.forked_spans``; below it they run in one
+span here.  Each part runs its blocks serially, so the caller holds no
+pool thread's buffers, and the bits are again the same.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
 small numpy calls that hold the interpreter lock.  Its allocation step
@@ -372,7 +373,12 @@ def empirical_roc(diseased, nondiseased, grid=None) -> RocCurveEstimate:
 def silverman_bandwidth(sample) -> float:
     """Rule-of-thumb bandwidth ``0.9 min(sd, IQR/1.34) n^(-1/5)``."""
     y = validate_sample(sample, "sample", min_size=2)
-    sd = float(np.std(y, ddof=1))
+    with np.errstate(over="ignore"):
+        sd = float(np.std(y, ddof=1))
+    if not math.isfinite(sd) or (sd == 0.0 and y.min() < y.max()):
+        word = "underflow" if sd == 0.0 else "overflow"
+        raise InvalidInputError(f"values of magnitude {float(np.abs(y).max()):.3g} {word} "
+                                "the variance of the bandwidth rule; rescale them")
     q25, q75 = np.percentile(y, [25.0, 75.0])
     spread = min(sd, (q75 - q25) / 1.34)
     if spread <= 0.0:
@@ -1002,9 +1008,25 @@ def _stable_order_of_nonincreasing(u: np.ndarray) -> np.ndarray:
 
 
 def _exact_fit(y: np.ndarray, sigma2: float) -> bool:
-    # least squares rounds each fitted value by up to about n eps max|y|; a
-    # residual variance below that is an exact fit (e.g. a constant sample)
-    return sigma2 <= (y.size * np.finfo(float).eps * float(np.abs(y).max())) ** 2
+    """Whether residual variance ``sigma2`` of outcomes ``y`` is an exact fit.
+
+    Least squares rounds each fitted value by up to about ``n eps max|y|``;
+    a residual variance below the square of that is an exact fit (e.g. a
+    constant sample).  Where that square or ``sigma2`` overflows, or both
+    fall below the smallest normal double, the test cannot tell, and an
+    ``InvalidInputError`` names the overflow or underflow.
+    """
+    scale = float(np.abs(y).max())
+    with np.errstate(over="ignore"):
+        bound = float((y.size * np.finfo(float).eps * scale) ** 2)
+    if not (math.isfinite(sigma2) and math.isfinite(bound)):
+        raise InvalidInputError(f"values of magnitude {scale:.3g} overflow the "
+                                "residual variance; rescale them")
+    tiny = np.finfo(float).tiny
+    if sigma2 >= tiny or bound >= tiny or scale == 0.0:
+        return sigma2 <= bound
+    raise InvalidInputError(f"values of magnitude {scale:.3g} underflow the "
+                            "residual variance; rescale them")
 
 
 def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
@@ -1030,7 +1052,8 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
         raise InvalidInputError("need at least two observations")
     beta_hat, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta_hat
-    sigma2 = float(resid @ resid) / max(n - rank, 1)
+    with np.errstate(over="ignore"):  # _exact_fit names an overflow
+        sigma2 = float(resid @ resid) / max(n - rank, 1)
     if _exact_fit(y, sigma2):
         raise DegenerateSampleError("zero residual variance: mixture fit undefined")
 
@@ -1230,16 +1253,16 @@ def mixture_cdf_callable(draw: MixtureDraw):
 
 
 # A forked part costs about 5-10 ms before it pays (fork, the pages it
-# writes, the pickled result back), and one span here spreads its array
-# work over threads.  Measured on a 2-CPU VM in a 70 MB process (two runs,
-# medians of 15 calls), an ensemble of S draws of L = 10 components took,
-# threads -> forked: without Youden 30-42 -> 36-54 ms at S = 100, 81-87 ->
-# 84-102 ms at 400, 97-106 -> 93-97 ms at 500, 110-114 -> 110-113 ms at 600
-# and 187-195 -> 180-185 ms at 1,000; with Youden 46-48 -> 42 ms at 100,
-# 63-74 -> 55-75 ms at 200, 120-134 -> 117-118 ms at 400, 157-160 -> 134-137
-# ms at 500 and 240-290 -> 213-247 ms at 1,000.  So parts start at 5,000
-# draw components, where both win
-_FORK_ENSEMBLE = 5000
+# writes, the pickled result back), and its child's resident set starts
+# at the caller's.  Below the floor the one span runs serially, with no
+# pool thread.  Measured on a 2-CPU VM in a 70 MB process (three
+# runs, medians of 30 interleaved calls), an ensemble of S draws of L = 10
+# components took, serial -> forked: with Youden 42-69 -> 40-50 ms at
+# S = 100, 55-78 -> 40-56 ms at 150 and 76-107 -> 55-69 ms at 200; without
+# it 23-34 -> 24-27 ms at 100, 36-40 -> 33-35 ms at 150 and 55-64 -> 40-47
+# ms at 200.  At S = 100 the two overlap; from 150 on the parts win with
+# Youden and without.  So parts start at 1,500 draw components
+_FORK_ENSEMBLE = 1500
 
 
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
@@ -1252,10 +1275,10 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
     search (``indices._youden_search``) over one range taken from all the
     draws.  With at least ``_FORK_ENSEMBLE`` draw components (S times L)
     the spans are one per CPU, side by side in one wave of
-    ``core.forked_spans``, and each part does its work serially; below it
-    one span runs here, its array work spread over the thread pool.  Each
-    draw's result does not depend on its span, so the bits are the same
-    either way.
+    ``core.forked_spans``; below it one span runs here.  Either way each
+    part does its work serially, so an ensemble never uses the thread
+    pool.  Each draw's result does not depend on its span, so the bits are
+    the same either way.
     """
     from scipy.special import ndtr
 

@@ -566,6 +566,9 @@ class TestMixtureChainsSideBySide:
     def test_short_chains_run_one_after_the_other(self, tmp_path, force_workers,
                                                   monkeypatch, sweeps, forks):
         force_workers(2)
+        # count the chains' forks alone: 150 draws of 10 components reach
+        # the posterior ensemble's own fork floor
+        monkeypatch.setattr("roclab.pooled_roc._FORK_ENSEMBLE", 10**12)
         calls = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
@@ -601,6 +604,21 @@ class TestCovariateAndArocSubcommands:
         assert rc == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert len(meta["params"]["rocglm_alpha"]) == 2
+        assert meta["diagnostics"] == {"rocglm": {"converged": True, "n_iter": 5}}
+
+    @pytest.mark.parametrize("scale, word", [(1e300, "overflow"), (1e-300, "underflow")])
+    @pytest.mark.parametrize("estimator", ["faraggi", "rocglm", "ddp"])
+    def test_extreme_magnitudes_exit_2_naming_the_overflow(self, tmp_path, capsys,
+                                                           scale, word, estimator):
+        rows = [line.split(",") for line in
+                open(self._cohort(tmp_path)).read().splitlines()[1:]]
+        p = write_csv(tmp_path / "scaled.csv", "marker,status,x\n" + "".join(
+            f"{float(m) * scale!r},{st},{x}\n" for m, st, x in rows))
+        out = tmp_path / "out"
+        rc = run(["covariate", "--input", p, "--estimator", estimator,
+                  "--covariates", "x", "--at", "0.5", "--outdir", out])
+        assert rc == 2
+        assert word in json.loads((out / "error.json").read_text())["message"]
 
     def test_at_must_match_covariates(self, tmp_path, capsys):
         p = self._cohort(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from roclab import (BSplineSpec, ConvergenceError, DdpConfig, DegenerateSampleError,
                     ExtrapolationError, InvalidInputError, LocationScaleFit,
@@ -47,6 +48,13 @@ class TestOlsFit:
         x = SeedSpec(41, 0).rng().uniform(0, 1, 50)
         with pytest.raises(DegenerateSampleError):
             ols_fit(_linear_sample(1.0 + 2.0 * x, x))
+
+    @pytest.mark.parametrize("scale, word", [(1e300, "overflow"), (1e-300, "underflow")])
+    def test_extreme_magnitudes_name_the_overflow_or_underflow(self, scale, word):
+        x = SeedSpec(41, 1).rng().uniform(0, 1, 50)
+        y = (1.0 + x + SeedSpec(41, 2).rng().standard_normal(50)) * scale
+        with pytest.raises(InvalidInputError, match=word):
+            ols_fit(_linear_sample(y, x))
 
     def test_duplicate_column_rejected(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
@@ -263,6 +271,12 @@ def _bounded_problem(seed, n, extra_rows, kind):
     return a, b, bounded
 
 
+def _nonneg_on(a, b, bounded):
+    """``_nonneg_lstsq`` of the tall problem ``a x ~ b``, through its QR."""
+    q, r = np.linalg.qr(a)
+    return _nonneg_lstsq(r, q.T @ b, bounded)
+
+
 class TestNonnegLstsq:
     """The exact active-set solve behind the spline ROC-GLM baseline."""
 
@@ -273,7 +287,7 @@ class TestNonnegLstsq:
         from scipy.optimize import lsq_linear
 
         a, b, bounded = _bounded_problem(seed, n, extra_rows, kind)
-        x = _nonneg_lstsq(a, b, bounded)
+        x = _nonneg_on(a, b, bounded)
         assert np.all(x[bounded] >= 0.0)
         grad = a.T @ (a @ x - b)
         tol = 1e-9 * np.linalg.norm(a) * (np.linalg.norm(a) * np.linalg.norm(x)
@@ -294,16 +308,16 @@ class TestNonnegLstsq:
         b = np.array([1.0, 2.0, 3.0, 6.0, 6.0])
         bounded = np.ones(3, dtype=bool)
         monkeypatch.setattr(covariate_roc, "_LH_STEPS_PER_COLUMN", 1)  # cap of 4
-        x = _nonneg_lstsq(a, b, bounded)
+        x = _nonneg_on(a, b, bounded)
         assert np.all(x > 0.0)
         monkeypatch.setattr(covariate_roc, "_LH_STEPS_PER_COLUMN", 0)  # cap of 0
         with pytest.raises(ConvergenceError):
-            _nonneg_lstsq(a, b, bounded)
+            _nonneg_on(a, b, bounded)
 
     def test_binding_coefficients_are_exactly_zero(self):
         a = np.column_stack([np.ones(6), np.arange(6.0), -np.arange(6.0) ** 2])
         b = np.arange(6.0) ** 2
-        x = _nonneg_lstsq(a, b, np.array([False, True, True]))
+        x = _nonneg_on(a, b, np.array([False, True, True]))
         assert x[2] == 0.0 and x[1] > 0.0
 
 
@@ -420,6 +434,139 @@ class TestDdpRoc:
             want = std_normal_cdf(-a_x / np.sqrt(2.0))
             got = ddp_roc(d1, d0, [1.0, x]).summarize().auc
             assert abs(got - want) < 0.04
+
+
+def _stacked_rocglm(sample_d, cdf, baseline):
+    """Reference: ``rocglm_fit`` as it was on the stacked design.
+
+    One record per (subject, FPF point) in an (n_D * 50)-row matrix, a
+    weighted copy of it per IRLS step, solved whole: ``lstsq`` for the
+    parametric baseline, a QR of it then ``_nonneg_lstsq`` for the spline
+    one.  Returns the coefficients, the iteration count and the warnings,
+    as "all identical" or "clamped".
+    """
+    p_grid = np.arange(1, 51) / 51.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pv = placement_values(sample_d, cdf)
+        n, n_p = pv.size, p_grid.size
+        u = (pv[:, None] <= p_grid[None, :]).astype(float).ravel()
+        if np.all(u == u[0]):
+            warnings.warn("all identical", SeparationWarning)
+        if baseline == "parametric":
+            h = np.column_stack([np.ones(n_p), ndtri(p_grid)])
+        else:
+            h = np.column_stack([np.ones(n_p), _ispline_basis(p_grid, (0.25, 0.5, 0.75))])
+        covs = sample_d.design[:, 1:]
+        x_mat = np.hstack([np.tile(h, (n, 1)), np.repeat(covs, n_p, axis=0)])
+        bounded = np.zeros(x_mat.shape[1], dtype=bool)
+        if baseline == "spline":
+            bounded[1:h.shape[1]] = True
+
+        def deviance(b):
+            mu = np.clip(ndtr(x_mat @ b), 1e-12, 1.0 - 1e-12)
+            return -2.0 * float(u @ np.log(mu) + (1.0 - u) @ np.log1p(-mu))
+
+        beta = np.zeros(x_mat.shape[1])
+        dev = deviance(beta)
+        for it in range(1, 101):
+            eta = np.clip(x_mat @ beta, -8.0, 8.0)
+            mu = np.clip(ndtr(eta), 1e-10, 1.0 - 1e-10)
+            dens = np.maximum(np.exp(-0.5 * eta * eta) / np.sqrt(2.0 * np.pi), 1e-10)
+            sw = np.sqrt(dens * dens / (mu * (1.0 - mu)))
+            a_mat, rhs = x_mat * sw[:, None], (eta + (u - mu) / dens) * sw
+            if baseline == "spline":
+                proposal = _nonneg_on(a_mat, rhs, bounded)
+            else:
+                proposal = np.linalg.lstsq(a_mat, rhs, rcond=None)[0]
+            new_dev = deviance(proposal)
+            halvings = 0
+            while new_dev > dev + 1e-10 and halvings < 30:
+                proposal = 0.5 * (proposal + beta)
+                new_dev = deviance(proposal)
+                halvings += 1
+            step = float(np.max(np.abs(proposal - beta)))
+            beta = proposal
+            done = abs(dev - new_dev) <= 1e-8 * (1.0 + abs(dev)) or step <= 1e-8
+            dev = new_dev
+            if done:
+                break
+        if float(np.max(np.abs(x_mat @ beta))) >= 8.0 - 1e-9:
+            warnings.warn("clamped", SeparationWarning)
+    return beta, it, [str(w.message) for w in caught]
+
+
+def _separation_tags(caught):
+    """The warnings of ``rocglm_fit`` in ``_stacked_rocglm``'s words."""
+    assert all(w.category is SeparationWarning for w in caught)
+    return ["all identical" if "all identical" in str(w.message) else "clamped"
+            for w in caught]
+
+
+def _rocglm_cohort(seed, n, covariate):
+    """Diseased sample and nondiseased CDF of a covariate cohort: no
+    covariate, a uniform one, or a constant one (a design of rank 1 less)."""
+    rng = np.random.default_rng(seed)
+    x_d, x_nd = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    d = 1.0 + x_d + rng.standard_normal(n)
+    nd = 0.5 + 1.2 * x_nd + rng.standard_normal(n)
+    if covariate == "constant":
+        x_d = np.full(n, 0.3)
+    design_d = np.ones((n, 1)) if covariate == "none" else np.column_stack([np.ones(n), x_d])
+    design_nd = np.ones((n, 1)) if covariate == "none" else np.column_stack([np.ones(n), x_nd])
+    cdf = location_scale_cdf(ols_fit(RegressionSample(nd, design_nd)), "empirical")
+    return RegressionSample(d, design_d), cdf
+
+
+class TestRocGlmAgainstStackedDesign:
+    """The blocked fit solves the stacked design's least squares, so it
+    moves only by rounding: coefficients within 1e-6 (the constant
+    covariate leaves an ill-conditioned direction), the same iteration
+    count and the same warnings."""
+
+    @pytest.mark.parametrize("baseline", ["parametric", "spline"])
+    @pytest.mark.parametrize("covariate", ["none", "uniform", "constant"])
+    @pytest.mark.parametrize("seed, n", [(1, 60), (2, 300), (3, 700)])
+    def test_same_fit_as_the_stacked_design(self, baseline, covariate, seed, n):
+        sample_d, cdf = _rocglm_cohort(seed, n, covariate)
+        want, n_iter, warned = _stacked_rocglm(sample_d, cdf, baseline)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = rocglm_fit(sample_d, cdf, baseline=baseline)
+        assert _separation_tags(caught) == warned
+        assert fit.converged and fit.n_iter == n_iter
+        got = np.concatenate([fit.alpha, fit.beta])
+        assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("baseline", ["parametric", "spline"])
+    @pytest.mark.parametrize("shift, warned", [(50.0, ["all identical"]), (4.5, ["clamped"])])
+    def test_same_separation_warnings(self, baseline, shift, warned):
+        rng = np.random.default_rng(56)
+        d = shift + rng.standard_normal(40)
+        nd = rng.standard_normal(40)
+        cdf = location_scale_cdf(ols_fit(_ones_sample(nd)), "empirical")
+        want, n_iter, stacked_warned = _stacked_rocglm(_ones_sample(d), cdf, baseline)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = rocglm_fit(_ones_sample(d), cdf, baseline=baseline)
+        assert _separation_tags(caught) == stacked_warned == warned
+        assert fit.n_iter == n_iter
+        assert np.max(np.abs(np.concatenate([fit.alpha, fit.beta]) - want)) <= 1e-6
+
+    def test_memory_does_not_grow_with_the_stacked_design(self):
+        # 20,000 subjects times 50 FPF points: the stacked design and its
+        # weighted copy alone held 32 MB, and the fit peaked at 137 MB
+        import tracemalloc
+
+        sample_d, cdf = _rocglm_cohort(4, 20_000, "uniform")
+        tracemalloc.start()
+        try:
+            fit = rocglm_fit(sample_d, cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak <= 8 * 2**20
 
 
 class TestRocGlm:

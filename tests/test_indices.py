@@ -74,13 +74,14 @@ class TestYoudenFromCdfs:
         assert res.yi == 0.5
         assert res.c_star in (0.0, 1.0, 2.0, 3.0)
 
-    def test_negative_gap_is_returned_without_warning(self):
-        # reversed marker and a search window inside the supports
+    def test_reversed_marker_gets_the_everyone_positive_rule_without_warning(self):
+        # reversed marker and a search window inside the supports: every
+        # gap is negative, so the rule that scores exactly 0 wins
         cdf_d, cdf_nd = _binormal_cdfs(mu=-1.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = youden_from_cdfs(cdf_d, cdf_nd, -0.5, 0.5)
-        assert res.yi < 0.0
+        assert (res.yi, res.c_star, res.p_star) == (0.0, -0.5, 1.0)
 
     def test_invalid_interval(self):
         cdf_d, cdf_nd = _binormal_cdfs()

@@ -156,6 +156,15 @@ class TestBandwidths:
         with pytest.raises(DegenerateSampleError):
             silverman_bandwidth([2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("scale, word", [(1e300, "overflow"), (1e-300, "underflow")])
+    def test_extreme_magnitudes_name_the_overflow_or_underflow(self, scale, word):
+        # the samples have spread; only their variance leaves the doubles
+        y = np.random.default_rng(12).normal(size=50) * scale
+        for fit in (silverman_bandwidth, lscv_bandwidth,
+                    lambda v: dpm_fit(v, DpmConfig(seed=SeedSpec(12, 0), burn_in=1, n_save=1))):
+            with pytest.raises(InvalidInputError, match=word):
+                fit(y)
+
     def test_lscv_near_optimal_for_normal_data(self):
         rng = np.random.default_rng(11)
         y = rng.normal(size=300)
@@ -619,7 +628,10 @@ def full_scan_youden(cdfs, pts, lo, hi, n_pairs):
     c_star = np.where(better, c_ref, pts[best])
     yi = np.where(better, yi_ref, yi)
     f_dbar, _ = cdfs(c_star[:, None], every)
-    return np.stack([yi, c_star, np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))])
+    p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
+    trivial = ~(yi > 0.0)  # the everyone-positive rule: gap 0 at lo, p* = 1
+    return np.stack([np.where(trivial, 0.0, yi), np.where(trivial, lo, c_star),
+                     np.where(trivial, 1.0, p_star)])
 
 
 def oracle_youden(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, lo, hi):
@@ -668,9 +680,9 @@ class TestBatchedYouden:
         assert np.array_equal(got, per_draw_youden(*arrays, lo, hi))
         assert np.array_equal(got, oracle_youden(*arrays, lo, hi))
 
-    def test_reversed_groups_give_negative_gaps_without_warning(self):
+    def test_reversed_groups_get_the_everyone_positive_rule_without_warning(self):
         # each diseased draw is its nondiseased draw shifted down by 2, so
-        # every gap is negative; the ensemble returns them as computed
+        # every gap is negative and each draw gets the everyone-positive rule
         rng = np.random.default_rng(60)
         w = rng.dirichlet(np.ones(3), 70)
         mu = rng.uniform(-0.5, 0.5, (70, 3))
@@ -680,10 +692,11 @@ class TestBatchedYouden:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             ens = dpm_roc(draws_d, draws_nd, youden=True)
-        assert np.all(ens.yis < 0.0)
         assert caught == []
         arrays = (w, mu - 2.0, np.sqrt(var), w, mu, np.sqrt(var))
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
+        assert np.all(ens.yis == 0.0) and np.all(ens.thresholds == lo)
+        assert np.all(ens.p_stars == 1.0)
         assert np.array_equal(ensemble_youden(ens), per_draw_youden(*arrays, lo, hi))
 
     @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 129])
@@ -1365,9 +1378,9 @@ class TestPosteriorWorkAfterTheFit:
         submitted = pool_calls(monkeypatch)
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 10**12)
         serial = ensembles[estimator](youden)
-        assert forks == [] and submitted != []
+        # below the floor the one span is the caller's part: no pool thread
+        assert forks == [] and submitted == []
         assert (serial.yis is not None) == youden
-        submitted.clear()
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
         assert_same_posterior(ensembles[estimator](youden), serial)
         # one wave, and the parent's part maps nothing on the thread pool
@@ -1410,9 +1423,9 @@ class TestPosteriorWorkAfterTheFit:
         dpm_roc(ens_d, ens_nd, youden=True)
         assert len(forks) == 1
 
-    def test_negative_gaps_from_the_child_part_come_back(self, force_workers, monkeypatch):
+    def test_reversed_draws_from_the_child_part_come_back(self, force_workers, monkeypatch):
         # the second half of the draws is reversed, so only the forked
-        # child's part finds negative gaps; they come back as computed
+        # child's part finds no positive gap; its trivial rules come back
         force_workers(2)
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
         forks = counted_forks(monkeypatch)
@@ -1426,7 +1439,8 @@ class TestPosteriorWorkAfterTheFit:
             warnings.simplefilter("always")
             ens = dpm_roc(ens_d, MixtureEnsemble(w, mu, var), youden=True)
         assert len(forks) == 1
-        assert np.all(ens.yis[:20] > 0.0) and np.all(ens.yis[20:] < 0.0)
+        assert np.all(ens.yis[:20] > 0.0) and np.all(ens.yis[20:] == 0.0)
+        assert np.all(ens.p_stars[20:] == 1.0)
         assert caught == []
 
 

@@ -52,6 +52,17 @@ loaded) and after it, the rise, and the peak of its largest forked part
 (``RUSAGE_CHILDREN``).  The output file gets them under ``layers``: the
 times and peaks as quartiles over the rounds, the counts of the first.
 
+With ``--scale``, each side runs every CLI analysis of ``SCALE_LADDER`` as
+a fresh ``python -m roclab.cli`` process on ``roclab simulate`` cohorts
+(written once by the parent, seed ``--seed``) at 1k, 10k and 50k per group
+(20k where a run would take minutes at 50k; subjects for ``timedep``, with
+30% censoring and the horizon at the median time), in ``--pairs`` rounds
+(one with ``--pairs 0``) that alternate which side runs first.  Each run
+gives its wall seconds and its peak RSS in MB (the child's ``ru_maxrss``).
+The output file gets, under ``scale``, per side and analysis, the median of
+both at each size and the slope of each between consecutive sizes on
+log-log axes (1 is linear growth, 0 flat).
+
 With ``--tier1``, the tier-1 suite (``python -m pytest -q
 --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``) runs
 once on each copy after the pairs, the parent first, and the output file
@@ -62,9 +73,11 @@ line and ``ACCEPTANCE n: ...`` verdict lines under ``tier1``.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -241,6 +254,90 @@ def layers(trees: dict, seed: int, rounds: int) -> dict:
             report[side][f"{name}.evaluations_per_root"] = runs[0][name]["evaluations_per_root"]
             report[side][f"{name}.passes"] = runs[0][name]["passes"]
     return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5, "by_side": report}
+
+
+# (name, subcommand and flags, cohort, sizes per group) of each analysis
+# of --scale; the top size is 20k where a run takes minutes at 50k
+_COVARIATE = ["covariate", "--covariates", "x", "--at", "0.5", "--estimator"]
+SCALE_LADDER = [
+    ("pooled_empirical", ["pooled"], "binormal", (1000, 10_000, 50_000)),
+    ("pooled_kernel", ["pooled", "--estimator", "kernel"], "binormal", (1000, 10_000, 50_000)),
+    ("pooled_kernel_lscv", ["pooled", "--estimator", "kernel", "--bandwidth-method", "lscv"],
+     "binormal", (1000, 10_000, 20_000)),
+    ("pooled_bb", ["pooled", "--estimator", "bb"], "binormal", (1000, 10_000, 50_000)),
+    ("pooled_dpm", ["pooled", "--estimator", "dpm"], "binormal", (1000, 10_000, 20_000)),
+    ("covariate_faraggi", [*_COVARIATE, "faraggi"], "covariate", (1000, 10_000, 50_000)),
+    ("covariate_pepe", [*_COVARIATE, "pepe"], "covariate", (1000, 10_000, 50_000)),
+    ("covariate_rocglm", [*_COVARIATE, "rocglm"], "covariate", (1000, 10_000, 50_000)),
+    ("covariate_rocglm_spline", [*_COVARIATE, "rocglm", "--baseline", "spline"],
+     "covariate", (1000, 10_000, 50_000)),
+    ("covariate_ddp", [*_COVARIATE, "ddp"], "covariate", (1000, 10_000, 20_000)),
+    ("aroc", ["aroc", "--covariates", "x"], "covariate", (1000, 10_000, 50_000)),
+    ("timedep", ["timedep"], "survival", (1000, 10_000, 50_000)),
+]
+
+
+def scale_cohort(tree: str, kind: str, n: int, seed: int, root: str) -> list[str]:
+    """Input flags of a ``roclab simulate`` cohort of ``kind`` at ``n`` per
+    group (subjects for survival), written by ``tree`` once under ``root``."""
+    out = os.path.join(root, f"{kind}-{n}")
+    path = os.path.join(out, "cohort.csv")
+    if not os.path.exists(path):
+        size = (["--n", str(n), "--censor-rate", "0.3"] if kind == "survival"
+                else ["--n-diseased", str(n), "--n-nondiseased", str(n)])
+        subprocess.run([sys.executable, "-m", "roclab.cli", "simulate", "--scenario", kind,
+                        *size, "--seed", str(seed), "--outdir", out], cwd=tree,
+                       env=pinned_env(tree), check=True, capture_output=True)
+    if kind != "survival":
+        return ["--input", path]
+    with open(path) as fh:
+        times = [float(row["time"]) for row in csv.DictReader(fh)]
+    return ["--input", path, "--time", repr(statistics.median(times))]
+
+
+def scale_once(tree: str, argv: list[str], out: str) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one CLI process on ``tree``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "roclab.cli", *argv, "--outdir", out],
+                            cwd=tree, env=pinned_env(tree), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{argv} exited {proc.returncode} on {tree}")
+    return wall, usage.ru_maxrss / 1024
+
+
+def scale(trees: dict, seed: int, rounds: int, work: str) -> dict:
+    """The ``--scale`` ladder on both trees in alternating rounds."""
+    root = os.path.join(work, "scale")
+    got = {side: {} for side in trees}  # side -> (name, n) -> [(wall, rss)]
+    for i in range(max(1, rounds)):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            for name, argv, kind, sizes in SCALE_LADDER:
+                for n in sizes:
+                    flags = scale_cohort(trees["parent"], kind, n, seed, root)
+                    out = os.path.join(root, "out", side, f"{name}-{n}")
+                    got[side].setdefault((name, n), []).append(
+                        scale_once(trees[side], [*argv, *flags], out))
+                print(f"scale round {i} {side} {name}: done", file=sys.stderr)
+    report = {}
+    for side, runs in got.items():
+        report[side] = {}
+        for name, _, _, sizes in SCALE_LADDER:
+            wall = [statistics.median(w for w, _ in runs[(name, n)]) for n in sizes]
+            rss = [statistics.median(r for _, r in runs[(name, n)]) for n in sizes]
+            report[side][name] = {
+                "n_per_group": list(sizes),
+                "wall_s": [round(v, 3) for v in wall],
+                "peak_rss_mb": [round(v, 1) for v in rss],
+                "wall_slope": [round(math.log(b / a) / math.log(m / n), 2) for a, b, n, m
+                               in zip(wall, wall[1:], sizes, sizes[1:])],
+                "rss_slope": [round(math.log(b / a) / math.log(m / n), 2) for a, b, n, m
+                              in zip(rss, rss[1:], sizes, sizes[1:])],
+            }
+    return {"seed": seed, "rounds": max(1, rounds), "by_side": report}
 
 
 # a number in an artifact: the cells of the CSV files, the values in
@@ -431,6 +528,8 @@ def main(argv=None) -> int:
                    help="also compare every analysis's artifacts on both sides")
     p.add_argument("--layers", action="store_true",
                    help="also time the smooth-CDF layer on both sides")
+    p.add_argument("--scale", action="store_true",
+                   help="also run every CLI analysis at 1k-50k per group on both sides")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -450,6 +549,8 @@ def main(argv=None) -> int:
             report["artifacts"] = compare_artifacts(trees, workloads, [args.seed], work)
         if args.layers:
             report["layers"] = layers(trees, args.seed, 0)
+        if args.scale:
+            report["scale"] = scale(trees, args.seed, 0, work)
         if args.tier1:
             report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
         with open(args.out, "w") as fh:
@@ -496,6 +597,8 @@ def main(argv=None) -> int:
         report["artifacts"] = compare_artifacts(trees, workloads, seeds, work)
     if args.layers:
         report["layers"] = layers(trees, args.seed, args.pairs)
+    if args.scale:
+        report["scale"] = scale(trees, args.seed, args.pairs, work)
     if args.tier1:
         report["tier1"] = {side: tier1_once(tree) for side, tree in trees.items()}
     with open(args.out, "w") as fh:
