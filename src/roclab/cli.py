@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .binary_metrics import classification_fractions, predictive_values
-from .core import SeedSpec, forked_map
+from .core import SeedSpec, forked_spans
 from .covariate_roc import (RegressionSample, aroc, ddp_fit, ddp_roc, faraggi_roc,
                             location_scale_cdf, location_scale_youden, ols_fit,
                             pepe_semiparam_roc, rocglm_fit)
@@ -459,8 +459,9 @@ _FORK_SWEEPS = 200
 
 def _mixture_fits(opts: Options, fit, samples) -> list:
     """``fit`` of the diseased and the nondiseased sample, each chain with
-    its own seed stream; chains of at least ``_FORK_SWEEPS`` sweeps run side
-    by side through ``forked_map``."""
+    its own seed stream, as two spans of ``forked_spans``: chains of at
+    least ``_FORK_SWEEPS`` sweeps run side by side, the diseased one here
+    and the nondiseased one in a forked child."""
     seed = opts.get("seed", int, 20260815)
     kwargs = dict(
         truncation=opts.get("truncation", int, 10),
@@ -470,9 +471,9 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
     )
     jobs = [(sample, DpmConfig(seed=SeedSpec(seed, stream), **kwargs))
             for sample, stream in zip(samples, (1, 2))]
-    if kwargs["burn_in"] + kwargs["n_save"] < _FORK_SWEEPS:
-        return [fit(*job) for job in jobs]
-    return forked_map(lambda job: fit(*job), jobs)
+    spans = forked_spans(lambda start, stop: [fit(*job) for job in jobs[start:stop]],
+                         len(jobs), kwargs["burn_in"] + kwargs["n_save"] >= _FORK_SWEEPS)
+    return [chain for span in spans for chain in span]
 
 
 def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,

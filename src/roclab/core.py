@@ -12,16 +12,16 @@ Conventions used throughout the package:
   one rule, ``_exact_ranks``.
 * ROC curves live on probability grids: strictly increasing 1-d arrays
   inside ``[0, 1]``.
-* Independent blocks of array work (normal-CDF sums over kernel or mixture
-  components) run through ``ordered_map``, one thread per CPU the process
-  may use; every block computes the same bits on any thread and results
-  come back in block order, so no output depends on the worker count.
-  Independent calls that hold the interpreter lock (the two groups' Gibbs
-  chains, the spans of a large posterior ensemble or Bayesian bootstrap)
-  run through ``forked_map``, one forked process per such CPU, with the
-  same guarantees.  Each call of either map is a part, and so is the one
-  span of a ``forked_spans`` below its floor; maps nested inside a part
-  run serially.
+* Parallel work has two seams, each with the same guarantees: every
+  block, chain or span computes the same bits wherever it runs, and
+  results come back in order, so no output depends on the worker count.
+  Threads (``ordered_map``, one per CPU the process may use) split the
+  normal-CDF sums over one sample: the kernel CDF's blocks and the kernel
+  AUC's tasks.  Forked processes (``forked_spans``, one per such CPU)
+  split work that holds the interpreter lock: the two groups' Gibbs
+  chains, and the draws of a large posterior ensemble or Bayesian
+  bootstrap.  Each block on a pool thread and each span is a part, and
+  maps nested inside a part run serially.
 """
 
 from __future__ import annotations
@@ -197,8 +197,7 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
 _pool = None
 _pool_lock = threading.Lock()
 # _thread.in_part is set while this thread runs a part of a map: a pool
-# thread, the caller's own part of forked_map or forked_spans, and a
-# forked child
+# thread, a span of forked_spans in the caller, and a forked child
 _thread = threading.local()
 
 
@@ -231,14 +230,14 @@ def ordered_map(fn, items) -> list:
     The pool has one thread per CPU the process may use and is created on
     first need.  The calls run serially when that is one CPU, when there is
     one item, or when the caller runs inside a part of a map (a pool
-    thread, or any part of ``forked_map``), so nested maps never wait on the
-    pool they run in and a part never uses more than its one CPU.  Results
-    and the first exception
-    come back in item order, exactly as from the serial loop.  ``fn``
-    should spend its time in native code that releases the interpreter
-    lock (numpy arithmetic, ``scipy.special.ndtr``), must not warn, and
-    must set any ``np.errstate`` it needs itself: the error state is
-    context-local and a pool thread does not inherit the caller's.
+    thread, or any span of ``forked_spans``), so nested maps never wait on
+    the pool they run in and a part never uses more than its one CPU.
+    Results and the first exception come back in item order, exactly as
+    from the serial loop.  ``fn`` should spend its time in native code that
+    releases the interpreter lock (numpy arithmetic,
+    ``scipy.special.ndtr``), must not warn, and must set any ``np.errstate``
+    it needs itself: the error state is context-local and a pool thread
+    does not inherit the caller's.
     """
     global _pool
     items = list(items)
@@ -261,60 +260,35 @@ def _in_part() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ordered process map
-
-
-def forked_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, with the calls spread over forked processes.
-
-    For work that holds the interpreter lock, where threads cannot help.
-    Items go in waves of one per CPU the process may use: the first item
-    of a wave runs in the caller and each other one in an ``os.fork``
-    child, which sends back its result or exception by pickle through a
-    pipe.  Each item is a part: maps nested in it, in a child as in the
-    caller's own part, run serially, so the parts use one CPU each.  The
-    calls run serially when that is one CPU, when there is one item, when
-    the caller runs inside a part of a map, or where ``os.fork`` does not
-    exist.  Results and the first exception come back in item order,
-    exactly as from the serial loop, and no child outlives the call.  A
-    child that ends without a result raises ``NumericError`` naming its
-    exit status.  ``fn`` must not warn, since a child's warnings stay in
-    the child, and its result and exceptions must pickle.
-    """
-    items = list(items)
-    serial = len(items) < 2 or _in_part() or not hasattr(os, "fork")
-    size = 1 if serial else _worker_count()
-    if size < 2:
-        return [fn(x) for x in items]
-    results = []
-    for start in range(0, len(items), size):
-        results += _fork_wave(fn, items[start:start + size])
-    return results
+# forked spans
 
 
 def forked_spans(fn, n: int, fork: bool) -> list:
     """``[fn(start, stop), ...]`` over consecutive spans that cover ``range(n)``.
 
-    With ``fork`` the spans are one per CPU the process may use, run side by
-    side as the parts of one ``forked_map``; without it (the caller's
-    measure of work is below its floor) there is one span, ``fn(0, n)``,
-    run here as the caller's own part, so its nested maps run serially
-    too.  ``fn`` must give each item the same result whatever span holds
-    it.
+    For work that holds the interpreter lock, where threads cannot help.
+    With ``fork`` (the caller's measure of work is above its floor) the
+    spans are one per CPU the process may use, and at most ``n``: the first
+    runs in the caller and each other one in an ``os.fork`` child, which
+    sends back its result or exception by pickle through a pipe.  Without
+    it, on one CPU, inside a part of a map, or where ``os.fork`` does not
+    exist, there is one span, ``fn(0, n)``.  Each span is a part: maps
+    nested in it, in a child as in the caller, run serially, so the parts
+    use one CPU each.  If a fork fails the spans left over run in the
+    caller, each as a part.  Results and the first exception come back in
+    span order, exactly as from the serial loop, and no child outlives the
+    call.  A child that ends without a result raises ``NumericError``
+    naming its exit status.  ``fn`` must give each item the same result
+    whatever span holds it, must not warn, since a child's warnings stay in
+    the child, and its result and exceptions must pickle.
     """
-    count = max(1, min(n, _worker_count() if fork else 1))
-    if count == 1:
-        return [_run_part(lambda span: fn(*span), (0, n))]
+    serial = not fork or _in_part() or not hasattr(os, "fork")
+    count = max(1, min(n, 1 if serial else _worker_count()))
     edges = [n * i // count for i in range(count + 1)]
-    return forked_map(lambda span: fn(*span), list(zip(edges[:-1], edges[1:])))
-
-
-def _fork_wave(fn, wave) -> list:
-    import signal
-
-    children = []  # (pid, pipe) of each child not yet reaped, in item order
+    spans = list(zip(edges[:-1], edges[1:]))
+    children = []  # (pid, pipe) of each child not yet reaped, in span order
     try:
-        for x in wave[1:]:
+        for span in spans[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -323,11 +297,11 @@ def _fork_wave(fn, wave) -> list:
                 os.close(write)
                 break
             if pid == 0:
-                _child(fn, x, read, write)
+                _child(fn, span, read, write)
             os.close(write)
             children.append((pid, open(read, "rb")))
         forked = len(children)
-        results = [_run_part(fn, wave[0])]
+        results = [_run_part(fn, spans[0])]
         while children:
             pid, pipe = children[0]
             # read to the end before waiting: a child whose result does not
@@ -343,25 +317,28 @@ def _fork_wave(fn, wave) -> list:
             if not ok:
                 raise value
             results.append(value)
-        return results + [fn(x) for x in wave[1 + forked:]]
+        return results + [_run_part(fn, span) for span in spans[1 + forked:]]
     finally:
-        for pid, pipe in children:  # after a raise: stop and reap the rest
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if children:  # after a raise: stop and reap the rest
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _run_part(fn, x):
-    # fn(x) in the caller's own part, with nested maps serial
+def _run_part(fn, span):
+    # fn(*span) in the caller's own part, with nested maps serial
     outer = _in_part()
     _thread.in_part = True
     try:
-        return fn(x)
+        return fn(*span)
     finally:
         _thread.in_part = outer
 
 
-def _child(fn, x, read, write) -> None:
+def _child(fn, span, read, write) -> None:
     # the body of a forked child: it sends (ok, value or exception) and
     # leaves through os._exit, never back into the caller's frames
     code = 1
@@ -369,7 +346,7 @@ def _child(fn, x, read, write) -> None:
         os.close(read)
         _thread.in_part = True
         try:
-            outcome = (True, fn(x))
+            outcome = (True, fn(*span))
         except Exception as exc:
             outcome = (False, exc)
         try:

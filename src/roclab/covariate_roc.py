@@ -360,13 +360,11 @@ def ddp_conditional_cdf(draws, design_fn):
     ``design_fn(x)`` must return the design row for covariate vector ``x``.
     The returned ``cdf(y, x)`` averages the mixture CDF over draws.
     """
-    from scipy.special import ndtr
-
     ensemble = MixtureEnsemble.from_draws(draws)
 
     def cdf(y, x):
         z_row = np.asarray(design_fn(x), dtype=float).ravel()
-        return _mean_mixture_cdf(*ensemble._normals(z_row), y, ndtr)
+        return _mean_mixture_cdf(*ensemble._normals(z_row), y)
 
     return cdf
 
@@ -531,10 +529,11 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     elements.  Each block's rows are folded into one running triangular
     factor of the weighted least squares, with its ``Q'z`` (tall-skinny
     QR: Demmel, Grigori, Hoemmen and Langou 2012, *SIAM J. Sci. Comput.*
-    34:A206), and both baselines solve that small system: the parametric
-    one by minimum-norm least squares, the spline one by
-    ``_nonneg_lstsq``.  The deviance is summed over the same blocks, so
-    memory does not grow with the number of FPF points times subjects.
+    34:A206), and both baselines solve that small system by
+    ``_nonneg_lstsq``, which with no bounded column (the parametric
+    baseline) is one minimum-norm least squares.  The deviance is summed
+    over the same blocks, so memory does not grow with the number of FPF
+    points times subjects.
 
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
@@ -615,10 +614,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     it = 0
     for it in range(1, 101):
         r, c = weighted_system(beta)
-        if baseline == "spline":
-            proposal = _nonneg_lstsq(r, c, bounded, rcond)
-        else:
-            proposal = np.linalg.lstsq(r, c, rcond=rcond)[0]
+        proposal = _nonneg_lstsq(r, c, bounded, rcond)
         new_dev = deviance(proposal)
         halvings = 0
         while new_dev > dev + 1e-10 and halvings < 30:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_prob_grid, ordered_map, validate_sample
+from .core import as_prob_grid, validate_sample
 from .errors import InvalidInputError, NumericError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -138,7 +138,7 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
 
     One ``cdfs`` call may take ``budget`` (pair, point) evaluations.  The
     scan runs over blocks of as many pairs as the coarse stage fits in
-    that, spread over ``ordered_map``, and a fine-stage call takes as many
+    that, one after the other, and a fine-stage call takes as many
     (pair, point) evaluations as a coarse one; each pair's result does not
     depend on the block size.  The golden section then refines every
     pair's bracket in one array recurrence, whose calls list (as an index
@@ -191,7 +191,7 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
             yi[o[better]], best[o[better]] = g[better], p[better]
         return best, yi
 
-    best, yi = map(np.concatenate, zip(*ordered_map(scan, range(0, n_pairs, block))))
+    best, yi = map(np.concatenate, zip(*[scan(start) for start in range(0, n_pairs, block)]))
 
     def gap(x, rows):
         f_dbar, f_d = cdfs(x[:, None], rows)

@@ -39,27 +39,29 @@ the shape of the call.  The kernel CDF, the inversion's tables and Halley
 passes, the curve evaluation, the Youden scan and the posterior-mean CDFs
 all call it, and memory stays linear in the sample size.
 
-Independent blocks (those of ``_mixture_sums``, the draw blocks of the
-inversion and of the closed-form mixture AUCs, the kernel AUC's Taylor
-blocks and row runs, and the Youden scan's pair blocks) run through
-``core.ordered_map``: on one thread per usable CPU for the kernel
-estimators' sums over one sample, serially inside a part of a posterior
-ensemble.  Each block computes what the serial loop would and results
-combine in block order, so outputs do not depend on the thread count.
-Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
+Parallel work has two seams.  Threads: the blocks of ``_mixture_sums``
+and the kernel AUC's Taylor blocks and row runs run through
+``core.ordered_map``, on one thread per usable CPU for the kernel
+estimators' sums over one sample and serially inside a part of a
+posterior ensemble.  Each block computes what the serial loop would and
+results combine in block order, so outputs do not depend on the thread
+count.  Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
 buffer), so each extra thread adds at most one block's buffers to the peak.
-Above a measured work floor (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture
-ensemble (curves, AUCs and the batched Youden search, whose loops hold the
-interpreter lock) and the draws of ``bb_roc`` run in one span of draws per
-CPU, in one wave of ``core.forked_spans``; below it they run in one
-span here.  Each part runs its blocks serially, so the caller holds no
-pool thread's buffers, and the bits are again the same.
+The other blocks (the inversion's draw blocks, the closed-form mixture
+AUCs' draw blocks and the Youden scan's pair blocks) bound memory and run
+one after the other.  Processes: above a measured work floor
+(``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture ensemble (curves, AUCs and
+the batched Youden search, whose loops hold the interpreter lock) and the
+draws of ``bb_roc`` run in one span of draws per CPU through
+``core.forked_spans``; below it they run in one span here.  Each span is a
+part that runs its blocks serially, so the caller holds no pool thread's
+buffers, and the bits are again the same.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
 small numpy calls that hold the interpreter lock.  Its allocation step
 works on (L, n) arrays so each reduction runs along the n observations,
 with sums that round exactly as the (n, L) form did.  Callers that fit two
-groups (the CLI) run the two chains in two processes (``core.forked_map``).
+groups (the CLI) run the two chains as two spans of ``core.forked_spans``.
 """
 
 from __future__ import annotations
@@ -441,20 +443,15 @@ def kernel_cdf(sample, h: float, y):
     ``ndtr((y - y_i) / h).mean(-1)`` in buffers of at most ``_BLOCK``
     elements (or one point's n).
     """
-    from scipy.special import ndtr
-
     s = validate_sample(sample, "sample")
     _check_bandwidths(h)
     yv = np.asarray(y, dtype=float)
     sums = _mixture_sums(np.ones((1, s.size)), s[None, :], np.full((1, s.size), h, dtype=float),
-                         yv.reshape(-1), ndtr)
+                         yv.reshape(-1))
     out = sums[0] / s.size
     return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
 
 
-# The mixture helpers take scipy.special.ndtr from their caller, which
-# imports it once per public call, so scipy loads on first use.
-#
 # Rules for every block function handed to ordered_map: compute exactly
 # what the serial loop computes for that block, and combine results in
 # block order; set any np.errstate inside the block, because a pool thread
@@ -462,13 +459,15 @@ def kernel_cdf(sample, h: float, y):
 # never call ndtr with where=, which writes wrong values on scipy 1.17.1.
 
 
-def _mixture_cdf(w, mu, sigma, x, ndtr, density=False, bufs=None):
+def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
     # (..., K), or with density=True the CDF, the density and the density's
     # slope f' = -sum w phi(z) z / sigma^2, whose terms are the density's
     # times z / sigma: the density terms go into the CDF-term buffer, so z
     # survives for them.  The buffers are fresh, or bufs[0:3] (see
     # _scratch); the bits are the same either way
+    from scipy.special import ndtr
+
     shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
     z = np.subtract(x[..., :, None], mu[..., None, :], out=_scratch(bufs, 0, shape))
     z /= sigma[..., None, :]
@@ -512,7 +511,7 @@ _DRAW_CHUNK = 32
 _TABLE_POINTS = 64
 
 
-def _mixture_sums(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
+def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
     """Mixture CDF (and, with ``density=True``, its density and the
     density's slope) at ``x``, as ``_mixture_cdf`` computes them, in blocks
     of (row, point) evaluations.
@@ -558,7 +557,7 @@ def _mixture_sums(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
             params = [np.take(a, at_rows, axis=0, mode="clip",
                               out=_scratch(bufs, 3 + i, (at_rows.size, n_comp)))
                       for i, a in enumerate((w, mu, sigma))]
-        sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], ndtr, density, bufs)
+        sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, bufs)
         # one output at a time: assigning the tuple would stack it in a copy
         for dst, src in zip(out, sums if density else (sums,)):
             dst[r:r + step, c:c + cols] = src
@@ -597,13 +596,13 @@ def _halley_step(x, r, f, fp, x_lo, x_hi, step_before, floor, m3, allowance):
     return x_new, np.abs(s), tol, bound
 
 
-def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
+def _invert_mixture_cdf(w, mu, sigma, targets):
     """Solve F(x) = q for mixture CDFs by table-started safeguarded Halley.
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
     values strictly inside (0, 1); returns roots of shape (S, K).  Draws are
-    solved in blocks of ``_DRAW_CHUNK``, spread over ``ordered_map``, and
-    each block writes its roots into its rows of the one (S, K) result.  Each
+    solved in blocks of ``_DRAW_CHUNK``, one after the other, and each block
+    writes its roots into its rows of the one (S, K) result.  Each
     draw's CDF is tabulated at ``_TABLE_POINTS`` points over its own
     ``[min mu - 10 sigma, max mu + 10 sigma]``, widened (doubling) while the
     table misses a target.  The table gives each root a bracket
@@ -639,8 +638,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
     parameter rows of the roots still active block by block (``rows=``),
     and every call shares one ``threading.local`` of work buffers, at most
     six of max(_BLOCK, L) elements per thread, that live for the whole
-    call, so the passes reuse the same pages.  Raises when the residual in
-    CDF scale exceeds 1e-10.
+    call, so the passes reuse the same pages.  Raises, naming the first
+    failing draw, when the residual in CDF scale exceeds 1e-10.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
@@ -660,7 +659,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
         hi = (mc + 10.0 * sc).max(axis=1)
         for _ in range(61):
             xs = lo[:, None] + (hi - lo)[:, None] * unit
-            table = _mixture_sums(wc, mc, sc, xs, ndtr, work=work)
+            table = _mixture_sums(wc, mc, sc, xs, work=work)
             low, high = table[:, 0] >= qmin, table[:, -1] < qmax
             if not (low.any() or high.any()):
                 break
@@ -690,10 +689,10 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
         step_last = step_before = x_hi - x_lo
         for _ in range(120):
             if r == 1:
-                diff, dens, slope = _mixture_sums(wc, mc, sc, x[None, :], ndtr, density=True,
+                diff, dens, slope = _mixture_sums(wc, mc, sc, x[None, :], density=True,
                                                   work=work)
             else:
-                diff, dens, slope = _mixture_sums(wc, mc, sc, x[:, None], ndtr, density=True,
+                diff, dens, slope = _mixture_sums(wc, mc, sc, x[:, None], density=True,
                                                   rows=owner[active], work=work)
             # diff is r = F(x) - q
             diff, dens, slope = diff.ravel() - tgt, dens.ravel(), slope.ravel()
@@ -721,21 +720,20 @@ def _invert_mixture_cdf(w, mu, sigma, targets, ndtr):
                 f"(draw {start + s}) exceeds 1e-10"
             )
 
-    ordered_map(solve, range(0, n_draws, _DRAW_CHUNK))
+    for start in range(0, n_draws, _DRAW_CHUNK):
+        solve(start)
     return roots
 
 
 def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     """Per-draw ROC curves for paired mixture arrays of shape (S, L)."""
-    from scipy.special import ndtr
-
     interior = (grid > 0.0) & (grid < 1.0)
     curves = np.empty((w_d.shape[0], grid.size))
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0
     if np.any(interior):
-        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior], ndtr)
-        f_d = _mixture_sums(w_d, mu_d, sg_d, roots, ndtr)
+        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior])
+        f_d = _mixture_sums(w_d, mu_d, sg_d, roots)
         curves[:, interior] = np.subtract(1.0, f_d, out=f_d)
     return np.clip(curves, 0.0, 1.0, out=curves)
 
@@ -778,7 +776,7 @@ _TAYLOR_SIGNS = np.array([1.0] + [(-1.0) ** (m - 1) / math.factorial(m)
                                   for m in range(1, _TAYLOR_ORDER + 1)])
 
 
-def _taylor_row_sums(rows, window, scale, ndtr):
+def _taylor_row_sums(rows, window, scale):
     """``sum_i Phi((y - window_i) / scale)`` for each ``y`` in ``rows``, a
     sorted block at most ``0.5 scale`` wide, by expansion about its centre.
 
@@ -790,6 +788,8 @@ def _taylor_row_sums(rows, window, scale, ndtr):
     of one ``_BLOCK``-element buffer, and each row is one polynomial in
     ``e``.
     """
+    from scipy.special import ndtr
+
     c = 0.5 * (rows[0] + rows[-1])
     cols = max(1, min(window.size, _BLOCK // (_TAYLOR_ORDER + 3)))
     buf = np.empty((_TAYLOR_ORDER + 3, cols))
@@ -876,7 +876,7 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
         a, b, wa, wb, expand = args
         rows, window = d[a:b + 1], nd[wa:wb]
         if expand:
-            return _taylor_row_sums(rows, window, scale, ndtr).tolist()
+            return _taylor_row_sums(rows, window, scale).tolist()
         buf = np.empty((rows.size, min(cols, window.size)))
         sums = []
         for c in range(0, window.size, cols):
@@ -1206,14 +1206,16 @@ def dpm_fit(sample, cfg: DpmConfig) -> MixtureEnsemble:
     return MixtureEnsemble(weights, coefs[:, :, 0], variances)
 
 
-def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr):
+def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
     """Closed-form AUC of each pair of mixtures given as (S, L) arrays.
 
     ``sum_k sum_l w_NDk w_Dl Phi(a_kl / sqrt(1 + b_kl^2))`` with
     ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``.
-    Draws go in blocks, spread over ``ordered_map``, whose (draws, L, L)
-    buffers stay within ``_BLOCK`` elements; each draw's sum is the same.
+    Draws go in blocks, one after the other, whose (draws, L, L) buffers
+    stay within ``_BLOCK`` elements; each draw's sum is the same.
     """
+    from scipy.special import ndtr
+
     step = max(1, _BLOCK // (w_d.shape[1] * w_nd.shape[1]))
 
     def block(start):
@@ -1222,34 +1224,30 @@ def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, ndtr):
         b = sg_nd[rows, :, None] / sg_d[rows, None, :]
         return np.einsum("sk,sl,skl->s", w_nd[rows], w_d[rows], ndtr(a / np.sqrt(1.0 + b * b)))
 
-    return np.concatenate(ordered_map(block, range(0, w_d.shape[0], step)))
+    return np.concatenate([block(start) for start in range(0, w_d.shape[0], step)])
 
 
 def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
     """Closed-form AUC between two normal-mixture draws (``_mixture_aucs``)."""
-    from scipy.special import ndtr
-
     d = MixtureEnsemble.from_draws([draw_d])._normals()
     nd = MixtureEnsemble.from_draws([draw_nd])._normals()
-    return float(_mixture_aucs(*d, *nd, ndtr)[0])
+    return float(_mixture_aucs(*d, *nd)[0])
 
 
-def _mean_mixture_cdf(w, mu, sg, y, ndtr):
+def _mean_mixture_cdf(w, mu, sg, y):
     # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg,
     # with the draws added in row order: a mean down axis 0 would add
     # pairwise for one point and row by row for several
     yv = np.asarray(y, dtype=float)
-    sums = _mixture_sums(w, mu, sg, yv.reshape(-1), ndtr)
+    sums = _mixture_sums(w, mu, sg, yv.reshape(-1))
     out = np.cumsum(sums, axis=0, out=sums)[-1] / w.shape[0]
     return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
 
 def mixture_cdf_callable(draw: MixtureDraw):
     """CDF of one mixture draw as a plain callable (scalar or array in/out)."""
-    from scipy.special import ndtr
-
     normals = MixtureEnsemble.from_draws([draw])._normals()
-    return lambda c: _mean_mixture_cdf(*normals, c, ndtr)
+    return lambda c: _mean_mixture_cdf(*normals, c)
 
 
 # A forked part costs about 5-10 ms before it pays (fork, the pages it
@@ -1274,14 +1272,12 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
     closed-form AUCs (``_mixture_aucs``) and, with ``youden``, its Youden
     search (``indices._youden_search``) over one range taken from all the
     draws.  With at least ``_FORK_ENSEMBLE`` draw components (S times L)
-    the spans are one per CPU, side by side in one wave of
+    the spans are one per CPU, side by side through
     ``core.forked_spans``; below it one span runs here.  Either way each
     part does its work serially, so an ensemble never uses the thread
     pool.  Each draw's result does not depend on its span, so the bits are
     the same either way.
     """
-    from scipy.special import ndtr
-
     if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
         raise InvalidInputError("need equally many draws for both groups")
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
@@ -1295,14 +1291,14 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         pairs = slice(start, stop)
         d = w_d[pairs], mu_d[pairs], sg_d[pairs]
         nd = w_nd[pairs], mu_nd[pairs], sg_nd[pairs]
-        found = (_roc_from_mixtures(*d, *nd, grid), _mixture_aucs(*d, *nd, ndtr))
+        found = (_roc_from_mixtures(*d, *nd, grid), _mixture_aucs(*d, *nd))
         if not youden:
             return found + (None,) * 3
         work = threading.local()
 
         def cdfs(x, rows):
-            return (_mixture_sums(*nd, x, ndtr, rows=rows, work=work),
-                    _mixture_sums(*d, x, ndtr, rows=rows, work=work))
+            return (_mixture_sums(*nd, x, rows=rows, work=work),
+                    _mixture_sums(*d, x, rows=rows, work=work))
 
         # a fine-stage call gathers one (L,) parameter row per (pair,
         # point), so _BLOCK // L evaluations per call keep those within

@@ -878,7 +878,7 @@ class TestImportCost:
 
     def test_import_leaves_the_thread_pool_unloaded(self):
         # ordered_map imports concurrent.futures on its first parallel call,
-        # forked_map signal on its first fork
+        # forked_spans signal on its first call
         assert loaded_by("import roclab.cli", modules=["concurrent.futures", "signal"]) == []
 
     def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):

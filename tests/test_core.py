@@ -13,7 +13,7 @@ from roclab import (DegenerateSampleError, InvalidInputError, NumericError, Seed
                     as_prob_grid, default_prob_grid,
                     dirichlet_uniform, ecdf, kernel_cdf, quantile, std_normal_cdf,
                     std_normal_quantile, validate_sample)
-from roclab.core import _worker_count, forked_map, ordered_map
+from roclab.core import _worker_count, forked_spans, ordered_map
 
 
 class TestSeedSpec:
@@ -299,7 +299,7 @@ sys.exit("child did not finish within 60 s")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestForkedMap:
+class TestForkedSpans:
     @pytest.fixture(autouse=True)
     def no_child_left(self):
         yield
@@ -307,112 +307,141 @@ class TestForkedMap:
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_results_in_item_order(self, force_workers, workers):
+    def test_results_in_span_order(self, force_workers, workers):
         force_workers(workers)
 
-        def square(x):
-            time.sleep(0.002 * (x % 3))  # later items often finish first
-            return x * x, os.getpid()
+        def squares(start, stop):
+            time.sleep(0.002 * (3 - start % 3))  # later spans often finish first
+            return [x * x for x in range(start, stop)], os.getpid()
 
-        got = run_with_timeout(lambda: forked_map(square, range(12)))
-        assert [v for v, _ in got] == [x * x for x in range(12)]
+        got = run_with_timeout(lambda: forked_spans(squares, 12, True))
+        assert len(got) == workers
+        assert [v for values, _ in got for v in values] == [x * x for x in range(12)]
+        # the first span runs in the caller, each other one in a child of its own
         pids = [pid for _, pid in got]
-        # the first item of each wave runs in the caller, the rest in children
-        callers = [pid == os.getpid() for pid in pids]
-        assert callers == [x % workers == 0 for x in range(12)]
-        children = [pid for pid, caller in zip(pids, callers) if not caller]
-        assert len(set(children)) == len(children)
-        assert forked_map(square, []) == []
-        assert forked_map(square, iter([4])) == [(16, os.getpid())]
+        assert pids[0] == os.getpid() and len(set(pids)) == workers
+        serial = ([x * x for x in range(12)], os.getpid())
+        assert forked_spans(squares, 12, False) == [serial]
+        assert forked_spans(squares, 1, True) == [([0], os.getpid())]
+        assert forked_spans(squares, 0, True) == [([], os.getpid())]
 
     def test_result_larger_than_the_pipe_buffer(self, force_workers):
         force_workers(2)
-        got = run_with_timeout(lambda: forked_map(lambda n: np.arange(n, dtype=float),
-                                                  [3, 1 << 20]))
-        assert np.array_equal(got[1], np.arange(1 << 20, dtype=float))
+        got = run_with_timeout(lambda: forked_spans(
+            lambda start, stop: np.arange(start << 20, stop << 20, dtype=float), 2, True))
+        assert np.array_equal(got[1], np.arange(1 << 20, 2 << 20, dtype=float))
 
     def test_child_exception_keeps_its_type_and_message(self, force_workers):
         force_workers(2)
 
-        def fit(x):
-            if x == 1:
+        def fit(start, stop):
+            if start == 1:
                 raise DegenerateSampleError("zero residual variance: mixture fit undefined")
-            return x
+            return start
 
         with pytest.raises(DegenerateSampleError, match="^zero residual variance"):
-            run_with_timeout(lambda: forked_map(fit, range(2)))
+            run_with_timeout(lambda: forked_spans(fit, 2, True))
 
-    def test_first_exception_in_item_order_wins(self, force_workers):
+    def test_first_exception_in_span_order_wins(self, force_workers):
         force_workers(3)
 
-        def fail(x):
-            if x == 0:
+        def fail(start, stop):
+            if start == 0:
                 time.sleep(0.2)  # the children fail first in time
-            raise ValueError(x)
+            raise ValueError(start)
 
         with pytest.raises(ValueError) as err:
-            run_with_timeout(lambda: forked_map(fail, range(3)))
+            run_with_timeout(lambda: forked_spans(fail, 3, True))
         assert err.value.args == (0,)
 
-        def fail_later(x):
-            if x == 2:
-                raise ValueError(x)
-            if x == 1:
+        def fail_later(start, stop):
+            if start == 2:
+                raise ValueError(start)
+            if start == 1:
                 time.sleep(0.2)
-                raise KeyError(x)
-            return x
+                raise KeyError(start)
+            return start
 
         with pytest.raises(KeyError):
-            run_with_timeout(lambda: forked_map(fail_later, range(3)))
+            run_with_timeout(lambda: forked_spans(fail_later, 3, True))
 
     def test_killed_child_raises_instead_of_hanging(self, force_workers):
         force_workers(2)
         parent = os.getpid()
 
-        def die(x):
+        def die(start, stop):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return x
+            return start
 
         with pytest.raises(NumericError, match=r"exit status -9"):
-            run_with_timeout(lambda: forked_map(die, range(2)))
+            run_with_timeout(lambda: forked_spans(die, 2, True))
 
-    def test_one_cpu_runs_serially(self, force_workers):
+    def test_one_cpu_runs_one_span_here(self, force_workers):
         force_workers(1)
-        assert forked_map(lambda x: os.getpid(), range(3)) == [os.getpid()] * 3
+        assert forked_spans(lambda a, b: (a, b, os.getpid()), 3, True) == [(0, 3, os.getpid())]
 
     def test_inside_an_ordered_map_worker_runs_serially(self, force_workers):
         force_workers(2)
 
         def outer(x):
-            return forked_map(lambda y: (os.getpid(), threading.get_ident()), range(3))
+            return forked_spans(lambda a, b: [(os.getpid(), threading.get_ident())
+                                              for _ in range(a, b)], 3, True)
 
         for inner in run_with_timeout(lambda: ordered_map(outer, range(4))):
-            assert [pid for pid, _ in inner] == [os.getpid()] * 3
-            assert len({tid for _, tid in inner}) == 1
+            assert len(inner) == 1  # one span, in the worker
+            assert [pid for pid, _ in inner[0]] == [os.getpid()] * 3
+            assert len({tid for _, tid in inner[0]}) == 1
 
-    def test_nested_map_in_a_child_runs_serially(self, force_workers):
+    def test_nested_spans_in_a_child_run_serially(self, force_workers):
         # in the child and in the caller's own part alike
         force_workers(2)
-        got = run_with_timeout(lambda: forked_map(
-            lambda x: forked_map(lambda y: os.getpid(), range(3)), range(2)))
-        assert got[0] == [os.getpid()] * 3
-        assert got[1] == [got[1][0]] * 3 and got[1][0] != os.getpid()
+        got = run_with_timeout(lambda: forked_spans(
+            lambda a, b: forked_spans(lambda c, d: [os.getpid()] * (d - c), 3, True), 2, True))
+        assert got[0] == [[os.getpid()] * 3]
+        assert got[1] == [[got[1][0][0]] * 3] and got[1][0][0] != os.getpid()
 
     def test_nested_ordered_map_in_a_part_runs_serially(self, force_workers):
         force_workers(2)
 
-        def part(x):
+        def part(start, stop):
             return ordered_map(lambda y: (os.getpid(), threading.get_ident()), range(4))
 
         def run():
             # the caller's own part leaves no mark on the caller's thread
-            return forked_map(part, range(2)), roclab.core._in_part()
+            return forked_spans(part, 2, True), roclab.core._in_part()
 
         inner, in_part_after = run_with_timeout(run)
         assert [len(set(i)) for i in inner] == [1, 1]
         assert inner[0][0][0] == os.getpid() and inner[1][0][0] != os.getpid()
         assert not in_part_after
+
+    @pytest.mark.parametrize("fork", ["raises", "missing"])
+    def test_spans_left_in_the_caller_run_as_parts(self, force_workers, monkeypatch, fork):
+        # when os.fork raises, the spans it could not start run here; where
+        # it does not exist there is one span.  Either way each is a part,
+        # so its nested maps stay on the caller's thread
+        force_workers(3)
+        if fork == "raises":
+            def no_fork():
+                raise OSError("no process to spare")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.delattr(os, "fork")
+
+        def part(start, stop):
+            names = ordered_map(lambda y: threading.current_thread().name, range(4))
+            return [(x, names) for x in range(start, stop)]
+
+        def run():
+            return threading.current_thread().name, forked_spans(part, 3, True)
+
+        caller, spans = run_with_timeout(run)
+        assert len(spans) == (3 if fork == "raises" else 1)
+        got = [item for span in spans for item in span]
+        assert [x for x, _ in got] == [0, 1, 2]
+        assert all(names == [caller] * 4 for _, names in got)
 
     def test_fork_after_the_thread_pool_and_blas_have_run(self):
         # the pool threads and BLAS threads of the parent do not exist in
@@ -421,7 +450,7 @@ class TestForkedMap:
 import numpy as np
 import roclab.core
 from roclab import DpmConfig, SeedSpec, dpm_fit, kernel_auc
-from roclab.core import forked_map
+from roclab.core import forked_spans
 roclab.core._worker_count = lambda: 2
 rng = np.random.default_rng(4)
 d, nd = rng.normal(1, 1, 2000), rng.normal(0, 1, 2000)
@@ -431,9 +460,10 @@ a = rng.normal(size=(400, 400))
 np.linalg.inv(a @ a.T + 400 * np.eye(400))
 jobs = [(d[:300], DpmConfig(seed=SeedSpec(5, 1), burn_in=20, n_save=20)),
         (nd[:300], DpmConfig(seed=SeedSpec(5, 2), burn_in=20, n_save=20))]
-forked = forked_map(lambda job: dpm_fit(*job), jobs)
+spans = forked_spans(lambda a, b: [dpm_fit(*job) for job in jobs[a:b]], 2, True)
+assert [len(span) for span in spans] == [1, 1]
 serial = [dpm_fit(*job) for job in jobs]
-for f, s in zip(forked, serial):
+for (f,), s in zip(spans, serial):
     for name in ("weights", "locations", "variances"):
         assert np.array_equal(getattr(f, name), getattr(s, name))
 """)

@@ -543,7 +543,7 @@ def stacked(draws, loc="means"):
 def cdf_from_arrays(w, mu, sg):
     """CDF of one mixture with weights, means and scales ``w, mu, sg``."""
     def cdf(c):
-        vals = _mixture_cdf(w, mu, sg, np.atleast_1d(np.asarray(c, dtype=float)), ndtr)
+        vals = _mixture_cdf(w, mu, sg, np.atleast_1d(np.asarray(c, dtype=float)))
         return float(vals[0]) if np.ndim(c) == 0 else vals
 
     return cdf
@@ -569,8 +569,8 @@ def search_range(mu_d, sg_d, mu_nd, sg_nd):
 def mixture_cdfs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
     """The ``cdfs(x, rows)`` of ``_youden_search`` over unblocked component sums."""
     def cdfs(x, rows):
-        return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x, ndtr),
-                _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x, ndtr))
+        return (_mixture_cdf(w_nd[rows], mu_nd[rows], sg_nd[rows], x),
+                _mixture_cdf(w_d[rows], mu_d[rows], sg_d[rows], x))
 
     return cdfs
 
@@ -908,11 +908,11 @@ def global_bracket_newton(w, mu, sigma, targets):
     hi = float((mu + 10.0 * sigma).max())
     qmin, qmax = float(targets.min()), float(targets.max())
     for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([lo]), ndtr).min() <= qmin:
+        if _mixture_cdf(w, mu, sigma, np.array([lo])).min() <= qmin:
             break
         lo -= hi - lo
     for _ in range(60):
-        if _mixture_cdf(w, mu, sigma, np.array([hi]), ndtr).max() >= qmax:
+        if _mixture_cdf(w, mu, sigma, np.array([hi])).max() >= qmax:
             break
         hi += hi - lo
     shape = (w.shape[0], targets.size)
@@ -923,7 +923,7 @@ def global_bracket_newton(w, mu, sigma, targets):
     step_last = step_before = np.full(shape, hi - lo)
     done = np.zeros(shape, dtype=bool)
     for _ in range(120):
-        f, dens, _ = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
+        f, dens, _ = _mixture_cdf(w, mu, sigma, x, density=True)
         below = f < tgt
         lo_a, hi_a = np.where(below, x, lo_a), np.where(below, hi_a, x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -942,15 +942,15 @@ def global_bracket_newton(w, mu, sigma, targets):
 
 def check_inversion(w, mu, sigma, targets):
     w, mu, sigma = (np.atleast_2d(np.asarray(v, float)) for v in (w, mu, sigma))
-    roots = _invert_mixture_cdf(w, mu, sigma, targets, ndtr)
+    roots = _invert_mixture_cdf(w, mu, sigma, targets)
     oracle = global_bracket_newton(w, mu, sigma, targets)
     # a root is fixed only to within the CDF's rounding over its slope: on a
     # plateau between components far apart any point of the plateau solves
-    _, dens, _ = _mixture_cdf(w, mu, sigma, oracle, ndtr, density=True)
+    _, dens, _ = _mixture_cdf(w, mu, sigma, oracle, density=True)
     with np.errstate(divide="ignore"):
         spread = 8.0 * np.finfo(float).eps / dens
     assert np.all(np.abs(roots - oracle) <= 1e-12 * (1.0 + np.abs(oracle)) + spread)
-    assert np.abs(_mixture_cdf(w, mu, sigma, roots, ndtr) - targets).max() <= 1e-10
+    assert np.abs(_mixture_cdf(w, mu, sigma, roots) - targets).max() <= 1e-10
 
 
 TARGETS = 1.0 - default_prob_grid()[1:-1]
@@ -974,8 +974,8 @@ class TestTableStartedInversion:
         q = np.array([1e-30, 1e-3, 0.5, 1.0 - 1e-15])
         w, mu, sigma = np.array([[0.5, 0.5]]), np.array([[0.0, 2.0]]), np.array([[1.0, 0.5]])
         check_inversion(w, mu, sigma, q)
-        roots = _invert_mixture_cdf(w, mu, sigma, q, ndtr)
-        assert np.allclose(_mixture_cdf(w, mu, sigma, roots, ndtr), q, rtol=1e-9, atol=0.0)
+        roots = _invert_mixture_cdf(w, mu, sigma, q)
+        assert np.allclose(_mixture_cdf(w, mu, sigma, roots), q, rtol=1e-9, atol=0.0)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 70))
     def test_random_mixtures_match_the_global_bracket(self, seed, n_comp, n_draws):
@@ -1030,10 +1030,10 @@ class TestHalleyInversion:
         mu = rng.normal(0.0, 2.0, (rows, n_comp))
         sigma = np.exp(rng.uniform(-3.0, 1.0, (rows, n_comp)))
         x = rng.normal(0.0, 3.0, (rows, points))
-        cdf, dens, slope = _mixture_cdf(w, mu, sigma, x, ndtr, density=True)
+        cdf, dens, slope = _mixture_cdf(w, mu, sigma, x, density=True)
         want_cdf, want_dens = density_as_before(w, mu, sigma, x)
         assert np.array_equal(cdf, want_cdf) and np.array_equal(dens, want_dens)
-        assert np.array_equal(cdf, _mixture_cdf(w, mu, sigma, x, ndtr))
+        assert np.array_equal(cdf, _mixture_cdf(w, mu, sigma, x))
         # f'(x) = -sum_l w_l phi(z_l) z_l / sigma_l^2, rounded another way;
         # terms below the smallest normal double keep no relative precision
         z = (x[:, :, None] - mu[:, None, :]) / sigma[:, None, :]
@@ -1053,13 +1053,13 @@ class TestHalleyInversion:
         evaluated = []
         real = pooled_roc._mixture_sums
 
-        def counted(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
+        def counted(w, mu, sigma, x, density=False, rows=None, work=None):
             if density:
                 evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
-            return real(w, mu, sigma, x, ndtr, density, rows, work)
+            return real(w, mu, sigma, x, density, rows, work)
 
         monkeypatch.setattr(pooled_roc, "_mixture_sums", counted)
-        roots = _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr)
+        roots = _invert_mixture_cdf(w, mu, sigma, TARGETS)
         assert roots.shape == (1000, TARGETS.size)
         assert sum(evaluated) / roots.size <= 2.5
 
@@ -1084,8 +1084,8 @@ class TestOneEvaluator:
         mu = rng.normal(0.0, 2.0, (rows, n_comp))
         sigma = np.exp(rng.uniform(-3.0, 1.0, (rows, n_comp)))
         x = rng.normal(0.0, 3.0, points if shared else (rows, points))
-        got = _mixture_sums(w, mu, sigma, x, ndtr, density)
-        want = _mixture_cdf(w, mu, sigma, x, ndtr, density)
+        got = _mixture_sums(w, mu, sigma, x, density)
+        want = _mixture_cdf(w, mu, sigma, x, density)
         if not density:
             got, want = (got,), (want,)
         for a, b in zip(got, want):
@@ -1180,31 +1180,52 @@ class TestWorkerCount:
                ddp_fit(RegressionSample(x_nd + rng.normal(0, 1, 150), design(x_nd)), cfg(3)))
         return dpm, ddp
 
+    # the only functions that reach the thread pool: the blocks of the one
+    # normal-CDF sum and the kernel AUC's tasks
+    THREADED = {"_mixture_sums.<locals>.block", "kernel_auc.<locals>.task"}
+
     @staticmethod
-    def both(force_workers, fn):
+    def both(force_workers, fn, monkeypatch, mapped):
+        # one worker, then two real pool threads; a third run, with two
+        # workers and the pool's traffic recorded, adds the name of each
+        # function it maps on the pool to the set mapped
         force_workers(1)
         one = fn()
         force_workers(2)
-        return one, fn()
+        two = fn()
+        calls = pool_calls(monkeypatch)
+        fn()
+        mapped.update(f.__qualname__ for f in calls)
+        return one, two
 
-    def test_mixture_ensembles(self, force_workers, fits):
+    def test_mixture_ensembles(self, force_workers, monkeypatch, fits):
         (dpm_d, dpm_nd), (ddp_d, ddp_nd) = fits
+        mapped = set()
         assert_same_posterior(*self.both(force_workers,
-                                         lambda: dpm_roc(dpm_d, dpm_nd, youden=True)))
+                                         lambda: dpm_roc(dpm_d, dpm_nd, youden=True),
+                                         monkeypatch, mapped))
         z = np.array([1.0, 0.4])
         assert_same_posterior(*self.both(force_workers,
-                                         lambda: ddp_roc(ddp_d, ddp_nd, z, youden=True)))
+                                         lambda: ddp_roc(ddp_d, ddp_nd, z, youden=True),
+                                         monkeypatch, mapped))
+        # an ensemble never uses the thread pool
+        assert mapped == set()
 
-    def test_kernel_estimators(self, force_workers):
+    def test_kernel_estimators(self, force_workers, monkeypatch):
         rng = np.random.default_rng(83)
         d, nd = rng.normal(1.0, 1.0, 3000), rng.normal(0.0, 1.0, 2500)
-        one, two = self.both(force_workers, lambda: kernel_roc(d, nd))
+        mapped = set()
+        one, two = self.both(force_workers, lambda: kernel_roc(d, nd), monkeypatch, mapped)
         assert np.array_equal(one.roc, two.roc) and one.auc == two.auc
-        one, two = self.both(force_workers, lambda: kernel_auc(d, nd, 0.05, 0.5))
+        one, two = self.both(force_workers, lambda: kernel_auc(d, nd, 0.05, 0.5),
+                             monkeypatch, mapped)
         assert one == two
         points = np.linspace(-4.0, 5.0, 2000)
-        one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points))
+        one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points),
+                             monkeypatch, mapped)
         assert np.array_equal(one, two)
+        # the kernel sums do reach the pool, and nothing else does
+        assert mapped == self.THREADED
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1218,7 +1239,7 @@ class TestWorkerCount:
         sigma = np.ones((100, 2))
         sigma[[40, 75]] = 1e-150
         with pytest.raises(NumericError, match=r"\(draw 40\)"):
-            _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr)
+            _invert_mixture_cdf(w, mu, sigma, TARGETS)
 
 
 def bb_roc_argsort_oracle(d, nd, n_draws, grid, seed, youden):
@@ -1316,10 +1337,15 @@ class TestPosteriorWorkAfterTheFit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_roc_from_mixtures_at_one_and_two_workers(self, force_workers, fits):
+    def test_roc_from_mixtures_at_one_and_two_workers(self, force_workers, monkeypatch, fits):
         args = (*fits[0]._normals(), *fits[1]._normals(), default_prob_grid())
-        one, two = TestWorkerCount.both(force_workers, lambda: _roc_from_mixtures(*args))
+        mapped = set()
+        one, two = TestWorkerCount.both(force_workers, lambda: _roc_from_mixtures(*args),
+                                        monkeypatch, mapped)
         assert np.array_equal(one, two)
+        # called outside a part, as kernel_roc calls it, only its CDF sums
+        # reach the pool
+        assert mapped == {"_mixture_sums.<locals>.block"}
 
     def test_inversion_makes_no_active_by_components_copy(self, force_workers):
         # S = 1,000 draws of L = 50 components: one (active, L) float array
@@ -1336,7 +1362,7 @@ class TestPosteriorWorkAfterTheFit:
         mu, sigma = rng.normal(0.0, 2.0, (S, L)), np.exp(rng.uniform(-2.0, 1.0, (S, L)))
         copy = pooled_roc._DRAW_CHUNK * TARGETS.size * L * 8
         roots = S * TARGETS.size * 8
-        peak = traced_peak(lambda: _invert_mixture_cdf(w, mu, sigma, TARGETS, ndtr))
+        peak = traced_peak(lambda: _invert_mixture_cdf(w, mu, sigma, TARGETS))
         assert peak < 6 * pooled_roc._BLOCK * 8 + roots + copy
 
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7]), min_size=1,
@@ -1800,13 +1826,13 @@ class TestBlockedMixtureAucs:
     def test_equal_to_the_unblocked_sum(self, force_workers, S, L, workers):
         force_workers(workers)
         arrays = self.mixtures(S, L, 98 + L)
-        assert np.array_equal(_mixture_aucs(*arrays, ndtr), mixture_aucs_unblocked(*arrays))
+        assert np.array_equal(_mixture_aucs(*arrays), mixture_aucs_unblocked(*arrays))
 
     def test_memory_stays_within_blocks(self, force_workers):
         # one (S, L, L) array at S = 1,000, L = 50 is 20 MB
         force_workers(2)
         arrays = self.mixtures(1000, 50, 99)
-        assert traced_peak(lambda: _mixture_aucs(*arrays, ndtr)) < 8_000_000
+        assert traced_peak(lambda: _mixture_aucs(*arrays)) < 8_000_000
 
 
 def assert_monotone_curves(curves):

@@ -15,8 +15,9 @@ is odd.  The output file holds every run's end-to-end metrics, each
 side's median and quartiles, the parent's quartile distance, how many
 pairs each side won, the median seconds of each analysis per side and
 the line count of ``src/roclab/*.py`` on both sides, split into code,
-docstring, comment and blank lines.  ``--pairs 0`` writes only that line
-count (and the ``--tier1`` results), without running the benchmark.
+docstring, comment and blank lines, in all and per module.  ``--pairs
+0`` writes only that line count (and the ``--tier1`` results), without
+running the benchmark.
 
 With ``--trace``, each pair also runs one traced pass per workload and
 side (``bench/run.py --trace 1 --seconds 0``: one untraced pass, then
@@ -180,10 +181,13 @@ def layer_once(seed: int, calls: int) -> dict:
     for name, fn in runs.items():
         evaluated = []
 
-        def counted(w, mu, sigma, x, ndtr, density=False, rows=None, work=None):
-            if density:  # a pass of the inversion
+        def counted(w, mu, sigma, x, *args, **kwargs):
+            # the inversion passes density= and rows= by keyword; revisions
+            # that took ndtr pass it after x, and *args carries it through
+            if kwargs.get("density"):  # a pass of the inversion
+                rows = kwargs.get("rows")
                 evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
-            return real(w, mu, sigma, x, ndtr, density, rows, work)
+            return real(w, mu, sigma, x, *args, **kwargs)
 
         # a forked part's counts would stay in the child
         pooled._mixture_sums = counted
@@ -500,14 +504,17 @@ def line_kinds(path: str) -> dict:
 
 
 def src_lines(tree: str) -> dict:
-    """Lines of ``src/roclab/*.py``: the total and its split by ``line_kinds``."""
+    """Lines of ``src/roclab/*.py``: the total and its split by ``line_kinds``,
+    over all modules and, under ``modules``, per module."""
     totals = {"total": 0, "code": 0, "docstring": 0, "comment": 0, "blank": 0}
+    modules = {}
     for path in sorted(glob.glob(os.path.join(tree, "src", "roclab", "*.py"))):
         counts = line_kinds(path)
-        totals["total"] += sum(counts.values())
+        counts = {"total": sum(counts.values()), **counts}
+        modules[os.path.basename(path)] = counts
         for name, value in counts.items():
             totals[name] += value
-    return totals
+    return {**totals, "modules": modules}
 
 
 def main(argv=None) -> int:
