@@ -30,6 +30,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -304,9 +305,10 @@ def _cohort(opts: Options, survival: bool = False):
     return read
 
 
-def _split_groups(marker: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_groups(values: np.ndarray, status: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the diseased (status 1) and the nondiseased rows of values
     mask = status == 1.0
-    d, nd = marker[mask], marker[~mask]
+    d, nd = values[mask], values[~mask]
     if d.size == 0 or nd.size == 0:
         raise InvalidInputError(
             f"empty group after filtering: {d.size} diseased, {nd.size} nondiseased")
@@ -390,11 +392,14 @@ def _grid(opts: Options) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _parse_floats(raw: str) -> list[float]:
+def _parse_floats(raw: str, name: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
-        raise InvalidInputError(f"expected comma-separated numbers, got {raw!r}") from None
+        raise InvalidInputError(f"{name}: expected comma-separated numbers, got {raw!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise InvalidInputError(f"{name}: expected finite numbers, got {raw!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +460,28 @@ def _cmd_binary(opts: Options) -> tuple:
 # page it writes); measured, two chains of 100 sweeps ran faster one after
 # the other and two of 200 faster side by side, at 60 to 1,000 values.
 _FORK_SWEEPS = 200
+# subjects in both groups from which the kernel analysis runs its curve
+# and its Youden search side by side.  Measured on a 2-CPU VM (medians of
+# 30 interleaved calls, Silverman bandwidths), serial -> side by side: 21
+# -> 33 ms at 300 per group, 20 -> 16 ms at 500, 34 -> 29 ms at 1,000 and
+# 271 -> 183 ms at 10,000
+_FORK_KERNEL = 1000
+
+
+def _side_by_side(jobs: list, fork: bool) -> list:
+    """The results of ``jobs`` (independent callables of no arguments), in
+    order, each job a span of ``forked_spans``: with ``fork`` the first
+    runs here and each other one in a forked child, one per CPU."""
+    spans = forked_spans(lambda start, stop: [job() for job in jobs[start:stop]],
+                         len(jobs), fork)
+    return [result for span in spans for result in span]
 
 
 def _mixture_fits(opts: Options, fit, samples) -> list:
     """``fit`` of the diseased and the nondiseased sample, each chain with
-    its own seed stream, as two spans of ``forked_spans``: chains of at
-    least ``_FORK_SWEEPS`` sweeps run side by side, the diseased one here
-    and the nondiseased one in a forked child."""
+    its own seed stream, side by side (``_side_by_side``) from
+    ``_FORK_SWEEPS`` sweeps on: the diseased chain here and the
+    nondiseased one in a forked child."""
     seed = opts.get("seed", int, 20260815)
     kwargs = dict(
         truncation=opts.get("truncation", int, 10),
@@ -469,11 +489,9 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
         burn_in=opts.get("burn_in", int, 500),
         n_save=opts.get("n_save", int, 1000),
     )
-    jobs = [(sample, DpmConfig(seed=SeedSpec(seed, stream), **kwargs))
+    jobs = [functools.partial(fit, sample, DpmConfig(seed=SeedSpec(seed, stream), **kwargs))
             for sample, stream in zip(samples, (1, 2))]
-    spans = forked_spans(lambda start, stop: [fit(*job) for job in jobs[start:stop]],
-                         len(jobs), kwargs["burn_in"] + kwargs["n_save"] >= _FORK_SWEEPS)
-    return [chain for span in spans for chain in span]
+    return _side_by_side(jobs, kwargs["burn_in"] + kwargs["n_save"] >= _FORK_SWEEPS)
 
 
 def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
@@ -493,11 +511,13 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         h_nd = pick(nd) if h_nd is None else h_nd
         opts.resolved["bandwidth_d"] = h_d
         opts.resolved["bandwidth_nd"] = h_nd
-        curve = kernel_roc(d, nd, h_d, h_nd, grid)
         lo = float(min(d.min(), nd.min())) - 4.0 * max(h_d, h_nd)
         hi = float(max(d.max(), nd.max())) + 4.0 * max(h_d, h_nd)
-        return curve, youden_from_cdfs(lambda c: kernel_cdf(d, h_d, c),
-                                       lambda c: kernel_cdf(nd, h_nd, c), lo, hi)
+        return _side_by_side([lambda: kernel_roc(d, nd, h_d, h_nd, grid),
+                              lambda: youden_from_cdfs(lambda c: kernel_cdf(d, h_d, c),
+                                                       lambda c: kernel_cdf(nd, h_nd, c),
+                                                       lo, hi)],
+                             d.size + nd.size >= _FORK_KERNEL)
     if estimator == "bb":
         n_draws = opts.get("draws", int, 1000)
         seed = opts.get("seed", int, 20260815)
@@ -526,19 +546,16 @@ def _cmd_pooled(opts: Options) -> tuple:
 def _regression_samples(read, covariates: list[str]) -> tuple:
     """Diseased and nondiseased ``RegressionSample`` s and the input report."""
     (marker, status, *xs), report = read(covariates)
-    mask = status == 1.0
-    if not (mask.any() and (~mask).any()):
-        raise InvalidInputError("empty group after filtering")
     design = np.column_stack([np.ones(marker.size), *xs])
     labels = ("intercept", *covariates)
-    return (RegressionSample(marker[mask], design[mask], labels),
-            RegressionSample(marker[~mask], design[~mask], labels), report)
+    (y_d, y_nd), (x_d, x_nd) = _split_groups(marker, status), _split_groups(design, status)
+    return (RegressionSample(y_d, x_d, labels), RegressionSample(y_nd, x_nd, labels), report)
 
 
 def _cmd_covariate(opts: Options) -> tuple:
     read = _cohort(opts)
     covariates = _parse_names(opts.get("covariates", str, required=True))
-    at = _parse_floats(opts.get("at", str, required=True))
+    at = _parse_floats(opts.get("at", str, required=True), "at")
     if len(at) != len(covariates):
         raise InvalidInputError(
             f"--at needs {len(covariates)} value(s) for {', '.join(covariates)}")
@@ -639,8 +656,8 @@ def _cmd_simulate(opts: Options) -> tuple:
             f"true_p_star: {_fmt6(truth.p_star)}",
         ]
     elif scenario == "covariate":
-        beta_d = _parse_floats(opts.get("beta_d", str, "0.5,1.0"))
-        beta_nd = _parse_floats(opts.get("beta_nd", str, "0.0,1.0"))
+        beta_d = _parse_floats(opts.get("beta_d", str, "0.5,1.0"), "beta_d")
+        beta_nd = _parse_floats(opts.get("beta_nd", str, "0.0,1.0"), "beta_nd")
         sigma_d = opts.get("sigma_d", float, 1.0)
         sigma_nd = opts.get("sigma_nd", float, 1.0)
         n_d = opts.get("n_diseased", int, 100)

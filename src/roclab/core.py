@@ -12,23 +12,20 @@ Conventions used throughout the package:
   one rule, ``_exact_ranks``.
 * ROC curves live on probability grids: strictly increasing 1-d arrays
   inside ``[0, 1]``.
-* Parallel work has two seams, each with the same guarantees: every
-  block, chain or span computes the same bits wherever it runs, and
-  results come back in order, so no output depends on the worker count.
-  Threads (``ordered_map``, one per CPU the process may use) split the
-  normal-CDF sums over one sample: the kernel CDF's blocks and the kernel
-  AUC's tasks.  Forked processes (``forked_spans``, one per such CPU)
-  split work that holds the interpreter lock: the two groups' Gibbs
-  chains, and the draws of a large posterior ensemble or Bayesian
-  bootstrap.  Each block on a pool thread and each span is a part, and
-  maps nested inside a part run serially.
+* Parallel work has one seam, ``forked_spans``: the two groups' Gibbs
+  chains, the draws of a large posterior ensemble or Bayesian bootstrap,
+  and the kernel analysis's curve and Youden search run in consecutive
+  spans, one per CPU the process may use, the first in the caller and
+  each other one in a forked child.  Every span computes the same bits
+  wherever it runs and results come back in span order, so no output
+  depends on the worker count.  Each span is a part, and spans nested
+  inside a part run serially.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,14 +188,11 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ordered thread map
+# forked spans
 
-# (executor, size) of the process-wide pool, made on the first parallel map
-_pool = None
-_pool_lock = threading.Lock()
-# _thread.in_part is set while this thread runs a part of a map: a pool
-# thread, a span of forked_spans in the caller, and a forked child
-_thread = threading.local()
+# set while this process runs a part: a span of forked_spans in the
+# caller, or a forked child
+_in_part = False
 
 
 def _worker_count() -> int:
@@ -209,80 +203,26 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
-    _thread.in_part = True
-
-
-def _forget_pool() -> None:
-    # a forked child has only the forking thread: the parent's workers and
-    # any lock one of its threads held are gone, so start afresh
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def ordered_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, with the calls spread over a thread pool.
-
-    The pool has one thread per CPU the process may use and is created on
-    first need.  The calls run serially when that is one CPU, when there is
-    one item, or when the caller runs inside a part of a map (a pool
-    thread, or any span of ``forked_spans``), so nested maps never wait on
-    the pool they run in and a part never uses more than its one CPU.
-    Results and the first exception come back in item order, exactly as
-    from the serial loop.  ``fn`` should spend its time in native code that
-    releases the interpreter lock (numpy arithmetic,
-    ``scipy.special.ndtr``), must not warn, and must set any ``np.errstate``
-    it needs itself: the error state is context-local and a pool thread
-    does not inherit the caller's.
-    """
-    global _pool
-    items = list(items)
-    size = 1 if len(items) < 2 or _in_part() else _worker_count()
-    if size < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _pool_lock:
-        if _pool is None or _pool[1] != size:
-            # a replaced pool's idle threads exit once it is collected
-            _pool = (ThreadPoolExecutor(size, thread_name_prefix="roclab",
-                                        initializer=_mark_worker), size)
-        pool = _pool[0]
-    return list(pool.map(fn, items))
-
-
-def _in_part() -> bool:
-    return getattr(_thread, "in_part", False)
-
-
-# ---------------------------------------------------------------------------
-# forked spans
-
-
 def forked_spans(fn, n: int, fork: bool) -> list:
     """``[fn(start, stop), ...]`` over consecutive spans that cover ``range(n)``.
 
-    For work that holds the interpreter lock, where threads cannot help.
-    With ``fork`` (the caller's measure of work is above its floor) the
-    spans are one per CPU the process may use, and at most ``n``: the first
-    runs in the caller and each other one in an ``os.fork`` child, which
-    sends back its result or exception by pickle through a pipe.  Without
-    it, on one CPU, inside a part of a map, or where ``os.fork`` does not
-    exist, there is one span, ``fn(0, n)``.  Each span is a part: maps
-    nested in it, in a child as in the caller, run serially, so the parts
-    use one CPU each.  If a fork fails the spans left over run in the
-    caller, each as a part.  Results and the first exception come back in
-    span order, exactly as from the serial loop, and no child outlives the
-    call.  A child that ends without a result raises ``NumericError``
-    naming its exit status.  ``fn`` must give each item the same result
-    whatever span holds it, must not warn, since a child's warnings stay in
-    the child, and its result and exceptions must pickle.
+    The package's one way to run work in parallel.  With ``fork`` (the
+    caller's measure of work is above its floor) the spans are one per CPU
+    the process may use, and at most ``n``: the first runs in the caller
+    and each other one in an ``os.fork`` child, which sends back its
+    result or exception by pickle through a pipe.  Without it, on one CPU,
+    inside a part, or where ``os.fork`` does not exist, there is one span,
+    ``fn(0, n)``.  Each span is a part: spans nested in it, in a child as
+    in the caller, run serially, so the parts use one CPU each.  If a fork
+    fails the spans left over run in the caller, each as a part.  Results
+    and the first exception come back in span order, exactly as from the
+    serial loop, and no child outlives the call.  A child that ends
+    without a result raises ``NumericError`` naming its exit status.
+    ``fn`` must give each item the same result whatever span holds it,
+    must not warn, since a child's warnings stay in the child, and its
+    result and exceptions must pickle.
     """
-    serial = not fork or _in_part() or not hasattr(os, "fork")
+    serial = not fork or _in_part or not hasattr(os, "fork")
     count = max(1, min(n, 1 if serial else _worker_count()))
     edges = [n * i // count for i in range(count + 1)]
     spans = list(zip(edges[:-1], edges[1:]))
@@ -329,22 +269,23 @@ def forked_spans(fn, n: int, fork: bool) -> list:
 
 
 def _run_part(fn, span):
-    # fn(*span) in the caller's own part, with nested maps serial
-    outer = _in_part()
-    _thread.in_part = True
+    # fn(*span) in the caller's own part, with nested spans serial
+    global _in_part
+    outer, _in_part = _in_part, True
     try:
         return fn(*span)
     finally:
-        _thread.in_part = outer
+        _in_part = outer
 
 
 def _child(fn, span, read, write) -> None:
     # the body of a forked child: it sends (ok, value or exception) and
     # leaves through os._exit, never back into the caller's frames
+    global _in_part
     code = 1
     try:
         os.close(read)
-        _thread.in_part = True
+        _in_part = True
         try:
             outcome = (True, fn(*span))
         except Exception as exc:

@@ -404,6 +404,16 @@ def _ispline_basis(p: np.ndarray, interior_knots: tuple[float, ...]) -> np.ndarr
     return np.column_stack(cols)
 
 
+def _baseline_matrix(p: np.ndarray, knots: tuple[float, ...] | None) -> np.ndarray:
+    """ROC-GLM baseline regressors at ``p``: ``(1, Phi^{-1}(p))``, or with
+    spline ``knots`` an intercept and the monotone basis on them."""
+    if knots is None:
+        from scipy.special import ndtri
+
+        return np.column_stack([np.ones(p.size), ndtri(p)])
+    return np.column_stack([np.ones(p.size), _ispline_basis(p, knots)])
+
+
 @dataclass(frozen=True)
 class RocGlmFit:
     """Fitted direct ROC regression (probit link).
@@ -423,14 +433,6 @@ class RocGlmFit:
     n_iter: int
     spline_knots: tuple[float, ...] | None = None
 
-    def _baseline_matrix(self, p: np.ndarray) -> np.ndarray:
-        if self.baseline == "parametric":
-            from scipy.special import ndtri
-
-            return np.column_stack([np.ones(p.size), ndtri(p)])
-        return np.column_stack([np.ones(p.size),
-                                _ispline_basis(p, self.spline_knots)])
-
     def curve(self, x=None, grid=None) -> RocCurveEstimate:
         """Conditional ROC curve at covariate vector ``x`` (None = no covariates)."""
         from scipy.special import ndtr
@@ -444,7 +446,7 @@ class RocGlmFit:
         roc = np.where(grid <= 0.0, 0.0, 1.0)
         interior = (grid > 0.0) & (grid < 1.0)
         if np.any(interior):
-            h = self._baseline_matrix(grid[interior])
+            h = _baseline_matrix(grid[interior], self.spline_knots)
             roc[interior] = ndtr(h @ self.alpha + shift)
         return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
@@ -538,7 +540,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
     """
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtr
 
     if baseline not in ("parametric", "spline"):
         raise InvalidInputError("baseline must be 'parametric' or 'spline'")
@@ -558,10 +560,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
                       "clamped", SeparationWarning)
 
     knots = (0.25, 0.5, 0.75) if baseline == "spline" else None
-    if baseline == "parametric":
-        h = np.column_stack([np.ones(n_p), ndtri(p_grid)])
-    else:
-        h = np.column_stack([np.ones(n_p), _ispline_basis(p_grid, knots)])
+    h = _baseline_matrix(p_grid, knots)
     covs = sample_d.design[:, 1:]
     n_base = h.shape[1]
     n_coef = n_base + covs.shape[1]

@@ -39,23 +39,17 @@ the shape of the call.  The kernel CDF, the inversion's tables and Halley
 passes, the curve evaluation, the Youden scan and the posterior-mean CDFs
 all call it, and memory stays linear in the sample size.
 
-Parallel work has two seams.  Threads: the blocks of ``_mixture_sums``
-and the kernel AUC's Taylor blocks and row runs run through
-``core.ordered_map``, on one thread per usable CPU for the kernel
-estimators' sums over one sample and serially inside a part of a
-posterior ensemble.  Each block computes what the serial loop would and
-results combine in block order, so outputs do not depend on the thread
-count.  Block sizes are fixed by the inputs (mostly ``_BLOCK`` elements per
-buffer), so each extra thread adds at most one block's buffers to the peak.
-The other blocks (the inversion's draw blocks, the closed-form mixture
-AUCs' draw blocks and the Youden scan's pair blocks) bound memory and run
-one after the other.  Processes: above a measured work floor
-(``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture ensemble (curves, AUCs and
-the batched Youden search, whose loops hold the interpreter lock) and the
-draws of ``bb_roc`` run in one span of draws per CPU through
-``core.forked_spans``; below it they run in one span here.  Each span is a
-part that runs its blocks serially, so the caller holds no pool thread's
-buffers, and the bits are again the same.
+Blocks bound memory and run one after the other: the (row, point) blocks
+of ``_mixture_sums``, the inversion's draw blocks, the kernel AUC's Taylor
+blocks and row runs, the closed-form mixture AUCs' draw blocks and the
+Youden scan's pair blocks.  Parallel work is forked: above a measured
+work floor (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture ensemble (curves,
+AUCs and the batched Youden search, whose loops hold the interpreter
+lock) and the draws of ``bb_roc`` run in one span of draws per CPU
+through ``core.forked_spans``; below it they run in one span here.  Each
+draw's result does not depend on its span, so the bits are the same
+either way.  The kernel estimators run in the calling process; the CLI
+runs the kernel curve and its Youden search as two spans.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
 small numpy calls that hold the interpreter lock.  Its allocation step
@@ -68,13 +62,12 @@ from __future__ import annotations
 
 import math
 import mmap
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (SeedSpec, _exact_ranks, as_prob_grid, default_prob_grid,
-                   dirichlet_uniform, forked_spans, ordered_map, validate_sample)
+                   dirichlet_uniform, forked_spans, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
 from .indices import _step_candidates, _step_youden, _youden_search
 
@@ -95,7 +88,7 @@ class RocCurveEstimate:
         roc = np.asarray(self.roc, dtype=float)
         if roc.shape != grid.shape:
             raise InvalidInputError("roc and grid lengths differ")
-        if np.any(roc < -1e-9) or np.any(roc > 1.0 + 1e-9):
+        if not np.all((roc >= -1e-9) & (roc <= 1.0 + 1e-9)):  # NaN fails too
             raise InvalidInputError("roc values outside [0, 1]")
         if grid[-1] == 1.0 and abs(roc[-1] - 1.0) > 1e-6:
             raise InvalidInputError("roc at p=1 must equal 1")
@@ -144,7 +137,7 @@ class PosteriorEnsemble:
             raise InvalidInputError("ensemble needs at least one draw")
         if aucs.shape != (curves.shape[0],):
             raise InvalidInputError("one auc per draw required")
-        if np.any(curves < -1e-9) or np.any(curves > 1.0 + 1e-9):
+        if not np.all((curves >= -1e-9) & (curves <= 1.0 + 1e-9)):  # NaN fails too
             raise InvalidInputError("curve values outside [0, 1]")
 
     @property
@@ -304,13 +297,12 @@ class DpmConfig:
             raise InvalidInputError("seed must be a SeedSpec")
         if self.truncation < 2:
             raise InvalidInputError("truncation must be at least 2")
-        if self.alpha <= 0.0 or self.shape <= 0.0:
-            raise InvalidInputError("alpha and shape must be positive")
-        scalar_var = self.centre_var is not None and np.ndim(self.centre_var) == 0
-        if scalar_var and self.centre_var <= 0.0:
-            raise InvalidInputError("centre_var must be positive")
-        if self.rate is not None and self.rate <= 0.0:
-            raise InvalidInputError("rate must be positive")
+        positive = {"alpha": self.alpha, "shape": self.shape, "rate": self.rate}
+        if np.ndim(self.centre_var) == 0:
+            positive["centre_var"] = self.centre_var
+        for name, value in positive.items():
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be finite and positive, got {value}")
         if self.burn_in < 0 or self.n_save < 1:
             raise InvalidInputError("need burn_in >= 0 and n_save >= 1")
 
@@ -452,11 +444,7 @@ def kernel_cdf(sample, h: float, y):
     return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
 
 
-# Rules for every block function handed to ordered_map: compute exactly
-# what the serial loop computes for that block, and combine results in
-# block order; set any np.errstate inside the block, because a pool thread
-# does not inherit the caller's; leave warnings to the calling thread; and
-# never call ndtr with where=, which writes wrong values on scipy 1.17.1.
+# ndtr is never called with where=, which writes wrong values on scipy 1.17.1
 
 
 def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None):
@@ -522,16 +510,16 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
     (len(rows), K) or (K,): each block gathers its own rows into work
     buffers, so no caller copies (len(rows), L) arrays.  A block takes as
     many evaluations as keep its (rows, points, L) buffer within ``_BLOCK``
-    elements, and at least one; the blocks run through ``ordered_map``.
-    The components are never split, so each value is one sum over all L of
+    elements, and at least one; the blocks run one after the other.  The
+    components are never split, so each value is one sum over all L of
     them, with the bits of an unblocked ``_mixture_cdf`` call whatever the
     shape of the call.  This is the only place a sum of normal CDFs is
     blocked.
 
-    With ``work`` (a ``threading.local`` that a caller creates and passes
-    to many calls) each thread's blocks evaluate into at most six work
-    buffers of max(_BLOCK, L) elements, made on first need and kept there,
-    so the calls reuse those pages instead of faulting in fresh ones.
+    With ``work`` (a list of six, ``[None] * 6``, that a caller owns and
+    passes to many calls) the blocks evaluate into at most six work
+    buffers of max(_BLOCK, L) elements, made on first need and kept in the
+    list, so the calls reuse those pages instead of faulting in fresh ones.
     Without it each block evaluates into fresh arrays, which costs less for
     a short call than mapping buffers.
     """
@@ -544,25 +532,21 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
     cols = max(1, min(k, per))
     step = per // cols
     out = np.empty((3 if density else 1, n_rows, k))
-
-    def block(at):
-        r, c = at
-        bufs = None if work is None else vars(work).setdefault("bufs", [None] * 6)
-        if rows is None:
-            params = w[r:r + step], mu[r:r + step], sigma[r:r + step]
-        else:
-            at_rows = rows[r:r + step]
-            # mode="clip" writes straight into the buffer; "raise" would
-            # copy through a temporary
-            params = [np.take(a, at_rows, axis=0, mode="clip",
-                              out=_scratch(bufs, 3 + i, (at_rows.size, n_comp)))
-                      for i, a in enumerate((w, mu, sigma))]
-        sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, bufs)
-        # one output at a time: assigning the tuple would stack it in a copy
-        for dst, src in zip(out, sums if density else (sums,)):
-            dst[r:r + step, c:c + cols] = src
-
-    ordered_map(block, [(r, c) for r in range(0, n_rows, step) for c in range(0, k, cols)])
+    for r in range(0, n_rows, step):
+        for c in range(0, k, cols):
+            if rows is None:
+                params = w[r:r + step], mu[r:r + step], sigma[r:r + step]
+            else:
+                at_rows = rows[r:r + step]
+                # mode="clip" writes straight into the buffer; "raise" would
+                # copy through a temporary
+                params = [np.take(a, at_rows, axis=0, mode="clip",
+                                  out=_scratch(work, 3 + i, (at_rows.size, n_comp)))
+                          for i, a in enumerate((w, mu, sigma))]
+            sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, work)
+            # one output at a time: assigning the tuple would stack it in a copy
+            for dst, src in zip(out, sums if density else (sums,)):
+                dst[r:r + step, c:c + cols] = src
     return tuple(out) if density else out[0]
 
 
@@ -636,10 +620,10 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     components, so a kernel CDF with L = n keeps its buffers bounded and
     each value's bits do not depend on the working set.  A pass gathers the
     parameter rows of the roots still active block by block (``rows=``),
-    and every call shares one ``threading.local`` of work buffers, at most
-    six of max(_BLOCK, L) elements per thread, that live for the whole
-    call, so the passes reuse the same pages.  Raises, naming the first
-    failing draw, when the residual in CDF scale exceeds 1e-10.
+    and every call shares one list of work buffers, at most six of
+    max(_BLOCK, L) elements, that live for the whole call, so the passes
+    reuse the same pages.  Raises, naming the first failing draw, when the
+    residual in CDF scale exceeds 1e-10.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
@@ -648,7 +632,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     # the rounding of r and of a CDF computed at x + s: a sum of L terms
     # whose weights sum to 1 rounds by at most about L eps
     allowance = 2.0 * w.shape[1] * eps
-    work = threading.local()
+    work = [None] * 6
     roots = np.empty((n_draws, n_targets))
 
     def solve(start):
@@ -840,9 +824,8 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     3e-19.  The other diseased values go in runs of at most
     ``_AUC_ROWS``, whose window pairs are evaluated directly in column
     pieces of one reused ``_BLOCK``-element buffer.  Blocks and runs are
-    fixed by the data and run through ``ordered_map``; their row and piece
-    sums are added exactly (``math.fsum``), so the result does not depend
-    on the number of threads.
+    fixed by the data and run one after the other; their row and piece
+    sums are added exactly (``math.fsum``).
     """
     from scipy.special import ndtr
 
@@ -871,14 +854,14 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     lo = np.searchsorted(nd, d[first] - reach, side="left")
     hi = np.searchsorted(nd, d[last] + reach, side="right")
     cols = _BLOCK // _AUC_ROWS
-
-    def task(args):
-        a, b, wa, wb, expand = args
+    sums = [int((last - first + 1) @ lo)]  # the pairs with Phi = 1.0
+    for a, b, wa, wb, expand in zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist(),
+                                    in_taylor[first].tolist()):
         rows, window = d[a:b + 1], nd[wa:wb]
         if expand:
-            return _taylor_row_sums(rows, window, scale).tolist()
+            sums += _taylor_row_sums(rows, window, scale).tolist()
+            continue
         buf = np.empty((rows.size, min(cols, window.size)))
-        sums = []
         for c in range(0, window.size, cols):
             piece = window[c:c + cols]
             pairs = buf[:, :piece.size]
@@ -886,13 +869,7 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
             pairs /= scale
             ndtr(pairs, out=pairs)
             sums.append(float(pairs.sum()))
-        return sums
-
-    tasks = zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist(),
-                in_taylor[first].tolist())
-    ones = int((last - first + 1) @ lo)
-    sums = [v for part in ordered_map(task, tasks) for v in part]
-    return math.fsum([ones, *sums]) / (d.size * nd.size)
+    return math.fsum(sums) / (d.size * nd.size)
 
 
 # ---------------------------------------------------------------------------
@@ -1252,14 +1229,14 @@ def mixture_cdf_callable(draw: MixtureDraw):
 
 # A forked part costs about 5-10 ms before it pays (fork, the pages it
 # writes, the pickled result back), and its child's resident set starts
-# at the caller's.  Below the floor the one span runs serially, with no
-# pool thread.  Measured on a 2-CPU VM in a 70 MB process (three
-# runs, medians of 30 interleaved calls), an ensemble of S draws of L = 10
-# components took, serial -> forked: with Youden 42-69 -> 40-50 ms at
-# S = 100, 55-78 -> 40-56 ms at 150 and 76-107 -> 55-69 ms at 200; without
-# it 23-34 -> 24-27 ms at 100, 36-40 -> 33-35 ms at 150 and 55-64 -> 40-47
-# ms at 200.  At S = 100 the two overlap; from 150 on the parts win with
-# Youden and without.  So parts start at 1,500 draw components
+# at the caller's.  Below the floor the one span runs here.  Measured on
+# a 2-CPU VM in a 70 MB process (three runs, medians of 30 interleaved
+# calls), an ensemble of S draws of L = 10 components took, serial ->
+# forked: with Youden 42-69 -> 40-50 ms at S = 100, 55-78 -> 40-56 ms at
+# 150 and 76-107 -> 55-69 ms at 200; without it 23-34 -> 24-27 ms at 100,
+# 36-40 -> 33-35 ms at 150 and 55-64 -> 40-47 ms at 200.  At S = 100 the
+# two overlap; from 150 on the parts win with Youden and without.  So
+# parts start at 1,500 draw components
 _FORK_ENSEMBLE = 1500
 
 
@@ -1273,10 +1250,8 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
     search (``indices._youden_search``) over one range taken from all the
     draws.  With at least ``_FORK_ENSEMBLE`` draw components (S times L)
     the spans are one per CPU, side by side through
-    ``core.forked_spans``; below it one span runs here.  Either way each
-    part does its work serially, so an ensemble never uses the thread
-    pool.  Each draw's result does not depend on its span, so the bits are
-    the same either way.
+    ``core.forked_spans``; below it one span runs here.  Each draw's result
+    does not depend on its span, so the bits are the same either way.
     """
     if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
         raise InvalidInputError("need equally many draws for both groups")
@@ -1294,7 +1269,7 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         found = (_roc_from_mixtures(*d, *nd, grid), _mixture_aucs(*d, *nd))
         if not youden:
             return found + (None,) * 3
-        work = threading.local()
+        work = [None] * 6
 
         def cdfs(x, rows):
             return (_mixture_sums(*nd, x, rows=rows, work=work),

@@ -183,8 +183,8 @@ def gen_survival(n: int, gamma: float, censor_rate: float, *,
         raise InvalidInputError("n must be positive")
     if marker_scale <= 0.0:
         raise InvalidInputError("marker_scale must be positive")
-    if censor_rate < 0.0:
-        raise InvalidInputError("censor_rate must be nonnegative")
+    if not (math.isfinite(censor_rate) and censor_rate >= 0.0):
+        raise InvalidInputError(f"censor_rate must be finite and nonnegative, got {censor_rate}")
     if not isinstance(seed, SeedSpec):
         raise InvalidInputError("seed must be a SeedSpec")
     rng = seed.rng()

@@ -484,6 +484,45 @@ YOUDEN_ANALYSES = {
 }
 
 
+class TestNonFiniteOptions:
+    """nan and +-inf in a numeric option exit 2 with error.json, naming it."""
+
+    def _fails(self, argv, out, capsys, name):
+        assert run([*argv, "--outdir", out]) == 2
+        err = capsys.readouterr().err
+        blob = json.loads((out / "error.json").read_text())
+        assert blob["error"] == "InvalidInputError" and blob["exit_code"] == 2
+        assert name in blob["message"] and name in err
+        assert sorted(os.listdir(out)) == ["error.json"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.5,nan"])
+    @pytest.mark.parametrize("estimator", ["faraggi", "pepe", "rocglm", "ddp"])
+    def test_at(self, tmp_path, capsys, estimator, value):
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        covariates = "x" if "," not in value else "x,x"
+        self._fails(["covariate", "--input", p, "--estimator", estimator, "--covariates",
+                     covariates, f"--at={value}", *MIXTURE], tmp_path / "out", capsys, "at")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [["pooled", "--estimator", "dpm"],
+                                      ["covariate", "--estimator", "ddp", *AT]],
+                             ids=["dpm", "ddp"])
+    def test_alpha(self, tmp_path, capsys, argv, value):
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        self._fails([*argv, "--input", p, f"--alpha={value}", *MIXTURE], tmp_path / "out",
+                    capsys, "alpha")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_censor_rate(self, tmp_path, capsys, value):
+        self._fails(["simulate", "--scenario", "survival", "--n", "20",
+                     f"--censor-rate={value}"], tmp_path / "out", capsys, "censor_rate")
+
+    @pytest.mark.parametrize("flag, name", [("--beta-d", "beta_d"), ("--beta-nd", "beta_nd")])
+    def test_simulated_coefficients(self, tmp_path, capsys, flag, name):
+        self._fails(["simulate", "--scenario", "covariate", flag, "0.5,nan"],
+                    tmp_path / "out", capsys, name)
+
+
 class TestSignWarningFollowsTheData:
     """``NegativeYoudenWarning`` comes from the reported AUC, for every
     estimator alike: once on a reversed cohort, never on a forward one."""
@@ -561,21 +600,82 @@ class TestMixtureChainsSideBySide:
         assert "zero residual variance" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["error"] == "DegenerateSampleError"
 
-    @pytest.mark.parametrize("sweeps, forks", [(("20", "20"), 0), (("50", "149"), 0),
-                                               (("50", "150"), 1)])
-    def test_short_chains_run_one_after_the_other(self, tmp_path, force_workers,
-                                                  monkeypatch, sweeps, forks):
+    @pytest.mark.parametrize("sweeps, want", [(("20", "20"), 0), (("50", "149"), 0),
+                                              (("50", "150"), 1)])
+    def test_short_chains_run_one_after_the_other(self, tmp_path, force_workers, monkeypatch,
+                                                  forks, sweeps, want):
         force_workers(2)
         # count the chains' forks alone: 150 draws of 10 components reach
         # the posterior ensemble's own fork floor
         monkeypatch.setattr("roclab.pooled_roc._FORK_ENSEMBLE", 10**12)
-        calls = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
         p = self._cohort(tmp_path)
         assert run(["pooled", "--estimator", "dpm", "--input", p, "--burn-in", sweeps[0],
                     "--n-save", sweeps[1], "--outdir", tmp_path / "out"]) == 0
-        assert len(calls) == forks
+        assert len(forks) == want
+
+
+def binormal_cohort(path, n_d, n_nd, seed):
+    rng = np.random.default_rng(seed)
+    rows = [f"{v!r},1\n" for v in rng.normal(1.0, 1.0, n_d).tolist()]
+    rows += [f"{v!r},0\n" for v in rng.normal(0.0, 1.0, n_nd).tolist()]
+    return write_csv(path, "marker,status\n" + "".join(rows))
+
+
+class TestKernelCurveAndYoudenSideBySide:
+    """The kernel analysis gives the same artifacts with its curve and its
+    Youden search forked as two spans as with both run here."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("method", ["silverman", "lscv"])
+    def test_artifacts_equal_forked_and_serial(self, tmp_path, force_workers, monkeypatch,
+                                               forks, method):
+        monkeypatch.setattr("roclab.cli._FORK_KERNEL", 0)
+        p = binormal_cohort(tmp_path / "c.csv", 150, 130, 89)
+        blobs = []
+        for workers in (1, 2):
+            force_workers(workers)
+            out = tmp_path / f"out{workers}"
+            assert run(["pooled", "--estimator", "kernel", "--bandwidth-method", method,
+                        "--input", p, "--full-precision", "--outdir", out]) == 0
+            blobs.append({f: (out / f).read_text() for f in
+                          ("summary.txt", "curve.csv", "curve_full.csv", "metadata.json")})
+        assert len(forks) == 1  # at two workers alone
+        blobs[1]["metadata.json"] = blobs[1]["metadata.json"].replace("out2", "out1")
+        assert blobs[0] == blobs[1]
+
+    def test_forks_once_above_the_floor_and_never_below(self, tmp_path, force_workers, forks):
+        force_workers(2)
+        floor = roclab.cli._FORK_KERNEL
+        for subjects, want in ((floor - 1, 0), (floor, 1)):
+            p = binormal_cohort(tmp_path / f"c{subjects}.csv", subjects // 2,
+                                subjects - subjects // 2, 90)
+            assert run(["pooled", "--estimator", "kernel", "--input", p,
+                        "--outdir", tmp_path / f"out{subjects}"]) == 0
+            assert len(forks) == want
+
+    def test_a_fault_in_the_youden_span_exits_with_its_code(self, tmp_path, force_workers,
+                                                            monkeypatch, capsys):
+        force_workers(2)
+        monkeypatch.setattr("roclab.cli._FORK_KERNEL", 0)
+        caller = os.getpid()
+
+        def fault(*args):
+            where = "here" if os.getpid() == caller else "in a child"
+            raise NumericError(f"Youden search failed {where}")
+
+        monkeypatch.setattr("roclab.cli.youden_from_cdfs", fault)
+        p = binormal_cohort(tmp_path / "c.csv", 40, 40, 91)
+        out = tmp_path / "out"
+        assert run(["pooled", "--estimator", "kernel", "--input", p, "--outdir", out]) == 3
+        assert "Youden search failed in a child" in capsys.readouterr().err
+        blob = json.loads((out / "error.json").read_text())
+        assert blob["error"] == "NumericError" and blob["exit_code"] == 3
+        assert sorted(os.listdir(out)) == ["error.json"]
 
 
 class TestCovariateAndArocSubcommands:
@@ -877,9 +977,22 @@ class TestImportCost:
             assert "scipy.special" not in loaded, argv[0]
 
     def test_import_leaves_the_thread_pool_unloaded(self):
-        # ordered_map imports concurrent.futures on its first parallel call,
-        # forked_spans signal on its first call
+        # roclab starts no thread pool, and forked_spans imports signal
+        # only to stop its children after a raise
         assert loaded_by("import roclab.cli", modules=["concurrent.futures", "signal"]) == []
+
+    def test_kernel_run_leaves_the_thread_pool_unloaded(self, tmp_path):
+        # two CPUs, and the curve and the Youden search forked side by
+        # side: the sums over 1,500 values per group run in plain loops.
+        # scipy.special loads concurrent.futures itself, but not its
+        # thread pool, and the run leaves no thread behind
+        p = binormal_cohort(tmp_path / "c.csv", 1500, 1500, 92)
+        code = ("import threading\nimport roclab.cli, roclab.core\n"
+                "roclab.core._worker_count = lambda: 2\nroclab.cli._FORK_KERNEL = 0\n"
+                + RUN_CLI + "\nassert threading.enumerate() == [threading.main_thread()]")
+        assert loaded_by(code, ["pooled", "--estimator", "kernel", "--input", p,
+                                "--outdir", tmp_path / "out"],
+                         modules=["concurrent.futures.thread"]) == []
 
     def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):
         # numpy does not load the exact-rational module, so roclab must not

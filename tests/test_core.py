@@ -11,9 +11,9 @@ import pytest
 import roclab
 from roclab import (DegenerateSampleError, InvalidInputError, NumericError, SeedSpec,
                     as_prob_grid, default_prob_grid,
-                    dirichlet_uniform, ecdf, kernel_cdf, quantile, std_normal_cdf,
+                    dirichlet_uniform, ecdf, quantile, std_normal_cdf,
                     std_normal_quantile, validate_sample)
-from roclab.core import _worker_count, forked_spans, ordered_map
+from roclab.core import _worker_count, forked_spans
 
 
 class TestSeedSpec:
@@ -191,7 +191,7 @@ def run_with_timeout(fn, seconds=60.0):
     t = threading.Thread(target=target, daemon=True)
     t.start()
     t.join(seconds)
-    assert not t.is_alive(), "ordered_map did not return"
+    assert not t.is_alive(), "the call did not return"
     if "error" in box:
         raise box["error"]
     return box["result"]
@@ -208,94 +208,10 @@ def run_script(code, seconds=60):
     assert proc.returncode == 0, proc.stderr
 
 
-class TestOrderedMap:
-    def test_worker_count_follows_the_cpu_affinity(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert _worker_count() == len(os.sched_getaffinity(0))
-        assert _worker_count() >= 1
-
-    @pytest.mark.parametrize("workers", [1, 2, 5])
-    def test_results_in_item_order(self, force_workers, workers):
-        force_workers(workers)
-
-        def slow_square(x):
-            time.sleep(0.002 * (x % 3))  # later items often finish first
-            return x * x
-
-        assert run_with_timeout(lambda: ordered_map(slow_square, range(20))) == [
-            x * x for x in range(20)]
-        assert ordered_map(slow_square, []) == []
-        assert ordered_map(slow_square, iter([4])) == [16]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failing_item_in_order_is_raised(self, force_workers, workers):
-        force_workers(workers)
-
-        def fail_at_3_and_5(x):
-            if x == 3:
-                time.sleep(0.05)  # item 5 fails first in time
-            if x in (3, 5):
-                raise ValueError(x)
-            return x
-
-        with pytest.raises(ValueError) as err:
-            run_with_timeout(lambda: ordered_map(fail_at_3_and_5, range(8)))
-        assert err.value.args == (3,)
-
-    def test_nested_call_in_a_worker_runs_serially(self, force_workers):
-        force_workers(2)
-
-        def outer(x):
-            names = ordered_map(lambda y: threading.current_thread().name, range(3))
-            return threading.current_thread().name, names
-
-        results = run_with_timeout(lambda: ordered_map(outer, range(6)))
-        for name, inner in results:
-            assert name.startswith("roclab")
-            assert inner == [name] * 3
-
-    def test_more_workers_than_cpus_under_fast_switching(self, force_workers):
-        # blocks write disjoint slices of one output array
-        rng = np.random.default_rng(3)
-        sample, points = rng.normal(size=3000), rng.normal(size=900)
-        force_workers(1)
-        serial = kernel_cdf(sample, 0.3, points)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            force_workers(8)
-            for _ in range(5):
-                got = run_with_timeout(lambda: kernel_cdf(sample, 0.3, points))
-                assert np.array_equal(got, serial)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_gets_a_fresh_pool(self):
-        # the parent's pool threads do not exist in the child: a child that
-        # reused the pool would wait on them forever
-        code = """
-import os, sys, time
-import numpy as np
-import roclab.core
-from roclab import kernel_auc
-roclab.core._worker_count = lambda: 2
-rng = np.random.default_rng(4)
-d, nd = rng.normal(1, 1, 2000), rng.normal(0, 1, 2000)
-want = kernel_auc(d, nd, 0.2, 0.2)
-assert roclab.core._pool is not None
-pid = os.fork()
-if pid == 0:
-    os._exit(0 if kernel_auc(d, nd, 0.2, 0.2) == want else 1)
-for _ in range(600):
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        sys.exit(os.waitstatus_to_exitcode(status))
-    time.sleep(0.1)
-os.kill(pid, 9)
-sys.exit("child did not finish within 60 s")
-"""
-        run_script(code, seconds=120)
+def test_worker_count_follows_the_cpu_affinity():
+    if hasattr(os, "sched_getaffinity"):
+        assert _worker_count() == len(os.sched_getaffinity(0))
+    assert _worker_count() >= 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -381,17 +297,17 @@ class TestForkedSpans:
         force_workers(1)
         assert forked_spans(lambda a, b: (a, b, os.getpid()), 3, True) == [(0, 3, os.getpid())]
 
-    def test_inside_an_ordered_map_worker_runs_serially(self, force_workers):
+    def test_inside_the_callers_part_runs_one_span_here(self, force_workers):
         force_workers(2)
 
-        def outer(x):
+        def outer(start, stop):
             return forked_spans(lambda a, b: [(os.getpid(), threading.get_ident())
                                               for _ in range(a, b)], 3, True)
 
-        for inner in run_with_timeout(lambda: ordered_map(outer, range(4))):
-            assert len(inner) == 1  # one span, in the worker
-            assert [pid for pid, _ in inner[0]] == [os.getpid()] * 3
-            assert len({tid for _, tid in inner[0]}) == 1
+        (inner,) = run_with_timeout(lambda: forked_spans(outer, 1, True))
+        assert len(inner) == 1  # one span, in the caller's part
+        assert [pid for pid, _ in inner[0]] == [os.getpid()] * 3
+        assert len({tid for _, tid in inner[0]}) == 1
 
     def test_nested_spans_in_a_child_run_serially(self, force_workers):
         # in the child and in the caller's own part alike
@@ -401,26 +317,27 @@ class TestForkedSpans:
         assert got[0] == [[os.getpid()] * 3]
         assert got[1] == [[got[1][0][0]] * 3] and got[1][0][0] != os.getpid()
 
-    def test_nested_ordered_map_in_a_part_runs_serially(self, force_workers):
+    def test_nested_spans_in_a_part_leave_no_mark(self, force_workers):
         force_workers(2)
 
         def part(start, stop):
-            return ordered_map(lambda y: (os.getpid(), threading.get_ident()), range(4))
+            return forked_spans(lambda a, b: (a, b, os.getpid()), 4, True)
 
         def run():
-            # the caller's own part leaves no mark on the caller's thread
-            return forked_spans(part, 2, True), roclab.core._in_part()
+            # the caller's own part leaves no mark on the caller
+            return forked_spans(part, 2, True), roclab.core._in_part
 
         inner, in_part_after = run_with_timeout(run)
-        assert [len(set(i)) for i in inner] == [1, 1]
-        assert inner[0][0][0] == os.getpid() and inner[1][0][0] != os.getpid()
+        assert inner[0] == [(0, 4, os.getpid())]
+        assert len(inner[1]) == 1 and inner[1][0][:2] == (0, 4)
+        assert inner[1][0][2] != os.getpid()
         assert not in_part_after
 
     @pytest.mark.parametrize("fork", ["raises", "missing"])
     def test_spans_left_in_the_caller_run_as_parts(self, force_workers, monkeypatch, fork):
         # when os.fork raises, the spans it could not start run here; where
         # it does not exist there is one span.  Either way each is a part,
-        # so its nested maps stay on the caller's thread
+        # so its nested spans run as one span here
         force_workers(3)
         if fork == "raises":
             def no_fork():
@@ -431,31 +348,27 @@ class TestForkedSpans:
             monkeypatch.delattr(os, "fork")
 
         def part(start, stop):
-            names = ordered_map(lambda y: threading.current_thread().name, range(4))
-            return [(x, names) for x in range(start, stop)]
+            nested = forked_spans(lambda a, b: (a, b), 4, True)
+            return [(x, roclab.core._in_part, nested) for x in range(start, stop)]
 
-        def run():
-            return threading.current_thread().name, forked_spans(part, 3, True)
-
-        caller, spans = run_with_timeout(run)
+        spans = run_with_timeout(lambda: forked_spans(part, 3, True))
         assert len(spans) == (3 if fork == "raises" else 1)
         got = [item for span in spans for item in span]
-        assert [x for x, _ in got] == [0, 1, 2]
-        assert all(names == [caller] * 4 for _, names in got)
+        assert [x for x, _, _ in got] == [0, 1, 2]
+        assert all(in_part and nested == [(0, 4)] for _, in_part, nested in got)
+        assert not roclab.core._in_part
 
-    def test_fork_after_the_thread_pool_and_blas_have_run(self):
-        # the pool threads and BLAS threads of the parent do not exist in
-        # the child; the chains must still come back, equal to serial ones
+    def test_fork_after_blas_has_run(self):
+        # the BLAS threads of the parent do not exist in the child; the
+        # chains must still come back, equal to serial ones
         run_script("""
 import numpy as np
 import roclab.core
-from roclab import DpmConfig, SeedSpec, dpm_fit, kernel_auc
+from roclab import DpmConfig, SeedSpec, dpm_fit
 from roclab.core import forked_spans
 roclab.core._worker_count = lambda: 2
 rng = np.random.default_rng(4)
 d, nd = rng.normal(1, 1, 2000), rng.normal(0, 1, 2000)
-kernel_auc(d, nd, 0.2, 0.2)
-assert roclab.core._pool is not None
 a = rng.normal(size=(400, 400))
 np.linalg.inv(a @ a.T + 400 * np.eye(400))
 jobs = [(d[:300], DpmConfig(seed=SeedSpec(5, 1), burn_in=20, n_save=20)),

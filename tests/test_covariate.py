@@ -627,6 +627,13 @@ class TestRocGlm:
         fit = rocglm_fit(s_d, cdf)
         assert fit.beta[0] > 0.5
 
+    def test_curve_at_a_nan_covariate_is_rejected(self):
+        s_d, s_nd = gen_covariate_linear([0.0, 2.0], [0.0, 0.0], 1.0, 1.0,
+                                         100, 100, seed=SeedSpec(57, 1))
+        fit = rocglm_fit(s_d, location_scale_cdf(ols_fit(s_nd), "empirical"))
+        with pytest.raises(InvalidInputError, match="roc values outside"):
+            fit.curve([np.nan])
+
 
 class TestAroc:
     def test_reduces_to_pooled_empirical(self):

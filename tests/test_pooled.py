@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 
 from roclab import (BinormalScenario, DdpDraw, DegenerateSampleError, DpmConfig,
                     InvalidInputError, MixtureDraw, MixtureEnsemble,
-                    NumericError, PosteriorEnsemble, RegressionSample,
+                    NumericError, PosteriorEnsemble, RegressionSample, RocCurveEstimate,
                     SeedSpec, bb_roc, ddp_conditional_cdf, ddp_fit, ddp_roc,
                     dpm_auc, dpm_fit, dpm_roc, empirical_auc, empirical_roc,
                     gen_binormal, kernel_auc, kernel_cdf, kernel_roc, lscv_bandwidth,
@@ -265,8 +265,8 @@ class TestKernelCdf:
 
     def test_memory_at_n_100_000(self, force_workers):
         # each buffer holds one point's 10^5 terms (800 kB): the unit
-        # weights, the bandwidth row and one buffer per thread stay near
-        # 3.2 MB, where the (200, 10^5) matrix alone is 160 MB
+        # weights, the bandwidth row and the buffer stay near 2.4 MB, where
+        # the (200, 10^5) matrix alone is 160 MB
         force_workers(2)
         rng = np.random.default_rng(17)
         s, y = rng.normal(0, 1, 100_000), np.linspace(-4.0, 4.0, 200)
@@ -418,6 +418,12 @@ class TestDpm:
         with pytest.raises(InvalidInputError):
             DpmConfig(seed=42)  # must be a SeedSpec
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["alpha", "shape", "rate", "centre_var"])
+    def test_rejects_prior_settings_that_are_not_finite_and_positive(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite and positive"):
+            DpmConfig(seed=SeedSpec(1, 0), **{name: value})
+
 
 class TestDpmAuc:
     def test_identical_mixtures_half(self):
@@ -465,6 +471,15 @@ class TestEnsembleSummaries:
         curves[:, -1] = 1.0
         return PosteriorEnsemble(grid=grid, curves=curves,
                                  aucs=np.array([0.5, 0.6, 0.7]))
+
+    def test_nan_curves_are_rejected(self):
+        toy = self._toy()
+        curves = np.array(toy.curves)
+        curves[1, 5] = np.nan
+        with pytest.raises(InvalidInputError, match="curve values outside"):
+            PosteriorEnsemble(grid=toy.grid, curves=curves, aucs=toy.aucs)
+        with pytest.raises(InvalidInputError, match="roc values outside"):
+            RocCurveEstimate(grid=toy.grid, roc=curves[1], auc=0.6)
 
     def test_mean_and_band_bracketing(self):
         est = self._toy().summarize(0.90)
@@ -863,7 +878,7 @@ class TestCoarseToFineYouden:
     def test_fine_stage_memory_when_every_interval_survives(self, force_workers):
         # identical pairs: every gap is 0, so every interval survives.  All
         # 20 draws of one block at all 936 fine points would be three 7.5 MB
-        # buffers per thread
+        # buffers
         force_workers(2)
         arrays = youden_mixtures(87, 256, 50, "identical")
         lo, hi = search_range(arrays[1], arrays[2], arrays[4], arrays[5])
@@ -1166,7 +1181,7 @@ class TestTaylorKernelAuc:
 
 
 class TestWorkerCount:
-    """One pool thread or two: every output is the same, bit for bit."""
+    """One worker or two: every output is the same, bit for bit."""
 
     @pytest.fixture(scope="class")
     def fits(self):
@@ -1180,52 +1195,32 @@ class TestWorkerCount:
                ddp_fit(RegressionSample(x_nd + rng.normal(0, 1, 150), design(x_nd)), cfg(3)))
         return dpm, ddp
 
-    # the only functions that reach the thread pool: the blocks of the one
-    # normal-CDF sum and the kernel AUC's tasks
-    THREADED = {"_mixture_sums.<locals>.block", "kernel_auc.<locals>.task"}
-
     @staticmethod
-    def both(force_workers, fn, monkeypatch, mapped):
-        # one worker, then two real pool threads; a third run, with two
-        # workers and the pool's traffic recorded, adds the name of each
-        # function it maps on the pool to the set mapped
+    def both(force_workers, fn):
+        # fn() with one worker, then with two
         force_workers(1)
         one = fn()
         force_workers(2)
-        two = fn()
-        calls = pool_calls(monkeypatch)
-        fn()
-        mapped.update(f.__qualname__ for f in calls)
-        return one, two
+        return one, fn()
 
-    def test_mixture_ensembles(self, force_workers, monkeypatch, fits):
+    def test_mixture_ensembles(self, force_workers, fits):
         (dpm_d, dpm_nd), (ddp_d, ddp_nd) = fits
-        mapped = set()
         assert_same_posterior(*self.both(force_workers,
-                                         lambda: dpm_roc(dpm_d, dpm_nd, youden=True),
-                                         monkeypatch, mapped))
+                                         lambda: dpm_roc(dpm_d, dpm_nd, youden=True)))
         z = np.array([1.0, 0.4])
         assert_same_posterior(*self.both(force_workers,
-                                         lambda: ddp_roc(ddp_d, ddp_nd, z, youden=True),
-                                         monkeypatch, mapped))
-        # an ensemble never uses the thread pool
-        assert mapped == set()
+                                         lambda: ddp_roc(ddp_d, ddp_nd, z, youden=True)))
 
-    def test_kernel_estimators(self, force_workers, monkeypatch):
+    def test_kernel_estimators(self, force_workers):
         rng = np.random.default_rng(83)
         d, nd = rng.normal(1.0, 1.0, 3000), rng.normal(0.0, 1.0, 2500)
-        mapped = set()
-        one, two = self.both(force_workers, lambda: kernel_roc(d, nd), monkeypatch, mapped)
+        one, two = self.both(force_workers, lambda: kernel_roc(d, nd))
         assert np.array_equal(one.roc, two.roc) and one.auc == two.auc
-        one, two = self.both(force_workers, lambda: kernel_auc(d, nd, 0.05, 0.5),
-                             monkeypatch, mapped)
+        one, two = self.both(force_workers, lambda: kernel_auc(d, nd, 0.05, 0.5))
         assert one == two
         points = np.linspace(-4.0, 5.0, 2000)
-        one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points),
-                             monkeypatch, mapped)
+        one, two = self.both(force_workers, lambda: kernel_cdf(nd, 0.2, points))
         assert np.array_equal(one, two)
-        # the kernel sums do reach the pool, and nothing else does
-        assert mapped == self.THREADED
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -1282,29 +1277,6 @@ class SpanFault(Exception):
     pass
 
 
-def pool_calls(monkeypatch):
-    # a stand-in for the thread pool, at the forced worker count, that
-    # records each function mapped on it
-    import roclab.core
-
-    calls = []
-
-    class Pool:
-        def map(self, fn, items):
-            calls.append(fn)
-            return map(fn, items)
-
-    monkeypatch.setattr(roclab.core, "_pool", (Pool(), roclab.core._worker_count()))
-    return calls
-
-
-def counted_forks(monkeypatch):
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-    return calls
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestPosteriorWorkAfterTheFit:
     """Work buffers, forked parts and the sort-free bootstrap order give
@@ -1320,8 +1292,7 @@ class TestPosteriorWorkAfterTheFit:
     @pytest.fixture(scope="class")
     def ensembles(self, fits):
         # dpm_roc and ddp_roc of 81 draws: the two spans (40 and 41 draws)
-        # differ in length, and each is long enough that run alone it would
-        # map more than one block on the thread pool
+        # differ in length, and each takes more than one block of sums
         rng = np.random.default_rng(99)
         cfg = lambda stream: DpmConfig(seed=SeedSpec(92, stream), burn_in=30, n_save=81)
         design = lambda x: np.column_stack([np.ones(x.size), x])
@@ -1337,15 +1308,10 @@ class TestPosteriorWorkAfterTheFit:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_roc_from_mixtures_at_one_and_two_workers(self, force_workers, monkeypatch, fits):
+    def test_roc_from_mixtures_at_one_and_two_workers(self, force_workers, fits):
         args = (*fits[0]._normals(), *fits[1]._normals(), default_prob_grid())
-        mapped = set()
-        one, two = TestWorkerCount.both(force_workers, lambda: _roc_from_mixtures(*args),
-                                        monkeypatch, mapped)
+        one, two = TestWorkerCount.both(force_workers, lambda: _roc_from_mixtures(*args))
         assert np.array_equal(one, two)
-        # called outside a part, as kernel_roc calls it, only its CDF sums
-        # reach the pool
-        assert mapped == {"_mixture_sums.<locals>.block"}
 
     def test_inversion_makes_no_active_by_components_copy(self, force_workers):
         # S = 1,000 draws of L = 50 components: one (active, L) float array
@@ -1382,11 +1348,11 @@ class TestPosteriorWorkAfterTheFit:
 
     @pytest.mark.parametrize("youden", [False, True])
     @pytest.mark.parametrize("floor", [0, 10**12])
-    def test_bb_roc_equals_the_argsort_loop(self, force_workers, monkeypatch, youden, floor):
+    def test_bb_roc_equals_the_argsort_loop(self, force_workers, monkeypatch, forks, youden,
+                                            floor):
         # ties in the data and at the clip; forked parts and one process
         force_workers(2)
         monkeypatch.setattr(pooled_roc, "_FORK_BB", floor)
-        forks = counted_forks(monkeypatch)
         rng = np.random.default_rng(94)
         d, nd = np.round(rng.normal(1.0, 1.0, 300), 1), np.round(rng.normal(0.0, 1.0, 250), 1)
         grid = default_prob_grid()
@@ -1397,29 +1363,24 @@ class TestPosteriorWorkAfterTheFit:
 
     @pytest.mark.parametrize("youden", [False, True])
     @pytest.mark.parametrize("estimator", ["dpm_roc", "ddp_roc"])
-    def test_ensemble_parts_forked_and_serial(self, force_workers, monkeypatch, ensembles,
+    def test_ensemble_parts_forked_and_serial(self, force_workers, monkeypatch, forks, ensembles,
                                               estimator, youden):
         force_workers(2)
-        forks = counted_forks(monkeypatch)
-        submitted = pool_calls(monkeypatch)
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 10**12)
         serial = ensembles[estimator](youden)
-        # below the floor the one span is the caller's part: no pool thread
-        assert forks == [] and submitted == []
+        assert forks == []
         assert (serial.yis is not None) == youden
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
         assert_same_posterior(ensembles[estimator](youden), serial)
-        # one wave, and the parent's part maps nothing on the thread pool
-        assert len(forks) == 1 and submitted == []
+        assert len(forks) == 1
         force_workers(1)
         assert_same_posterior(ensembles[estimator](youden), serial)
         assert len(forks) == 1
 
     def test_a_fault_in_the_second_span_reaches_the_caller(self, force_workers, monkeypatch,
-                                                          ensembles):
+                                                          forks, ensembles):
         force_workers(2)
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
-        forks = counted_forks(monkeypatch)
         real = pooled_roc._mixture_aucs
 
         def aucs(*args):
@@ -1432,9 +1393,8 @@ class TestPosteriorWorkAfterTheFit:
             ensembles["dpm_roc"](True)
         assert len(forks) == 1
 
-    def test_nothing_forks_below_the_floor(self, force_workers, monkeypatch):
+    def test_nothing_forks_below_the_floor(self, force_workers, monkeypatch, forks):
         force_workers(2)
-        forks = counted_forks(monkeypatch)
         rng = np.random.default_rng(96)
         S = (pooled_roc._FORK_ENSEMBLE - 1) // 3  # draws of three components
         w, var = rng.dirichlet(np.ones(3), S), rng.uniform(0.5, 2.0, (S, 3))
@@ -1449,12 +1409,11 @@ class TestPosteriorWorkAfterTheFit:
         dpm_roc(ens_d, ens_nd, youden=True)
         assert len(forks) == 1
 
-    def test_reversed_draws_from_the_child_part_come_back(self, force_workers, monkeypatch):
+    def test_reversed_draws_from_the_child_part_come_back(self, force_workers, monkeypatch, forks):
         # the second half of the draws is reversed, so only the forked
         # child's part finds no positive gap; its trivial rules come back
         force_workers(2)
         monkeypatch.setattr(pooled_roc, "_FORK_ENSEMBLE", 0)
-        forks = counted_forks(monkeypatch)
         rng = np.random.default_rng(98)
         w = rng.dirichlet(np.ones(3), 40)
         mu = rng.uniform(-0.5, 0.5, (40, 3))

@@ -162,3 +162,8 @@ class TestGenSurvival:
     def test_rejects_bad_n(self):
         with pytest.raises(InvalidInputError):
             gen_survival(0, 1.0, 0.5, seed=SeedSpec(72, 6))
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_censor_rate_that_is_not_finite_and_nonnegative(self, rate):
+        with pytest.raises(InvalidInputError, match="censor_rate must be finite"):
+            gen_survival(20, 1.0, rate, seed=SeedSpec(72, 7))

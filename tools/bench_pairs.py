@@ -39,11 +39,13 @@ With ``--layers``, each side times the smooth-CDF layer in its own
 ``python`` process, in ``--pairs`` rounds (one with ``--pairs 0``) that
 alternate which side runs first: the median seconds of one
 ``dpm_roc(youden=True)`` on fits at CLI defaults (1,000 + 1,000 binormal
-values from ``--seed``; burn-in 500, 1,000 draws, truncation 10) and of
-one ``kernel_roc`` on 10,000 + 10,000 values, over 5 calls per round after
-a warm call, plus the CDF evaluations per root and the passes of the
-inversion in one such ``dpm_roc`` and one such ``kernel_roc``, counted
-through a wrapped ``_mixture_sums``.  The counting call runs with the
+values from ``--seed``; burn-in 500, 1,000 draws, truncation 10), of
+one ``kernel_roc`` on 10,000 + 10,000 values and of the CLI's kernel
+analysis (``roclab.cli.main``, ``pooled --estimator kernel``) on a cohort
+file of those values, which is the number the end-to-end metric sees,
+over 5 calls per round after a warm call, plus the CDF evaluations per
+root and the passes of the inversion in one such ``dpm_roc`` and one such
+``kernel_roc``, counted through a wrapped ``_mixture_sums``.  The counting call runs with the
 ensemble's fork floor (``_FORK_ENSEMBLE``, where the side has one) raised,
 so its inversion runs in the counting process; the timed calls run as the
 side's code runs them.  Each round also runs one ``dpm_roc(youden=True)``
@@ -169,16 +171,34 @@ def layer_once(seed: int, calls: int) -> dict:
     counted in this process (see ``--layers``)."""
     import roclab.pooled_roc as pooled
     from roclab import dpm_roc, kernel_roc
+    from roclab.cli import main
 
     fits, rng = cli_default_fits(seed)
     big_d, big_nd = rng.normal(1.0, 1.0, 10_000), rng.normal(0.0, 1.0, 10_000)
+    work = tempfile.mkdtemp(prefix="bench-layers-")
+    cohort = os.path.join(work, "cohort.csv")
+    with open(cohort, "w") as fh:
+        fh.write("marker,status\n")
+        fh.writelines(f"{v!r},{s}\n" for y, s in ((big_d, 1), (big_nd, 0)) for v in y.tolist())
+    cli_kernel = ["pooled", "--estimator", "kernel", "--input", cohort,
+                  "--outdir", os.path.join(work, "out")]
     runs = {"dpm_roc": lambda: dpm_roc(*fits, youden=True),
-            "kernel_roc": lambda: kernel_roc(big_d, big_nd)}
+            "kernel_roc": lambda: kernel_roc(big_d, big_nd),
+            "cli_kernel": lambda: main(cli_kernel)}
     report = {}
     saved = {name: getattr(pooled, name) for name in ("_mixture_sums", "_FORK_ENSEMBLE")
              if hasattr(pooled, name)}
     real = saved["_mixture_sums"]
     for name, fn in runs.items():
+        if name == "cli_kernel":  # timed alone: the analysis as the CLI runs it
+            fn()
+            seconds = []
+            for _ in range(calls):
+                start = time.perf_counter()
+                fn()
+                seconds.append(time.perf_counter() - start)
+            report[name] = {"seconds": seconds}
+            continue
         evaluated = []
 
         def counted(w, mu, sigma, x, *args, **kwargs):
@@ -208,6 +228,7 @@ def layer_once(seed: int, calls: int) -> dict:
             seconds.append(time.perf_counter() - start)
         report[name] = {"seconds": seconds, "passes": len(evaluated),
                         "evaluations_per_root": round(sum(evaluated) / roots, 4)}
+    shutil.rmtree(work)
     return report
 
 
@@ -255,8 +276,9 @@ def layers(trees: dict, seed: int, rounds: int) -> dict:
                 continue
             seconds = [s for r in runs for s in r[name]["seconds"]]
             report[side][f"{name}_s_q25_median_q75"] = quartiles(seconds)
-            report[side][f"{name}.evaluations_per_root"] = runs[0][name]["evaluations_per_root"]
-            report[side][f"{name}.passes"] = runs[0][name]["passes"]
+            for count in ("evaluations_per_root", "passes"):
+                if count in runs[0][name]:
+                    report[side][f"{name}.{count}"] = runs[0][name][count]
     return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5, "by_side": report}
 
 
