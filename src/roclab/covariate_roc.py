@@ -96,6 +96,8 @@ class LocationScaleFit:
             raise InvalidInputError(
                 f"covariate vector of length {xt.size - 1} does not match "
                 f"{self.beta.size - 1} fitted covariates")
+        if not np.all(np.isfinite(xt)):
+            raise InvalidInputError(f"covariate values must be finite, got {xt[1:].tolist()}")
         return float(xt @ self.beta)
 
 
@@ -442,6 +444,8 @@ class RocGlmFit:
         if xv.size != self.beta.size:
             raise InvalidInputError(
                 f"expected {self.beta.size} covariate values, got {xv.size}")
+        if not np.all(np.isfinite(xv)):
+            raise InvalidInputError(f"covariate values must be finite, got {xv.tolist()}")
         shift = float(xv @ self.beta) if self.beta.size else 0.0
         roc = np.where(grid <= 0.0, 0.0, 1.0)
         interior = (grid > 0.0) & (grid < 1.0)

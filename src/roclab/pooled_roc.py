@@ -37,18 +37,24 @@ most ``_BLOCK`` elements (at least one evaluation), never splitting the
 components, so each value is one unblocked sum whose bits do not depend on
 the shape of the call.  The kernel CDF, the inversion's tables and Halley
 passes, the curve evaluation, the Youden scan and the posterior-mean CDFs
-all call it, and memory stays linear in the sample size.
+all call it, and memory stays linear in the sample size.  A call that
+lists its rows' parameters by index takes each parameter into one work
+buffer just before the operation that needs it, so a block holds at most
+three buffers of ``_BLOCK`` elements (z, the terms of a density and one
+parameter), and the inversion's passes with nearly every root active
+evaluate the whole (draws, targets) rectangle in two, with no parameter
+taken at all.
 
 Blocks bound memory and run one after the other: the (row, point) blocks
 of ``_mixture_sums``, the inversion's draw blocks, the kernel AUC's Taylor
-blocks and row runs, the closed-form mixture AUCs' draw blocks and the
-Youden scan's pair blocks.  Parallel work is forked: above a measured
-work floor (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture ensemble (curves,
-AUCs and the batched Youden search, whose loops hold the interpreter
-lock) and the draws of ``bb_roc`` run in one span of draws per CPU
-through ``core.forked_spans``; below it they run in one span here.  Each
-draw's result does not depend on its span, so the bits are the same
-either way.  The kernel estimators run in the calling process; the CLI
+blocks and row runs, the closed-form mixture AUCs' draw blocks, the
+Youden scan's pair blocks and the LSCV criterion's pair blocks.  Parallel
+work is forked: above a measured work floor (``_FORK_ENSEMBLE``,
+``_FORK_BB``) a mixture ensemble (curves, AUCs and the batched Youden
+search, whose loops hold the interpreter lock) and the draws of ``bb_roc``
+run in one span of draws per CPU through ``core.forked_spans``; below it
+they run in one span here.  Each draw's result does not depend on its
+span, so the bits are the same either way.  The kernel estimators run in the calling process; the CLI
 runs the kernel curve and its Youden search as two spans.
 
 The Gibbs sampler itself is serial, one chain per call: its sweeps are many
@@ -261,6 +267,8 @@ class MixtureEnsemble:
         # ensemble takes the design row z its means are evaluated at
         if self.locations.shape[2:] != np.shape(z):
             raise InvalidInputError("design row does not match the mixture coefficients")
+        if z is not None and not np.all(np.isfinite(z)):
+            raise InvalidInputError(f"design row values must be finite, got {np.asarray(z).tolist()}")
         mu = self.locations if z is None else self.locations @ z
         return self.weights, mu, np.sqrt(self.variances)
 
@@ -386,10 +394,11 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     Minimizes the closed-form LSCV criterion over a log-spaced band around
     the rule-of-thumb value (Bowman 1984).  Both of its pair sums are
     symmetric, so each unordered pair ``i < j`` is visited once, in
-    blocks of rows, and the ``i == j`` terms are added in closed form;
-    ``exp(-d^2 / 2h^2)`` is the square of ``exp(-d^2 / 4h^2)``, so each
-    pair costs one ``exp`` per bandwidth.  Time is ``n (n - 1) / 2`` pairs
-    times ``n_steps``; memory is linear in the sample size.
+    blocks of rows with at most ``_BLOCK`` pairs (or one row), and the
+    ``i == j`` terms are added in closed form; ``exp(-d^2 / 2h^2)`` is the
+    square of ``exp(-d^2 / 4h^2)``, so each pair costs one ``exp`` per
+    bandwidth.  Time is ``n (n - 1) / 2`` pairs times ``n_steps``; beyond
+    the sorted sample, memory is a few arrays of ``_BLOCK`` elements.
     """
     y = validate_sample(sample, "sample", min_size=3)
     h0 = silverman_bandwidth(y)  # before sorting, which moves np.std's bits
@@ -399,8 +408,15 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     n = y.size
     hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
     quad, loo = np.zeros((2, n_steps))
-    for start in range(0, n - 1, 256):  # the pairs i < j with i in [start, stop)
-        stop = min(start + 256, n - 1)
+    # row i holds the n - 1 - i pairs i < j; a block takes as many rows as
+    # keep its pairs within _BLOCK (at least one row), so each of its
+    # arrays stays within _BLOCK elements whatever n is
+    ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0 .. i
+    stop = 0
+    while stop < n - 1:  # the pairs i < j with i in [start, stop)
+        start = stop
+        below = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, below + _BLOCK, side="right")))
         rows, cols = np.triu_indices(stop - start, 1, n - start)
         neg_diff2 = -((y[start + cols] - y[start + rows]) ** 2)
         terms = np.empty_like(neg_diff2)
@@ -447,33 +463,52 @@ def kernel_cdf(sample, h: float, y):
 # ndtr is never called with where=, which writes wrong values on scipy 1.17.1
 
 
-def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None):
+def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
     # (..., K), or with density=True the CDF, the density and the density's
     # slope f' = -sum w phi(z) z / sigma^2, whose terms are the density's
     # times z / sigma: the density terms go into the CDF-term buffer, so z
-    # survives for them.  The buffers are fresh, or bufs[0:3] (see
-    # _scratch); the bits are the same either way
+    # survives for them.  With rows (an index array) w, mu and sigma are
+    # (R, L) tables and x is (len(rows), K) or (K,): x row i takes table
+    # row rows[i], each parameter taken into one buffer just before the
+    # operation that needs it, so no (len(rows), L) copy outlives its use.
+    # The buffers are fresh, or bufs[0:3] (see _scratch): z, the terms and
+    # the taken parameter; the bits are the same either way
     from scipy.special import ndtr
 
-    shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
-    z = np.subtract(x[..., :, None], mu[..., None, :], out=_scratch(bufs, 0, shape))
-    z /= sigma[..., None, :]
+    if rows is None:
+        shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
+
+        def param(a):
+            return a[..., None, :]
+    else:
+        shape = (rows.size, x.shape[-1], mu.shape[-1])
+
+        def param(a):
+            # mode="clip" writes straight into the buffer; "raise" would
+            # copy through a temporary
+            return np.take(a, rows, axis=0, mode="clip",
+                           out=_scratch(bufs, 2, (rows.size, a.shape[-1])))[:, None, :]
+    z = np.subtract(x[..., :, None], param(mu), out=_scratch(bufs, 0, shape))
+    z /= param(sigma)
     if not density:
         terms = ndtr(z, out=z)
-        terms *= w[..., None, :]
+        terms *= param(w)
         return terms.sum(axis=-1)
     terms = ndtr(z, out=_scratch(bufs, 1, shape))
-    terms *= w[..., None, :]
+    terms *= param(w)
     cdf = terms.sum(axis=-1)
     np.multiply(z, z, out=terms)
     terms *= -0.5
     np.exp(terms, out=terms)
-    scale = np.multiply(sigma, math.sqrt(2.0 * math.pi), out=_scratch(bufs, 2, sigma.shape))
-    terms *= np.divide(w, scale, out=scale)[..., None, :]
+    # w / (sigma sqrt(2 pi)), on the parameter rows: a table's R rows, or
+    # the broadcast rows' own (the bits of each element are the same)
+    scale = np.multiply(sigma, math.sqrt(2.0 * math.pi),
+                        out=_scratch(bufs if rows is None else None, 2, sigma.shape))
+    terms *= param(np.divide(w, scale, out=scale))
     pdf = terms.sum(axis=-1)
     terms *= z
-    terms /= sigma[..., None, :]
+    terms /= param(sigma)
     return cdf, pdf, -terms.sum(axis=-1)
 
 
@@ -507,21 +542,26 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (K,), points shared
     by every row, or (R, K).  With ``rows`` (an index array, or a slice)
     output row ``i`` takes parameter row ``rows[i]``, and ``x`` is
-    (len(rows), K) or (K,): each block gathers its own rows into work
-    buffers, so no caller copies (len(rows), L) arrays.  A block takes as
-    many evaluations as keep its (rows, points, L) buffer within ``_BLOCK``
-    elements, and at least one; the blocks run one after the other.  The
-    components are never split, so each value is one sum over all L of
-    them, with the bits of an unblocked ``_mixture_cdf`` call whatever the
-    shape of the call.  This is the only place a sum of normal CDFs is
-    blocked.
+    (len(rows), K) or (K,): each block takes its rows' parameters one at a
+    time into one work buffer, just before the operation that needs them,
+    so neither a caller nor a block holds (len(rows), L) copies of all
+    three.  A block takes as many evaluations as keep its (rows, points, L)
+    buffer within ``_BLOCK`` elements, and at least one; the blocks run one
+    after the other.  The components are never split, so each value is one
+    sum over all L of them, with the bits of an unblocked ``_mixture_cdf``
+    call whatever the shape of the call.  This is the only place a sum of
+    normal CDFs is blocked.
 
-    With ``work`` (a list of six, ``[None] * 6``, that a caller owns and
-    passes to many calls) the blocks evaluate into at most six work
+    With ``work`` (a list of three, ``[None] * 3``, that a caller owns and
+    passes to many calls) the blocks evaluate into at most three work
     buffers of max(_BLOCK, L) elements, made on first need and kept in the
-    list, so the calls reuse those pages instead of faulting in fresh ones.
-    Without it each block evaluates into fresh arrays, which costs less for
-    a short call than mapping buffers.
+    list, so the calls reuse those pages instead of faulting in fresh ones:
+    z, the terms of a density call, and the taken parameter of a call with
+    ``rows`` (or a broadcast call's (rows, L) density scale).  A CDF call
+    holds one of them with shared rows and two with ``rows``; a density
+    call two with shared rows and three with ``rows``.  Without ``work``
+    each block evaluates into fresh arrays, which costs less for a short
+    call than mapping buffers.
     """
     if isinstance(rows, slice):
         w, mu, sigma, rows = w[rows], mu[rows], sigma[rows], None
@@ -535,31 +575,30 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
     for r in range(0, n_rows, step):
         for c in range(0, k, cols):
             if rows is None:
-                params = w[r:r + step], mu[r:r + step], sigma[r:r + step]
+                params, at_rows = (w[r:r + step], mu[r:r + step], sigma[r:r + step]), None
             else:
-                at_rows = rows[r:r + step]
-                # mode="clip" writes straight into the buffer; "raise" would
-                # copy through a temporary
-                params = [np.take(a, at_rows, axis=0, mode="clip",
-                                  out=_scratch(work, 3 + i, (at_rows.size, n_comp)))
-                          for i, a in enumerate((w, mu, sigma))]
-            sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, work)
+                params, at_rows = (w, mu, sigma), rows[r:r + step]
+            sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, work, at_rows)
             # one output at a time: assigning the tuple would stack it in a copy
             for dst, src in zip(out, sums if density else (sums,)):
                 dst[r:r + step, c:c + cols] = src
     return tuple(out) if density else out[0]
 
 
-def _halley_step(x, r, f, fp, x_lo, x_hi, step_before, floor, m3, allowance):
-    """One safeguarded step of ``_invert_mixture_cdf`` from each point ``x``.
+def _halley_step(state, r, f, fp, allowance):
+    """One safeguarded step of ``_invert_mixture_cdf`` from each active root.
 
-    ``r = F(x) - q``, ``f`` and ``fp`` are the density and its slope at
-    ``x``; ``[x_lo, x_hi]`` is the bracket; ``floor`` and ``m3`` are each
-    root's rounding floor and bound on ``|F^(3)|``.  Returns the new point,
-    the step's length, its stop tolerance and the Taylor bound ``T`` where
-    it proves the step (inf elsewhere).  A function of its own, so its
-    temporaries are freed before the next pass evaluates.
+    ``state`` holds one row per field of the active roots: the point ``x``,
+    the bracket ``[x_lo, x_hi]``, the target, the rounding floor, the bound
+    ``M3`` on ``|F^(3)|`` and the last two steps' lengths.  ``r = F(x) -
+    q``, ``f`` and ``fp`` are the density and its slope at ``x``.  The step
+    moves ``x`` to the new point and the step lengths on by one, in their
+    rows, and returns the new step's length, its stop tolerance and the
+    Taylor bound ``T`` where it proves the step (inf elsewhere).  A
+    function of its own, so its temporaries are freed before the next pass
+    evaluates.
     """
+    x, x_lo, x_hi, _, floor, m3, step_last, step_before = state
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Halley's step is Newton's over 1 - t.  It is taken where |t| < 1,
@@ -577,7 +616,10 @@ def _halley_step(x, r, f, fp, x_lo, x_hi, step_before, floor, m3, allowance):
         f_min = f - np.abs(fp * s) - 0.5 * m3 * s * s
         bound = np.abs(r + f * s + 0.5 * fp * s * s) + m3 * np.abs(s) ** 3 / 6.0
         bound[~((f_min > 0.0) & (bound / f_min <= tol) & (bound + allowance <= 1e-10))] = np.inf
-    return x_new, np.abs(s), tol, bound
+    x[:] = x_new
+    step_before[:] = step_last
+    np.abs(s, out=step_last)
+    return step_last, tol, bound
 
 
 def _invert_mixture_cdf(w, mu, sigma, targets):
@@ -618,12 +660,22 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     The tables and the passes take their sums from ``_mixture_sums``, in
     (row, point) blocks of at most ``_BLOCK`` elements that never split the
     components, so a kernel CDF with L = n keeps its buffers bounded and
-    each value's bits do not depend on the working set.  A pass gathers the
-    parameter rows of the roots still active block by block (``rows=``),
-    and every call shares one list of work buffers, at most six of
+    each value's bits do not depend on the working set.  A pass of a draw
+    block takes one of two layouts, the one whose buffers are smaller: the
+    block's whole (draws, targets) rectangle, each root at its latest point
+    (two buffers of all its roots' evaluations: at the CLI's defaults the
+    first two passes, with 100% and 99.6% of the roots active), or the
+    active roots alone, whose parameter rows ``_mixture_sums`` takes one at
+    a time (``rows=``; three buffers of theirs: the later passes, 13% and
+    0.1%).  A block of one draw evaluates its active roots as one row of
+    points.  Every call shares one list of work buffers, at most three of
     max(_BLOCK, L) elements, that live for the whole call, so the passes
-    reuse the same pages.  Raises, naming the first failing draw, when the
-    residual in CDF scale exceeds 1e-10.
+    reuse the same pages.  A block's per-root state (point, bracket,
+    target, floor, ``M3`` and the last two step lengths) is one array with
+    a row per field, allocated once per call and updated in place by each
+    pass, which moves the roots that go on to the front of every row.
+    Raises, naming the first failing draw, when the residual in CDF scale
+    exceeds 1e-10.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
@@ -632,8 +684,10 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     # the rounding of r and of a CDF computed at x + s: a sum of L terms
     # whose weights sum to 1 rounds by at most about L eps
     allowance = 2.0 * w.shape[1] * eps
-    work = [None] * 6
+    work = [None] * 3
     roots = np.empty((n_draws, n_targets))
+    # per-root state of a draw block, one row per field (see _halley_step)
+    state = np.empty((8, min(n_draws, _DRAW_CHUNK) * n_targets))
 
     def solve(start):
         rows = slice(start, start + _DRAW_CHUNK)
@@ -650,52 +704,72 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             width = hi - lo
             lo = np.where(low, lo - width, lo)
             hi = np.where(high, hi + width, hi)
+        n = r * n_targets
+        x, x_lo, x_hi, tgt, floor, m3, step_last, step_before = state[:, :n]
         # bracket each target between the table points around it.  A table
         # row is nondecreasing (so is each rounded term, and so their sum),
         # so a search counts the points below a target
         j = np.clip([np.searchsorted(row, targets) for row in table], 1, _TABLE_POINTS - 1)
-        x_lo = np.take_along_axis(xs, j - 1, axis=1).ravel()
-        x_hi = np.take_along_axis(xs, j, axis=1).ravel()
+        x_lo[:] = np.take_along_axis(xs, j - 1, axis=1).ravel()
+        x_hi[:] = np.take_along_axis(xs, j, axis=1).ravel()
         f_lo = np.take_along_axis(table, j - 1, axis=1).ravel()
         f_hi = np.take_along_axis(table, j, axis=1).ravel()
-        tgt = np.tile(targets, r)
+        tgt[:] = np.tile(targets, r)
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
-        x = np.where((x >= x_lo) & (x <= x_hi), x, 0.5 * (x_lo + x_hi))
-        out, resid = roots[start:start + r].reshape(-1), np.empty(x.size)
+            start_x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
+        x[:] = np.where((start_x >= x_lo) & (start_x <= x_hi), start_x, 0.5 * (x_lo + x_hi))
         owner = np.repeat(np.arange(r), n_targets)
         # a sigma of 0, or one whose cube underflows, makes M3 infinite,
         # which proves no step
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            m3 = ((wc / sc ** 3).sum(axis=1) / math.sqrt(2.0 * math.pi))[owner]
-        floor = eps * (hi - lo)[owner]
-        active = np.arange(x.size)
-        step_last = step_before = x_hi - x_lo
+            m3[:] = ((wc / sc ** 3).sum(axis=1) / math.sqrt(2.0 * math.pi))[owner]
+        floor[:] = eps * (hi - lo)[owner]
+        np.subtract(x_hi, x_lo, out=step_last)
+        step_before[:] = step_last
+        out, resid = roots[start:start + r].reshape(-1), np.empty(n)
+        active = np.arange(n)
         for _ in range(120):
-            if r == 1:
-                diff, dens, slope = _mixture_sums(wc, mc, sc, x[None, :], density=True,
-                                                  work=work)
-            else:
-                diff, dens, slope = _mixture_sums(wc, mc, sc, x[:, None], density=True,
-                                                  rows=owner[active], work=work)
-            # diff is r = F(x) - q
-            diff, dens, slope = diff.ravel() - tgt, dens.ravel(), slope.ravel()
+            m = active.size
+            fields = state[:, :m]
+            x, tgt = fields[0], fields[3]
             out[active] = x
+            # one draw's active roots are a row of points.  Else the pass
+            # takes the layout with the smaller buffers: the block's
+            # (draws, targets) rectangle at every root's latest point (two
+            # buffers of its n roots), or the active roots alone, their
+            # parameter rows taken (three buffers of theirs)
+            if r == 1:
+                sums = _mixture_sums(wc, mc, sc, x[None, :], density=True, work=work)
+            elif 2 * n <= 3 * m:
+                sums = _mixture_sums(wc, mc, sc, out.reshape(r, n_targets), density=True,
+                                     work=work)
+                if m < n:
+                    sums = [v.reshape(-1)[active] for v in sums]
+            else:
+                sums = _mixture_sums(wc, mc, sc, x[:, None], density=True,
+                                     rows=active // n_targets, work=work)
+            # diff is r = F(x) - q
+            diff, dens, slope = (v.reshape(-1) for v in sums)
+            diff -= tgt
             resid[active] = np.abs(diff)
             below = diff < 0.0
-            x_lo = np.where(below, x, x_lo)
-            x_hi = np.where(below, x_hi, x)
-            x_new, step, tol, bound = _halley_step(x, diff, dens, slope, x_lo, x_hi,
-                                                   step_before, floor, m3, allowance)
+            np.putmask(fields[1], below, x)
+            np.putmask(fields[2], ~below, x)
+            step, tol, bound = _halley_step(fields, diff, dens, slope, allowance)
             proven = bound < np.inf
             done = active[proven]
-            out[done], resid[done] = x_new[proven], bound[proven]
-            moving = (step > tol) & ~proven
+            out[done], resid[done] = x[proven], bound[proven]
+            moving = step > tol
+            moving &= ~proven
             if not moving.any():
                 break
-            active, x, x_lo, x_hi, tgt, floor, m3 = (
-                v[moving] for v in (active, x_new, x_lo, x_hi, tgt, floor, m3))
-            step_last, step_before = step[moving], step_last[moving]
+            # the moving roots' state to the front of each row, one row at a
+            # time: one temporary of the whole state measured 0.1-0.25 MB
+            # more at the peak of a CLI-size dpm run
+            kept = np.count_nonzero(moving)
+            for row in fields:
+                np.compress(moving, row, out=row[:kept])
+            active = active[moving]
         worst = float(resid.max())
         if worst > 1e-10:
             s, k = np.unravel_index(int(resid.argmax()), (r, n_targets))
@@ -712,12 +786,13 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
 def _roc_from_mixtures(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid):
     """Per-draw ROC curves for paired mixture arrays of shape (S, L)."""
     interior = (grid > 0.0) & (grid < 1.0)
+    if np.any(interior):  # the roots first, so the inversion runs without the curves
+        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior])
+        f_d = _mixture_sums(w_d, mu_d, sg_d, roots)
     curves = np.empty((w_d.shape[0], grid.size))
     curves[:, grid == 0.0] = 0.0
     curves[:, grid == 1.0] = 1.0
     if np.any(interior):
-        roots = _invert_mixture_cdf(w_nd, mu_nd, sg_nd, 1.0 - grid[interior])
-        f_d = _mixture_sums(w_d, mu_d, sg_d, roots)
         curves[:, interior] = np.subtract(1.0, f_d, out=f_d)
     return np.clip(curves, 0.0, 1.0, out=curves)
 
@@ -1269,15 +1344,15 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
         found = (_roc_from_mixtures(*d, *nd, grid), _mixture_aucs(*d, *nd))
         if not youden:
             return found + (None,) * 3
-        work = [None] * 6
+        work = [None] * 3
 
         def cdfs(x, rows):
             return (_mixture_sums(*nd, x, rows=rows, work=work),
                     _mixture_sums(*d, x, rows=rows, work=work))
 
-        # a fine-stage call gathers one (L,) parameter row per (pair,
-        # point), so _BLOCK // L evaluations per call keep those within
-        # _BLOCK elements
+        # a fine-stage call takes one (L,) parameter row per (pair, point)
+        # into one buffer at a time, so _BLOCK // L evaluations per call
+        # keep it within _BLOCK elements
         return found + _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, stop - start,
                                       _BLOCK // n_comp)
 

@@ -124,6 +124,18 @@ class TestFaraggiRoc:
         with pytest.raises(InvalidInputError):
             faraggi_roc(fit, fit, [0.5, 0.9])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_covariate_rejected(self, value):
+        # an infinite covariate once gave a constant curve with AUC 1.0
+        res = np.array([-1.0, 0.0, 1.0])
+        fit_d = LocationScaleFit(beta=np.array([1.0, 1.0]), sigma=1.0, residuals=res)
+        fit_nd = LocationScaleFit(beta=np.array([0.0, 0.5]), sigma=1.0, residuals=res)
+        for estimator in (faraggi_roc, pepe_semiparam_roc):
+            with pytest.raises(InvalidInputError, match="covariate values must be finite"):
+                estimator(fit_d, fit_nd, [value])
+        with pytest.raises(InvalidInputError, match="covariate values must be finite"):
+            fit_d.mean_at([value])
+
 
 class TestPepeSemiparamRoc:
     def test_agrees_with_faraggi_for_normal_errors(self):
@@ -402,6 +414,23 @@ class TestSharedSampler:
 
 
 class TestDdpRoc:
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_design_row_rejected(self, value):
+        # a NaN design row once raised NumericError after numpy warnings
+        rng = np.random.default_rng(48)
+        x = rng.uniform(0, 1, 60)
+        draws = ddp_fit(_linear_sample(x + rng.standard_normal(60), x),
+                        DdpConfig(seed=SeedSpec(48, 0), burn_in=20, n_save=10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="design row values must be finite"):
+                ddp_roc(draws, draws, [1.0, value], youden=True)
+            with pytest.raises(InvalidInputError, match="design row values must be finite"):
+                ddp_roc(draws, draws, [1.0, 0.5], z_nd=[value, 0.5])
+            cdf = ddp_conditional_cdf(draws, lambda v: [1.0, v])
+            with pytest.raises(InvalidInputError, match="design row values must be finite"):
+                cdf(0.0, value)
+
     def test_identical_draws_diagonal(self):
         rng = np.random.default_rng(49)
         x = rng.uniform(0, 1, 70)
@@ -570,6 +599,19 @@ class TestRocGlmAgainstStackedDesign:
 
 
 class TestRocGlm:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_covariate_rejected(self, value):
+        # an infinite covariate once gave a constant curve with AUC 0.9975
+        # (a NaN one: test_curve_at_a_nan_covariate_is_rejected)
+        rng = np.random.default_rng(57)
+        x_d, x_nd = rng.uniform(0, 1, 80), rng.uniform(0, 1, 80)
+        s_d = _linear_sample(1.0 + x_d + rng.standard_normal(80), x_d)
+        s_nd = _linear_sample(x_nd + rng.standard_normal(80), x_nd)
+        cdf = location_scale_cdf(ols_fit(s_nd), "empirical")
+        fit = rocglm_fit(s_d, cdf, p_grid=np.linspace(0.05, 0.95, 10))
+        with pytest.raises(InvalidInputError, match="covariate values must be finite"):
+            fit.curve([value])
+
     def test_indicator_example(self):
         # pv=0.3 against p_grid {0.1, 0.5}: I(pv <= p) = (0, 1)
         pv = 0.3
@@ -631,7 +673,7 @@ class TestRocGlm:
         s_d, s_nd = gen_covariate_linear([0.0, 2.0], [0.0, 0.0], 1.0, 1.0,
                                          100, 100, seed=SeedSpec(57, 1))
         fit = rocglm_fit(s_d, location_scale_cdf(ols_fit(s_nd), "empirical"))
-        with pytest.raises(InvalidInputError, match="roc values outside"):
+        with pytest.raises(InvalidInputError, match="covariate values must be finite"):
             fit.curve([np.nan])
 
 

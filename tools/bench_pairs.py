@@ -52,8 +52,19 @@ side's code runs them.  Each round also runs one ``dpm_roc(youden=True)``
 at CLI defaults in another fresh process per side, which reports, in MB,
 its peak RSS (``ru_maxrss``) before that call (with ``scipy.special``
 loaded) and after it, the rise, and the peak of its largest forked part
-(``RUSAGE_CHILDREN``).  The output file gets them under ``layers``: the
-times and peaks as quartiles over the rounds, the counts of the first.
+(``RUSAGE_CHILDREN``).  Each round also runs, in fresh processes per
+side, one ``pooled --estimator dpm`` CLI run (``roclab.cli.main``) per
+phase and size of ``PHASE_RUNS`` (``phase_once``: cli_batch's child, 300
+per group with burn-in 100 and 100 draws, and compute_mix's, 1,000 per
+group at CLI defaults), which reports the peak RSS after the fits and
+after the inversion, or after the Youden search with the inversion left
+out, both in the calling process (its part of a forked ensemble), and the
+inversion's passes and evaluations per root there; and every analysis of
+``cli_batch`` as a fresh ``python -m roclab.cli`` process on the
+benchmark's inputs (written by the parent), which reports each child's
+peak RSS (``child_peaks``).  The output file gets them under ``layers``:
+the times and peaks as quartiles over the rounds, the counts of the
+first.
 
 With ``--scale``, each side runs every CLI analysis of ``SCALE_LADDER`` as
 a fresh ``python -m roclab.cli`` process on ``roclab simulate`` cohorts
@@ -251,28 +262,136 @@ def memory_once(seed: int) -> dict:
             "parts_peak_mb": parts}
 
 
-def layers(trees: dict, seed: int, rounds: int) -> dict:
-    """``layer_once`` and ``memory_once`` on both trees in alternating
-    rounds, each in a fresh process; quartiles per side."""
+# per-group size and flags of the two ``pooled --estimator dpm`` runs whose
+# phases --layers measures: cli_batch's child and compute_mix's analysis
+PHASE_RUNS = {"cli_batch": (300, ["--burn-in", "100", "--n-save", "100"]),
+              "compute_mix": (1000, [])}
+
+
+def phase_once(seed: int, run: str, phase: str) -> dict:
+    """Peak RSS in MB of one ``pooled --estimator dpm`` run of the CLI
+    (``roclab.cli.main`` in this process, on a binormal cohort from
+    ``seed``) after its fits and after one ensemble phase of the calling
+    process: the inversion, or the Youden search with the inversion left
+    out (see ``--layers``).  With ``phase="inversion"`` it also gives the
+    inversion's passes and CDF evaluations per root in this process."""
+    import resource
+
+    import scipy.special  # noqa: F401  (loaded by the CLI's first CDF; not a phase's)
+
+    import roclab.pooled_roc as pooled
+    from roclab.cli import main
+
+    n, flags = PHASE_RUNS[run]
+    rng = np.random.default_rng(seed)
+    work = tempfile.mkdtemp(prefix="bench-phases-")
+    cohort = os.path.join(work, "cohort.csv")
+    with open(cohort, "w") as fh:
+        fh.write("marker,status\n")
+        for y, s in ((rng.normal(1.0, 1.0, n), 1), (rng.normal(0.0, 1.0, n), 0)):
+            fh.writelines(f"{v!r},{s}\n" for v in y.tolist())
+    real_roc, real_sums, real_search = (pooled._roc_from_mixtures, pooled._mixture_sums,
+                                        pooled._youden_search)
+    found, evaluated = {}, []
+
+    def peak():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    def counted(w, mu, sigma, x, *args, **kwargs):
+        if kwargs.get("density"):  # a pass of the inversion
+            rows = kwargs.get("rows")
+            evaluated.append((w.shape[0] if rows is None else rows.size) * x.shape[-1])
+        return real_sums(w, mu, sigma, x, *args, **kwargs)
+
+    def roc(*args):
+        # the first call in this process is its part's: forked parts keep
+        # their records in the child
+        found.setdefault("fits_mb", peak())
+        grid = args[-1]
+        if phase != "inversion":  # the chance line stands in for the curves
+            return np.tile(grid, (args[0].shape[0], 1))
+        pooled._mixture_sums = counted
+        try:
+            curves = real_roc(*args)
+        finally:
+            pooled._mixture_sums = real_sums
+        found.setdefault("phase_mb", peak())
+        roots = curves.shape[0] * int(((grid > 0.0) & (grid < 1.0)).sum())
+        found.setdefault("passes", len(evaluated))
+        found.setdefault("evaluations_per_root", round(sum(evaluated) / roots, 4))
+        return curves
+
+    def search(*args):
+        out = real_search(*args)
+        found.setdefault("phase_mb", peak())
+        return out
+
+    pooled._roc_from_mixtures = roc
+    if phase == "youden":
+        pooled._youden_search = search
+    try:
+        code = main(["pooled", "--input", cohort, "--estimator", "dpm", "--seed", str(seed),
+                     *flags, "--outdir", os.path.join(work, "out")])
+    finally:
+        pooled._roc_from_mixtures, pooled._youden_search = real_roc, real_search
+        shutil.rmtree(work)
+    if code != 0:
+        raise RuntimeError(f"pooled dpm exited {code}")
+    return found
+
+
+def child_peaks(tree: str, analyses: list, out: str) -> dict:
+    """Peak RSS in MB (``ru_maxrss``) of each ``(name, argv)`` analysis run
+    as a fresh ``python -m roclab.cli`` process on ``tree``."""
+    peaks = {}
+    for name, argv in analyses:
+        shutil.rmtree(out, ignore_errors=True)
+        proc = subprocess.Popen([sys.executable, "-m", "roclab.cli", *argv, "--outdir", out],
+                                cwd=tree, env=pinned_env(tree), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"{name} exited {os.waitstatus_to_exitcode(status)} on {tree}")
+        peaks[f"cli_batch.{name}.peak_mb"] = usage.ru_maxrss / 1024
+    return peaks
+
+
+def layers(trees: dict, seed: int, rounds: int, work: str) -> dict:
+    """``layer_once``, ``memory_once`` and each ``phase_once`` on both trees
+    in alternating rounds, each in a fresh process, and each of
+    ``cli_batch``'s analyses as the benchmark runs it (``child_peaks``);
+    quartiles per side."""
     code = (f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'tools')!r}); "
             "import bench_pairs; print(json.dumps(bench_pairs.{}))")
+    calls = {"": f"layer_once({seed}, 5)", "dpm_roc.": f"memory_once({seed})"}
+    for run in PHASE_RUNS:
+        for phase in ("inversion", "youden"):
+            calls[f"phases.{run}.{phase}."] = f"phase_once({seed}, {run!r}, {phase!r})"
+    inputs = os.path.join(work, "layers-inputs")
+    shutil.rmtree(inputs, ignore_errors=True)
+    os.makedirs(inputs)
+    analyses = build_analyses(trees["parent"], "cli_batch", seed, inputs)
     got = {side: [] for side in trees}
     for i in range(max(1, rounds)):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            got[side].append({})
-            for call in (f"layer_once({seed}, 5)", f"memory_once({seed})"):
+            got[side].append(child_peaks(trees[side], analyses, os.path.join(work, "layers-out")))
+            for prefix, call in calls.items():
                 proc = subprocess.run([sys.executable, "-c", code.format(call)],
                                       cwd=trees[side], check=True, capture_output=True,
                                       text=True, env=pinned_env(trees[side]))
-                got[side][-1].update(json.loads(proc.stdout.strip().splitlines()[-1]))
+                got[side][-1].update(
+                    (prefix + name if prefix else name, value)
+                    for name, value in json.loads(proc.stdout.strip().splitlines()[-1]).items())
             print(f"layers round {i} {side}: done", file=sys.stderr)
     report = {}
     for side, runs in got.items():
         report[side] = {}
         for name in runs[0]:
             if name.endswith("_mb"):
-                report[side][f"dpm_roc.{name}_q25_median_q75"] = quartiles(
-                    [r[name] for r in runs])
+                report[side][f"{name}_q25_median_q75"] = quartiles([r[name] for r in runs])
+                continue
+            if name.startswith("phases."):  # passes and evaluations per root
+                report[side][name] = runs[0][name]
                 continue
             seconds = [s for r in runs for s in r[name]["seconds"]]
             report[side][f"{name}_s_q25_median_q75"] = quartiles(seconds)
@@ -577,7 +696,7 @@ def main(argv=None) -> int:
         if args.artifacts:
             report["artifacts"] = compare_artifacts(trees, workloads, [args.seed], work)
         if args.layers:
-            report["layers"] = layers(trees, args.seed, 0)
+            report["layers"] = layers(trees, args.seed, 0, work)
         if args.scale:
             report["scale"] = scale(trees, args.seed, 0, work)
         if args.tier1:
@@ -625,7 +744,7 @@ def main(argv=None) -> int:
     if args.artifacts:
         report["artifacts"] = compare_artifacts(trees, workloads, seeds, work)
     if args.layers:
-        report["layers"] = layers(trees, args.seed, args.pairs)
+        report["layers"] = layers(trees, args.seed, args.pairs, work)
     if args.scale:
         report["scale"] = scale(trees, args.seed, args.pairs, work)
     if args.tier1:
