@@ -41,20 +41,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .binary_metrics import classification_fractions, predictive_values
 from .core import SeedSpec, forked_spans
-from .covariate_roc import (RegressionSample, aroc, ddp_fit, ddp_roc, faraggi_roc,
-                            location_scale_cdf, location_scale_youden, ols_fit,
-                            pepe_semiparam_roc, rocglm_fit)
 from .errors import (AllCensoredWarning, InvalidInputError, NegativeYoudenWarning,
                      SeparationWarning)
-from .indices import _curve_gap, youden_empirical, youden_from_cdfs
-from .pooled_roc import (DpmConfig, bb_roc, dpm_fit, dpm_roc, empirical_roc,
-                         kernel_cdf, kernel_roc, lscv_bandwidth,
-                         silverman_bandwidth)
-from .simulate import (BinormalScenario, gen_binormal, gen_covariate_linear,
-                       gen_survival, true_binormal_auc, true_binormal_youden)
-from .timedep_roc import SurvivalSample, _roc_and_youden
 
 ENV_OUTDIR = "ROCLAB_OUTDIR"
 
@@ -405,7 +394,9 @@ def _parse_floats(raw: str, name: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the ``Options`` that ``_run`` set up and
 # returns (summary lines, curve or None, input report or None), then any
-# further (name, text) artifacts; ``_run`` writes them all as one set
+# further (name, text) artifacts; ``_run`` writes them all as one set.
+# Each imports the estimators it calls from their home modules when it
+# runs, so a process loads only its subcommand's modules
 
 
 def _summary_lines(head: list[str], curve, youden=None) -> list[str]:
@@ -418,6 +409,8 @@ def _summary_lines(head: list[str], curve, youden=None) -> list[str]:
     that issues ``NegativeYoudenWarning``: when the reported AUC (the
     posterior mean for an ensemble) is below 0.5, whatever the estimator.
     """
+    from .indices import _curve_gap
+
     if curve.auc < 0.5:
         warnings.warn("AUC below 0.5; marker orders the groups the other way",
                       NegativeYoudenWarning)
@@ -434,6 +427,8 @@ def _summary_lines(head: list[str], curve, youden=None) -> list[str]:
 
 
 def _cmd_binary(opts: Options) -> tuple:
+    from .binary_metrics import classification_fractions, predictive_values
+
     read = _cohort(opts)
     threshold = opts.get("threshold", float, required=True)
     prevalence = opts.get("prevalence", float, None)
@@ -456,15 +451,11 @@ def _cmd_binary(opts: Options) -> tuple:
     return lines + [_interval_line("ppv", ppv), _interval_line("npv", npv)], None, report
 
 
-# A forked child costs tens of milliseconds before it pays (it copies every
-# page it writes); measured, two chains of 100 sweeps ran faster one after
-# the other and two of 200 faster side by side, at 60 to 1,000 values.
+# sweeps per chain (burn-in plus saved) from which the two Gibbs chains run
+# side by side.  Measured: BENCH_26.json fork_floors
 _FORK_SWEEPS = 200
 # subjects in both groups from which the kernel analysis runs its curve
-# and its Youden search side by side.  Measured on a 2-CPU VM (medians of
-# 30 interleaved calls, Silverman bandwidths), serial -> side by side: 21
-# -> 33 ms at 300 per group, 20 -> 16 ms at 500, 34 -> 29 ms at 1,000 and
-# 271 -> 183 ms at 10,000
+# and its Youden search side by side.  Measured: BENCH_26.json fork_floors
 _FORK_KERNEL = 1000
 
 
@@ -482,6 +473,8 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
     its own seed stream, side by side (``_side_by_side``) from
     ``_FORK_SWEEPS`` sweeps on: the diseased chain here and the
     nondiseased one in a forked child."""
+    from .pooled_roc import DpmConfig
+
     seed = opts.get("seed", int, 20260815)
     kwargs = dict(
         truncation=opts.get("truncation", int, 10),
@@ -496,6 +489,10 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
 
 def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
                              grid: np.ndarray):
+    from .indices import youden_empirical, youden_from_cdfs
+    from .pooled_roc import (_check_bandwidths, bb_roc, dpm_fit, dpm_roc, empirical_roc,
+                             kernel_cdf, kernel_roc, lscv_bandwidth, silverman_bandwidth)
+
     estimator = opts.get("estimator", str, "empirical")
     level = opts.get("level", float, 0.95)
     if estimator == "empirical":
@@ -511,8 +508,13 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         h_nd = pick(nd) if h_nd is None else h_nd
         opts.resolved["bandwidth_d"] = h_d
         opts.resolved["bandwidth_nd"] = h_nd
+        _check_bandwidths(h_d, h_nd)
         lo = float(min(d.min(), nd.min())) - 4.0 * max(h_d, h_nd)
         hi = float(max(d.max(), nd.max())) + 4.0 * max(h_d, h_nd)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidInputError(
+                f"bandwidth {max(h_d, h_nd):.3g} overflows the Youden search range, "
+                "the data widened by 4 bandwidths; use a smaller bandwidth")
         return _side_by_side([lambda: kernel_roc(d, nd, h_d, h_nd, grid),
                               lambda: youden_from_cdfs(lambda c: kernel_cdf(d, h_d, c),
                                                        lambda c: kernel_cdf(nd, h_nd, c),
@@ -545,6 +547,8 @@ def _cmd_pooled(opts: Options) -> tuple:
 
 def _regression_samples(read, covariates: list[str]) -> tuple:
     """Diseased and nondiseased ``RegressionSample`` s and the input report."""
+    from .covariate_roc import RegressionSample
+
     (marker, status, *xs), report = read(covariates)
     design = np.column_stack([np.ones(marker.size), *xs])
     labels = ("intercept", *covariates)
@@ -553,6 +557,10 @@ def _regression_samples(read, covariates: list[str]) -> tuple:
 
 
 def _cmd_covariate(opts: Options) -> tuple:
+    from .covariate_roc import (ddp_fit, ddp_roc, faraggi_roc, location_scale_cdf,
+                                location_scale_youden, ols_fit, pepe_semiparam_roc,
+                                rocglm_fit)
+
     read = _cohort(opts)
     covariates = _parse_names(opts.get("covariates", str, required=True))
     at = _parse_floats(opts.get("at", str, required=True), "at")
@@ -596,6 +604,8 @@ def _cmd_covariate(opts: Options) -> tuple:
 
 
 def _cmd_aroc(opts: Options) -> tuple:
+    from .covariate_roc import aroc, location_scale_cdf, ols_fit
+
     read = _cohort(opts)
     covariates = _parse_names(opts.get("covariates", str, required=True))
     errors = opts.get("errors", str, "empirical")
@@ -610,6 +620,8 @@ def _cmd_aroc(opts: Options) -> tuple:
 
 
 def _cmd_timedep(opts: Options) -> tuple:
+    from .timedep_roc import SurvivalSample, _roc_and_youden
+
     read = _cohort(opts, survival=True)
     horizon = opts.get("time", float, required=True)
     isotonic = opts.get("isotonic", bool, False)
@@ -630,6 +642,9 @@ def _cohort_csv_text(header: list[str], rows) -> str:
 
 
 def _cmd_simulate(opts: Options) -> tuple:
+    from .simulate import (BinormalScenario, gen_binormal, gen_covariate_linear,
+                           gen_survival, true_binormal_auc, true_binormal_youden)
+
     scenario = opts.get("scenario", str, "binormal")
     seed = opts.get("seed", int, 20260815)
     spec = SeedSpec(seed, 0)

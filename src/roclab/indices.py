@@ -305,10 +305,15 @@ def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:
 
 def _step_candidates(d: np.ndarray, nd: np.ndarray):
     """Candidate thresholds of the step rule for sorted samples ``d`` and
-    ``nd``: one value below the pooled minimum, then the pooled values in
-    ascending order.  Returns them with the positions in ``d`` and in
-    ``nd`` that end at or below each (``searchsorted(..., "right")``)."""
-    cand = np.unique(np.concatenate([[min(d[0], nd[0]) - 1.0], d, nd]))
+    ``nd``: the double just below the pooled minimum (``np.nextafter``, so
+    below it at any magnitude), then the pooled values in ascending order.
+    Returns them with the positions in ``d`` and in ``nd`` that end at or
+    below each (``searchsorted(..., "right")``).  Multiplying the data by
+    2^k multiplies every candidate by 2^k exactly, except where the
+    minimum is 0 or the candidate is subnormal."""
+    with np.errstate(over="ignore"):  # below the most negative double: -inf
+        below = np.nextafter(min(d[0], nd[0]), -np.inf)
+    cand = np.unique(np.concatenate([[below], d, nd]))
     return (cand, np.searchsorted(d, cand, side="right"),
             np.searchsorted(nd, cand, side="right"))
 

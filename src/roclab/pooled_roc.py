@@ -2,66 +2,31 @@
 
 Four estimators of ``ROC(p) = 1 - F_D(F_ND^{-1}(1-p))`` from two samples:
 
-* ``empirical_roc`` / ``empirical_auc``: plug-in ECDFs; the AUC is the
+* ``empirical_roc`` / ``empirical_auc``: plug-in ECDFs, with quantile
+  ranks resolved in exact integer arithmetic; the AUC is the
   Mann-Whitney statistic with half credit for ties.
 * ``kernel_roc`` / ``kernel_auc``: normal-kernel smoothed CDFs with
   Silverman or cross-validated bandwidths; the AUC has a closed form.
 * ``bb_roc``: Bayesian bootstrap ensemble; each draw reweights both
   samples with flat Dirichlet weights.
 * ``dpm_fit`` / ``dpm_roc`` / ``dpm_auc``: Dirichlet process mixture of
-  normals per group, fit by truncated blocked Gibbs into a
-  ``MixtureEnsemble``; the per-draw AUC again has a closed form.
+  normals per group, fit by truncated blocked Gibbs (one serial chain per
+  call) into a ``MixtureEnsemble``; the per-draw AUC again has a closed
+  form.
 
-Smooth CDFs (kernel and mixture) are inverted by safeguarded Halley
-iteration, started from a short per-draw table of the CDF that brackets
-every root and interpolates its first guess.  A Taylor bound proves most
-roots' last step without evaluating the CDF there, so a root takes about
-2.1 CDF evaluations at the CLI's defaults (Newton steps with a confirming
-evaluation took 4.1).  The empirical estimator resolves quantile ranks in
-exact integer arithmetic so grid probabilities that sit exactly on ECDF
-jumps are handled deterministically.  The kernel
-AUC takes only pairs inside the window where the normal CDF is neither
-exactly 1 nor below 5.3e-17, and where diseased values crowd into a bin
-half a combined bandwidth wide it expands the CDF about the bin centre, so
-it takes one ``ndtr`` per (bin, nondiseased value) instead of one per
-pair.  With ``youden=True`` the
-mixture estimators search every draw's Youden index in one batched pass
-(``indices._youden_search``, coarse to fine: only scan points whose gap
-can reach the best one are evaluated) that gives the same bits as a full
-1000-point scan and as a ``youden_from_cdfs`` call per draw.
+Every smooth CDF (kernel and mixture) is a sum ``sum_l w_l Phi((x - mu_l)
+/ sigma_l)`` evaluated by ``_mixture_sums`` in (row, point) blocks of at
+most ``_BLOCK`` elements that never split the components, so each value
+has the bits of one unblocked sum whatever the shape of the call, and
+memory stays linear in the sample size.  Smooth CDFs are inverted by
+safeguarded Halley iteration.  With ``youden=True`` the mixture
+estimators search every draw's Youden index in one batched pass
+(``indices._youden_search``) with the bits of a full 1000-point scan.
 
-Every smooth CDF is a sum ``sum_l w_l Phi((x - mu_l) / sigma_l)``; the
-kernel CDF is the one with n equal weights.  One function takes all of
-them, ``_mixture_sums``, with one block rule: (row, point) blocks of at
-most ``_BLOCK`` elements (at least one evaluation), never splitting the
-components, so each value is one unblocked sum whose bits do not depend on
-the shape of the call.  The kernel CDF, the inversion's tables and Halley
-passes, the curve evaluation, the Youden scan and the posterior-mean CDFs
-all call it, and memory stays linear in the sample size.  A call that
-lists its rows' parameters by index takes each parameter into one work
-buffer just before the operation that needs it, so a block holds at most
-three buffers of ``_BLOCK`` elements (z, the terms of a density and one
-parameter), and the inversion's passes with nearly every root active
-evaluate the whole (draws, targets) rectangle in two, with no parameter
-taken at all.
-
-Blocks bound memory and run one after the other: the (row, point) blocks
-of ``_mixture_sums``, the inversion's draw blocks, the kernel AUC's Taylor
-blocks and row runs, the closed-form mixture AUCs' draw blocks, the
-Youden scan's pair blocks and the LSCV criterion's pair blocks.  Parallel
-work is forked: above a measured work floor (``_FORK_ENSEMBLE``,
-``_FORK_BB``) a mixture ensemble (curves, AUCs and the batched Youden
-search, whose loops hold the interpreter lock) and the draws of ``bb_roc``
-run in one span of draws per CPU through ``core.forked_spans``; below it
-they run in one span here.  Each draw's result does not depend on its
-span, so the bits are the same either way.  The kernel estimators run in the calling process; the CLI
-runs the kernel curve and its Youden search as two spans.
-
-The Gibbs sampler itself is serial, one chain per call: its sweeps are many
-small numpy calls that hold the interpreter lock.  Its allocation step
-works on (L, n) arrays so each reduction runs along the n observations,
-with sums that round exactly as the (n, L) form did.  Callers that fit two
-groups (the CLI) run the two chains as two spans of ``core.forked_spans``.
+Above measured work floors (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture
+ensemble and the draws of ``bb_roc`` run in one span of draws per CPU
+through ``core.forked_spans``; each draw's result does not depend on its
+span, so the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -437,6 +402,9 @@ def _check_bandwidths(*hs: float) -> None:
     for h in hs:
         if not (np.isfinite(h) and h > 0.0):
             raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
+        if h < np.finfo(float).tiny:  # 1/h would overflow
+            raise InvalidInputError(f"bandwidth {h:.3g} is below the smallest normal "
+                                    f"double, {np.finfo(float).tiny:.3g}")
 
 
 # elements in one (rows x points x components) buffer of a normal-CDF sum
@@ -952,9 +920,7 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
 
 
 # draws times subjects at which bb_roc runs its draws in forked parts.
-# Measured as for _FORK_ENSEMBLE, with Youden: 500 draws at n = 1,000 per
-# group (10^6) took 55 ms either way, 200 draws at n = 10,000 (4 x 10^6)
-# 155 -> 82 ms forked
+# Measured: BENCH_26.json fork_floors
 _FORK_BB = 1_000_000
 
 
@@ -986,9 +952,9 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
 
     With ``youden=True`` each draw also gives the Youden index, threshold
     and FPF of its two weighted ECDFs by the step rule of ``indices``, as
-    ``youden_empirical`` does with unit weights: the pooled values and one
-    below their minimum are the candidates, both trivial rules score
-    exactly 0, and p* lies in [0, 1] without a clamp.
+    ``youden_empirical`` does with unit weights: the pooled values and the
+    double just below their minimum are the candidates, both trivial rules
+    score exactly 0, and p* lies in [0, 1] without a clamp.
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
@@ -1302,16 +1268,8 @@ def mixture_cdf_callable(draw: MixtureDraw):
     return lambda c: _mean_mixture_cdf(*normals, c)
 
 
-# A forked part costs about 5-10 ms before it pays (fork, the pages it
-# writes, the pickled result back), and its child's resident set starts
-# at the caller's.  Below the floor the one span runs here.  Measured on
-# a 2-CPU VM in a 70 MB process (three runs, medians of 30 interleaved
-# calls), an ensemble of S draws of L = 10 components took, serial ->
-# forked: with Youden 42-69 -> 40-50 ms at S = 100, 55-78 -> 40-56 ms at
-# 150 and 76-107 -> 55-69 ms at 200; without it 23-34 -> 24-27 ms at 100,
-# 36-40 -> 33-35 ms at 150 and 55-64 -> 40-47 ms at 200.  At S = 100 the
-# two overlap; from 150 on the parts win with Youden and without.  So
-# parts start at 1,500 draw components
+# draw components (S times L) from which a mixture ensemble runs in forked
+# parts; below it the one span runs here.  Measured: BENCH_26.json fork_floors
 _FORK_ENSEMBLE = 1500
 
 

@@ -3,7 +3,10 @@
 The binormal scenario has nondiseased outcomes standard normal and diseased
 outcomes ``N(a/b, 1/b^2)``, which makes the true curve
 ``ROC(p) = Phi(a + b Phi^{-1}(p))`` with ``AUC = Phi(a / sqrt(1 + b^2))``
-and a closed-form Youden maximizer, all exposed here as oracles.
+and a closed-form Youden maximizer, all exposed here as oracles.  The
+scalar truths (AUC and Youden) take Phi from ``math.erfc``, the formula of
+the standard library's ``NormalDist.cdf``, so they load no scipy; for
+|x| <= 6 that is within 1e-14 relative of ``scipy.special.ndtr``.
 """
 
 from __future__ import annotations
@@ -89,11 +92,19 @@ def true_binormal_roc(a: float, b: float, p):
     return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
 
+def _phi(x: float) -> float:
+    # the standard normal CDF of a scalar; a NaN is refused as
+    # core.std_normal_cdf refuses it
+    if math.isnan(x):
+        raise InvalidInputError("normal CDF argument is NaN")
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def true_binormal_auc(a: float, b: float) -> float:
     """Exact binormal AUC ``Phi(a / sqrt(1 + b^2))``."""
     if b <= 0.0:
         raise InvalidInputError("b must be positive")
-    return std_normal_cdf(a / math.sqrt(1.0 + b * b))
+    return _phi(a / math.sqrt(1.0 + b * b))
 
 
 def true_binormal_youden(a: float, b: float) -> YoudenResult:
@@ -124,11 +135,11 @@ def true_binormal_youden(a: float, b: float) -> YoudenResult:
             roots = [(-qb + sq) / (2.0 * qa), (-qb - sq) / (2.0 * qa)]
 
     def gap(c: float) -> float:
-        return std_normal_cdf(c) - std_normal_cdf((c - mu) / sigma)
+        return _phi(c) - _phi((c - mu) / sigma)
 
     c_star = max(roots, key=gap)
     yi = gap(c_star)
-    return YoudenResult(yi=yi, c_star=c_star, p_star=1.0 - std_normal_cdf(c_star))
+    return YoudenResult(yi=yi, c_star=c_star, p_star=1.0 - _phi(c_star))
 
 
 def gen_covariate_linear(beta_d, beta_nd, sigma_d: float, sigma_nd: float,

@@ -311,6 +311,19 @@ class TestPooledSubcommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["params"]["bandwidth_d"] > 0.0
 
+    @pytest.mark.parametrize("h, message", [
+        ("1e308", "bandwidth 1e+308 overflows the Youden search range"),
+        ("1e-320", "bandwidth 1e-320 is below the smallest normal double"),
+    ])
+    def test_kernel_bandwidth_at_the_edges_of_double_range(self, tmp_path, capsys, h,
+                                                          message):
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        out = tmp_path / "out"
+        assert run(["pooled", "--input", p, "--estimator", "kernel", "--bandwidth-d", h,
+                    "--outdir", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert json.loads((out / "error.json").read_text())["message"].startswith(message)
+
 
 class TestConfigAndEnv:
     def test_config_supplies_options(self, tmp_path):
@@ -374,7 +387,7 @@ class TestErrorPaths:
         def boom(*a, **k):
             raise NumericError("synthetic numerical failure")
 
-        monkeypatch.setattr("roclab.cli.empirical_roc", boom)
+        monkeypatch.setattr("roclab.pooled_roc.empirical_roc", boom)
         rc = run(["pooled", "--input", p, "--outdir", out])
         assert rc == 3
         assert "synthetic numerical failure" in capsys.readouterr().err
@@ -668,7 +681,7 @@ class TestKernelCurveAndYoudenSideBySide:
             where = "here" if os.getpid() == caller else "in a child"
             raise NumericError(f"Youden search failed {where}")
 
-        monkeypatch.setattr("roclab.cli.youden_from_cdfs", fault)
+        monkeypatch.setattr("roclab.indices.youden_from_cdfs", fault)
         p = binormal_cohort(tmp_path / "c.csv", 40, 40, 91)
         out = tmp_path / "out"
         assert run(["pooled", "--estimator", "kernel", "--input", p, "--outdir", out]) == 3
@@ -994,6 +1007,24 @@ class TestImportCost:
                                 "--outdir", tmp_path / "out"],
                          modules=["concurrent.futures.thread"]) == []
 
+    def test_import_loads_no_estimator_module(self):
+        estimators = ["roclab.binary_metrics", "roclab.covariate_roc", "roclab.indices",
+                      "roclab.pooled_roc", "roclab.simulate", "roclab.timedep_roc"]
+        assert loaded_by("import roclab", modules=estimators) == []
+        assert loaded_by("import roclab.cli", modules=estimators) == []
+
+    def test_binary_loads_no_curve_module(self, tmp_path):
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        assert loaded_by(RUN_CLI, ["binary", "--input", p, "--threshold", "5",
+                                   "--outdir", tmp_path / "out"],
+                         modules=["roclab.covariate_roc", "roclab.pooled_roc",
+                                  "roclab.simulate", "roclab.timedep_roc"]) == []
+
+    def test_binormal_simulate_loads_neither_scipy_special_nor_pooled_roc(self, tmp_path):
+        assert loaded_by(RUN_CLI, ["simulate", "--scenario", "binormal",
+                                   "--outdir", tmp_path / "out"],
+                         modules=["roclab.pooled_roc", "scipy.special"]) == []
+
     def test_import_and_timedep_leave_fractions_unloaded(self, tmp_path):
         # numpy does not load the exact-rational module, so roclab must not
         assert loaded_by("import numpy", modules=["fractions"]) == []
@@ -1038,3 +1069,39 @@ class TestImportCost:
             argv = argv + ["--input", cohort]
         assert loaded_by(RUN_CLI, argv + ["--outdir", tmp_path / "out"],
                          modules=unused) == []
+
+
+class TestLazyPackage:
+    """``roclab.<name>`` resolves each exported name from its home module
+    on every access."""
+
+    @pytest.mark.parametrize("name", roclab.__all__)
+    def test_name_is_the_object_of_its_home_module(self, name):
+        value = getattr(roclab, name)
+        home = sys.modules[f"roclab.{roclab._HOMES[name]}"]  # loaded by the lookup
+        assert vars(home)[name] is value
+
+    def test_function_keeps_its_name_over_its_home_module(self):
+        module = importlib.import_module("roclab.timedep_roc")
+        assert roclab.timedep_roc is module.timedep_roc
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from roclab import *", namespace)
+        assert all(namespace[name] is getattr(roclab, name) for name in roclab.__all__)
+
+    def test_dir_lists_every_name(self):
+        assert set(roclab.__all__) <= set(dir(roclab))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            roclab.no_such_name  # noqa: B018
+
+    def test_a_patch_on_the_home_module_shows_through_the_package(self, monkeypatch):
+        # nothing is cached on the package, so a name patched while a
+        # tracer records reads unpatched once the tracer restores it
+        original = roclab.empirical_roc
+        monkeypatch.setattr("roclab.pooled_roc.empirical_roc", len)
+        assert roclab.empirical_roc is len
+        monkeypatch.undo()
+        assert roclab.empirical_roc is original and "empirical_roc" not in vars(roclab)

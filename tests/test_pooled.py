@@ -283,6 +283,17 @@ class TestKernelRoc:
             with pytest.raises(InvalidInputError, match="bandwidth"):
                 estimate(d, nd, h_d, h_nd)
 
+    @pytest.mark.parametrize("estimate", [kernel_roc, kernel_auc])
+    @pytest.mark.parametrize("h", [1e-320, 5e-324, np.finfo(float).tiny / 2.0])
+    def test_rejects_subnormal_bandwidth(self, estimate, h):
+        d, nd = [0.5, 1.0, 2.0], [0.0, 0.3, 1.1]
+        for h_d, h_nd in ((h, 0.5), (0.5, h)):
+            with pytest.raises(InvalidInputError, match="smallest normal double"):
+                estimate(d, nd, h_d, h_nd)
+        with pytest.raises(InvalidInputError, match="smallest normal double"):
+            kernel_cdf(d, h, 1.0)
+        assert kernel_cdf([1.0], np.finfo(float).tiny, 1.0) == 0.5
+
     def test_auc_closed_form_vs_grid_integration(self):
         rng = np.random.default_rng(12)
         d, nd = rng.normal(1, 1, 150), rng.normal(0, 1, 150)
@@ -1936,11 +1947,10 @@ class TestPowerOfTwoScale:
     is scale-free gives the same bits.  These hold: the empirical,
     Silverman-kernel and Bayesian bootstrap curves and AUCs; the step
     rule's Youden index and p* (``youden_empirical`` and every ``bb_roc``
-    draw), whose data-valued thresholds scale by exactly ``2^k``; and the
-    grid index that LSCV chooses.  These do not:
+    draw), whose thresholds scale by exactly ``2^k``, the everyone-positive
+    one (the double just below the pooled minimum) included, except below
+    a minimum of 0; and the grid index that LSCV chooses.  These do not:
 
-    * the step rule's everyone-positive threshold is the pooled minimum
-      less 1.0, not a data value, so it does not scale;
     * the LSCV bandwidth is ``np.geomspace``'s grid value at that index,
       rounded another way at another scale;
     * the kernel Youden search (``youden_from_cdfs`` on kernel CDFs, as the
@@ -1957,16 +1967,35 @@ class TestPowerOfTwoScale:
         pooled = np.concatenate([d, nd])
         before, after = empirical_roc(d, nd), empirical_roc(f * d, f * nd)
         assert np.array_equal(before.roc, after.roc) and before.auc == after.auc
+        # below a minimum of 0 the candidate is the least subnormal at every scale
         before, after = youden_empirical(d, nd), youden_empirical(f * d, f * nd)
         assert before.yi == after.yi and before.p_star == after.p_star
-        if before.c_star in pooled:
+        if pooled.min() != 0.0 or before.c_star in pooled:
             assert after.c_star == f * before.c_star
         before = bb_roc(d, nd, 20, seed=SeedSpec(seed, 0), youden=True)
         after = bb_roc(f * d, f * nd, 20, seed=SeedSpec(seed, 0), youden=True)
         for name in ("curves", "aucs", "yis", "p_stars"):
             assert np.array_equal(getattr(before, name), getattr(after, name)), name
-        data = np.isin(before.thresholds, pooled)
+        data = np.isin(before.thresholds, pooled) | (pooled.min() != 0.0)
         assert np.array_equal(after.thresholds[data], f * before.thresholds[data])
+
+    @pytest.mark.parametrize("k", [0, 53, 54, 60, 900])
+    def test_step_rule_everyone_positive_at_large_magnitudes(self, k):
+        # a reversed marker: the rule that scores exactly 0 classifies
+        # everyone positive, at a threshold below the data at any magnitude
+        f = 2.0 ** k
+        d, nd = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        base = youden_empirical(d, nd)
+        res = youden_empirical(f * d, f * nd)
+        assert (res.yi, res.p_star) == (0.0, 1.0)
+        assert res.c_star < f and res.c_star == f * base.c_star
+        ens = bb_roc(f * d, f * nd, 5, seed=SeedSpec(7, 0), youden=True)
+        assert np.array_equal(ens.p_stars, np.ones(5))
+        assert np.array_equal(ens.thresholds, np.full(5, f * base.c_star))
+
+    def test_step_rule_everyone_positive_at_1e17(self):
+        res = youden_empirical([1e17, 2e17], [3e17, 4e17])
+        assert (res.yi, res.p_star) == (0.0, 1.0) and res.c_star < 1e17
 
     @settings(max_examples=40, deadline=None)
     @scale_cases

@@ -1,6 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+
+import roclab.simulate
 
 from roclab import (BinormalScenario, InvalidInputError, SeedSpec,
                     empirical_auc, gen_binormal, gen_covariate_linear,
@@ -73,6 +79,32 @@ class TestTruthFunctions:
     def test_degenerate_null_youden(self):
         y = true_binormal_youden(0.0, 1.0)
         assert y.yi == 0.0 and y.c_star == 0.0
+
+    def test_null_auc_is_exactly_one_half(self):
+        assert true_binormal_auc(0.0, 1.0) == 0.5
+
+    @given(st.floats(-6.0, 6.0), st.floats(0.05, 20.0))
+    def test_scalar_truths_match_ndtr(self, a, b):
+        # the scalar Phi (math.erfc) against the same formulas on
+        # scipy's ndtr; yi and p* are differences of probabilities, so
+        # they get an absolute floor of 1e-15 for the cancellation
+        got_auc, got = true_binormal_auc(a, b), true_binormal_youden(a, b)
+        phi, roclab.simulate._phi = roclab.simulate._phi, std_normal_cdf
+        try:
+            want_auc, want = true_binormal_auc(a, b), true_binormal_youden(a, b)
+        finally:
+            roclab.simulate._phi = phi
+        assert math.isclose(got_auc, want_auc, rel_tol=1e-13)
+        assert got.c_star == want.c_star
+        for name in ("yi", "p_star"):
+            assert math.isclose(getattr(got, name), getattr(want, name),
+                                rel_tol=1e-13, abs_tol=1e-15), name
+
+    def test_truths_refuse_nan(self):
+        with pytest.raises(InvalidInputError, match="NaN"):
+            true_binormal_auc(np.nan, 1.0)
+        with pytest.raises(InvalidInputError, match="NaN"):
+            true_binormal_youden(1.0, np.nan)
 
     def test_domain(self):
         with pytest.raises(InvalidInputError):

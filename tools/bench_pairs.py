@@ -62,8 +62,11 @@ out, both in the calling process (its part of a forked ensemble), and the
 inversion's passes and evaluations per root there; and every analysis of
 ``cli_batch`` as a fresh ``python -m roclab.cli`` process on the
 benchmark's inputs (written by the parent), which reports each child's
-peak RSS (``child_peaks``).  The output file gets them under ``layers``:
-the times and peaks as quartiles over the rounds, the counts of the
+peak RSS and CPU seconds, user plus system, and their sum over the
+analyses (``child_peaks``: ``cli_batch.<name>.cpu_s`` and
+``cli_batch.cpu_s_per_pass``).  The output file gets them under
+``layers``, with the value of ``PYTHONDONTWRITEBYTECODE``: the times,
+peaks and CPU seconds as quartiles over the rounds, the counts of the
 first.
 
 With ``--scale``, each side runs every CLI analysis of ``SCALE_LADDER`` as
@@ -341,9 +344,10 @@ def phase_once(seed: int, run: str, phase: str) -> dict:
 
 
 def child_peaks(tree: str, analyses: list, out: str) -> dict:
-    """Peak RSS in MB (``ru_maxrss``) of each ``(name, argv)`` analysis run
-    as a fresh ``python -m roclab.cli`` process on ``tree``."""
-    peaks = {}
+    """Peak RSS in MB (``ru_maxrss``) and CPU seconds (``ru_utime +
+    ru_stime``) of each ``(name, argv)`` analysis run as a fresh ``python
+    -m roclab.cli`` process on ``tree``, and the CPU seconds of them all."""
+    peaks = {"cli_batch.cpu_s_per_pass": 0.0}
     for name, argv in analyses:
         shutil.rmtree(out, ignore_errors=True)
         proc = subprocess.Popen([sys.executable, "-m", "roclab.cli", *argv, "--outdir", out],
@@ -353,6 +357,8 @@ def child_peaks(tree: str, analyses: list, out: str) -> dict:
         if os.waitstatus_to_exitcode(status) != 0:
             raise RuntimeError(f"{name} exited {os.waitstatus_to_exitcode(status)} on {tree}")
         peaks[f"cli_batch.{name}.peak_mb"] = usage.ru_maxrss / 1024
+        peaks[f"cli_batch.{name}.cpu_s"] = usage.ru_utime + usage.ru_stime
+        peaks["cli_batch.cpu_s_per_pass"] += usage.ru_utime + usage.ru_stime
     return peaks
 
 
@@ -387,7 +393,7 @@ def layers(trees: dict, seed: int, rounds: int, work: str) -> dict:
     for side, runs in got.items():
         report[side] = {}
         for name in runs[0]:
-            if name.endswith("_mb"):
+            if name.endswith(("_mb", "cpu_s", "cpu_s_per_pass")):
                 report[side][f"{name}_q25_median_q75"] = quartiles([r[name] for r in runs])
                 continue
             if name.startswith("phases."):  # passes and evaluations per root
@@ -398,7 +404,9 @@ def layers(trees: dict, seed: int, rounds: int, work: str) -> dict:
             for count in ("evaluations_per_root", "passes"):
                 if count in runs[0][name]:
                     report[side][f"{name}.{count}"] = runs[0][name][count]
-    return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5, "by_side": report}
+    return {"seed": seed, "rounds": max(1, rounds), "calls_per_round": 5,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "by_side": report}
 
 
 # (name, subcommand and flags, cohort, sizes per group) of each analysis
