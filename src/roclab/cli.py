@@ -508,7 +508,7 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
         h_nd = pick(nd) if h_nd is None else h_nd
         opts.resolved["bandwidth_d"] = h_d
         opts.resolved["bandwidth_nd"] = h_nd
-        _check_bandwidths(h_d, h_nd)
+        _check_bandwidths((d, nd), h_d, h_nd)
         lo = float(min(d.min(), nd.min())) - 4.0 * max(h_d, h_nd)
         hi = float(max(d.max(), nd.max())) + 4.0 * max(h_d, h_nd)
         if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ def quantile(sample, p):
 
 def std_normal_cdf(x):
     """Standard normal CDF (vectorized)."""
-    from scipy.special import ndtr
+    from .core import ndtr
 
     xv = np.asarray(x, dtype=float)
     if np.any(np.isnan(xv)):
@@ -160,13 +161,54 @@ def std_normal_cdf(x):
 
 def std_normal_quantile(p):
     """Standard normal quantile; domain is the open interval (0, 1)."""
-    from scipy.special import ndtri
+    from .core import ndtri
 
     pv = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(pv)) or np.any(pv <= 0.0) or np.any(pv >= 1.0):
         raise InvalidInputError("normal quantile probability must be in (0, 1)")
     out = ndtri(pv)
     return float(out) if np.isscalar(p) or pv.ndim == 0 else out
+
+
+# the modules of scipy.special that ndtr and ndtri need, in their load order
+_SPECIAL_MODULES = ["scipy.special." + m for m in
+                    "_sf_error _ufuncs_cxx _ellip_harm_2 _special_ufuncs _gufuncs _ufuncs".split()]
+
+
+def __getattr__(name):
+    """``ndtr`` and ``ndtri``, scipy's own normal CDF and quantile ufuncs.
+
+    The package's one source of Phi and its inverse: every estimator calls
+    ``core.ndtr`` and ``core.ndtri``.  They come from ``scipy.special``'s
+    own modules, loaded without running ``scipy/special/__init__.py``
+    (whose array-API layer loads ``numpy.testing`` and ``numpy.f2py``,
+    about 20 MB and 0.2 s).  Each module goes into ``sys.modules`` under
+    its own name, and one already there is reused, so a later or earlier
+    ``import scipy.special`` exports these very objects.  If a load fails,
+    the modules this call registered are removed before it raises.  The
+    first access binds the name here.  ``ndtr`` is never called with
+    ``where=``, which writes wrong values on scipy 1.17.1.
+    """
+    if name not in ("ndtr", "ndtri"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import machinery, util
+
+    import scipy
+
+    added = [mod for mod in _SPECIAL_MODULES if mod not in sys.modules]
+    try:
+        for mod in added:
+            spec = machinery.PathFinder.find_spec(mod, [os.path.join(scipy.__path__[0], "special")])
+            if spec is None:
+                raise ImportError(f"scipy {scipy.__version__} has no module {mod}")
+            sys.modules[mod] = module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    except BaseException:
+        for mod in added:
+            sys.modules.pop(mod, None)
+        raise
+    globals()[name] = getattr(sys.modules["scipy.special._ufuncs"], name)
+    return globals()[name]
 
 
 def dirichlet_uniform(n: int, seed) -> np.ndarray:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import as_prob_grid, default_prob_grid, std_normal_cdf, validate_sample
 from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError,
                      InvalidInputError, NumericError, SeparationWarning,
@@ -189,13 +190,11 @@ def faraggi_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
     ``roc(p) = 1 - Phi(a(x) + b Phi^{-1}(1-p))`` with the closed-form
     ``auc = Phi(-a(x) / sqrt(1 + b^2))``.
     """
-    from scipy.special import ndtr, ndtri
-
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     a_x, b = _roc_scale_params(fit_d, fit_nd, x)
     roc = np.where(grid <= 0.0, 0.0, 1.0)
     interior = (grid > 0.0) & (grid < 1.0)
-    roc[interior] = 1.0 - ndtr(a_x + b * ndtri(1.0 - grid[interior]))
+    roc[interior] = 1.0 - core.ndtr(a_x + b * core.ndtri(1.0 - grid[interior]))
     auc = std_normal_cdf(-a_x / math.sqrt(1.0 + b * b))
     return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
 
@@ -234,7 +233,7 @@ def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
     if errors not in ("empirical", "normal"):
         raise InvalidInputError("errors must be 'empirical' or 'normal'")
     if errors == "normal":
-        from scipy.special import ndtr as law
+        law = core.ndtr
     else:
         res = np.sort(fit.residuals)
 
@@ -410,9 +409,7 @@ def _baseline_matrix(p: np.ndarray, knots: tuple[float, ...] | None) -> np.ndarr
     """ROC-GLM baseline regressors at ``p``: ``(1, Phi^{-1}(p))``, or with
     spline ``knots`` an intercept and the monotone basis on them."""
     if knots is None:
-        from scipy.special import ndtri
-
-        return np.column_stack([np.ones(p.size), ndtri(p)])
+        return np.column_stack([np.ones(p.size), core.ndtri(p)])
     return np.column_stack([np.ones(p.size), _ispline_basis(p, knots)])
 
 
@@ -437,8 +434,6 @@ class RocGlmFit:
 
     def curve(self, x=None, grid=None) -> RocCurveEstimate:
         """Conditional ROC curve at covariate vector ``x`` (None = no covariates)."""
-        from scipy.special import ndtr
-
         grid = default_prob_grid() if grid is None else as_prob_grid(grid)
         xv = np.zeros(0) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
         if xv.size != self.beta.size:
@@ -451,7 +446,7 @@ class RocGlmFit:
         interior = (grid > 0.0) & (grid < 1.0)
         if np.any(interior):
             h = _baseline_matrix(grid[interior], self.spline_knots)
-            roc[interior] = ndtr(h @ self.alpha + shift)
+            roc[interior] = core.ndtr(h @ self.alpha + shift)
         return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
@@ -544,8 +539,6 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     Raises a convergence error after 100 IRLS iterations; near-separated
     indicator sets produce a warning and clamped estimates.
     """
-    from scipy.special import ndtr
-
     if baseline not in ("parametric", "spline"):
         raise InvalidInputError("baseline must be 'parametric' or 'spline'")
     if p_grid is None:
@@ -588,7 +581,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     def deviance(b: np.ndarray) -> float:
         total = 0.0
         for _, eta, u in blocks(b):
-            mu = np.clip(ndtr(eta), 1e-12, 1.0 - 1e-12)
+            mu = np.clip(core.ndtr(eta), 1e-12, 1.0 - 1e-12)
             total += float(np.where(u, np.log(mu), np.log1p(-mu)).sum())
         return -2.0 * total
 
@@ -599,7 +592,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
         fold = np.zeros((n_coef + 1, n_coef + 1))
         for rows, eta, u in blocks(b):
             eta = np.clip(eta, -8.0, 8.0)
-            mu = np.clip(ndtr(eta), 1e-10, 1.0 - 1e-10)
+            mu = np.clip(core.ndtr(eta), 1e-10, 1.0 - 1e-10)
             dens = np.maximum(np.exp(-0.5 * eta * eta) / math.sqrt(2.0 * math.pi), 1e-10)
             sw = np.sqrt(dens * dens / (mu * (1.0 - mu)))
             stacked = np.empty((n_coef + 1 + sw.size, n_coef + 1))

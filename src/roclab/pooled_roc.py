@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (SeedSpec, _exact_ranks, as_prob_grid, default_prob_grid,
                    dirichlet_uniform, forked_spans, validate_sample)
 from .errors import DegenerateSampleError, InvalidInputError, NumericError
@@ -398,13 +399,17 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     return float(hs[int(np.argmin(quad - 2.0 * loo))])
 
 
-def _check_bandwidths(*hs: float) -> None:
+def _check_bandwidths(samples, *hs: float) -> None:
+    # samples: the data that the smoothed CDFs are evaluated across
+    span = max(float(s.max()) for s in samples) - min(float(s.min()) for s in samples)
     for h in hs:
         if not (np.isfinite(h) and h > 0.0):
             raise InvalidInputError(f"bandwidth must be finite and positive, got {h}")
         if h < np.finfo(float).tiny:  # 1/h would overflow
             raise InvalidInputError(f"bandwidth {h:.3g} is below the smallest normal "
                                     f"double, {np.finfo(float).tiny:.3g}")
+        if not math.isfinite(span / float(h)):  # so would (y - y_i) / h
+            raise InvalidInputError(f"bandwidth {h:.3g} is too small for data spanning {span:.3g}")
 
 
 # elements in one (rows x points x components) buffer of a normal-CDF sum
@@ -420,15 +425,12 @@ def kernel_cdf(sample, h: float, y):
     elements (or one point's n).
     """
     s = validate_sample(sample, "sample")
-    _check_bandwidths(h)
+    _check_bandwidths((s,), h)
     yv = np.asarray(y, dtype=float)
     sums = _mixture_sums(np.ones((1, s.size)), s[None, :], np.full((1, s.size), h, dtype=float),
                          yv.reshape(-1))
     out = sums[0] / s.size
     return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
-
-
-# ndtr is never called with where=, which writes wrong values on scipy 1.17.1
 
 
 def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
@@ -442,8 +444,6 @@ def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
     # operation that needs it, so no (len(rows), L) copy outlives its use.
     # The buffers are fresh, or bufs[0:3] (see _scratch): z, the terms and
     # the taken parameter; the bits are the same either way
-    from scipy.special import ndtr
-
     if rows is None:
         shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
 
@@ -460,10 +460,10 @@ def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
     z = np.subtract(x[..., :, None], param(mu), out=_scratch(bufs, 0, shape))
     z /= param(sigma)
     if not density:
-        terms = ndtr(z, out=z)
+        terms = core.ndtr(z, out=z)
         terms *= param(w)
         return terms.sum(axis=-1)
-    terms = ndtr(z, out=_scratch(bufs, 1, shape))
+    terms = core.ndtr(z, out=_scratch(bufs, 1, shape))
     terms *= param(w)
     cdf = terms.sum(axis=-1)
     np.multiply(z, z, out=terms)
@@ -778,7 +778,7 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
     nd = validate_sample(nondiseased, "nondiseased")
     h_d = silverman_bandwidth(d) if h_d is None else h_d
     h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    _check_bandwidths(h_d, h_nd)
+    _check_bandwidths((d, nd), h_d, h_nd)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     curves = _roc_from_mixtures(
         np.full((1, d.size), 1.0 / d.size), d[None, :], np.full((1, d.size), h_d),
@@ -815,8 +815,6 @@ def _taylor_row_sums(rows, window, scale):
     of one ``_BLOCK``-element buffer, and each row is one polynomial in
     ``e``.
     """
-    from scipy.special import ndtr
-
     c = 0.5 * (rows[0] + rows[-1])
     cols = max(1, min(window.size, _BLOCK // (_TAYLOR_ORDER + 3)))
     buf = np.empty((_TAYLOR_ORDER + 3, cols))
@@ -826,7 +824,7 @@ def _taylor_row_sums(rows, window, scale):
         h, t, tmp = buf[:-2, :piece.size], buf[-2, :piece.size], buf[-1, :piece.size]
         np.subtract(c, piece, out=t)
         t /= scale
-        ndtr(t, out=h[0])
+        core.ndtr(t, out=h[0])
         np.square(t, out=h[1])
         h[1] *= -0.5
         np.exp(h[1], out=h[1])
@@ -870,13 +868,11 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     fixed by the data and run one after the other; their row and piece
     sums are added exactly (``math.fsum``).
     """
-    from scipy.special import ndtr
-
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))
     h_d = silverman_bandwidth(d) if h_d is None else h_d
     h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    _check_bandwidths(h_d, h_nd)
+    _check_bandwidths((d, nd), h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
     reach = _SATURATED * scale
     # Taylor blocks: bins of width 0.5 scale with enough values in them (a
@@ -910,7 +906,7 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
             pairs = buf[:, :piece.size]
             np.subtract(rows[:, None], piece, out=pairs)
             pairs /= scale
-            ndtr(pairs, out=pairs)
+            core.ndtr(pairs, out=pairs)
             sums.append(float(pairs.sum()))
     return math.fsum(sums) / (d.size * nd.size)
 
@@ -1232,15 +1228,14 @@ def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
     Draws go in blocks, one after the other, whose (draws, L, L) buffers
     stay within ``_BLOCK`` elements; each draw's sum is the same.
     """
-    from scipy.special import ndtr
-
     step = max(1, _BLOCK // (w_d.shape[1] * w_nd.shape[1]))
 
     def block(start):
         rows = slice(start, start + step)
         a = (mu_d[rows, None, :] - mu_nd[rows, :, None]) / sg_d[rows, None, :]
         b = sg_nd[rows, :, None] / sg_d[rows, None, :]
-        return np.einsum("sk,sl,skl->s", w_nd[rows], w_d[rows], ndtr(a / np.sqrt(1.0 + b * b)))
+        return np.einsum("sk,sl,skl->s", w_nd[rows], w_d[rows],
+                         core.ndtr(a / np.sqrt(1.0 + b * b)))
 
     return np.concatenate([block(start) for start in range(0, w_d.shape[0], step)])
 

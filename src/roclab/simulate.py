@@ -6,7 +6,7 @@ outcomes ``N(a/b, 1/b^2)``, which makes the true curve
 and a closed-form Youden maximizer, all exposed here as oracles.  The
 scalar truths (AUC and Youden) take Phi from ``math.erfc``, the formula of
 the standard library's ``NormalDist.cdf``, so they load no scipy; for
-|x| <= 6 that is within 1e-14 relative of ``scipy.special.ndtr``.
+|x| <= 6 that is within 1e-14 relative of scipy's ``ndtr`` (``core.ndtr``).
 """
 
 from __future__ import annotations

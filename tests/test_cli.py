@@ -314,6 +314,7 @@ class TestPooledSubcommand:
     @pytest.mark.parametrize("h, message", [
         ("1e308", "bandwidth 1e+308 overflows the Youden search range"),
         ("1e-320", "bandwidth 1e-320 is below the smallest normal double"),
+        ("3e-308", "bandwidth 3e-308 is too small for data spanning 11"),
     ])
     def test_kernel_bandwidth_at_the_edges_of_double_range(self, tmp_path, capsys, h,
                                                           message):
@@ -996,9 +997,8 @@ class TestImportCost:
 
     def test_kernel_run_leaves_the_thread_pool_unloaded(self, tmp_path):
         # two CPUs, and the curve and the Youden search forked side by
-        # side: the sums over 1,500 values per group run in plain loops.
-        # scipy.special loads concurrent.futures itself, but not its
-        # thread pool, and the run leaves no thread behind
+        # side: the sums over 1,500 values per group run in plain loops,
+        # no thread pool loads and the run leaves no thread behind
         p = binormal_cohort(tmp_path / "c.csv", 1500, 1500, 92)
         code = ("import threading\nimport roclab.cli, roclab.core\n"
                 "roclab.core._worker_count = lambda: 2\nroclab.cli._FORK_KERNEL = 0\n"
@@ -1036,13 +1036,31 @@ class TestImportCost:
                                modules=["fractions"]) == []
 
     def test_rocglm_imports_scipy_on_first_use(self, tmp_path):
-        # scipy.special alone, with either baseline
+        # scipy.special's ufunc modules alone, not its package, with either
+        # baseline
         p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
         for baseline in ("parametric", "spline"):
             loaded = loaded_by(RUN_CLI, ["covariate", "--input", p, "--estimator", "rocglm",
                                          "--baseline", baseline, "--covariates", "x",
-                                         "--at", "0.5", "--outdir", tmp_path / baseline])
-            assert loaded == ["scipy.special"], baseline
+                                         "--at", "0.5", "--outdir", tmp_path / baseline],
+                               modules=SCIPY_SUBMODULES + ("scipy.special._ufuncs",))
+            assert loaded == ["scipy.special._ufuncs"], baseline
+
+    @pytest.mark.parametrize("argv", [
+        ["pooled", "--estimator", "kernel", "--bandwidth-method", "lscv"],
+        ["pooled", "--estimator", "dpm", "--burn-in", "20", "--n-save", "20"],
+        ["covariate", "--estimator", "ddp", "--covariates", "x", "--at", "0.5",
+         "--burn-in", "20", "--n-save", "20"],
+        ["covariate", "--estimator", "faraggi", "--covariates", "x", "--at", "0.5"],
+        ["covariate", "--estimator", "rocglm", "--covariates", "x", "--at", "0.5"],
+    ], ids=lambda argv: argv[2])
+    def test_normal_cdf_runs_load_the_ufuncs_without_scipy_special(self, tmp_path, argv):
+        # Phi comes through core's seam: scipy.special's package, whose
+        # array-API layer loads numpy.testing and numpy.f2py, never runs
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        assert loaded_by(RUN_CLI, argv + ["--input", p, "--outdir", tmp_path / "out"],
+                         modules=["numpy.f2py", "numpy.testing", "scipy.special",
+                                  "scipy.special._ufuncs"]) == ["scipy.special._ufuncs"]
 
     @pytest.mark.parametrize("argv", [
         None,

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import signal
 import subprocess
@@ -141,6 +143,74 @@ class TestNormalHelpers:
             std_normal_quantile(0.0)
         with pytest.raises(InvalidInputError):
             std_normal_quantile(1.0)
+
+
+class TestNormalUfuncSeam:
+    """``core.ndtr`` and ``core.ndtri`` are scipy's own ufuncs, loaded
+    without running ``scipy.special``'s package."""
+
+    @pytest.mark.parametrize("first", ["roclab.core", "scipy.special"])
+    def test_seam_gives_the_objects_scipy_special_exports(self, first):
+        run_script(f"import sys\nimport {first}\nimport roclab.core as core\n"
+                   "ndtr, ndtri = core.ndtr, core.ndtri\n"
+                   f"assert ('scipy.special' in sys.modules) == {first == 'scipy.special'}\n"
+                   "import scipy.special\n"
+                   "assert ndtr is scipy.special.ndtr and ndtri is scipy.special.ndtri")
+
+    def test_failed_load_leaves_sys_modules_unchanged(self):
+        # the last module fails to load after the first five registered
+        run_script("import sys\nfrom importlib.machinery import PathFinder\n"
+                   "import scipy, roclab.core as core\n"
+                   "find = PathFinder.find_spec\n"
+                   "def fail(name, path=None, target=None):\n"
+                   "    if name == 'scipy.special._ufuncs':\n"
+                   "        raise ImportError('refused')\n"
+                   "    return find(name, path, target)\n"
+                   "PathFinder.find_spec = fail\n"
+                   "before = dict(sys.modules)\n"
+                   "try:\n    core.ndtr\nexcept ImportError as exc:\n"
+                   "    assert str(exc) == 'refused'\n"
+                   "else:\n    raise AssertionError('the load did not fail')\n"
+                   "assert sys.modules == before\n"
+                   "PathFinder.find_spec = find\n"
+                   "import scipy.special\n"
+                   "assert core.ndtr is scipy.special.ndtr")
+
+    def test_only_the_seam_names_scipy_special_and_no_call_passes_where(self):
+        # every module takes Phi from the seam (as core.ndtr, or a name
+        # bound to it); where= writes wrong values on scipy 1.17.1
+        src = os.path.dirname(roclab.__file__)
+        imports, named, masked = [], set(), []
+        for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+            module = os.path.basename(path)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            ufuncs = {"ndtr", "ndtri"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imports += [(module, a.name) for a in node.names
+                                if a.name.startswith("scipy.special")]
+                elif isinstance(node, ast.ImportFrom):
+                    if (node.module or "").startswith("scipy.special"):
+                        imports.append((module, node.module))
+                    ufuncs |= {a.asname for a in node.names if a.name in ufuncs and a.asname}
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and node.value.startswith("scipy.special")):
+                    named.add(module)
+                elif isinstance(node, ast.Assign) and getattr(node.value, "attr", None) in ufuncs:
+                    ufuncs |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if callee in ufuncs and any(k.arg in ("where", None) for k in node.keywords):
+                        masked.append((module, node.lineno))
+        assert imports == [] and named == {"core.py"} and masked == []
+
+    def test_other_names_raise_attribute_error(self):
+        import roclab.core
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            roclab.core.no_such_name  # noqa: B018
 
 
 class TestDirichletUniform:

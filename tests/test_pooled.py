@@ -294,6 +294,16 @@ class TestKernelRoc:
             kernel_cdf(d, h, 1.0)
         assert kernel_cdf([1.0], np.finfo(float).tiny, 1.0) == 0.5
 
+    @pytest.mark.parametrize("estimate", [kernel_roc, kernel_auc])
+    def test_rejects_bandwidth_that_overflows_across_the_data(self, estimate):
+        # 1 / h is finite, but (y - y_i) / h across a range of 11 is not
+        d, nd = [10.0, 12.0], [1.0, 2.0]
+        for h_d, h_nd in ((3e-308, 0.5), (0.5, 3e-308)):
+            with pytest.raises(InvalidInputError, match="too small for data spanning 11"):
+                estimate(d, nd, h_d, h_nd)
+        with pytest.raises(InvalidInputError, match="too small for data spanning 11"):
+            kernel_cdf(d + nd, 3e-308, 1.0)
+
     def test_auc_closed_form_vs_grid_integration(self):
         rng = np.random.default_rng(12)
         d, nd = rng.normal(1, 1, 150), rng.normal(0, 1, 150)

@@ -50,8 +50,9 @@ ensemble's fork floor (``_FORK_ENSEMBLE``, where the side has one) raised,
 so its inversion runs in the counting process; the timed calls run as the
 side's code runs them.  Each round also runs one ``dpm_roc(youden=True)``
 at CLI defaults in another fresh process per side, which reports, in MB,
-its peak RSS (``ru_maxrss``) before that call (with ``scipy.special``
-loaded) and after it, the rise, and the peak of its largest forked part
+its peak RSS (``ru_maxrss``) before that call (with the normal CDF
+loaded as the side's code loads it, through ``std_normal_cdf``) and
+after it, the rise, and the peak of its largest forked part
 (``RUSAGE_CHILDREN``).  Each round also runs, in fresh processes per
 side, one ``pooled --estimator dpm`` CLI run (``roclab.cli.main``) per
 phase and size of ``PHASE_RUNS`` (``phase_once``: cli_batch's child, 300
@@ -252,9 +253,9 @@ def memory_once(seed: int) -> dict:
     (see ``--layers``)."""
     import resource
 
-    import scipy.special  # noqa: F401  (its first load is not the call's)
+    from roclab import dpm_roc, std_normal_cdf
 
-    from roclab import dpm_roc
+    std_normal_cdf(0.0)  # Phi's first load, as the side's code loads it, is not the call's
 
     fits, _ = cli_default_fits(seed)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -280,10 +281,11 @@ def phase_once(seed: int, run: str, phase: str) -> dict:
     inversion's passes and CDF evaluations per root in this process."""
     import resource
 
-    import scipy.special  # noqa: F401  (loaded by the CLI's first CDF; not a phase's)
-
     import roclab.pooled_roc as pooled
+    from roclab import std_normal_cdf
     from roclab.cli import main
+
+    std_normal_cdf(0.0)  # Phi, loaded as the side's CLI loads it at its first CDF; not a phase's
 
     n, flags = PHASE_RUNS[run]
     rng = np.random.default_rng(seed)
