@@ -51,21 +51,10 @@ class Prevalence:
 
 
 def classification_fractions(diseased, nondiseased, threshold: float) -> ConfusionFractions:
-    """Error fractions of the rule ``positive iff y >= threshold``.
-
-    Parameters
-    ----------
-    diseased, nondiseased : array_like
-        Test outcomes in each population.
-    threshold : float
-        Positivity cutoff ``c``; may be +/-inf to force all-negative or
-        all-positive classification.
-
-    Returns
-    -------
-    ConfusionFractions
-        tpf = #{diseased >= c}/n_diseased and so on, each a single
-        correctly rounded division.
+    """Error fractions of the rule ``positive iff y >= threshold``:
+    ``tpf = #{diseased >= c} / n_diseased`` and so on, each one correctly
+    rounded division.  ``c = +-inf`` classifies everyone negative or
+    positive; a NaN ``c`` raises.
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))

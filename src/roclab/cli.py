@@ -1,27 +1,8 @@
-"""Batch command-line front door.
+"""The ``roclab`` command line: one analysis of a cohort CSV (or one
+simulated cohort) per run, written as a set of artifacts.
 
-Subcommands ``binary``, ``pooled``, ``covariate``, ``aroc``, ``timedep``
-and ``simulate`` ingest a cohort CSV (or scenario settings), run one
-configured analysis, and write artifacts into an output directory:
-
-* ``curve.csv``: columns ``p,roc,band_lo,band_hi`` (band cells empty for
-  estimators without uncertainty bands); always includes p=0 and p=1.
-* ``summary.txt``: AUC with interval plus Youden index, threshold and
-  optimal-FPF lines, then one ``warning:`` line per distinct roclab
-  warning the analysis raised (``NegativeYoudenWarning`` when the reported
-  AUC is below 0.5).
-* ``metadata.json``: every parameter, seed and library version needed to
-  reproduce the run byte-exactly, the sorted ``warnings`` list when
-  there are any, and deterministic fit ``diagnostics`` where an analysis
-  has them (ROC-GLM: whether IRLS converged and its iteration count).  No
-  timestamps.
-* ``curve.svg`` (optional): fixed-size static plot.
-* ``curve_full.csv`` (optional): full-precision sidecar.
-
-Defaults may come from an INI config file (section per subcommand plus
-``[common]``); command-line flags override the file.  Exit codes: 0 ok,
-2 validation failure, 3 numeric failure.  The environment variable
-``ROCLAB_OUTDIR`` supplies the default output directory.
+The artifacts, the config file and the exit codes are described in
+README's "Command line" section.
 """
 
 from __future__ import annotations
@@ -77,24 +58,19 @@ def _write_files(outdir: str, files: list[tuple[str, str]]) -> None:
         raise
 
 
-def _fmt6(x) -> str:
+def _fmt(x, spec: str = ".6g") -> str:
+    # a number to spec, "" for None; spec "" gives repr's shortest round trip
     if x is None:
         return ""
-    return format(float(x), ".6g")
+    return format(float(x), spec)
 
 
-def _fmt_full(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-def _curve_csv_text(curve, fmt) -> str:
+def _curve_csv_text(curve, spec: str) -> str:
     lines = ["p,roc,band_lo,band_hi"]
     lo = curve.band_lo if curve.band_lo is not None else [None] * len(curve.grid)
     hi = curve.band_hi if curve.band_hi is not None else [None] * len(curve.grid)
     for p, r, a, b in zip(curve.grid, curve.roc, lo, hi):
-        lines.append(f"{fmt(p)},{fmt(r)},{fmt(a)},{fmt(b)}")
+        lines.append(",".join(_fmt(v, spec) for v in (p, r, a, b)))
     return "\n".join(lines) + "\n"
 
 
@@ -102,8 +78,8 @@ def _interval_line(name: str, value, lo=None, hi=None) -> str:
     if value is None:
         return f"{name}: n/a"
     if lo is None or hi is None:
-        return f"{name}: {_fmt6(value)}"
-    return f"{name}: {_fmt6(value)} ({_fmt6(lo)}, {_fmt6(hi)})"
+        return f"{name}: {_fmt(value)}"
+    return f"{name}: {_fmt(value)} ({_fmt(lo)}, {_fmt(hi)})"
 
 
 def _svg_text(curve) -> str:
@@ -137,14 +113,6 @@ def _svg_text(curve) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _json_default(obj):
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
-
-
 def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
                    curve, report, warned: list[str], extra: list,
                    diagnostics: dict) -> None:
@@ -163,14 +131,13 @@ def _write_outputs(outdir: str, params: dict, summary_lines: list[str],
         summary_lines = summary_lines + [f"warning: {w}" for w in warned]
     files = [("summary.txt", "\n".join(summary_lines) + "\n"), *extra]
     if curve is not None:
-        files.append(("curve.csv", _curve_csv_text(curve, _fmt6)))
+        files.append(("curve.csv", _curve_csv_text(curve, ".6g")))
         if params.get("full_precision"):
-            files.append(("curve_full.csv", _curve_csv_text(curve, _fmt_full)))
+            files.append(("curve_full.csv", _curve_csv_text(curve, "")))
         if params.get("svg"):
             files.append(("curve.svg", _svg_text(curve)))
     # metadata.json is renamed last: a directory that has it has the whole set
-    files.append(("metadata.json", json.dumps(meta, indent=2, sort_keys=True,
-                                              default=_json_default) + "\n"))
+    files.append(("metadata.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
     _write_files(outdir, files)
 
 
@@ -209,8 +176,7 @@ def read_cohort(path: str, columns: list[str], *, binary_cols=(),
             f"column(s) {', '.join(repr(c) for c in repeated)} requested in more "
             "than one role")
     try:
-        # utf-8-sig: a file saved with a byte-order mark (as spreadsheets
-        # write it) reads as the same file without one
+        # utf-8-sig: a byte-order mark (as spreadsheets write it) is dropped
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InvalidInputError(f"cannot read input file: {exc}") from None
@@ -323,6 +289,21 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
+def _check_config(cfg: configparser.ConfigParser, parser: argparse.ArgumentParser) -> None:
+    """Refuse a config key that no option reads: one that is not an option
+    of its section's subcommand or, in ``[common]``, of any subcommand."""
+    (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {name: {a.dest for a in sub._actions} - {"help", "config"}
+            for name, sub in subs.choices.items()}
+    keys["common"] = set().union(*keys.values())
+    for section in cfg.sections():
+        if section not in keys:
+            raise InvalidInputError(f"unknown config section [{section}]")
+        for key in cfg.options(section):
+            if key not in keys[section]:
+                raise InvalidInputError(f"unknown config option [{section}] {key}")
+
+
 def _cast_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -394,20 +375,15 @@ def _parse_floats(raw: str, name: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommand handlers: each takes the ``Options`` that ``_run`` set up and
 # returns (summary lines, curve or None, input report or None), then any
-# further (name, text) artifacts; ``_run`` writes them all as one set.
-# Each imports the estimators it calls from their home modules when it
-# runs, so a process loads only its subcommand's modules
+# further (name, text) artifacts.  Each imports the estimators it calls
+# when it runs, so a process loads only its subcommand's modules
 
 
 def _summary_lines(head: list[str], curve, youden=None) -> list[str]:
     """``head``, then the AUC and Youden lines; ``youden`` is a ``YoudenResult``
     or a dict whose values are numbers, ``(value, lo, hi)`` or None, and
-    by default the curve's own largest gap (``indices._curve_gap``) with no
-    threshold.
-
-    Every Youden-reporting analysis passes here, so this is the one place
-    that issues ``NegativeYoudenWarning``: when the reported AUC (the
-    posterior mean for an ensemble) is below 0.5, whatever the estimator.
+    by default the curve rule's, with no threshold.  The one place that
+    issues ``NegativeYoudenWarning``: when the reported AUC is below 0.5.
     """
     from .indices import _curve_gap
 
@@ -438,31 +414,28 @@ def _cmd_binary(opts: Options) -> tuple:
     fractions = classification_fractions(d, nd, threshold)
     lines = [
         "analysis: binary",
-        f"threshold: {_fmt6(threshold)}",
+        f"threshold: {_fmt(threshold)}",
         f"n_diseased: {d.size}",
         f"n_nondiseased: {nd.size}",
-        f"tpf: {_fmt6(fractions.tpf)}",
-        f"fpf: {_fmt6(fractions.fpf)}",
-        f"tnf: {_fmt6(fractions.tnf)}",
-        f"fnf: {_fmt6(fractions.fnf)}",
+        f"tpf: {_fmt(fractions.tpf)}",
+        f"fpf: {_fmt(fractions.fpf)}",
+        f"tnf: {_fmt(fractions.tnf)}",
+        f"fnf: {_fmt(fractions.fnf)}",
     ]
     ppv, npv = ((None, None) if prevalence is None
                 else predictive_values(fractions, prevalence))
     return lines + [_interval_line("ppv", ppv), _interval_line("npv", npv)], None, report
 
 
-# sweeps per chain (burn-in plus saved) from which the two Gibbs chains run
-# side by side.  Measured: BENCH_26.json fork_floors
+# sweeps per chain from which the two Gibbs chains fork.  Measured: BENCH_26.json fork_floors
 _FORK_SWEEPS = 200
-# subjects in both groups from which the kernel analysis runs its curve
-# and its Youden search side by side.  Measured: BENCH_26.json fork_floors
+# subjects from which the kernel curve and Youden search fork.  Measured: BENCH_26.json fork_floors
 _FORK_KERNEL = 1000
 
 
 def _side_by_side(jobs: list, fork: bool) -> list:
     """The results of ``jobs`` (independent callables of no arguments), in
-    order, each job a span of ``forked_spans``: with ``fork`` the first
-    runs here and each other one in a forked child, one per CPU."""
+    order, each job a span of ``forked_spans``."""
     spans = forked_spans(lambda start, stop: [job() for job in jobs[start:stop]],
                          len(jobs), fork)
     return [result for span in spans for result in span]
@@ -470,9 +443,7 @@ def _side_by_side(jobs: list, fork: bool) -> list:
 
 def _mixture_fits(opts: Options, fit, samples) -> list:
     """``fit`` of the diseased and the nondiseased sample, each chain with
-    its own seed stream, side by side (``_side_by_side``) from
-    ``_FORK_SWEEPS`` sweeps on: the diseased chain here and the
-    nondiseased one in a forked child."""
+    its own seed stream, side by side from ``_FORK_SWEEPS`` sweeps on."""
     from .pooled_roc import DpmConfig
 
     seed = opts.get("seed", int, 20260815)
@@ -598,7 +569,7 @@ def _cmd_covariate(opts: Options) -> tuple:
         raise InvalidInputError(
             f"unknown estimator {estimator!r}: choose faraggi, pepe, ddp or rocglm")
     head = ["analysis: covariate", f"estimator: {estimator}",
-            f"at: {','.join(_fmt6(v) for v in at)}",
+            f"at: {','.join(_fmt(v) for v in at)}",
             f"n_diseased: {sample_d.n}", f"n_nondiseased: {sample_nd.n}"]
     return _summary_lines(head, curve, youden), curve, report
 
@@ -630,15 +601,13 @@ def _cmd_timedep(opts: Options) -> tuple:
     (marker, time, event), report = read()
     sample = SurvivalSample(marker=marker, time=time, event=event)
     curve, youden = _roc_and_youden(sample, horizon, grid, isotonic=isotonic)
-    head = ["analysis: timedep", f"time: {_fmt6(horizon)}", f"n_subjects: {sample.n}"]
+    head = ["analysis: timedep", f"time: {_fmt(horizon)}", f"n_subjects: {sample.n}"]
     return _summary_lines(head, curve, youden), curve, report
 
 
-def _cohort_csv_text(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _cohort_csv_text(header: list[str], *columns) -> str:
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(*columns))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _cmd_simulate(opts: Options) -> tuple:
@@ -648,7 +617,7 @@ def _cmd_simulate(opts: Options) -> tuple:
     scenario = opts.get("scenario", str, "binormal")
     seed = opts.get("seed", int, 20260815)
     spec = SeedSpec(seed, 0)
-
+    lines = ["analysis: simulate", f"scenario: {scenario}"]
     if scenario == "binormal":
         a = opts.get("a", float, 1.0)
         b = opts.get("b", float, 1.0)
@@ -656,19 +625,16 @@ def _cmd_simulate(opts: Options) -> tuple:
         n_nd = opts.get("n_nondiseased", int, 100)
         sample = gen_binormal(BinormalScenario(a=a, b=b, n_diseased=n_d,
                                                n_nondiseased=n_nd, seed=spec))
-        rows = [(v, 1.0) for v in sample.diseased] + \
-               [(v, 0.0) for v in sample.nondiseased]
-        text = _cohort_csv_text(["marker", "status"], rows)
+        text = _cohort_csv_text(["marker", "status"], np.r_[sample.diseased, sample.nondiseased],
+                                np.arange(n_d + n_nd) < n_d)
         truth = true_binormal_youden(a, b)
-        lines = [
-            "analysis: simulate",
-            "scenario: binormal",
+        lines += [
             f"n_diseased: {n_d}",
             f"n_nondiseased: {n_nd}",
-            f"true_auc: {_fmt6(true_binormal_auc(a, b))}",
-            f"true_yi: {_fmt6(truth.yi)}",
-            f"true_c_star: {_fmt6(truth.c_star)}",
-            f"true_p_star: {_fmt6(truth.p_star)}",
+            f"true_auc: {_fmt(true_binormal_auc(a, b))}",
+            f"true_yi: {_fmt(truth.yi)}",
+            f"true_c_star: {_fmt(truth.c_star)}",
+            f"true_p_star: {_fmt(truth.p_star)}",
         ]
     elif scenario == "covariate":
         beta_d = _parse_floats(opts.get("beta_d", str, "0.5,1.0"), "beta_d")
@@ -679,21 +645,19 @@ def _cmd_simulate(opts: Options) -> tuple:
         n_nd = opts.get("n_nondiseased", int, 100)
         sample_d, sample_nd = gen_covariate_linear(
             beta_d, beta_nd, sigma_d, sigma_nd, n_d, n_nd, seed=spec)
-        rows = [(y, 1.0, x) for y, x in zip(sample_d.outcomes, sample_d.design[:, 1])]
-        rows += [(y, 0.0, x) for y, x in zip(sample_nd.outcomes, sample_nd.design[:, 1])]
-        text = _cohort_csv_text(["marker", "status", "x"], rows)
-        lines = ["analysis: simulate", "scenario: covariate",
-                 f"n_diseased: {n_d}", f"n_nondiseased: {n_nd}"]
+        text = _cohort_csv_text(["marker", "status", "x"],
+                                np.r_[sample_d.outcomes, sample_nd.outcomes],
+                                np.arange(n_d + n_nd) < n_d,
+                                np.r_[sample_d.design[:, 1], sample_nd.design[:, 1]])
+        lines += [f"n_diseased: {n_d}", f"n_nondiseased: {n_nd}"]
     elif scenario == "survival":
         n = opts.get("n", int, 200)
         gamma = opts.get("gamma", float, 1.0)
         censor_rate = opts.get("censor_rate", float, 0.0)
         sample = gen_survival(n, gamma, censor_rate, seed=spec)
-        rows = zip(sample.marker, sample.time, sample.event)
-        text = _cohort_csv_text(["marker", "time", "event"], rows)
-        lines = ["analysis: simulate", "scenario: survival",
-                 f"n_subjects: {n}",
-                 f"n_events: {int(np.sum(sample.event))}"]
+        text = _cohort_csv_text(["marker", "time", "event"], sample.marker, sample.time,
+                                sample.event)
+        lines += [f"n_subjects: {n}", f"n_events: {int(np.sum(sample.event))}"]
     else:
         raise InvalidInputError(
             f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
@@ -823,20 +787,15 @@ def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
         pass
 
 
-# warnings about the data or the fit; they are deterministic, so recording
-# them keeps reruns byte-identical
+# warnings about the data or the fit, deterministic so reruns stay byte-identical
 _RECORDED_WARNINGS = (AllCensoredWarning, NegativeYoudenWarning, SeparationWarning)
 
 
 def _run(args, cfg: configparser.ConfigParser) -> None:
-    """Set up the run, call the subcommand's handler and write its artifacts.
-
-    The output directory and the ``svg``/``full_precision`` flags are
-    resolved first; the handler gets the ``Options`` and resolves the rest,
-    and everything resolved goes into ``metadata.json`` as ``params``.
-    Every distinct warning the handler raises still goes to stderr once;
-    the roclab ones are also listed, sorted, in the artifacts.  An
-    ``OSError`` while writing them is an input error (exit 2).
+    """Run the subcommand's handler and write its artifacts as one set,
+    with every option it resolved as ``params``.  Every distinct warning
+    goes to stderr once, and the roclab ones are also listed, sorted, in
+    the artifacts.  An ``OSError`` while writing them is an input error.
     """
     opts = Options(args, cfg, args.command)
     outdir = _resolve_outdir(opts)
@@ -867,6 +826,7 @@ def main(argv=None) -> int:
     cfg = configparser.ConfigParser()  # stays empty if the file fails to load
     try:
         cfg = _load_config(args.config)
+        _check_config(cfg, parser)
         _run(args, cfg)
         return 0
     except (ValueError, RuntimeError) as exc:

@@ -1,25 +1,10 @@
-"""Shared primitives: seeding, probability grids, ECDF/quantile, normal CDF.
+"""Shared primitives: seeding, probability grids, ECDF/quantile, normal CDF
+and the package's one way to run work in parallel, ``forked_spans``.
 
-Conventions used throughout the package:
-
-* The empirical CDF is right continuous, ``F(y) = #{y_i <= y} / n``.
-* The empirical quantile is the left-continuous generalized inverse,
-  ``Q(p) = inf{y : F(y) >= p}``, i.e. the smallest order statistic whose
-  ECDF level reaches ``p``.  The rank is resolved in exact integer
-  arithmetic on the binary value of ``p`` so that boundary probabilities
-  (``p`` exactly at a jump) never depend on floating-point rounding.
-  ``quantile`` and every empirical ROC curve take their ranks from this
-  one rule, ``_exact_ranks``.
-* ROC curves live on probability grids: strictly increasing 1-d arrays
-  inside ``[0, 1]``.
-* Parallel work has one seam, ``forked_spans``: the two groups' Gibbs
-  chains, the draws of a large posterior ensemble or Bayesian bootstrap,
-  and the kernel analysis's curve and Youden search run in consecutive
-  spans, one per CPU the process may use, the first in the caller and
-  each other one in a forked child.  Every span computes the same bits
-  wherever it runs and results come back in span order, so no output
-  depends on the worker count.  Each span is a part, and spans nested
-  inside a part run serially.
+The empirical CDF is right continuous, ``F(y) = #{y_i <= y} / n``, and the
+empirical quantile its left-continuous inverse ``inf{y : F(y) >= p}``.
+ROC curves live on probability grids: strictly increasing 1-d arrays
+inside ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -39,9 +24,8 @@ class SeedSpec:
     """Reproducible RNG root: a master seed plus a stream identifier.
 
     Identical ``(master_seed, stream_id)`` pairs give bit-identical draws;
-    distinct ``stream_id`` values give independent streams under the same
-    master seed.  ``rng(*extra)`` derives further child streams, used to
-    make per-draw randomness independent of execution order.
+    distinct ``stream_id`` values give independent streams.  ``rng(*extra)``
+    derives further child streams.
     """
 
     master_seed: int
@@ -83,6 +67,15 @@ def as_prob_grid(grid) -> np.ndarray:
     return g
 
 
+def _pinned_curve(p: np.ndarray, inside):
+    # a curve at probabilities p: inside(p) where 0 < p < 1, 0 at p <= 0, else 1
+    out = np.where(p <= 0.0, 0.0, 1.0)
+    interior = (p > 0.0) & (p < 1.0)
+    if np.any(interior):
+        out[interior] = inside(p[interior])
+    return out
+
+
 def validate_sample(values, name: str = "sample", min_size: int = 1) -> np.ndarray:
     """Coerce to a finite 1-d float array of at least ``min_size`` entries."""
     y = np.asarray(values, dtype=float)
@@ -96,20 +89,9 @@ def validate_sample(values, name: str = "sample", min_size: int = 1) -> np.ndarr
 
 
 def ecdf(sample, y):
-    """Empirical CDF of ``sample`` evaluated at ``y`` (right continuous).
+    """Empirical CDF ``#{sample <= y} / n`` at scalar or array ``y``.
 
-    Parameters
-    ----------
-    sample : array_like
-        Observations, any order.
-    y : scalar or array_like
-        Evaluation points.
-
-    Returns
-    -------
-    float or ndarray
-        ``#{sample <= y} / n``; each value is a single correctly rounded
-        division, so jump levels ``k/n`` are reproduced exactly.
+    Each value is one correctly rounded division; a NaN ``y`` raises.
     """
     s = np.sort(validate_sample(sample))
     yv = np.asarray(y, dtype=float)
@@ -121,11 +103,10 @@ def ecdf(sample, y):
 
 
 def _exact_ranks(n: int, probs: np.ndarray, complement: bool = False) -> np.ndarray:
-    """Smallest ``k`` with ``k/n >= p`` (or ``>= 1 - p`` with ``complement``).
-
-    That is ``ceil(n p)``, decided on the exact binary rational of each
-    ``p``, so a level exactly on an ECDF jump never depends on rounding.
-    """
+    """Smallest ``k`` with ``k/n >= p`` (or ``>= 1 - p`` with ``complement``),
+    decided on the exact binary rational of each ``p``, so a level exactly
+    on an ECDF jump never depends on rounding; every empirical quantile
+    and ROC curve takes its ranks from here."""
     def rank(p: float) -> int:
         num, den = p.as_integer_ratio()
         return -((-n * (den - num if complement else num)) // den)
@@ -136,9 +117,7 @@ def _exact_ranks(n: int, probs: np.ndarray, complement: bool = False) -> np.ndar
 def quantile(sample, p):
     """Left-continuous empirical quantile ``inf{y : F(y) >= p}``.
 
-    ``p`` must lie in ``(0, 1]``.  At a jump of the ECDF the infimum is the
-    order statistic that attains the level, resolved in exact integer
-    arithmetic (no tolerance fudge).
+    ``p`` must lie in ``(0, 1]``; the rank is ``_exact_ranks``'.
     """
     s = np.sort(validate_sample(sample))
     pv = np.asarray(p, dtype=float)
@@ -176,18 +155,15 @@ _SPECIAL_MODULES = ["scipy.special." + m for m in
 
 
 def __getattr__(name):
-    """``ndtr`` and ``ndtri``, scipy's own normal CDF and quantile ufuncs.
+    """``ndtr`` and ``ndtri``, scipy's own normal CDF and quantile ufuncs,
+    the package's one source of Phi and its inverse.
 
-    The package's one source of Phi and its inverse: every estimator calls
-    ``core.ndtr`` and ``core.ndtri``.  They come from ``scipy.special``'s
-    own modules, loaded without running ``scipy/special/__init__.py``
-    (whose array-API layer loads ``numpy.testing`` and ``numpy.f2py``,
-    about 20 MB and 0.2 s).  Each module goes into ``sys.modules`` under
-    its own name, and one already there is reused, so a later or earlier
-    ``import scipy.special`` exports these very objects.  If a load fails,
-    the modules this call registered are removed before it raises.  The
-    first access binds the name here.  ``ndtr`` is never called with
-    ``where=``, which writes wrong values on scipy 1.17.1.
+    They are loaded from ``scipy.special``'s compiled modules without
+    running ``scipy/special/__init__.py``.  Each module goes into
+    ``sys.modules`` under its own name, and one already there is reused,
+    so ``import scipy.special`` exports these very objects.  A failed load
+    removes the modules it registered before it raises.  ``ndtr`` is never
+    called with ``where=``, which writes wrong values on scipy 1.17.1.
     """
     if name not in ("ndtr", "ndtri"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -212,12 +188,9 @@ def __getattr__(name):
 
 
 def dirichlet_uniform(n: int, seed) -> np.ndarray:
-    """One draw from the flat Dirichlet(1, ..., 1) on the ``n``-simplex.
-
-    Implemented as normalized unit-rate exponentials, which is also how the
-    Bayesian bootstrap perturbs an empirical distribution.  ``seed`` is a
-    :class:`SeedSpec`; an already-built ``numpy.random.Generator`` is also
-    accepted so ensemble code can reuse a stream.
+    """One draw from the flat Dirichlet(1, ..., 1) on the ``n``-simplex, as
+    normalized unit-rate exponentials.  ``seed`` is a ``SeedSpec`` or a
+    ``numpy.random.Generator``.
     """
     if n < 1:
         raise InvalidInputError("Dirichlet dimension must be positive")
@@ -232,8 +205,7 @@ def dirichlet_uniform(n: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forked spans
 
-# set while this process runs a part: a span of forked_spans in the
-# caller, or a forked child
+# set while this process runs a span of forked_spans
 _in_part = False
 
 
@@ -248,21 +220,19 @@ def _worker_count() -> int:
 def forked_spans(fn, n: int, fork: bool) -> list:
     """``[fn(start, stop), ...]`` over consecutive spans that cover ``range(n)``.
 
-    The package's one way to run work in parallel.  With ``fork`` (the
-    caller's measure of work is above its floor) the spans are one per CPU
-    the process may use, and at most ``n``: the first runs in the caller
-    and each other one in an ``os.fork`` child, which sends back its
-    result or exception by pickle through a pipe.  Without it, on one CPU,
-    inside a part, or where ``os.fork`` does not exist, there is one span,
-    ``fn(0, n)``.  Each span is a part: spans nested in it, in a child as
-    in the caller, run serially, so the parts use one CPU each.  If a fork
-    fails the spans left over run in the caller, each as a part.  Results
+    With ``fork`` (the caller's work is above its floor) the spans are one
+    per CPU the process may use, at most ``n``: the first runs in the
+    caller and each other one in an ``os.fork`` child, which pickles back
+    its result or exception through a pipe.  Without it, on one CPU, inside
+    a span, or where ``os.fork`` does not exist, there is one span,
+    ``fn(0, n)``; spans nested in a span run serially, so each uses one
+    CPU.  If a fork fails the spans left over run in the caller.  Results
     and the first exception come back in span order, exactly as from the
-    serial loop, and no child outlives the call.  A child that ends
-    without a result raises ``NumericError`` naming its exit status.
-    ``fn`` must give each item the same result whatever span holds it,
-    must not warn, since a child's warnings stay in the child, and its
-    result and exceptions must pickle.
+    serial loop, and no child outlives the call; a child that ends without
+    a result raises ``NumericError`` naming its exit status.  ``fn`` must
+    give each item the same result whatever span holds it (then no output
+    depends on the CPU count), must not warn (a child's warnings stay
+    there), and its result and exceptions must pickle.
     """
     serial = not fork or _in_part or not hasattr(os, "fork")
     count = max(1, min(n, 1 if serial else _worker_count()))
@@ -286,8 +256,8 @@ def forked_spans(fn, n: int, fork: bool) -> list:
         results = [_run_part(fn, spans[0])]
         while children:
             pid, pipe = children[0]
-            # read to the end before waiting: a child whose result does not
-            # fit in the pipe buffer cannot exit until it is read
+            # read before waiting: a child cannot exit until a result larger
+            # than the pipe buffer is read
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
@@ -311,7 +281,7 @@ def forked_spans(fn, n: int, fork: bool) -> list:
 
 
 def _run_part(fn, span):
-    # fn(*span) in the caller's own part, with nested spans serial
+    # fn(*span) in the caller, with nested spans serial
     global _in_part
     outer, _in_part = _in_part, True
     try:
@@ -321,8 +291,7 @@ def _run_part(fn, span):
 
 
 def _child(fn, span, read, write) -> None:
-    # the body of a forked child: it sends (ok, value or exception) and
-    # leaves through os._exit, never back into the caller's frames
+    # a forked child: sends (ok, value or exception), then os._exit
     global _in_part
     code = 1
     try:

@@ -10,10 +10,9 @@ covariates and derives the conditional curve from the two fits:
   error law is left unspecified and replaced by the empirical CDF of the
   standardized residuals.
 * ``ddp_fit`` / ``ddp_roc``: Bayesian linear dependent Dirichlet process
-  mixture: a common set of stick-breaking weights with component means
-  ``z' beta_l``, where ``z`` is a design row (typically an intercept plus
-  a cubic B-spline basis, see ``bspline_design``).  The draws form a
-  ``MixtureEnsemble`` with (S, L, d) coefficients.
+  mixture with shared stick-breaking weights and component means
+  ``z' beta_l`` at design row ``z`` (say, an intercept plus a cubic
+  B-spline basis from ``bspline_design``).
 
 Direct methodology regresses the curve itself on covariates through
 placement values (``rocglm_fit``), and ``aroc`` pools covariate-specific
@@ -29,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import as_prob_grid, default_prob_grid, std_normal_cdf, validate_sample
+from .core import (_pinned_curve, as_prob_grid, default_prob_grid, std_normal_cdf,
+                   validate_sample)
 from .errors import (ConvergenceError, DegenerateSampleError, ExtrapolationError,
                      InvalidInputError, NumericError, SeparationWarning,
                      SingularDesignError)
@@ -92,14 +92,17 @@ class LocationScaleFit:
 
     def mean_at(self, x) -> float:
         """Fitted location at covariate vector ``x`` (without intercept)."""
-        xt = np.concatenate([[1.0], np.atleast_1d(np.asarray(x, dtype=float)).ravel()])
-        if xt.size != self.beta.size:
-            raise InvalidInputError(
-                f"covariate vector of length {xt.size - 1} does not match "
-                f"{self.beta.size - 1} fitted covariates")
-        if not np.all(np.isfinite(xt)):
-            raise InvalidInputError(f"covariate values must be finite, got {xt[1:].tolist()}")
-        return float(xt @ self.beta)
+        return float(np.concatenate([[1.0], _covariates(x, self.beta.size - 1)]) @ self.beta)
+
+
+def _covariates(x, count: int) -> np.ndarray:
+    # x as a vector of count finite covariate values; None is no covariates
+    xv = np.zeros(0) if x is None else np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    if xv.size != count:
+        raise InvalidInputError(f"expected {count} covariate values, got {xv.size}")
+    if not np.all(np.isfinite(xv)):
+        raise InvalidInputError(f"covariate values must be finite, got {xv.tolist()}")
+    return xv
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,6 @@ class BSplineSpec:
                          if lo < float(v) < hi)
         return cls(interior_knots=interior, boundary=(lo, hi))
 
-    @property
-    def n_basis(self) -> int:
-        return len(self.interior_knots) + self.degree + 1
-
     def knot_vector(self) -> np.ndarray:
         lo, hi = self.boundary
         return np.array([lo] * (self.degree + 1) + list(self.interior_knots)
@@ -155,12 +154,9 @@ DdpConfig = DpmConfig
 
 
 def ols_fit(sample: RegressionSample) -> LocationScaleFit:
-    """Ordinary least squares with scale ``sqrt(RSS / (n - q - 1))``.
-
-    ``q + 1`` is the number of design columns (intercept included), so the
-    intercept-only model uses the familiar ``n - 1`` denominator.  The
-    returned residuals are standardized by the fitted scale.
-    """
+    """Ordinary least squares with scale ``sqrt(RSS / (n - columns))`` and
+    residuals standardized by it.  A rank-deficient design or an exact fit
+    raises."""
     y, x = sample.outcomes, sample.design
     n, ncol = x.shape
     if n <= ncol:
@@ -192,9 +188,7 @@ def faraggi_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
     """
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     a_x, b = _roc_scale_params(fit_d, fit_nd, x)
-    roc = np.where(grid <= 0.0, 0.0, 1.0)
-    interior = (grid > 0.0) & (grid < 1.0)
-    roc[interior] = 1.0 - core.ndtr(a_x + b * core.ndtri(1.0 - grid[interior]))
+    roc = _pinned_curve(grid, lambda p: 1.0 - core.ndtr(a_x + b * core.ndtri(1.0 - p)))
     auc = std_normal_cdf(-a_x / math.sqrt(1.0 + b * b))
     return RocCurveEstimate(grid=grid, roc=roc, auc=auc)
 
@@ -203,15 +197,12 @@ def pepe_semiparam_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
                        grid=None) -> RocCurveEstimate:
     """Semiparametric conditional ROC via standardized-residual ECDFs.
 
-    The curve is ``1 - Fhat_eD(a(x) + b Qhat_eND(1-p))`` with residual
-    ECDF/quantile in place of the normal law: since ``b > 0`` the map
-    ``e -> a(x) + b e`` keeps the order of the residuals, so this is
-    ``empirical_roc`` of the diseased residuals against the mapped
-    nondiseased ones, with its exact rank rule (with intercept-only fits,
-    the empirical curve of the two samples).  The AUC is the conditional
-    Mann-Whitney form: the fraction of residual pairs with
+    The curve is ``1 - Fhat_eD(a(x) + b Qhat_eND(1-p))``: ``empirical_roc``
+    of the diseased residuals against the mapped nondiseased ones, with
+    its exact rank rule (with intercept-only fits, the empirical curve of
+    the two samples).  The AUC is the fraction of residual pairs with
     ``mu_ND(x) + sigma_ND e_NDi <= mu_D(x) + sigma_D e_Dj`` (ties count
-    fully, matching the closed-form expression for continuous data).
+    fully).
     """
     a_x, b = _roc_scale_params(fit_d, fit_nd, x)
     curve = empirical_roc(fit_d.residuals, a_x + b * fit_nd.residuals, grid)
@@ -225,10 +216,9 @@ def pepe_semiparam_roc(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
 def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
     """Conditional CDF ``F(y | x)`` induced by a location-scale fit.
 
-    ``errors="empirical"`` uses the standardized-residual ECDF (the
-    default, no distributional assumption); ``errors="normal"`` uses the
-    standard normal law.  Returns ``cdf(y, x)`` with ``x`` the covariate
-    vector without intercept.
+    The error law is the standardized-residual ECDF (``"empirical"``) or
+    the standard normal (``"normal"``).  Returns ``cdf(y, x)`` with ``x``
+    the covariate vector without intercept.
     """
     if errors not in ("empirical", "normal"):
         raise InvalidInputError("errors must be 'empirical' or 'normal'")
@@ -252,12 +242,10 @@ def location_scale_cdf(fit: LocationScaleFit, errors: str = "empirical"):
 
 
 def _bspline_basis(x: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
-    """Every degree-``k`` B-spline on knots ``t`` at ``x`` in ``[t[k], t[-k-1]]``.
-
-    Cox-de Boor's triangular recursion on each point's ``k + 1`` nonzero
-    splines, in the operation order of FITPACK's ``fpbspl`` (as scipy's
-    ``BSpline`` evaluates them): a point on a knot belongs to the
-    interval on its right, the right boundary to the last interval.
+    """Every degree-``k`` B-spline on knots ``t`` at ``x`` in ``[t[k], t[-k-1]]``,
+    with the bits of scipy's ``BSpline`` (FITPACK's ``fpbspl``): a point
+    on a knot belongs to the interval on its right, the right boundary to
+    the last interval.
     """
     n_basis = t.size - k - 1
     ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
@@ -282,14 +270,11 @@ def bspline_design(x_values, spec: BSplineSpec, categorical=None,
                    interactions: bool = False) -> np.ndarray:
     """Design matrix: intercept, cubic B-spline basis, dummies, interactions.
 
-    The basis columns form a partition of unity over the boundary interval
-    (so the matrix is deliberately column-rank deficient by one; the
-    Bayesian fit regularizes through its proper prior).  ``categorical``
-    is an optional sequence of label columns; each contributes
-    reference-coded dummy columns, and ``interactions=True`` additionally
-    crosses every basis column with every dummy.
-
-    Raises an extrapolation error when any ``x`` lies outside the boundary.
+    The basis columns sum to 1, so the matrix is column-rank deficient by
+    one.  Each of the optional ``categorical`` label columns adds
+    reference-coded dummies, and ``interactions=True`` crosses every basis
+    column with every dummy.  An ``x`` outside the boundary raises
+    ``ExtrapolationError``.
     """
     x = validate_sample(x_values, "covariate")
     lo, hi = spec.boundary
@@ -320,17 +305,12 @@ def bspline_design(x_values, spec: BSplineSpec, categorical=None,
 def ddp_fit(sample: RegressionSample, cfg: DdpConfig) -> MixtureEnsemble:
     """Fit the single-weights dependent mixture by blocked Gibbs.
 
-    The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with
-    stick-breaking weights shared across covariate values, a conjugate
-    normal prior on each coefficient vector and a gamma prior on each
-    precision (see ``DdpConfig``, the same class as ``DpmConfig``).  It
-    runs the sampler behind ``dpm_fit``: with an intercept-only design the
-    two give identical chains for the same ``cfg``.
-
-    Rank-deficient designs (e.g. intercept plus a full partition-of-unity
-    spline basis) are accepted: the proper prior keeps every conditional
-    well defined, and default centring uses the minimum-norm least-squares
-    solution.  Returns a ``MixtureEnsemble`` with (S, L, d) coefficients.
+    The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with weights
+    shared across covariate values and the priors of ``DdpConfig``; with an
+    intercept-only design the chain is ``dpm_fit``'s.  Rank-deficient
+    designs are accepted (default centring uses the minimum-norm least
+    squares solution).  Returns a ``MixtureEnsemble`` with (S, L, d)
+    coefficients.
     """
     return MixtureEnsemble(*_blocked_gibbs(sample.outcomes, sample.design, cfg))
 
@@ -340,12 +320,10 @@ def ddp_roc(draws_d, draws_nd, z, grid=None, *, z_nd=None,
     """Conditional posterior ROC ensemble at design row ``z``.
 
     ``draws_d``/``draws_nd`` are ``ddp_fit`` ensembles or equal-length
-    sequences of ``DdpDraw``.  ``z`` is the design row (intercept, basis,
-    dummies) at the covariate value of interest, built the same way as the
-    fit designs; ``z_nd`` overrides it for the nondiseased group when the
-    groups use different designs.  Per-draw curves and closed-form AUCs
-    mirror the pooled mixture ensemble with component means ``z' beta_l``,
-    in the same forked parts above the same floor as ``dpm_roc``.
+    sequences of ``DdpDraw``; ``z`` is the design row at the covariate
+    value of interest, and ``z_nd`` the nondiseased group's when its
+    design differs.  Otherwise as ``dpm_roc``, with component means
+    ``z' beta_l``.
     """
     ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
     z = np.asarray(z, dtype=float).ravel()
@@ -388,11 +366,9 @@ def _ispline_basis(p: np.ndarray, interior_knots: tuple[float, ...]) -> np.ndarr
     """Monotone (integrated B-spline) basis on [0, 1], each column 0 to 1.
 
     Column i is the antiderivative of cubic B-spline i over its value at
-    1.  With ``tau`` the cubic knots, that antiderivative is the sum of the
-    degree-4 B-splines after i, on ``tau`` extended by one knot at each
-    end, each times ``(tau[i+4] - tau[i]) / 4``; the products are summed
-    in spline order, which gives the bits of scipy's
-    ``BSpline(tau, e_i, 3).antiderivative()``.
+    1, with the bits of scipy's ``BSpline(tau, e_i, 3).antiderivative()``:
+    the degree-4 B-splines after i, on the knots extended by one at each
+    end, times ``(tau[i+4] - tau[i]) / 4``, summed in spline order.
     """
     t = np.array([0.0] * 5 + list(interior_knots) + [1.0] * 5)
     m = len(interior_knots) + 4
@@ -415,13 +391,8 @@ def _baseline_matrix(p: np.ndarray, knots: tuple[float, ...] | None) -> np.ndarr
 
 @dataclass(frozen=True)
 class RocGlmFit:
-    """Fitted direct ROC regression (probit link).
-
-    ``alpha`` holds the baseline coefficients (intercept first), ``beta``
-    the covariate effects in design-column order.  ``curve(x, grid)``
-    evaluates the implied conditional curve, with the p=0 and p=1 values
-    pinned to their theoretical limits.
-    """
+    """Fitted direct ROC regression (probit link): baseline coefficients
+    ``alpha`` (intercept first) and covariate effects ``beta``."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -433,20 +404,13 @@ class RocGlmFit:
     spline_knots: tuple[float, ...] | None = None
 
     def curve(self, x=None, grid=None) -> RocCurveEstimate:
-        """Conditional ROC curve at covariate vector ``x`` (None = no covariates)."""
+        """Conditional ROC curve at covariate vector ``x`` (None = no covariates),
+        0 at p = 0 and 1 at p = 1; the AUC is the trapezoid over ``grid``."""
         grid = default_prob_grid() if grid is None else as_prob_grid(grid)
-        xv = np.zeros(0) if x is None else np.atleast_1d(np.asarray(x, dtype=float))
-        if xv.size != self.beta.size:
-            raise InvalidInputError(
-                f"expected {self.beta.size} covariate values, got {xv.size}")
-        if not np.all(np.isfinite(xv)):
-            raise InvalidInputError(f"covariate values must be finite, got {xv.tolist()}")
+        xv = _covariates(x, self.beta.size)
         shift = float(xv @ self.beta) if self.beta.size else 0.0
-        roc = np.where(grid <= 0.0, 0.0, 1.0)
-        interior = (grid > 0.0) & (grid < 1.0)
-        if np.any(interior):
-            h = _baseline_matrix(grid[interior], self.spline_knots)
-            roc[interior] = core.ndtr(h @ self.alpha + shift)
+        roc = _pinned_curve(grid, lambda p: core.ndtr(
+            _baseline_matrix(p, self.spline_knots) @ self.alpha + shift))
         return RocCurveEstimate(grid=grid, roc=roc, auc=_clamped_trapezoid(roc, grid))
 
 
@@ -458,17 +422,13 @@ def _nonneg_lstsq(r: np.ndarray, c: np.ndarray, bounded: np.ndarray,
     """Exact ``argmin ||a x - b||`` subject to ``x[bounded] >= 0``, given the
     triangular system ``R x ~ Q'b`` of a QR factorisation ``a = Q R``.
 
-    ``||a x - b||^2 = ||R x - Q'b||^2 + const``, so the small system holds
-    the whole problem.  It is solved by Lawson and Hanson's active-set
-    method (*Solving Least Squares Problems*, 1974, ch. 23) with the
-    unbounded columns always free.  A bounded column at its bound enters
-    the free set when the gradient favours it most; a step that would take
-    a free bounded coefficient below zero stops where the first one
-    reaches zero, and that one returns to its bound as exactly 0.0.  Each
-    subproblem is a minimum-norm ``lstsq`` with rank cut ``rcond`` (pass
-    the one a solve on ``a`` would use, which ``R`` alone does not carry),
-    so rank-deficient designs are fine.  More than ``_LH_STEPS_PER_COLUMN * (columns + 1)`` entering and
-    leaving steps raise a convergence error.
+    Lawson and Hanson's active-set method (*Solving Least Squares
+    Problems*, 1974, ch. 23), the unbounded columns always free; a
+    coefficient at its bound is exactly 0.0.  Each subproblem is a
+    minimum-norm ``lstsq`` with rank cut ``rcond`` (pass the one a solve on
+    ``a`` would use), so rank-deficient designs are fine.  More than
+    ``_LH_STEPS_PER_COLUMN * (columns + 1)`` steps raise
+    ``ConvergenceError``.
     """
     n = r.shape[1]
     limit = _LH_STEPS_PER_COLUMN * (n + 1)
@@ -524,20 +484,12 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     ``baseline="spline"`` uses an intercept plus a monotone integrated
     B-spline basis with nonnegative coefficients.
 
-    The records are never stacked.  The linear predictor is
-    ``eta_jl = (h alpha)_l + (x beta)_j``, and each IRLS step walks the
-    subjects in blocks whose weighted records fill at most ``_BLOCK``
-    elements.  Each block's rows are folded into one running triangular
-    factor of the weighted least squares, with its ``Q'z`` (tall-skinny
-    QR: Demmel, Grigori, Hoemmen and Langou 2012, *SIAM J. Sci. Comput.*
-    34:A206), and both baselines solve that small system by
-    ``_nonneg_lstsq``, which with no bounded column (the parametric
-    baseline) is one minimum-norm least squares.  The deviance is summed
-    over the same blocks, so memory does not grow with the number of FPF
-    points times subjects.
-
-    Raises a convergence error after 100 IRLS iterations; near-separated
-    indicator sets produce a warning and clamped estimates.
+    The records are never stacked: each IRLS step folds blocks of at most
+    ``_BLOCK`` record elements into one triangular system (tall-skinny QR:
+    Demmel, Grigori, Hoemmen and Langou 2012, *SIAM J. Sci. Comput.*
+    34:A206), so memory beyond the placement values is flat in n.  Raises
+    ``ConvergenceError`` after 100 IRLS iterations; near-separated
+    indicators give a ``SeparationWarning`` and clamped estimates.
     """
     if baseline not in ("parametric", "spline"):
         raise InvalidInputError("baseline must be 'parametric' or 'spline'")
@@ -549,9 +501,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
             raise InvalidInputError("p_grid must lie strictly inside (0, 1)")
     pv = placement_values(sample_d, nondiseased_cdf)
     n, n_p = pv.size, p_grid.size
-    if np.all(pv <= p_grid[0]) or np.all(pv > p_grid[-1]):
-        # every placement value on the same side of the whole grid: the
-        # baseline intercept has no finite maximizer
+    if np.all(pv <= p_grid[0]) or np.all(pv > p_grid[-1]):  # no finite intercept
         warnings.warn("placement-value indicators are all identical; the "
                       "groups look completely separated and estimates are "
                       "clamped", SeparationWarning)
@@ -565,8 +515,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
     bounded = np.zeros(n_coef, dtype=bool)
     if baseline == "spline":
         bounded[1:n_base] = True  # monotone baseline: spline coefficients >= 0
-    # subjects per block: their weighted records and working response,
-    # n_p rows of n_coef + 1 columns each, fill at most _BLOCK elements
+    # subjects per block: n_p records of n_coef + 1 columns each within _BLOCK
     per_block = max(1, _BLOCK // (n_p * (n_coef + 1)))
     # the rank cut of a least-squares solve on the records themselves
     rcond = np.finfo(float).eps * max(n * n_p, n_coef)
@@ -586,9 +535,8 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
         return -2.0 * total
 
     def weighted_system(b: np.ndarray):
-        # R and Q'z of the IRLS step's weighted least squares: each block's
-        # rows go under the running factor (with Q'z as its last column,
-        # so mode "r" keeps it) and are factored again
+        # R and Q'z of the IRLS step: each block's rows go under the running
+        # factor, whose last column is Q'z, and are factored again
         fold = np.zeros((n_coef + 1, n_coef + 1))
         for rows, eta, u in blocks(b):
             eta = np.clip(eta, -8.0, 8.0)
@@ -606,8 +554,6 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
 
     beta = np.zeros(n_coef)
     dev = deviance(beta)
-    converged = False
-    it = 0
     for it in range(1, 101):
         r, c = weighted_system(beta)
         proposal = _nonneg_lstsq(r, c, bounded, rcond)
@@ -617,17 +563,14 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
             proposal = 0.5 * (proposal + beta)
             new_dev = deviance(proposal)
             halvings += 1
-        step = float(np.max(np.abs(proposal - beta)))
-        beta = proposal
-        if abs(dev - new_dev) <= 1e-8 * (1.0 + abs(dev)) or step <= 1e-8:
-            dev = new_dev
-            converged = True
+        done = (abs(dev - new_dev) <= 1e-8 * (1.0 + abs(dev))
+                or float(np.max(np.abs(proposal - beta))) <= 1e-8)
+        beta, dev = proposal, new_dev
+        if done:
             break
-        dev = new_dev
-    if not converged:
+    else:
         raise ConvergenceError("IRLS did not converge within 100 iterations")
-    # rounding is monotone, so the largest and smallest eta_jl are the sums
-    # of the largest and of the smallest terms
+    # rounding is monotone: the extreme eta_jl are sums of extreme terms
     hb, xb = h @ beta[:n_base], covs @ beta[n_base:]
     if max(hb.max() + xb.max(), -(hb.min() + xb.min())) >= 8.0 - 1e-9:
         warnings.warn("placement-value indicators look separated; estimates "
@@ -635,15 +578,15 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
 
     labels = tuple(f"h{i}" for i in range(n_base)) + tuple(sample_d.labels[1:])
     return RocGlmFit(alpha=beta[:n_base], beta=beta[n_base:], baseline=baseline,
-                     p_grid=p_grid, labels=labels, converged=converged,
+                     p_grid=p_grid, labels=labels, converged=True,
                      n_iter=it, spline_knots=knots)
 
 
 def aroc(sample_d: RegressionSample, nondiseased_cdf, grid=None) -> RocCurveEstimate:
     """Covariate-adjusted ROC: the ECDF of conditional placement values.
 
-    ``AROC(p) = (1/n_D) sum_j I(1 - F_ND(y_j | x_j) <= p)``; the attached
-    AUC integrates this step function over the grid by trapezoid.
+    ``AROC(p) = (1/n_D) sum_j I(1 - F_ND(y_j | x_j) <= p)``; the AUC is
+    the trapezoid over the grid.
     """
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     pv = np.sort(placement_values(sample_d, nondiseased_cdf))
@@ -660,8 +603,7 @@ def location_scale_youden(fit_d: LocationScaleFit, fit_nd: LocationScaleFit, x,
     """Youden index at covariate ``x`` from two location-scale fits.
 
     Conditional CDFs follow ``location_scale_cdf``; with empirical errors
-    the induced support points at ``x`` are used as exact candidate
-    thresholds.
+    the support points at ``x`` are candidate thresholds.
     """
     mu_d, mu_nd = fit_d.mean_at(x), fit_nd.mean_at(x)
     vals_d = mu_d + fit_d.sigma * fit_d.residuals

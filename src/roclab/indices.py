@@ -72,10 +72,9 @@ def _clamped_trapezoid(roc: np.ndarray, grid: np.ndarray) -> float:
 
 
 def _golden_max(f, lo, hi, iters: int = 100):
-    # golden-section search for the maximum of f on each bracket [lo_s, hi_s]
-    # at once: f(x, rows) maps one abscissa per bracket listed in the index
-    # array rows to its value there, and each bracket runs the scalar
-    # recurrence and is evaluated only until its own tolerance test stops it
+    # golden-section search for the maximum of f on every bracket at once:
+    # f(x, rows) evaluates one abscissa per listed bracket, and a bracket is
+    # evaluated only until its own tolerance test stops it
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
@@ -101,11 +100,9 @@ def _golden_max(f, lo, hi, iters: int = 100):
 
 # the coarse stage of the Youden scan evaluates every _STRIDE-th scan point
 _STRIDE = 16
-# how far a computed CDF may step backwards between scan points.  A true
-# CDF never does; a computed one can only through rounding: ndtr is good to
-# a few ulps, and a sum of n terms in [0, 1] rounds by at most n eps (2.2e-11
-# at n = 10^5).  1e-9 leaves a wide margin above that and stays far below
-# any gap that matters.
+# how far a computed CDF may step backwards between scan points through
+# rounding: a sum of n terms in [0, 1] rounds by at most n eps (2.2e-11 at
+# n = 10^5)
 _SLACK = 1e-9
 
 
@@ -117,40 +114,26 @@ def _coarse_indices(m: int) -> np.ndarray:
 
 def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
                    budget: int):
-    """Youden search for ``n_pairs`` CDF pairs at once.
+    """The smooth rule for ``n_pairs`` CDF pairs at once.
 
     ``cdfs(x, rows)`` returns ``(F_dbar(x), F_d(x))`` for the pairs
     ``rows`` (a slice, or an index array that may repeat pairs): at shared
     points (``x`` of shape ``(m,)``) as ``(r, m)`` arrays, and at one
     abscissa per listed pair (``x`` of shape ``(r, 1)``) as ``(r, 1)``
-    arrays.  Both CDFs must be nondecreasing.
+    arrays.  Both CDFs must be nondecreasing; one that falls by more than
+    ``_SLACK`` between coarse points (every ``_STRIDE``-th) raises
+    ``InvalidInputError``, and a fall inside an interval or a non-finite
+    value at a skipped point goes unseen.  One call takes at most
+    ``budget`` (pair, point) evaluations.
 
-    The scan finds each pair's first largest gap over the scan points
-    ``pts`` without evaluating all of them.  A coarse stage takes every
-    ``_STRIDE``-th point and the last; between coarse points ``x_i < x_j``
-    no gap exceeds ``F_dbar(x_j) - F_d(x_i)``, so the fine stage evaluates
-    only the points inside intervals where that bound, plus ``_SLACK`` for
-    rounding, reaches the best coarse gap.  Every point left out has a
-    smaller gap than the best one, so the point chosen, its gap and the
-    golden-section bracket are those of the full scan, bit for bit.  A
-    CDF that falls by more than ``_SLACK`` between coarse points raises
-    ``InvalidInputError``.
-
-    One ``cdfs`` call may take ``budget`` (pair, point) evaluations.  The
-    scan runs over blocks of as many pairs as the coarse stage fits in
-    that, one after the other, and a fine-stage call takes as many
-    (pair, point) evaluations as a coarse one; each pair's result does not
-    depend on the block size.  The golden section then refines every
-    pair's bracket in one array recurrence, whose calls list (as an index
-    array) only the pairs whose brackets are still above tolerance.  The
-    everyone-positive rule is a candidate too: gap exactly 0 at
-    ``search_lo`` with ``p* = 1``, as in the step rule, so a pair whose
-    best gap is not above 0 gets that rule.  Returns ``yi``, ``c_star``
-    and ``p_star`` arrays of length ``n_pairs``.
-
-    The result is that of the full scan for CDFs whose value at a point
-    does not depend on how many points one call takes.  A non-finite value
-    at a skipped point goes unseen, and so does a fall inside an interval.
+    Each pair's first largest gap over ``pts`` is found by a coarse scan
+    and a fine scan of only the intervals where monotonicity lets a gap
+    reach the best coarse one, then refined by golden section.  For CDFs
+    whose value at a point does not depend on how many points one call
+    takes, the result is the full scan's, bit for bit, whatever the
+    blocks.  A pair whose best gap is not above 0 gets the everyone-
+    positive rule: gap 0 at ``search_lo`` with ``p* = 1``.  Returns
+    ``yi``, ``c_star`` and ``p_star`` arrays of length ``n_pairs``.
     """
     coarse = _coarse_indices(pts.size)
     inside = np.diff(coarse) - 1  # scan points strictly inside each interval
@@ -168,10 +151,10 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
         k = np.argmax(gaps, axis=1)  # first max = smallest c
         yi = gaps[np.arange(k.size), k]
         best = coarse[k]
+        # between coarse points x_i < x_j no gap exceeds F_dbar(x_j) - F_d(x_i)
         live = (f_dbar[:, 1:] - f_d[:, :-1] + _SLACK >= yi[:, None]) & (inside > 0)
         pair, interval = np.nonzero(live)
-        # the points inside every live interval, in (pair, point) order:
-        # each interval's first inside point plus the offset within it
+        # the points inside every live interval, in (pair, point) order
         counts = inside[interval]
         owner = np.repeat(pair, counts)
         point = np.arange(counts.sum()) + np.repeat(
@@ -207,8 +190,8 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
     yi = np.where(better, yi_ref, yi)
     f_dbar, _ = cdfs(c_star[:, None], slice(None))
     p_star = np.minimum(1.0, np.maximum(0.0, 1.0 - f_dbar[:, 0]))
-    # the everyone-positive rule: gap exactly 0 at search_lo with p* = 1;
-    # ties go to the smallest threshold, so only a larger gap beats it
+    # ties go to the smallest threshold, so only a larger gap beats the
+    # everyone-positive rule
     trivial = ~(yi > 0.0)
     return (np.where(trivial, 0.0, yi), np.where(trivial, search_lo, c_star),
             np.where(trivial, 1.0, p_star))
@@ -216,49 +199,23 @@ def _youden_search(cdfs, pts, search_lo: float, search_hi: float, n_pairs: int,
 
 def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
                      candidates=None, grid_size: int = 1000) -> YoudenResult:
-    """Maximize ``cdf_dbar(c) - cdf_d(c)`` over ``[search_lo, search_hi]``.
+    """Maximize ``cdf_dbar(c) - cdf_d(c)`` over ``[search_lo, search_hi]``
+    (the smooth rule).
 
-    A grid scan (``grid_size`` points, coarse to fine as in the batched
-    search) locates the rough maximizer and a golden-section pass refines
-    it; the refined point is kept only when it strictly improves the gap, so
-    piecewise-constant (empirical) inputs keep their exact grid/candidate
-    maximum.  This is the one-pair case of the batched search behind
-    ``dpm_roc`` and ``ddp_roc``: the same scan, the same golden-section
-    recurrence (run on arrays, here of length one) and the same rules, so a
-    mixture draw gives the same bits either way.  The CDFs are always called
-    with 1-D arrays, of 1 to ``grid_size`` points, and must evaluate each
-    element on its own, with bits that do not depend on how many points one
-    call takes (true of every CDF callable in this package); then the
-    result is the full scan's, bit for bit.
-
-    Parameters
-    ----------
-    cdf_d, cdf_dbar : callable
-        CDFs of the diseased and nondiseased populations.  Both must be
-        nondecreasing: the scan skips points where that rule says the gap
-        cannot reach its best.  A CDF that falls by more than 1e-9 between
-        coarse scan points (every 16th) raises ``InvalidInputError``; one
-        that falls only between two coarse points, or is non-finite at a
-        skipped point, is not detected and may give another answer than
-        the full scan.
-    search_lo, search_hi : float
-        Search interval; must cover both supports for a meaningful answer.
-    candidates : array_like, optional
-        Extra thresholds evaluated exactly, e.g. pooled sample values.  With
-        empirical CDFs, passing the pooled observations makes the scan hit
-        every jump, so the result is the two-sample Kolmogorov-Smirnov
-        statistic up to one rounding of the CDF difference (use
-        ``youden_empirical`` on raw samples for the exact-rational value).
-    grid_size : int
-        Number of scan points, default 1000.
-
-    Notes
-    -----
-    Ties are broken toward the smallest threshold.  When no gap is above 0
-    the result is the everyone-positive rule, ``yi = 0`` at ``search_lo``
-    with ``p* = 1``, without a warning; reversing the positivity rule is
-    left to the caller.  ``p*`` is clamped to [0, 1], since a smooth CDF
-    may round just above 1.
+    Scans ``grid_size`` points plus the ``candidates`` inside the interval
+    (evaluated exactly; the pooled observations make an empirical pair's
+    scan hit every jump), then refines by golden section, kept only when it
+    strictly improves the gap.  This is the one-pair case of the batched
+    search behind ``dpm_roc`` and ``ddp_roc``, so a mixture draw gives the
+    same bits either way.  The CDFs get 1-D arrays of 1 to ``grid_size``
+    points, must be nondecreasing and, for the full scan's answer bit for
+    bit, must not change a point's value with the number of points in a
+    call (true of every CDF callable in this package).  A CDF that falls
+    by more than 1e-9 between every-16th scan points raises
+    ``InvalidInputError``; a smaller fall, or a non-finite value at a
+    skipped point, goes unseen.  Ties go to the smallest threshold; when
+    no gap is above 0 the result is ``yi = 0`` at ``search_lo`` with
+    ``p* = 1``, without a warning.  ``p*`` is clamped to [0, 1].
     """
     if not np.isfinite(search_lo) or not np.isfinite(search_hi) or search_lo >= search_hi:
         raise InvalidInputError("need finite search_lo < search_hi")
@@ -269,8 +226,7 @@ def youden_from_cdfs(cdf_d, cdf_dbar, search_lo: float, search_hi: float,
         pts = np.unique(np.concatenate([pts, extra]))
 
     def cdfs(x, rows):
-        # shared scan points (m,) come back as one (1, m) row, per-pair
-        # points (r, 1) as they came
+        # shared points (m,) as one (1, m) row, per-pair points (r, 1) as given
         shape = (1, -1) if x.ndim == 1 else x.shape
         return (np.asarray(cdf_dbar(x.ravel()), dtype=float).reshape(shape),
                 np.asarray(cdf_d(x.ravel()), dtype=float).reshape(shape))
@@ -305,12 +261,10 @@ def youden_from_curve(curve, nondiseased_quantile) -> YoudenResult:
 
 def _step_candidates(d: np.ndarray, nd: np.ndarray):
     """Candidate thresholds of the step rule for sorted samples ``d`` and
-    ``nd``: the double just below the pooled minimum (``np.nextafter``, so
-    below it at any magnitude), then the pooled values in ascending order.
-    Returns them with the positions in ``d`` and in ``nd`` that end at or
-    below each (``searchsorted(..., "right")``).  Multiplying the data by
-    2^k multiplies every candidate by 2^k exactly, except where the
-    minimum is 0 or the candidate is subnormal."""
+    ``nd``: the double just below the pooled minimum, then the pooled
+    values ascending, with the counts of ``d`` and of ``nd`` at or below
+    each.  Scaling the data by 2^k scales every candidate by 2^k exactly,
+    unless the minimum is 0 or a candidate is subnormal."""
     with np.errstate(over="ignore"):  # below the most negative double: -inf
         below = np.nextafter(min(d[0], nd[0]), -np.inf)
     cand = np.unique(np.concatenate([[below], d, nd]))
@@ -319,17 +273,11 @@ def _step_candidates(d: np.ndarray, nd: np.ndarray):
 
 
 def _step_youden(cand: np.ndarray, cum_d: np.ndarray, cum_nd: np.ndarray):
-    """The step rule: Youden index of two weighted ECDFs.
-
-    ``cum_d`` and ``cum_nd`` are each sample's weight at or below every
-    candidate of ``_step_candidates``, so their first entries are 0 and
-    their last the totals ``W_D`` and ``W_ND``.  The gap is taken
-    cross-multiplied, ``cum_nd W_D - cum_d W_ND``, which is exactly 0 at
-    both ends, and divided once by ``W_D W_ND``; the first maximum (the
-    smallest threshold) wins.  Returns ``yi``, ``c*`` and
-    ``p* = (W_ND - cum_nd) / W_ND``, which lies in [0, 1] as computed.
-    With unit weights and counts below 2^53 every product is exact, so
-    ``yi`` is the correctly rounded exact rational.
+    """The step rule: Youden index ``yi``, ``c*`` and ``p*`` of two weighted
+    ECDFs, given each sample's weight at or below every candidate of
+    ``_step_candidates`` (first entry 0, last the total).  With unit
+    weights and counts below 2^53, ``yi`` is the correctly rounded exact
+    rational.
     """
     w_d, w_nd = cum_d[-1], cum_nd[-1]
     gap = cum_nd * w_d - cum_d * w_nd
@@ -338,17 +286,11 @@ def _step_youden(cand: np.ndarray, cum_d: np.ndarray, cum_nd: np.ndarray):
 
 
 def youden_empirical(diseased, nondiseased) -> YoudenResult:
-    """Youden index from the two empirical CDFs, exact over pooled values.
+    """Youden index of the two empirical CDFs: the step rule, unit weights.
 
-    The step rule with unit weights: the ECDF gap at every pooled
-    observation is carried as exact counts
-    (``#{nd <= c} n_D - #{d <= c} n_ND``) and divided once at the end, so
     ``yi`` is the correctly rounded one-sided two-sample Kolmogorov-Smirnov
-    statistic, bit-identical to an exact-rational evaluation.  Ties break
-    toward the smallest threshold; a candidate below the pooled minimum
-    (gap zero: everything classified positive) is included, matching the
-    search-interval behaviour of ``youden_from_cdfs``.  A reversed marker
-    gives ``yi = 0`` there, with ``p* = 1``.
+    statistic, bit-identical to an exact-rational evaluation.  A reversed
+    marker gives ``yi = 0`` below the pooled minimum, with ``p* = 1``.
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))

@@ -14,19 +14,9 @@ Four estimators of ``ROC(p) = 1 - F_D(F_ND^{-1}(1-p))`` from two samples:
   call) into a ``MixtureEnsemble``; the per-draw AUC again has a closed
   form.
 
-Every smooth CDF (kernel and mixture) is a sum ``sum_l w_l Phi((x - mu_l)
-/ sigma_l)`` evaluated by ``_mixture_sums`` in (row, point) blocks of at
-most ``_BLOCK`` elements that never split the components, so each value
-has the bits of one unblocked sum whatever the shape of the call, and
-memory stays linear in the sample size.  Smooth CDFs are inverted by
-safeguarded Halley iteration.  With ``youden=True`` the mixture
-estimators search every draw's Youden index in one batched pass
-(``indices._youden_search``) with the bits of a full 1000-point scan.
-
-Above measured work floors (``_FORK_ENSEMBLE``, ``_FORK_BB``) a mixture
-ensemble and the draws of ``bb_roc`` run in one span of draws per CPU
-through ``core.forked_spans``; each draw's result does not depend on its
-span, so the bits are the same either way.
+Every smooth CDF (kernel and mixture) is summed by ``_mixture_sums``, with
+the bits of one unblocked sum whatever the shape of a call, in blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -123,29 +113,30 @@ class PosteriorEnsemble:
         mean = curves.mean(axis=0)
         lo = np.percentile(curves, tail, axis=0)
         hi = np.percentile(curves, 100.0 - tail, axis=0)
-        # percentile bands bracket the mean in all but pathological
-        # ensembles; nudge so the estimate invariant always holds
+        # so the bands bracket the mean even in a pathological ensemble
         lo = np.minimum(lo, mean)
         hi = np.maximum(hi, mean)
-        aucs = np.asarray(self.aucs, dtype=float)
-        auc_ci = (float(np.percentile(aucs, tail)), float(np.percentile(aucs, 100.0 - tail)))
-        return RocCurveEstimate(grid=self.grid, roc=mean, auc=float(aucs.mean()),
-                                band_lo=lo, band_hi=hi, auc_ci=auc_ci)
+        auc, *auc_ci = _mean_and_interval(np.asarray(self.aucs, dtype=float), tail)
+        return RocCurveEstimate(grid=self.grid, roc=mean, auc=auc,
+                                band_lo=lo, band_hi=hi, auc_ci=tuple(auc_ci))
 
     def youden_summary(self, level: float = 0.95) -> dict | None:
         """Posterior mean and equal-tail interval for yi, c* and p*."""
         tail = _tail_percent(level)
         if self.yis is None:
             return None
-        return {name: (float(np.mean(v)), float(np.percentile(v, tail)),
-                       float(np.percentile(v, 100.0 - tail)))
+        return {name: _mean_and_interval(v, tail)
                 for name, v in (("yi", self.yis), ("c_star", self.thresholds),
                                 ("p_star", self.p_stars))}
 
 
+def _mean_and_interval(values, tail: float) -> tuple[float, float, float]:
+    return (float(np.mean(values)), float(np.percentile(values, tail)),
+            float(np.percentile(values, 100.0 - tail)))
+
+
 def _checked_mixture(weights, locations, variances, w_ndim: int, loc_ndims: tuple):
-    # the arrays as floats once they pass the rules of every mixture draw,
-    # with L >= 1 components on the last axis of weights and variances
+    # the arrays as floats once they pass the rules of every mixture draw
     w, loc, var = (np.asarray(v, dtype=float) for v in (weights, locations, variances))
     if (w.ndim != w_ndim or w.shape[-1] < 1 or var.shape != w.shape
             or loc.ndim not in loc_ndims or loc.shape[:w_ndim] != w.shape):
@@ -190,10 +181,10 @@ class MixtureEnsemble:
 
     ``weights`` and ``variances`` are (S, L); ``locations`` are component
     means (S, L), or the component coefficients (S, L, d) of a dependent
-    mixture, whose means at design row ``z`` are ``locations @ z``.  All
-    rows are checked at once against the rules of a ``MixtureDraw``.  As a
-    read-only sequence, index ``s`` gives draw ``s`` as a ``MixtureDraw``
-    (a ``DdpDraw`` if dependent) over row views, and a slice an ensemble.
+    mixture, whose means at design row ``z`` are ``locations @ z``.  Every
+    row must pass the rules of a ``MixtureDraw``.  As a read-only sequence,
+    index ``s`` gives draw ``s`` as a ``MixtureDraw`` (a ``DdpDraw`` if
+    dependent) and a slice gives an ensemble.
     """
 
     weights: np.ndarray
@@ -229,8 +220,7 @@ class MixtureEnsemble:
         return (MixtureDraw if self.locations.ndim == 2 else DdpDraw)(*rows)
 
     def _normals(self, z=None):
-        # weights, component means and scales, each (S, L); a dependent
-        # ensemble takes the design row z its means are evaluated at
+        # weights, component means and scales, each (S, L), at design row z
         if self.locations.shape[2:] != np.shape(z):
             raise InvalidInputError("design row does not match the mixture coefficients")
         if z is not None and not np.all(np.isfinite(z)):
@@ -241,19 +231,16 @@ class MixtureEnsemble:
 
 @dataclass(frozen=True)
 class DpmConfig:
-    """Settings for the truncated blocked Gibbs sampler of both mixture fits.
+    """Settings of the blocked Gibbs sampler behind ``dpm_fit`` and ``ddp_fit``.
 
-    One config serves ``dpm_fit`` and ``ddp_fit`` (``DdpConfig`` is another
-    name for this class).  With ``d`` design columns (``d = 1`` for the
-    pooled mixture), ``centre_mean`` is a length-``d`` vector (a scalar when
-    ``d = 1``) and ``centre_var`` a positive-definite ``d x d`` matrix or a
-    positive scalar multiple of the identity.  ``shape``/``rate``
-    parameterize the Gamma prior on component precisions (rate
-    parameterization).  Unset values default at fit time from the least
-    squares fit: ``centre_mean`` to its coefficients, ``centre_var`` to
-    ``10 sigma_hat^2 I`` and ``rate`` to ``sigma_hat^2``, where
-    ``sigma_hat^2 = RSS / (n - rank)``; for ``d = 1`` that is the sample
-    mean and the ddof=1 sample variance.
+    ``DdpConfig`` is another name for this class.  With ``d`` design
+    columns (1 for ``dpm_fit``), ``centre_mean`` is a length-``d`` vector
+    (a scalar when ``d = 1``) and ``centre_var`` a positive-definite
+    ``d x d`` matrix or a positive scalar times the identity.
+    ``shape``/``rate`` are the Gamma prior's on component precisions.
+    Unset values default at fit time from least squares: ``centre_mean``
+    to its coefficients, ``centre_var`` to ``10 sigma_hat^2 I`` and
+    ``rate`` to ``sigma_hat^2 = RSS / (n - rank)``.
     """
 
     seed: SeedSpec
@@ -286,11 +273,10 @@ class DpmConfig:
 
 
 def empirical_auc(diseased, nondiseased) -> float:
-    """Mann-Whitney AUC: Pr(Y_D > Y_ND) + 0.5 Pr(Y_D = Y_ND), exactly.
+    """Mann-Whitney AUC: Pr(Y_D > Y_ND) + 0.5 Pr(Y_D = Y_ND).
 
-    Computed through midranks; the rank sums are dyadic rationals held
-    exactly in floats, so the result is bit-identical to the brute-force
-    double loop over all pairs.
+    Bit-identical to the brute-force double loop over all pairs: the
+    midrank sums are held exactly in floats.
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
@@ -299,12 +285,8 @@ def empirical_auc(diseased, nondiseased) -> float:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with each tie group given the mean of its ranks.
-
-    A tie group at sorted positions ``start .. end - 1`` gets
-    ``(start + end + 1) / 2``, a multiple of 1/2, so every rank and every
-    rank sum below 2**52 is exact in a float.
-    """
+    """1-based ranks, each tie group given the mean of its ranks: multiples
+    of 1/2, so every rank sum below 2**52 is exact in a float."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
@@ -320,9 +302,8 @@ def empirical_roc(diseased, nondiseased, grid=None) -> RocCurveEstimate:
     ``roc(p) = 1 - F_D(q)`` with ``q`` the smallest nondiseased order
     statistic whose ECDF level reaches ``1 - p``; ``roc(1) = 1`` by
     convention and ``roc(0)`` is the right limit (the fraction of diseased
-    above the nondiseased maximum).  Rank selection uses exact integer
-    arithmetic on the binary value of each grid probability
-    (``core._exact_ranks``, the rank rule of ``quantile`` too).
+    above the nondiseased maximum).  Ranks follow ``core.quantile``'s exact
+    rule.
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))
@@ -357,26 +338,19 @@ def silverman_bandwidth(sample) -> float:
 def lscv_bandwidth(sample, n_steps: int = 60) -> float:
     """Least-squares cross-validation bandwidth for the normal kernel.
 
-    Minimizes the closed-form LSCV criterion over a log-spaced band around
-    the rule-of-thumb value (Bowman 1984).  Both of its pair sums are
-    symmetric, so each unordered pair ``i < j`` is visited once, in
-    blocks of rows with at most ``_BLOCK`` pairs (or one row), and the
-    ``i == j`` terms are added in closed form; ``exp(-d^2 / 2h^2)`` is the
-    square of ``exp(-d^2 / 4h^2)``, so each pair costs one ``exp`` per
-    bandwidth.  Time is ``n (n - 1) / 2`` pairs times ``n_steps``; beyond
-    the sorted sample, memory is a few arrays of ``_BLOCK`` elements.
+    Minimizes the closed-form LSCV criterion (Bowman 1984) over
+    ``n_steps`` log-spaced bandwidths from 1/20 to 5 times Silverman's.
+    Time is ``n (n - 1) / 2`` pairs times ``n_steps``; beyond the sorted
+    sample, memory is a few arrays of ``_BLOCK`` elements.
     """
     y = validate_sample(sample, "sample", min_size=3)
     h0 = silverman_bandwidth(y)  # before sorting, which moves np.std's bits
-    # sorted, each row's differences grow along the row: np.exp then ran
-    # about 1.7x faster at n = 1,000 than on the input order
-    y = np.sort(y)
+    y = np.sort(y)  # np.exp runs faster on the sorted differences
     n = y.size
     hs = np.geomspace(h0 / 20.0, 5.0 * h0, n_steps)
     quad, loo = np.zeros((2, n_steps))
-    # row i holds the n - 1 - i pairs i < j; a block takes as many rows as
-    # keep its pairs within _BLOCK (at least one row), so each of its
-    # arrays stays within _BLOCK elements whatever n is
+    # each unordered pair i < j once, in blocks of rows with at most _BLOCK
+    # pairs (or one row); exp(-d^2 / 2h^2) is the square of exp(-d^2 / 4h^2)
     ends = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0 .. i
     stop = 0
     while stop < n - 1:  # the pairs i < j with i in [start, stop)
@@ -400,7 +374,7 @@ def lscv_bandwidth(sample, n_steps: int = 60) -> float:
 
 
 def _check_bandwidths(samples, *hs: float) -> None:
-    # samples: the data that the smoothed CDFs are evaluated across
+    # each h against the data the smoothed CDFs are evaluated across
     span = max(float(s.max()) for s in samples) - min(float(s.min()) for s in samples)
     for h in hs:
         if not (np.isfinite(h) and h > 0.0):
@@ -419,31 +393,23 @@ _BLOCK = 1 << 16
 def kernel_cdf(sample, h: float, y):
     """Normal-kernel CDF estimate ``(1/n) sum Phi((y - y_i)/h)``.
 
-    The n-component mixture with unit weights, summed by ``_mixture_sums``
-    and divided once by n, which gives the bits of
-    ``ndtr((y - y_i) / h).mean(-1)`` in buffers of at most ``_BLOCK``
-    elements (or one point's n).
+    Bit-identical to ``ndtr((y - y_i) / h).mean(-1)``, in buffers of at
+    most ``_BLOCK`` elements (or one point's n).  A point far outside the
+    sample gives 0 or 1 without an overflow warning.
     """
     s = validate_sample(sample, "sample")
     _check_bandwidths((s,), h)
-    yv = np.asarray(y, dtype=float)
-    sums = _mixture_sums(np.ones((1, s.size)), s[None, :], np.full((1, s.size), h, dtype=float),
-                         yv.reshape(-1))
-    out = sums[0] / s.size
-    return float(out[0]) if np.isscalar(y) or yv.ndim == 0 else out.reshape(yv.shape)
+    # the mixture of n unit weights, its one row divided by n
+    return _mean_mixture_cdf(np.ones((1, s.size)), s[None, :],
+                             np.full((1, s.size), h, dtype=float), y) / s.size
 
 
 def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
     # w, mu, sigma: (..., L); x: (..., K) broadcastable; returns the CDF
-    # (..., K), or with density=True the CDF, the density and the density's
-    # slope f' = -sum w phi(z) z / sigma^2, whose terms are the density's
-    # times z / sigma: the density terms go into the CDF-term buffer, so z
-    # survives for them.  With rows (an index array) w, mu and sigma are
-    # (R, L) tables and x is (len(rows), K) or (K,): x row i takes table
-    # row rows[i], each parameter taken into one buffer just before the
-    # operation that needs it, so no (len(rows), L) copy outlives its use.
-    # The buffers are fresh, or bufs[0:3] (see _scratch): z, the terms and
-    # the taken parameter; the bits are the same either way
+    # (..., K), or with density=True the CDF, the density and its slope
+    # f' = -sum w phi(z) z / sigma^2.  With rows (an index array), x row i
+    # takes parameter row rows[i], taken into a buffer just before its use.
+    # The buffers are fresh, or bufs[0:3] (see _scratch), with the same bits
     if rows is None:
         shape = np.broadcast_shapes(x.shape + (1,), mu.shape[:-1] + (1, mu.shape[-1]))
 
@@ -453,8 +419,7 @@ def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
         shape = (rows.size, x.shape[-1], mu.shape[-1])
 
         def param(a):
-            # mode="clip" writes straight into the buffer; "raise" would
-            # copy through a temporary
+            # mode="clip" writes straight into the buffer, "raise" via a copy
             return np.take(a, rows, axis=0, mode="clip",
                            out=_scratch(bufs, 2, (rows.size, a.shape[-1])))[:, None, :]
     z = np.subtract(x[..., :, None], param(mu), out=_scratch(bufs, 0, shape))
@@ -469,8 +434,7 @@ def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
     np.multiply(z, z, out=terms)
     terms *= -0.5
     np.exp(terms, out=terms)
-    # w / (sigma sqrt(2 pi)), on the parameter rows: a table's R rows, or
-    # the broadcast rows' own (the bits of each element are the same)
+    # w / (sigma sqrt(2 pi)) on the parameter rows
     scale = np.multiply(sigma, math.sqrt(2.0 * math.pi),
                         out=_scratch(bufs if rows is None else None, 2, sigma.shape))
     terms *= param(np.divide(w, scale, out=scale))
@@ -483,11 +447,8 @@ def _mixture_cdf(w, mu, sigma, x, density=False, bufs=None, rows=None):
 def _scratch(bufs, i, shape):
     # an uninitialised array of this shape: fresh when bufs is None, else
     # the front of work buffer bufs[i], made on first need (at least _BLOCK
-    # elements) as an anonymous mapping of its own.  Such a buffer lives for
-    # a whole call: in the malloc heap it pushed the call's other
-    # allocations above it (compute_mix peak RSS measured 5 MB higher); a
-    # mapping stays apart, costs only the pages touched and is unmapped
-    # when dropped
+    # elements) as an anonymous mapping, apart from the malloc heap.
+    # Measured: BENCH_16.json
     if bufs is None:
         return np.empty(shape)
     size = math.prod(shape)
@@ -503,33 +464,21 @@ _TABLE_POINTS = 64
 
 
 def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
-    """Mixture CDF (and, with ``density=True``, its density and the
-    density's slope) at ``x``, as ``_mixture_cdf`` computes them, in blocks
-    of (row, point) evaluations.
+    """Mixture CDF ``sum_l w_l Phi((x - mu_l) / sigma_l)`` at ``x`` (and,
+    with ``density=True``, its density and the density's slope).
 
     ``w, mu, sigma`` have shape (R, L) and ``x`` shape (K,), points shared
     by every row, or (R, K).  With ``rows`` (an index array, or a slice)
     output row ``i`` takes parameter row ``rows[i]``, and ``x`` is
-    (len(rows), K) or (K,): each block takes its rows' parameters one at a
-    time into one work buffer, just before the operation that needs them,
-    so neither a caller nor a block holds (len(rows), L) copies of all
-    three.  A block takes as many evaluations as keep its (rows, points, L)
-    buffer within ``_BLOCK`` elements, and at least one; the blocks run one
-    after the other.  The components are never split, so each value is one
-    sum over all L of them, with the bits of an unblocked ``_mixture_cdf``
-    call whatever the shape of the call.  This is the only place a sum of
-    normal CDFs is blocked.
+    (len(rows), K) or (K,); no (len(rows), L) copy of the parameters is
+    made.  The (row, point) evaluations run in blocks of at most
+    ``_BLOCK`` elements that never split the L components, so each value
+    has the bits of one unblocked sum whatever the shape of the call.
+    Every smooth CDF of the package is summed here.
 
-    With ``work`` (a list of three, ``[None] * 3``, that a caller owns and
-    passes to many calls) the blocks evaluate into at most three work
-    buffers of max(_BLOCK, L) elements, made on first need and kept in the
-    list, so the calls reuse those pages instead of faulting in fresh ones:
-    z, the terms of a density call, and the taken parameter of a call with
-    ``rows`` (or a broadcast call's (rows, L) density scale).  A CDF call
-    holds one of them with shared rows and two with ``rows``; a density
-    call two with shared rows and three with ``rows``.  Without ``work``
-    each block evaluates into fresh arrays, which costs less for a short
-    call than mapping buffers.
+    With ``work`` (a caller's ``[None] * 3``, passed to many calls) the
+    blocks evaluate into at most three buffers of max(_BLOCK, L) elements,
+    kept in the list for reuse; without it, into fresh arrays.
     """
     if isinstance(rows, slice):
         w, mu, sigma, rows = w[rows], mu[rows], sigma[rows], None
@@ -547,7 +496,7 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
             else:
                 params, at_rows = (w, mu, sigma), rows[r:r + step]
             sums = _mixture_cdf(*params, x[r:r + step, c:c + cols], density, work, at_rows)
-            # one output at a time: assigning the tuple would stack it in a copy
+            # one output at a time: a tuple would be stacked in a copy
             for dst, src in zip(out, sums if density else (sums,)):
                 dst[r:r + step, c:c + cols] = src
     return tuple(out) if density else out[0]
@@ -556,23 +505,18 @@ def _mixture_sums(w, mu, sigma, x, density=False, rows=None, work=None):
 def _halley_step(state, r, f, fp, allowance):
     """One safeguarded step of ``_invert_mixture_cdf`` from each active root.
 
-    ``state`` holds one row per field of the active roots: the point ``x``,
-    the bracket ``[x_lo, x_hi]``, the target, the rounding floor, the bound
-    ``M3`` on ``|F^(3)|`` and the last two steps' lengths.  ``r = F(x) -
-    q``, ``f`` and ``fp`` are the density and its slope at ``x``.  The step
-    moves ``x`` to the new point and the step lengths on by one, in their
-    rows, and returns the new step's length, its stop tolerance and the
-    Taylor bound ``T`` where it proves the step (inf elsewhere).  A
-    function of its own, so its temporaries are freed before the next pass
-    evaluates.
+    ``state`` has a row per field of the active roots: point ``x``, bracket
+    ``[x_lo, x_hi]``, target, rounding floor, bound ``M3`` on ``|F^(3)|``
+    and the last two step lengths; ``r = F(x) - q``, and ``f``, ``fp`` are
+    the density and its slope at ``x``.  Moves ``x`` and the step lengths
+    in place and returns the new step's length, its stop tolerance and the
+    Taylor bound ``T`` where it proves the step (inf elsewhere).
     """
     x, x_lo, x_hi, _, floor, m3, step_last, step_before = state
     eps = np.finfo(float).eps
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # Halley's step is Newton's over 1 - t.  It is taken where |t| < 1,
-        # so it keeps Newton's direction and at least half its length, else
-        # Newton's is (t is infinite where the density underflows): no step
-        # vanishes far from its root
+        # Halley's step, Newton's over 1 - t, where |t| < 1 (so it keeps
+        # Newton's direction and at least half its length), else Newton's
         newton = r / f
         t = 0.5 * newton * fp / f
         x_new = x - np.where(np.abs(t) < 1.0, newton / (1.0 - t), newton)
@@ -594,63 +538,23 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
     """Solve F(x) = q for mixture CDFs by table-started safeguarded Halley.
 
     ``w, mu, sigma`` have shape (S, L); ``targets`` has shape (K,) with
-    values strictly inside (0, 1); returns roots of shape (S, K).  Draws are
-    solved in blocks of ``_DRAW_CHUNK``, one after the other, and each block
-    writes its roots into its rows of the one (S, K) result.  Each
-    draw's CDF is tabulated at ``_TABLE_POINTS`` points over its own
-    ``[min mu - 10 sigma, max mu + 10 sigma]``, widened (doubling) while the
-    table misses a target.  The table gives each root a bracket
-    ``F(lo) < q <= F(hi)`` one table step wide and a start by linear
-    interpolation in it.  Each pass evaluates the CDF, the density f and
-    its slope f' at every active root and takes Halley's step
-    ``s = -2 r f / (2 f^2 - r f')`` with ``r = F(x) - q``, or Newton's
-    where Halley's would not keep Newton's direction and at least half its
-    length (``_halley_step``).  A step that leaves the bracket, or that
-    fails to halve the step before last, is replaced by bisection, so the
-    steps shrink at least as fast as bisection's every other iteration and
-    convergence is cubic near the root.  A step's stop tolerance is the
-    spacing of doubles at its end plus a rounding floor (the smaller of
-    ``eps`` times the table range and ``8 eps`` over the density).  A root
-    stops, with no CDF pass that only confirms it, in one of two ways:
-
-    * its step is proven.  ``|F^(3)| <= M3 = phi(0) sum_l w_l / sigma_l^3``
-      because ``|phi''| <= phi(0)``, so by Taylor's theorem
-      ``T = |r + f s + f' s^2 / 2| + M3 |s|^3 / 6`` bounds
-      ``|F(x + s) - q|`` and ``f_min = f - |f'| |s| - M3 s^2 / 2`` bounds
-      the density at ``x + s`` from below.  When ``f_min > 0``,
-      ``T / f_min`` (a bound on the next step) is within the tolerance and
-      ``T`` plus a rounding allowance is at most 1e-10, the root is
-      ``x + s`` and ``T`` its residual;
-    * or its step is within the tolerance.  The root is then the point
-      just evaluated, and its residual ``|F(x) - q|`` comes from that
-      evaluation.
-
-    The tables and the passes take their sums from ``_mixture_sums``, in
-    (row, point) blocks of at most ``_BLOCK`` elements that never split the
-    components, so a kernel CDF with L = n keeps its buffers bounded and
-    each value's bits do not depend on the working set.  A pass of a draw
-    block takes one of two layouts, the one whose buffers are smaller: the
-    block's whole (draws, targets) rectangle, each root at its latest point
-    (two buffers of all its roots' evaluations: at the CLI's defaults the
-    first two passes, with 100% and 99.6% of the roots active), or the
-    active roots alone, whose parameter rows ``_mixture_sums`` takes one at
-    a time (``rows=``; three buffers of theirs: the later passes, 13% and
-    0.1%).  A block of one draw evaluates its active roots as one row of
-    points.  Every call shares one list of work buffers, at most three of
-    max(_BLOCK, L) elements, that live for the whole call, so the passes
-    reuse the same pages.  A block's per-root state (point, bracket,
-    target, floor, ``M3`` and the last two step lengths) is one array with
-    a row per field, allocated once per call and updated in place by each
-    pass, which moves the roots that go on to the front of every row.
-    Raises, naming the first failing draw, when the residual in CDF scale
-    exceeds 1e-10.
+    values strictly inside (0, 1); returns roots of shape (S, K).  Each
+    root starts in a bracket ``F(lo) < q <= F(hi)`` from a table of its
+    draw's CDF; a step that leaves the bracket or fails to halve the step
+    before last is replaced by bisection.  A root stops when its step is
+    within the tolerance (the point just evaluated, with that evaluation's
+    residual), or when Taylor's theorem with ``|F^(3)| <= M3 = phi(0)
+    sum_l w_l / sigma_l^3`` proves the step: the root is then ``x + s``
+    and the bound its residual.  Raises ``NumericError``, naming the
+    first failing draw, when a residual in CDF scale exceeds 1e-10.
+    Beyond the result and O(K) state per draw block of ``_DRAW_CHUNK``,
+    memory is at most three buffers of max(_BLOCK, L) elements.
     """
     n_draws, n_targets = w.shape[0], targets.size
     qmin, qmax = float(targets.min()), float(targets.max())
     unit = np.linspace(0.0, 1.0, _TABLE_POINTS)
     eps = np.finfo(float).eps
-    # the rounding of r and of a CDF computed at x + s: a sum of L terms
-    # whose weights sum to 1 rounds by at most about L eps
+    # a sum of L terms whose weights sum to 1 rounds by at most about L eps
     allowance = 2.0 * w.shape[1] * eps
     work = [None] * 3
     roots = np.empty((n_draws, n_targets))
@@ -674,9 +578,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             hi = np.where(high, hi + width, hi)
         n = r * n_targets
         x, x_lo, x_hi, tgt, floor, m3, step_last, step_before = state[:, :n]
-        # bracket each target between the table points around it.  A table
-        # row is nondecreasing (so is each rounded term, and so their sum),
-        # so a search counts the points below a target
+        # a table row is nondecreasing (so is each rounded term), so a
+        # search finds the table points around each target
         j = np.clip([np.searchsorted(row, targets) for row in table], 1, _TABLE_POINTS - 1)
         x_lo[:] = np.take_along_axis(xs, j - 1, axis=1).ravel()
         x_hi[:] = np.take_along_axis(xs, j, axis=1).ravel()
@@ -687,8 +590,7 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             start_x = x_lo + (tgt - f_lo) / (f_hi - f_lo) * (x_hi - x_lo)
         x[:] = np.where((start_x >= x_lo) & (start_x <= x_hi), start_x, 0.5 * (x_lo + x_hi))
         owner = np.repeat(np.arange(r), n_targets)
-        # a sigma of 0, or one whose cube underflows, makes M3 infinite,
-        # which proves no step
+        # a sigma whose cube underflows makes M3 infinite: no step proven
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             m3[:] = ((wc / sc ** 3).sum(axis=1) / math.sqrt(2.0 * math.pi))[owner]
         floor[:] = eps * (hi - lo)[owner]
@@ -701,11 +603,9 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             fields = state[:, :m]
             x, tgt = fields[0], fields[3]
             out[active] = x
-            # one draw's active roots are a row of points.  Else the pass
-            # takes the layout with the smaller buffers: the block's
-            # (draws, targets) rectangle at every root's latest point (two
-            # buffers of its n roots), or the active roots alone, their
-            # parameter rows taken (three buffers of theirs)
+            # the layout with the smaller buffers: the whole (draws,
+            # targets) rectangle (two buffers of n roots), or the active
+            # roots alone with their parameter rows taken (three of m)
             if r == 1:
                 sums = _mixture_sums(wc, mc, sc, x[None, :], density=True, work=work)
             elif 2 * n <= 3 * m:
@@ -716,9 +616,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             else:
                 sums = _mixture_sums(wc, mc, sc, x[:, None], density=True,
                                      rows=active // n_targets, work=work)
-            # diff is r = F(x) - q
             diff, dens, slope = (v.reshape(-1) for v in sums)
-            diff -= tgt
+            diff -= tgt  # r = F(x) - q
             resid[active] = np.abs(diff)
             below = diff < 0.0
             np.putmask(fields[1], below, x)
@@ -731,9 +630,8 @@ def _invert_mixture_cdf(w, mu, sigma, targets):
             moving &= ~proven
             if not moving.any():
                 break
-            # the moving roots' state to the front of each row, one row at a
-            # time: one temporary of the whole state measured 0.1-0.25 MB
-            # more at the peak of a CLI-size dpm run
+            # the moving roots' state to the front, one row at a time, so no
+            # temporary of the whole state is made
             kept = np.count_nonzero(moving)
             for row in fields:
                 np.compress(moving, row, out=row[:kept])
@@ -770,9 +668,8 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
     """Normal-kernel smoothed ROC curve.
 
     Bandwidths default to ``silverman_bandwidth`` of each sample.  The
-    nondiseased CDF is inverted by safeguarded Halley iteration (residual
-    below 1e-10 in CDF scale); the attached ``auc`` is the closed form from ``kernel_auc``,
-    not a grid integration.
+    nondiseased CDF is inverted with residual at most 1e-10 in CDF scale;
+    the ``auc`` is ``kernel_auc``'s closed form.
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
@@ -794,8 +691,7 @@ _SATURATED = 8.3
 # diseased values per task of the kernel AUC's direct pair sums
 _AUC_ROWS = 64
 # order of the kernel AUC's Taylor expansion, and the fewest diseased
-# values in a Taylor block: with 16 to 24 the direct pair sums measured as
-# fast at n = 10^4 on a 2-CPU VM, so 32 keeps every case at least as fast
+# values in a Taylor block.  Measured: BENCH_11.json
 _TAYLOR_ORDER = 16
 _TAYLOR_ROWS = 32
 # e^m / m! times the m-th derivative of Phi is e^m (-1)^(m-1) He_(m-1) phi / m!
@@ -809,11 +705,8 @@ def _taylor_row_sums(rows, window, scale):
 
     With ``t_i = (c - window_i) / scale`` and ``e = (y - c) / scale``,
     ``Phi(t + e) = sum_m e^m / m! Phi^(m)(t)`` and
-    ``Phi^(m) = (-1)^(m-1) He_(m-1) phi`` for ``m >= 1``.  The window
-    sums of ``Phi(t_i)`` and of ``He_k(t_i) phi(t_i)`` (by the recursion
-    ``He_(k+1) = t He_k - k He_(k-1)``) are taken once, in column pieces
-    of one ``_BLOCK``-element buffer, and each row is one polynomial in
-    ``e``.
+    ``Phi^(m) = (-1)^(m-1) He_(m-1) phi`` for ``m >= 1``; the window sums
+    go through one ``_BLOCK``-element buffer.
     """
     c = 0.5 * (rows[0] + rows[-1])
     cols = max(1, min(window.size, _BLOCK // (_TAYLOR_ORDER + 3)))
@@ -849,24 +742,14 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     """Closed-form AUC of the kernel-smoothed ROC.
 
     ``(1/(n_D n_ND)) sum_j sum_i Phi((y_Dj - y_NDi) / s)`` with
-    ``s = sqrt(h_D^2 + h_ND^2)``.  Both samples are sorted.  Each block of
-    diseased values has a window of nondiseased values: those more than
-    8.3 s below its smallest value give pairs with ``Phi = 1.0`` exactly,
-    which are counted; those more than 8.3 s above its largest value give
-    pairs below 5.3e-17 each, which are skipped.
-
-    The diseased values are cut into blocks by bins ``0.5 s`` wide.  A
-    block of at least ``_TAYLOR_ROWS`` values expands
-    ``Phi((c - y_NDi)/s + e)`` to order 16 in ``e`` about the block centre
-    ``c`` (``_taylor_row_sums``): one ``ndtr`` and one ``exp`` per window
-    value, then one polynomial per diseased value.  Since ``|e| <= 1/4``
-    and, by Cramer's inequality, ``|He_k phi| <= 0.434 sqrt(k!)``, each
-    pair is off by at most ``0.434 (1/4)^17 / (17 sqrt(16!))``, about
-    3e-19.  The other diseased values go in runs of at most
-    ``_AUC_ROWS``, whose window pairs are evaluated directly in column
-    pieces of one reused ``_BLOCK``-element buffer.  Blocks and runs are
-    fixed by the data and run one after the other; their row and piece
-    sums are added exactly (``math.fsum``).
+    ``s = sqrt(h_D^2 + h_ND^2)``, the same for any order of either sample.
+    Pairs more than 8.3 s apart count as exactly 1 or are skipped (each
+    below 5.3e-17).  Diseased values that crowd into a bin ``0.5 s`` wide
+    (at least ``_TAYLOR_ROWS``) share an order-16 Taylor expansion about
+    its centre, each pair within 3e-19 of its term (Cramer's inequality,
+    ``|He_k phi| <= 0.434 sqrt(k!)``); the rest are summed directly.
+    Partial sums are added exactly (``math.fsum``), and memory is linear
+    in n.
     """
     d = np.sort(validate_sample(diseased, "diseased"))
     nd = np.sort(validate_sample(nondiseased, "nondiseased"))
@@ -875,21 +758,18 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     _check_bandwidths((d, nd), h_d, h_nd)
     scale = math.hypot(h_d, h_nd)
     reach = _SATURATED * scale
-    # Taylor blocks: bins of width 0.5 scale with enough values in them (a
-    # bin measured wider, from rounding at extreme ratios, goes direct)
+    # Taylor blocks: full bins 0.5 scale wide (one wider by rounding goes direct)
     bins = np.floor((d - d[0]) / (0.5 * scale))
     starts = np.flatnonzero(np.r_[True, bins[1:] != bins[:-1]])
     ends = np.r_[starts[1:], d.size]
     taylor = (ends - starts >= _TAYLOR_ROWS) & (d[ends - 1] - d[starts] <= 0.5 * scale)
     in_taylor = np.repeat(taylor, ends - starts)
-    # task boundaries: every Taylor block, and the other values cut at
-    # multiples of _AUC_ROWS
+    # tasks: every Taylor block, the other values cut at multiples of _AUC_ROWS
     runs = np.arange(0, d.size, _AUC_ROWS)
     first = np.union1d(runs[~in_taylor[runs]], np.r_[starts[taylor], ends[taylor]])
     first = first[first < d.size]
     last = np.r_[first[1:], d.size] - 1
-    # nd[:lo] sit strictly below the task minimum less reach, nd[hi:]
-    # strictly above the task maximum plus reach
+    # each task's window nd[lo:hi]: within reach of its values
     lo = np.searchsorted(nd, d[first] - reach, side="left")
     hi = np.searchsorted(nd, d[last] + reach, side="right")
     cols = _BLOCK // _AUC_ROWS
@@ -915,14 +795,13 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
 # Bayesian bootstrap
 
 
-# draws times subjects at which bb_roc runs its draws in forked parts.
-# Measured: BENCH_26.json fork_floors
+# draws times subjects from which bb_roc forks.  Measured: BENCH_26.json fork_floors
 _FORK_BB = 1_000_000
 
 
 def _joined(parts):
-    # each field of forked_spans' parts joined in span order; one span's
-    # arrays (and None) are kept as they are, not copied
+    # each field of forked_spans' parts joined in span order, without a
+    # copy of one span's arrays
     return [f[0] if len(f) == 1 or f[0] is None else np.concatenate(f) for f in zip(*parts)]
 
 
@@ -935,22 +814,11 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     ``U_j = sum_i q1_i I(y_NDi >= y_Dj)``, then reweights the diseased
     sample to form the curve ``ROC(p) = sum_j q2_j I(U_j <= p)`` and the
     closed-form ``auc = 1 - sum_j q2_j U_j``.  Draw ``s`` uses the child
-    stream ``seed.rng(s)``, so results do not depend on evaluation order.
-
-    The curve adds the diseased weights in the stable ascending order of
-    ``U``.  Over the sorted diseased values ``U`` is nonincreasing (suffix
-    sums of nonnegative weights, at nondecreasing positions, clipped at 1),
-    so that order is the reversal with each run of equal values put back
-    in index order (``_stable_order_of_nonincreasing``), found without a
-    sort.  The per-draw loop holds the interpreter lock, so with at least
-    ``_FORK_BB`` draws times subjects the draws go in one span per CPU, side
-    by side through ``core.forked_spans``.
-
-    With ``youden=True`` each draw also gives the Youden index, threshold
-    and FPF of its two weighted ECDFs by the step rule of ``indices``, as
-    ``youden_empirical`` does with unit weights: the pooled values and the
-    double just below their minimum are the candidates, both trivial rules
-    score exactly 0, and p* lies in [0, 1] without a clamp.
+    stream ``seed.rng(s)``, so results do not depend on evaluation order,
+    and from ``_FORK_BB`` draws times subjects on the draws run in forked
+    spans (``core.forked_spans``) with the same bits.  With
+    ``youden=True`` each draw also gives the Youden index, threshold and
+    FPF of its two weighted ECDFs by the step rule of ``indices``.
     """
     d = validate_sample(diseased, "diseased")
     nd = validate_sample(nondiseased, "nondiseased")
@@ -980,9 +848,9 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
             q1_sorted = dirichlet_uniform(nd.size, rng)[nd_order]
             q2_sorted = dirichlet_uniform(d.size, rng)[d_order]
             tail = np.concatenate([np.cumsum(q1_sorted[::-1])[::-1], [0.0]])
-            # cumulative rounding can push a full suffix sum one ulp above 1,
-            # which would leave that point uncounted even at p=1
-            u = np.minimum(tail[pos], 1.0)  # placement value of d_sorted[j]
+            # placement values of d_sorted, nonincreasing; a suffix sum can
+            # round above 1, which p = 1 would not count
+            u = np.minimum(tail[pos], 1.0)
             order_u = _stable_order_of_nonincreasing(u)
             cum = np.concatenate([[0.0], np.cumsum(q2_sorted[order_u])])
             curves[i] = cum[np.searchsorted(u[::-1], grid, side="right")]
@@ -996,20 +864,13 @@ def bb_roc(diseased, nondiseased, n_draws: int, grid=None, *,
     parts = forked_spans(draws, n_draws, n_draws * (d.size + nd.size) >= _FORK_BB)
     curves, aucs, yis, thresholds, p_stars = _joined(parts)
     np.clip(curves, 0.0, 1.0, out=curves)
-    # every U_j <= 1, so p=1 counts the whole diseased mass; only cumsum
-    # rounding keeps the float sum from being exactly 1
-    curves[:, grid == 1.0] = 1.0
+    curves[:, grid == 1.0] = 1.0  # the whole diseased mass, but for cumsum rounding
     return PosteriorEnsemble(grid=grid, curves=curves, aucs=np.clip(aucs, 0.0, 1.0),
                              yis=yis, thresholds=thresholds, p_stars=p_stars)
 
 
 def _stable_order_of_nonincreasing(u: np.ndarray) -> np.ndarray:
-    """``np.argsort(u, kind="stable")`` for a nonincreasing ``u``, without a sort.
-
-    The ascending order is the reversal, except that a run of equal values
-    keeps its index order: for the run ``[s, e)`` of ``u[::-1]``,
-    ``order[k] = n - s - e + k``.
-    """
+    """``np.argsort(u, kind="stable")`` for a nonincreasing ``u``, without a sort."""
     n = u.size
     v = u[::-1]
     starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
@@ -1022,14 +883,10 @@ def _stable_order_of_nonincreasing(u: np.ndarray) -> np.ndarray:
 
 
 def _exact_fit(y: np.ndarray, sigma2: float) -> bool:
-    """Whether residual variance ``sigma2`` of outcomes ``y`` is an exact fit.
-
-    Least squares rounds each fitted value by up to about ``n eps max|y|``;
-    a residual variance below the square of that is an exact fit (e.g. a
-    constant sample).  Where that square or ``sigma2`` overflows, or both
-    fall below the smallest normal double, the test cannot tell, and an
-    ``InvalidInputError`` names the overflow or underflow.
-    """
+    """Whether residual variance ``sigma2`` of outcomes ``y`` is an exact fit:
+    at most ``(n eps max|y|)^2``, the rounding of least squares.  Where
+    that or ``sigma2`` overflows, or both underflow, an
+    ``InvalidInputError`` names the overflow or underflow."""
     scale = float(np.abs(y).max())
     with np.errstate(over="ignore"):
         bound = float((y.size * np.finfo(float).eps * scale) ** 2)
@@ -1049,15 +906,10 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     The model is ``y_i ~ sum_l w_l N(x_i' beta_l, 1/tau_l)`` with
     stick-breaking weights truncated at ``L = cfg.truncation`` components,
     a conjugate ``N(centre_mean, centre_var)`` prior on each coefficient
-    vector and a ``Gamma(shape, rate)`` prior on each precision.  Each
-    sweep resamples the sticks from component counts, then all L
-    components at once, then the allocations (``_allocate``, over (L, n)
-    arrays); the state saved after the component step gives
-    ``cfg.n_save`` draws following ``cfg.burn_in`` warm-up sweeps.  An
-    empty component has ``X'X = 0``, so its update draws from the prior
-    without a branch of its own.  The chain is a function of the data,
-    ``cfg`` and nothing else: the same bits in any process and whether or
-    not another chain runs beside it.
+    vector and a ``Gamma(shape, rate)`` prior on each precision; an empty
+    component draws from the prior.  Saves ``cfg.n_save`` draws after
+    ``cfg.burn_in`` sweeps.  The chain is a function of the data and
+    ``cfg`` alone: the same bits in any process.
 
     Returns weights (S, L), coefficients (S, L, d) and variances (S, L).
     """
@@ -1092,8 +944,7 @@ def _blocked_gibbs(y: np.ndarray, design: np.ndarray, cfg: DpmConfig):
     b = sigma2 if cfg.rate is None else float(cfg.rate)
     rng = cfg.seed.rng()
 
-    # per-observation sufficient statistics vec(x x') and x y, summed per
-    # component by one bincount over offset indices
+    # per-observation statistics vec(x x') and x y, summed per component
     k = d * d + d
     stats = np.hstack([(design[:, :, None] * design[:, None, :]).reshape(n, d * d),
                        design * y[:, None]]).ravel()
@@ -1146,17 +997,15 @@ def _allocate(y, design_t, coef, w, tau, rng):
     """The allocation step: draw each observation's component from its
     posterior probabilities, proportional to ``w_l N(y_i; x_i' beta_l, 1/tau_l)``.
 
-    The work is laid out (L, n) so every reduction runs along n, and it
-    rounds exactly as the (n, L) form ``p = exp(logp - max)``,
-    ``p /= p.sum(axis=1)``, ``(p.cumsum(axis=1) < u).sum(axis=1)`` does:
-    the column sums follow numpy's pairwise order (``_pairwise_rows``) and
-    the cumulative sum is the same sequence of row additions.
+    Laid out (L, n), it rounds exactly as the (n, L) form
+    ``p = exp(logp - max)``, ``p /= p.sum(axis=1)``,
+    ``(p.cumsum(axis=1) < u).sum(axis=1)`` does.
     """
     L = w.size
     with np.errstate(divide="ignore"):
         level = np.log(w) + 0.5 * np.log(tau)
-    # logp = level - 0.5 tau (y - x'beta)^2, one operation at a time in one
-    # buffer; np.dot, since matmul takes a slow path when d = 1
+    # logp = level - 0.5 tau (y - x'beta)^2 in one buffer; np.dot, since
+    # matmul takes a slow path when d = 1
     logp = np.dot(coef, design_t)
     np.subtract(y, logp, out=logp)
     np.square(logp, out=logp)
@@ -1175,11 +1024,9 @@ def _pairwise_rows(a, lo, hi):
     """Sum of rows ``lo .. hi - 1`` of ``a``, added in the order numpy's
     pairwise summation adds a contiguous run of ``hi - lo`` values:
     one by one below 8, in eight interleaved partial sums up to 128, and
-    as two halves (the first a multiple of 8 long) above that.
-
-    A plain recursive function: a closure that calls itself is a
-    reference cycle that would keep every row buffer alive until the
-    cycle collector runs.
+    as two halves (the first a multiple of 8 long) above that.  Not a
+    closure: one that calls itself is a reference cycle, which would keep
+    every row buffer alive until the cycle collector runs.
     """
     n = hi - lo
     if n < 8:
@@ -1203,17 +1050,10 @@ def _pairwise_rows(a, lo, hi):
 def dpm_fit(sample, cfg: DpmConfig) -> MixtureEnsemble:
     """Fit a truncated DPM of normals by blocked Gibbs sampling.
 
-    The model is ``y_i ~ sum_l w_l N(mu_l, 1/tau_l)``: the mixture of
-    normal regressions behind ``ddp_fit`` with an intercept-only design,
-    run by the same sampler.  With the same ``cfg``, ``dpm_fit(y, cfg)``
-    and ``ddp_fit`` on ``y`` with a column of ones give identical chains.
-    See ``DpmConfig`` for the priors and their data-driven defaults.
-
-    Returns
-    -------
-    MixtureEnsemble
-        ``cfg.n_save`` posterior mixture draws, deterministic given
-        ``cfg.seed``.
+    The model is ``y_i ~ sum_l w_l N(mu_l, 1/tau_l)``, with the priors of
+    ``DpmConfig``.  ``dpm_fit(y, cfg)`` and ``ddp_fit`` on ``y`` with a
+    column of ones give identical chains.  Returns a ``MixtureEnsemble`` of
+    ``cfg.n_save`` draws, deterministic given ``cfg.seed``.
     """
     y = validate_sample(sample, "sample", min_size=2)
     weights, coefs, variances = _blocked_gibbs(y, np.ones((y.size, 1)), cfg)
@@ -1224,9 +1064,9 @@ def _mixture_aucs(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd):
     """Closed-form AUC of each pair of mixtures given as (S, L) arrays.
 
     ``sum_k sum_l w_NDk w_Dl Phi(a_kl / sqrt(1 + b_kl^2))`` with
-    ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``.
-    Draws go in blocks, one after the other, whose (draws, L, L) buffers
-    stay within ``_BLOCK`` elements; each draw's sum is the same.
+    ``a_kl = (mu_Dl - mu_NDk)/sigma_Dl`` and ``b_kl = sigma_NDk/sigma_Dl``,
+    in draw blocks of at most ``_BLOCK`` (k, l) terms that leave each
+    draw's sum unchanged.
     """
     step = max(1, _BLOCK // (w_d.shape[1] * w_nd.shape[1]))
 
@@ -1248,11 +1088,11 @@ def dpm_auc(draw_d: MixtureDraw, draw_nd: MixtureDraw) -> float:
 
 
 def _mean_mixture_cdf(w, mu, sg, y):
-    # the mixture CDF at y, averaged over the (S, L) rows of w, mu and sg,
-    # with the draws added in row order: a mean down axis 0 would add
-    # pairwise for one point and row by row for several
+    # the mixture CDF at y averaged over the (S, L) rows, added in row order
+    # for any number of points (a mean would add one point's pairwise)
     yv = np.asarray(y, dtype=float)
-    sums = _mixture_sums(w, mu, sg, yv.reshape(-1))
+    with np.errstate(over="ignore"):  # (y - mu) / sigma = +-inf has Phi 0 or 1 exactly
+        sums = _mixture_sums(w, mu, sg, yv.reshape(-1))
     out = np.cumsum(sums, axis=0, out=sums)[-1] / w.shape[0]
     return float(out[0]) if yv.ndim == 0 else out.reshape(yv.shape)
 
@@ -1263,23 +1103,16 @@ def mixture_cdf_callable(draw: MixtureDraw):
     return lambda c: _mean_mixture_cdf(*normals, c)
 
 
-# draw components (S times L) from which a mixture ensemble runs in forked
-# parts; below it the one span runs here.  Measured: BENCH_26.json fork_floors
+# draw components (S times L) from which an ensemble forks.  Measured: BENCH_26.json fork_floors
 _FORK_ENSEMBLE = 1500
 
 
 def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
                                   youden: bool) -> PosteriorEnsemble:
-    """Ensemble curves, AUCs and Youden indices for paired per-draw
-    mixtures of shape (S, L).
-
-    Each span of draws gets its curves (``_roc_from_mixtures``), its
-    closed-form AUCs (``_mixture_aucs``) and, with ``youden``, its Youden
-    search (``indices._youden_search``) over one range taken from all the
-    draws.  With at least ``_FORK_ENSEMBLE`` draw components (S times L)
-    the spans are one per CPU, side by side through
-    ``core.forked_spans``; below it one span runs here.  Each draw's result
-    does not depend on its span, so the bits are the same either way.
+    """Ensemble curves, closed-form AUCs and, with ``youden``, Youden
+    indices (one search range for all draws) for paired (S, L) mixtures.
+    From ``_FORK_ENSEMBLE`` draw components on, the draws run in forked
+    spans (``core.forked_spans``) with the same bits.
     """
     if w_d.shape[0] != w_nd.shape[0] or w_d.shape[0] < 1:
         raise InvalidInputError("need equally many draws for both groups")
@@ -1303,9 +1136,8 @@ def _ensemble_from_mixture_arrays(w_d, mu_d, sg_d, w_nd, mu_nd, sg_nd, grid,
             return (_mixture_sums(*nd, x, rows=rows, work=work),
                     _mixture_sums(*d, x, rows=rows, work=work))
 
-        # a fine-stage call takes one (L,) parameter row per (pair, point)
-        # into one buffer at a time, so _BLOCK // L evaluations per call
-        # keep it within _BLOCK elements
+        # a fine-stage call takes an (L,) parameter row per (pair, point)
+        # into one buffer, so _BLOCK // L evaluations keep it within _BLOCK
         return found + _youden_search(cdfs, np.linspace(lo, hi, 1000), lo, hi, stop - start,
                                       _BLOCK // n_comp)
 
@@ -1319,11 +1151,11 @@ def dpm_roc(draws_d, draws_nd, grid=None, *, youden: bool = False) -> PosteriorE
     """Posterior ROC ensemble from ``dpm_fit`` ensembles or sequences of draws.
 
     Draw ``s`` pairs ``draws_d[s]`` with ``draws_nd[s]``; both must have
-    equal length.  Curves come from Halley inversion of the nondiseased
-    mixture CDF; AUCs from the closed form in ``dpm_auc``.  From
-    ``_FORK_ENSEMBLE`` draws times components on, the draws go in one
-    forked part per CPU, each computing its curves, AUCs and Youden
-    indices (``_ensemble_from_mixture_arrays``), with the same bits.
+    equal length.  Curves invert the nondiseased mixture CDF (residual at
+    most 1e-10); AUCs are ``dpm_auc``'s closed form.  With ``youden=True``
+    each draw's Youden index comes from the smooth rule of ``indices``.
+    From ``_FORK_ENSEMBLE`` draws times components on, the draws run in
+    forked spans with the same bits.
     """
     ens_d, ens_nd = MixtureEnsemble.from_draws(draws_d), MixtureEnsemble.from_draws(draws_nd)
     return _ensemble_from_mixture_arrays(*ens_d._normals(), *ens_nd._normals(),

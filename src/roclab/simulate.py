@@ -4,9 +4,8 @@ The binormal scenario has nondiseased outcomes standard normal and diseased
 outcomes ``N(a/b, 1/b^2)``, which makes the true curve
 ``ROC(p) = Phi(a + b Phi^{-1}(p))`` with ``AUC = Phi(a / sqrt(1 + b^2))``
 and a closed-form Youden maximizer, all exposed here as oracles.  The
-scalar truths (AUC and Youden) take Phi from ``math.erfc``, the formula of
-the standard library's ``NormalDist.cdf``, so they load no scipy; for
-|x| <= 6 that is within 1e-14 relative of scipy's ``ndtr`` (``core.ndtr``).
+scalar truths (AUC and Youden) take Phi from ``math.erfc``, so they load
+no scipy; for |x| <= 6 that is within 1e-14 relative of ``core.ndtr``.
 """
 
 from __future__ import annotations
@@ -16,16 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SeedSpec, std_normal_cdf, std_normal_quantile, validate_sample
+from .core import (SeedSpec, _pinned_curve, std_normal_cdf, std_normal_quantile,
+                   validate_sample)
 from .errors import InvalidInputError
 from .indices import YoudenResult
-
-__all__ = [
-    "DiagnosticSample", "BinormalScenario", "gen_binormal",
-    "true_binormal_roc", "true_binormal_auc", "true_binormal_youden",
-    "gen_covariate_linear", "gen_survival",
-]
-
 
 @dataclass(frozen=True)
 class DiagnosticSample:
@@ -83,18 +76,12 @@ def true_binormal_roc(a: float, b: float, p):
     pv = np.asarray(p, dtype=float)
     if np.any(pv < 0.0) or np.any(pv > 1.0):
         raise InvalidInputError("p must lie in [0, 1]")
-    interior = (pv > 0.0) & (pv < 1.0)
-    out = np.where(pv <= 0.0, 0.0, 1.0)
-    if np.any(interior):
-        vals = std_normal_cdf(a + b * std_normal_quantile(pv[interior]))
-        out = out.astype(float)
-        out[interior] = vals
+    out = _pinned_curve(pv, lambda q: std_normal_cdf(a + b * std_normal_quantile(q)))
     return float(out) if np.isscalar(p) or pv.ndim == 0 else out
 
 
 def _phi(x: float) -> float:
-    # the standard normal CDF of a scalar; a NaN is refused as
-    # core.std_normal_cdf refuses it
+    # the standard normal CDF of a scalar, refusing NaN as std_normal_cdf does
     if math.isnan(x):
         raise InvalidInputError("normal CDF argument is NaN")
     return 0.5 * math.erfc(-x / math.sqrt(2.0))

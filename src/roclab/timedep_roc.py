@@ -8,17 +8,11 @@ estimates through Bayes' rule:
     TNF(c, t) = P(Y <  c) * S(t | Y < c) / S(t)
 
 with marker-subset and overall product-limit estimates, all read from one
-sweep over the distinct markers.  With no censoring at or before ``t``
-these telescope to plain counts: each fraction is a count ratio rounded
-once, and the curve and AUC are ``empirical_roc`` and ``empirical_auc`` of
-the labels ``D = I(T <= t)``.  Under censoring the products are taken in
-floats.
-
-The curve is not automatically monotone under censoring; an optional
-pool-adjacent-violators correction (``isotonic``) is available and off by
-default, leaving the raw estimator untouched.  Without censoring at or
-before ``t`` the fractions are monotone already and ``isotonic`` does
-nothing.
+sweep over the distinct markers, in O(n m) time for m event times up to
+``t``.  With no censoring at or before ``t`` each fraction is a count
+ratio rounded once, and the curve and AUC are ``empirical_roc`` and
+``empirical_auc`` of the labels ``D = I(T <= t)``.  Under censoring the
+products are taken in floats, and the curve need not be monotone.
 """
 
 from __future__ import annotations
@@ -31,10 +25,6 @@ import numpy as np
 from .core import as_prob_grid, default_prob_grid
 from .errors import AllCensoredWarning, InvalidInputError, TimeOutOfRangeError
 from .pooled_roc import RocCurveEstimate, empirical_auc, empirical_roc
-
-__all__ = ["SurvivalSample", "StepSurvival", "kaplan_meier",
-           "cumdyn_fractions", "timedep_roc", "timedep_auc"]
-
 
 @dataclass(frozen=True)
 class SurvivalSample:
@@ -62,11 +52,8 @@ class SurvivalSample:
 
 @dataclass(frozen=True)
 class StepSurvival:
-    """Right-continuous product-limit survival curve.
-
-    ``jump_times`` are distinct times with at least one event;
-    ``surv_values`` hold S just after each jump.
-    """
+    """Right-continuous product-limit survival curve: S just after each of
+    the strictly increasing ``jump_times``."""
 
     jump_times: np.ndarray
     surv_values: np.ndarray
@@ -105,19 +92,17 @@ def _as_survival_arrays(times, events):
 
 
 def _risk_table(times: np.ndarray, events: np.ndarray, t: float = np.inf):
-    # distinct event times up to t, with the numbers failing there and at risk
-    # (time >= it: subjects censored at an event time stay in its risk set)
+    # distinct event times up to t, with the numbers at risk (time >= it) and failing
     event_times, deaths = np.unique(times[(events == 1) & (times <= t)], return_counts=True)
     return event_times, times.size - np.searchsorted(np.sort(times), event_times), deaths
 
 
 def kaplan_meier(times, events) -> StepSurvival:
-    """Product-limit survival estimate.
+    """Product-limit survival estimate, a running product of
+    (at risk - events) / at risk.
 
-    Ties at an event time follow the usual convention: subjects censored at
-    that exact time stay in the risk set (events are processed first).  An
-    input with no events at all is valid and yields S identically 1, with a
-    warning.
+    Subjects censored at an event time stay in its risk set.  No events at
+    all give S identically 1, with an ``AllCensoredWarning``.
     """
     t, e = _as_survival_arrays(times, events)
     if not np.any(e == 1):
@@ -138,12 +123,10 @@ def _check_horizon(t: float) -> float:
 
 @dataclass(frozen=True)
 class _Sweep:
-    """Fractions of the rules ``Y >= c`` at the ascending distinct markers.
-
-    The arrays have one entry more than ``thresholds``, for a rule above
-    every marker: TPF ``tp``, FPF ``fp`` and TNF ``tn``.  ``labels`` is the
-    case indicator ``I(T <= t)`` when nobody is censored at or before
-    ``t`` (each fraction is then a count ratio rounded once), else None.
+    """TPF ``tp``, FPF ``fp`` and TNF ``tn`` of the rules ``Y >= c`` at the
+    ascending distinct markers, plus a rule above every marker.  ``labels``
+    is the case indicator ``I(T <= t)`` when nobody is censored at or
+    before ``t``, else None.
     """
 
     thresholds: np.ndarray
@@ -155,12 +138,7 @@ class _Sweep:
 
 def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
     """One pass over the distinct markers, from the largest down.
-
-    Without censoring at or before ``t`` Kaplan-Meier telescopes to plain
-    counts.  Otherwise the at-risk and event counts of {Y >= c} at the event
-    times up to ``t`` grow marker by marker; those of {Y < c} are the totals
-    minus them.  ``fraction`` names the one that S(t) = 0 leaves undefined.
-    """
+    ``fraction`` names the one that S(t) = 0 leaves undefined."""
     y, times, events = s.marker, s.time, s.event
     event_times, at_risk, deaths = _risk_table(times, events, t)
     if deaths.size == 0:
@@ -208,14 +186,11 @@ def _sweep(s: SurvivalSample, t: float, fraction: str) -> _Sweep:
 def cumdyn_fractions(s: SurvivalSample, c, t: float):
     """Cumulative TPF and dynamic TNF at threshold ``c`` and horizon ``t``.
 
-    Requires ``0 < 1 - S(t)`` and ``S(t) > 0``; otherwise the corresponding
-    fraction is undefined and a time-out-of-range error names ``t``.
-    Without censoring at or before ``t`` each fraction is a count ratio
-    rounded once, as ``classification_fractions`` gives for the labels
-    ``I(T <= t)``; under censoring a float ratio clamped to [0, 1].  These
-    are the raw fractions, which ``timedep_roc(isotonic=True)`` corrects
-    only under censoring.  A scalar ``c`` gives two floats, an array of
-    thresholds two arrays (one sweep).
+    Requires ``0 < 1 - S(t)`` and ``S(t) > 0``, else ``TimeOutOfRangeError``
+    names ``t``.  Without censoring at or before ``t`` each fraction is a
+    count ratio rounded once, as ``classification_fractions`` gives for
+    the labels ``I(T <= t)``; under censoring a float ratio clamped to
+    [0, 1].  A scalar ``c`` gives two floats, an array two arrays.
     """
     t = _check_horizon(t)
     cv = np.asarray(c, dtype=float)
@@ -246,12 +221,9 @@ def _pav_nonincreasing(values: np.ndarray) -> np.ndarray:
 
 
 def _roc_and_youden(s: SurvivalSample, t: float, grid=None, *, isotonic: bool = False):
-    """``timedep_roc`` and the Youden index over the distinct markers, from one sweep.
-
-    The Youden index is the largest ``TPF + TNF - 1`` of the rules
-    ``Y >= c`` at the distinct markers, the smallest such ``c`` on ties,
-    with the fractions ``cumdyn_fractions`` gives.  Returns the curve and a
-    dict of ``yi``, ``c_star`` and ``p_star``.
+    """``timedep_roc`` and a dict of ``yi``, ``c_star`` and ``p_star``: the
+    largest ``TPF + TNF - 1`` of the rules ``Y >= c`` at the distinct
+    markers (the smallest ``c`` on ties), from one sweep.
     """
     t = _check_horizon(t)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
@@ -263,7 +235,7 @@ def _roc_and_youden(s: SurvivalSample, t: float, grid=None, *, isotonic: bool = 
         fpf, tpf = sw.fp, sw.tp
         if isotonic:
             fpf, tpf = _pav_nonincreasing(fpf), _pav_nonincreasing(tpf)
-        # the first threshold whose FPF is at most p is the first whose running minimum is
+        # the first threshold whose FPF is at most p: the first whose running minimum is
         first = np.searchsorted(-np.minimum.accumulate(fpf), -grid, side="left")
         curve = RocCurveEstimate(grid=grid, roc=tpf[first], auc=_auc(s, sw))
     youden = sw.tp[:-1] + sw.tn[:-1] - 1.0
@@ -283,25 +255,19 @@ def timedep_roc(s: SurvivalSample, t: float, grid=None, *,
                 isotonic: bool = False) -> RocCurveEstimate:
     """Time-dependent ROC at horizon ``t``: ``ROC(p, t) = TPF(FPF^{-1}(p))``.
 
-    The threshold sweep runs over all observed marker values; the
-    generalized inverse picks, for each grid ``p``, the smallest threshold
-    whose FPF is at most ``p``.  Without censoring at or before ``t`` that
-    is ``empirical_roc`` of the labels ``I(T <= t)``, with its exact rank
-    rule, whatever ``isotonic`` says.  Under censoring the comparisons run
-    in floats, and ``isotonic=True`` first projects both swept fraction
-    sequences onto monotone sequences by pool-adjacent-violators.  The
-    attached ``auc`` is ``timedep_auc``, from the raw fractions.
+    Each grid ``p`` takes the smallest threshold whose FPF is at most
+    ``p``.  Without censoring at or before ``t`` this is ``empirical_roc``
+    of the labels ``I(T <= t)``, whatever ``isotonic`` says.  Under
+    censoring ``isotonic=True`` first makes both swept fraction sequences
+    monotone by pool-adjacent-violators.  The ``auc`` is ``timedep_auc``'s.
     """
     return _roc_and_youden(s, t, grid, isotonic=isotonic)[0]
 
 
 def timedep_auc(s: SurvivalSample, t: float) -> float:
-    """Area under the swept time-dependent curve (trapezoid).
-
-    The trapezoid over the swept vertices reproduces the Mann-Whitney
-    half-tie convention.  Without censoring at or before ``t`` it is
-    ``empirical_auc`` of the labels ``I(T <= t)``; under censoring it is
-    summed in floats.  The raw fractions are used with or without the
-    curve's ``isotonic`` correction.
+    """Area under the swept time-dependent curve from the raw fractions: a
+    trapezoid over the swept vertices (the Mann-Whitney half-tie rule), and
+    ``empirical_auc`` of the labels ``I(T <= t)`` without censoring at or
+    before ``t``.
     """
     return _auc(s, _sweep(s, _check_horizon(t), "FPF"))

@@ -370,6 +370,94 @@ class TestConfigAndEnv:
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
 
 
+def refused(argv, out, message, capsys):
+    """Run ``argv`` into ``out``: exit 2 and an ``error.json`` whose message
+    holds ``message``."""
+    assert run(argv + ["--outdir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert message in json.loads((out / "error.json").read_text())["message"]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("text, message", [
+        ("[pooled]\nestimatr = dpm\n", "unknown config option [pooled] estimatr"),
+        ("[pooled]\nbandwidth-d = 0.3\n", "unknown config option [pooled] bandwidth-d"),
+        ("[common]\nestimatr = dpm\n", "unknown config option [common] estimatr"),
+        ("[covariate]\nbandwidth_d = 0.3\n",
+         "unknown config option [covariate] bandwidth_d"),
+        ("[poold]\nestimator = dpm\n", "unknown config section [poold]"),
+        ("[common]\nsvg = maybe\n", "[common] svg = 'maybe' is not a valid bool"),
+        ("[pooled]\ngrid_points = many\n",
+         "config option [pooled] grid_points = 'many' is not a valid int"),
+        ("grid_points = 5\n", "cannot parse config file"),
+        ("[common]\ngrid_points = 1\n", "grid_points must be at least 2"),
+        ("[pooled]\nestimator = dmp\n", "unknown estimator 'dmp'"),
+        ("[pooled]\nestimator = kernel\nbandwidth_method = scott\n",
+         "bandwidth_method must be 'silverman' or 'lscv'"),
+    ])
+    def test_key_or_value_no_option_takes_is_refused(self, tmp_path, capsys, text, message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        refused(["pooled", "--input", p, "--config", ini], tmp_path / "out", message, capsys)
+
+    def test_common_key_of_another_subcommand_is_accepted(self, tmp_path):
+        # one file serves every subcommand: binary has no --level
+        ini = tmp_path / "run.ini"
+        ini.write_text("[common]\nlevel = 0.9\n\n[pooled]\nestimator = bb\n")
+        p = write_csv(tmp_path / "c.csv", SEPARATED)
+        assert run(["binary", "--input", p, "--threshold", "5", "--config", ini,
+                    "--outdir", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("word, value", [("yes", True), ("On", True), ("off", False),
+                                             ("0", False)])
+    def test_booleans(self, tmp_path, word, value):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[common]\nsvg = {word}\n\n[timedep]\nisotonic = {word}\n")
+        p, med = TestTimedepSubcommand()._cohort(tmp_path)
+        out = tmp_path / "out"
+        assert run(["timedep", "--input", p, "--time", med, "--config", ini,
+                    "--outdir", out]) == 0
+        params = json.loads((out / "metadata.json").read_text())["params"]
+        assert params["svg"] is value and params["isotonic"] is value
+        assert (out / "curve.svg").exists() is value
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["covariate", "--covariates", "x", "--at", "0.5"], "[covariate]\nestimator = glm\n",
+         "unknown estimator 'glm'"),
+        (["simulate"], "[simulate]\nscenario = trinormal\n", "unknown scenario 'trinormal'"),
+    ])
+    def test_choice_outside_the_choices_is_refused(self, tmp_path, capsys, argv, text,
+                                                   message):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        if argv[0] != "simulate":
+            argv = argv + ["--input", TestCovariateAndArocSubcommands()._cohort(tmp_path)]
+        refused(argv + ["--config", ini], tmp_path / "out", message, capsys)
+
+
+class TestHandlerValidation:
+    def test_non_numeric_at(self, tmp_path, capsys):
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        refused(["covariate", "--input", p, "--covariates", "x", "--at", "middle"],
+                tmp_path / "out", "at: expected comma-separated numbers, got 'middle'", capsys)
+
+    @pytest.mark.parametrize("command", ["covariate", "aroc"])
+    def test_covariates_without_a_name(self, tmp_path, capsys, command):
+        p = TestCovariateAndArocSubcommands()._cohort(tmp_path)
+        at = ["--at", "0.5"] if command == "covariate" else []
+        refused([command, "--input", p, "--covariates", ",", *at], tmp_path / "out",
+                "expected at least one column name", capsys)
+
+    @pytest.mark.parametrize("command", ["binary", "pooled", "aroc"])
+    def test_empty_group_after_filtering(self, tmp_path, capsys, command):
+        # the one nondiseased row has an empty marker cell
+        p = write_csv(tmp_path / "c.csv", "marker,status,x\n1,1,0.1\n2,1,0.2\n,0,0.3\n")
+        extra = {"binary": ["--threshold", "1"], "pooled": [], "aroc": ["--covariates", "x"]}
+        refused([command, "--input", p, *extra[command]], tmp_path / "out",
+                "empty group after filtering: 2 diseased, 0 nondiseased", capsys)
+
+
 class TestErrorPaths:
     def test_invalid_input_exits_2_with_error_json(self, tmp_path, capsys):
         p = write_csv(tmp_path / "c.csv", "marker,status\n1.0,0\nbad,1\n")

@@ -220,6 +220,19 @@ class TestBsplineDesign:
         with pytest.raises(InvalidInputError):
             BSplineSpec(interior_knots=(1.5,), boundary=(0.0, 1.0))
 
+    def test_layout_from_data_puts_knots_at_sample_quantiles(self):
+        x = np.arange(11.0)
+        spec = BSplineSpec.from_data(x[::-1])
+        assert spec.boundary == (0.0, 10.0)
+        assert spec.interior_knots == (2.5, 5.0, 7.5)
+        # a quantile on the boundary is not an interior knot
+        x = [0.0] * 5 + [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert BSplineSpec.from_data(x).interior_knots == (0.5, 2.75)
+
+    def test_layout_from_data_rejects_a_constant_covariate(self):
+        with pytest.raises(DegenerateSampleError, match="constant covariate"):
+            BSplineSpec.from_data([2.0, 2.0, 2.0])
+
 
 # knot layouts: the rocglm baseline's, none, one, a repeated knot, uneven ones
 KNOT_LAYOUTS = [(0.25, 0.5, 0.75), (), (0.1,), (0.3, 0.3, 0.9),

@@ -248,6 +248,17 @@ class TestKernelCdf:
         with pytest.raises(InvalidInputError):
             kernel_cdf([0.0, 1.0], 0.0, 0.5)
 
+    def test_points_far_outside_the_sample_give_0_and_1_without_a_warning(self):
+        # (y - y_i) / h overflows to +-inf, whose normal CDF is exactly 1 or 0
+        draws = [MixtureDraw(weights=[1.0], means=[-1e308], variances=[1.0]),
+                 MixtureDraw(weights=[1.0], means=[0.0], variances=[1e-300])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_cdf([0.0, 1.0], 1e-300, 1e10) == 1.0
+            assert kernel_cdf([0.0, 1.0], 1e-300, [-1e10, 0.5]).tolist() == [0.0, 0.5]
+            assert mixture_cdf_callable(draws[0])(1e308) == 1.0
+            assert mixture_cdf_callable(draws[1])([-1e200, 1e200]).tolist() == [0.0, 1.0]
+
     def test_blocks_give_the_unblocked_means_bitwise(self):
         rng = np.random.default_rng(15)
         s, y = rng.normal(0, 1, 3000), rng.normal(0, 2, (40, 25))
