@@ -243,13 +243,11 @@ def _cohort(opts: Options, survival: bool = False):
     and the ``extra`` columns through ``read_cohort`` and returns their
     arrays, in that order, and the input report.
     """
-    path = opts.get("input", str, required=True)
-    marker = opts.get("marker_col", str, "marker")
-    if survival:
-        groups = [opts.get("time_col", str, "time"), opts.get("event_col", str, "event")]
-    else:
-        groups = [opts.get("status_col", str, "status")]
-    log_cols = (marker,) if opts.get("log_marker", bool, False) else ()
+    path = opts.get("input", required=True)
+    marker = opts.get("marker_col")
+    groups = [opts.get(key) for key in (("time_col", "event_col") if survival
+                                        else ("status_col",))]
+    log_cols = (marker,) if opts.get("log_marker") else ()
 
     def read(extra=()):
         columns = [marker, *groups, *extra]
@@ -289,65 +287,73 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return cfg
 
 
-def _check_config(cfg: configparser.ConfigParser, parser: argparse.ArgumentParser) -> None:
-    """Refuse a config key that no option reads: one that is not an option
-    of its section's subcommand or, in ``[common]``, of any subcommand."""
+def _config_value(action: argparse.Action, section: str, raw: str):
+    # raw through the option's type and choices; a switch takes
+    # configparser's boolean words
+    cast = bool if action.nargs == 0 else action.type or str
+    try:
+        value = (configparser.ConfigParser.BOOLEAN_STATES[raw.lower()] if cast is bool
+                 else cast(raw))
+    except (KeyError, ValueError):
+        raise InvalidInputError(f"config option [{section}] {action.dest} = {raw!r} "
+                                f"is not a valid {cast.__name__}") from None
+    if action.choices is not None and value not in action.choices:
+        *rest, last = action.choices
+        raise InvalidInputError(
+            f"unknown {action.dest} {value!r}: choose {', '.join(rest)} or {last}")
+    return value
+
+
+def _install_config(parser: argparse.ArgumentParser, cfg: configparser.ConfigParser,
+                    command: str) -> None:
+    """Make the config's values the defaults of ``command``'s options.
+
+    An option takes its ``[command]`` value, else its ``[common]`` one,
+    through ``_config_value``.  A section that is neither ``[common]`` nor
+    a subcommand is refused, and so is a key that is not an option of its
+    section's subcommand or, in ``[common]``, of any subcommand.  The
+    values converted before a refusal are installed, so the run's
+    ``error.json`` still follows a ``[common] outdir``.
+    """
     (subs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    keys = {name: {a.dest for a in sub._actions} - {"help", "config"}
-            for name, sub in subs.choices.items()}
-    keys["common"] = set().union(*keys.values())
-    for section in cfg.sections():
-        if section not in keys:
-            raise InvalidInputError(f"unknown config section [{section}]")
-        for key in cfg.options(section):
-            if key not in keys[section]:
-                raise InvalidInputError(f"unknown config option [{section}] {key}")
-
-
-def _cast_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise InvalidInputError(f"expected a boolean, got {raw!r}")
+    actions = {name: {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+               for name, sub in subs.choices.items()}
+    values = {}
+    try:
+        for key, action in actions[command].items():
+            section = command if cfg.has_option(command, key) else "common"
+            if cfg.has_option(section, key):
+                values[key] = _config_value(action, section, cfg.get(section, key))
+        known = {**actions, "common": set().union(*actions.values())}
+        for section in cfg.sections():
+            if section not in known:
+                raise InvalidInputError(f"unknown config section [{section}]")
+            for key in cfg.options(section):
+                if key not in known[section]:
+                    raise InvalidInputError(f"unknown config option [{section}] {key}")
+    finally:
+        subs.choices[command].set_defaults(**values)
 
 
 class Options:
-    """Flag-over-config-over-default resolution for one subcommand."""
+    """A run's options, resolved by the parser, and the record of those
+    its handler read: ``resolved``, which becomes ``params``."""
 
-    def __init__(self, args: argparse.Namespace, cfg: configparser.ConfigParser,
-                 section: str):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = cfg
-        self.section = section
         self.resolved: dict = {}
         # deterministic facts about the fit, for metadata.json's diagnostics
         self.diagnostics: dict = {}
 
-    def get(self, key: str, cast, default=None, required: bool = False):
-        value = getattr(self.args, key, None)
-        if value is None:
-            for section in (self.section, "common"):
-                if self.cfg.has_option(section, key):
-                    raw = self.cfg.get(section, key)
-                    try:
-                        value = _cast_bool(raw) if cast is bool else cast(raw)
-                    except (ValueError, TypeError):
-                        raise InvalidInputError(
-                            f"config option [{section}] {key} = {raw!r} "
-                            f"is not a valid {cast.__name__}") from None
-                    break
-        if value is None:
-            if required:
-                raise InvalidInputError(f"missing required option '{key}'")
-            value = default
+    def get(self, key: str, required: bool = False):
+        value = getattr(self.args, key)
+        if value is None and required:
+            raise InvalidInputError(f"missing required option '{key}'")
         self.resolved[key] = value
         return value
 
 
-def _resolve_outdir(opts: Options) -> str:
-    outdir = opts.get("outdir", str, os.environ.get(ENV_OUTDIR) or ".")
+def _make_outdir(outdir: str) -> str:
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -356,7 +362,7 @@ def _resolve_outdir(opts: Options) -> str:
 
 
 def _grid(opts: Options) -> np.ndarray:
-    n = opts.get("grid_points", int, 201)
+    n = opts.get("grid_points")
     if n < 2:
         raise InvalidInputError("grid_points must be at least 2")
     return np.linspace(0.0, 1.0, n)
@@ -406,8 +412,8 @@ def _cmd_binary(opts: Options) -> tuple:
     from .binary_metrics import classification_fractions, predictive_values
 
     read = _cohort(opts)
-    threshold = opts.get("threshold", float, required=True)
-    prevalence = opts.get("prevalence", float, None)
+    threshold = opts.get("threshold", required=True)
+    prevalence = opts.get("prevalence")
 
     (marker, status), report = read()
     d, nd = _split_groups(marker, status)
@@ -446,13 +452,8 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
     its own seed stream, side by side from ``_FORK_SWEEPS`` sweeps on."""
     from .pooled_roc import DpmConfig
 
-    seed = opts.get("seed", int, 20260815)
-    kwargs = dict(
-        truncation=opts.get("truncation", int, 10),
-        alpha=opts.get("alpha", float, 1.0),
-        burn_in=opts.get("burn_in", int, 500),
-        n_save=opts.get("n_save", int, 1000),
-    )
+    seed = opts.get("seed")
+    kwargs = {key: opts.get(key) for key in ("truncation", "alpha", "burn_in", "n_save")}
     jobs = [functools.partial(fit, sample, DpmConfig(seed=SeedSpec(seed, stream), **kwargs))
             for sample, stream in zip(samples, (1, 2))]
     return _side_by_side(jobs, kwargs["burn_in"] + kwargs["n_save"] >= _FORK_SWEEPS)
@@ -461,25 +462,19 @@ def _mixture_fits(opts: Options, fit, samples) -> list:
 def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
                              grid: np.ndarray):
     from .indices import youden_empirical, youden_from_cdfs
-    from .pooled_roc import (_check_bandwidths, bb_roc, dpm_fit, dpm_roc, empirical_roc,
+    from .pooled_roc import (_kernel_inputs, bb_roc, dpm_fit, dpm_roc, empirical_roc,
                              kernel_cdf, kernel_roc, lscv_bandwidth, silverman_bandwidth)
 
-    estimator = opts.get("estimator", str, "empirical")
-    level = opts.get("level", float, 0.95)
+    estimator = opts.get("estimator")
+    level = opts.get("level")
     if estimator == "empirical":
         return empirical_roc(d, nd, grid), youden_empirical(d, nd)
     if estimator == "kernel":
-        method = opts.get("bandwidth_method", str, "silverman")
-        if method not in ("silverman", "lscv"):
-            raise InvalidInputError("bandwidth_method must be 'silverman' or 'lscv'")
-        pick = silverman_bandwidth if method == "silverman" else lscv_bandwidth
-        h_d = opts.get("bandwidth_d", float, None)
-        h_nd = opts.get("bandwidth_nd", float, None)
-        h_d = pick(d) if h_d is None else h_d
-        h_nd = pick(nd) if h_nd is None else h_nd
-        opts.resolved["bandwidth_d"] = h_d
-        opts.resolved["bandwidth_nd"] = h_nd
-        _check_bandwidths((d, nd), h_d, h_nd)
+        pick = (silverman_bandwidth if opts.get("bandwidth_method") == "silverman"
+                else lscv_bandwidth)
+        d, nd, h_d, h_nd = _kernel_inputs(d, nd, opts.get("bandwidth_d"),
+                                          opts.get("bandwidth_nd"), pick)
+        opts.resolved.update(bandwidth_d=h_d, bandwidth_nd=h_nd)
         lo = float(min(d.min(), nd.min())) - 4.0 * max(h_d, h_nd)
         hi = float(max(d.max(), nd.max())) + 4.0 * max(h_d, h_nd)
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -492,16 +487,12 @@ def _pooled_curve_and_youden(opts: Options, d: np.ndarray, nd: np.ndarray,
                                                        lo, hi)],
                              d.size + nd.size >= _FORK_KERNEL)
     if estimator == "bb":
-        n_draws = opts.get("draws", int, 1000)
-        seed = opts.get("seed", int, 20260815)
-        ensemble = bb_roc(d, nd, n_draws, grid, seed=SeedSpec(seed, 0), youden=True)
-        return ensemble.summarize(level), ensemble.youden_summary(level)
-    if estimator == "dpm":
+        ensemble = bb_roc(d, nd, opts.get("draws"), grid, seed=SeedSpec(opts.get("seed"), 0),
+                          youden=True)
+    else:  # dpm
         draws_d, draws_nd = _mixture_fits(opts, dpm_fit, (d, nd))
         ensemble = dpm_roc(draws_d, draws_nd, grid, youden=True)
-        return ensemble.summarize(level), ensemble.youden_summary(level)
-    raise InvalidInputError(
-        f"unknown estimator {estimator!r}: choose empirical, kernel, bb or dpm")
+    return ensemble.summarize(level), ensemble.youden_summary(level)
 
 
 def _cmd_pooled(opts: Options) -> tuple:
@@ -533,13 +524,13 @@ def _cmd_covariate(opts: Options) -> tuple:
                                 rocglm_fit)
 
     read = _cohort(opts)
-    covariates = _parse_names(opts.get("covariates", str, required=True))
-    at = _parse_floats(opts.get("at", str, required=True), "at")
+    covariates = _parse_names(opts.get("covariates", required=True))
+    at = _parse_floats(opts.get("at", required=True), "at")
     if len(at) != len(covariates):
         raise InvalidInputError(
             f"--at needs {len(covariates)} value(s) for {', '.join(covariates)}")
-    estimator = opts.get("estimator", str, "faraggi")
-    level = opts.get("level", float, 0.95)
+    estimator = opts.get("estimator")
+    level = opts.get("level")
     grid = _grid(opts)
 
     sample_d, sample_nd, report = _regression_samples(read, covariates)
@@ -555,19 +546,14 @@ def _cmd_covariate(opts: Options) -> tuple:
         ensemble = ddp_roc(draws_d, draws_nd, z, grid, youden=True)
         curve = ensemble.summarize(level)
         youden = ensemble.youden_summary(level)
-    elif estimator == "rocglm":
-        errors = opts.get("errors", str, "empirical")
-        baseline = opts.get("baseline", str, "parametric")
-        nd_cdf = location_scale_cdf(ols_fit(sample_nd), errors)
-        fit = rocglm_fit(sample_d, nd_cdf, baseline=baseline)
+    else:  # rocglm
+        nd_cdf = location_scale_cdf(ols_fit(sample_nd), opts.get("errors"))
+        fit = rocglm_fit(sample_d, nd_cdf, baseline=opts.get("baseline"))
         curve = fit.curve(at, grid)
         opts.resolved["rocglm_alpha"] = [float(v) for v in fit.alpha]
         opts.resolved["rocglm_beta"] = [float(v) for v in fit.beta]
-        opts.diagnostics["rocglm"] = {"converged": fit.converged, "n_iter": fit.n_iter}
+        opts.diagnostics["rocglm"] = {"n_iter": fit.n_iter}
         youden = None
-    else:
-        raise InvalidInputError(
-            f"unknown estimator {estimator!r}: choose faraggi, pepe, ddp or rocglm")
     head = ["analysis: covariate", f"estimator: {estimator}",
             f"at: {','.join(_fmt(v) for v in at)}",
             f"n_diseased: {sample_d.n}", f"n_nondiseased: {sample_nd.n}"]
@@ -578,8 +564,8 @@ def _cmd_aroc(opts: Options) -> tuple:
     from .covariate_roc import aroc, location_scale_cdf, ols_fit
 
     read = _cohort(opts)
-    covariates = _parse_names(opts.get("covariates", str, required=True))
-    errors = opts.get("errors", str, "empirical")
+    covariates = _parse_names(opts.get("covariates", required=True))
+    errors = opts.get("errors")
     grid = _grid(opts)
 
     sample_d, sample_nd, report = _regression_samples(read, covariates)
@@ -594,8 +580,8 @@ def _cmd_timedep(opts: Options) -> tuple:
     from .timedep_roc import SurvivalSample, _roc_and_youden
 
     read = _cohort(opts, survival=True)
-    horizon = opts.get("time", float, required=True)
-    isotonic = opts.get("isotonic", bool, False)
+    horizon = opts.get("time", required=True)
+    isotonic = opts.get("isotonic")
     grid = _grid(opts)
 
     (marker, time, event), report = read()
@@ -614,15 +600,11 @@ def _cmd_simulate(opts: Options) -> tuple:
     from .simulate import (BinormalScenario, gen_binormal, gen_covariate_linear,
                            gen_survival, true_binormal_auc, true_binormal_youden)
 
-    scenario = opts.get("scenario", str, "binormal")
-    seed = opts.get("seed", int, 20260815)
-    spec = SeedSpec(seed, 0)
+    scenario = opts.get("scenario")
+    spec = SeedSpec(opts.get("seed"), 0)
     lines = ["analysis: simulate", f"scenario: {scenario}"]
     if scenario == "binormal":
-        a = opts.get("a", float, 1.0)
-        b = opts.get("b", float, 1.0)
-        n_d = opts.get("n_diseased", int, 100)
-        n_nd = opts.get("n_nondiseased", int, 100)
+        a, b, n_d, n_nd = map(opts.get, ("a", "b", "n_diseased", "n_nondiseased"))
         sample = gen_binormal(BinormalScenario(a=a, b=b, n_diseased=n_d,
                                                n_nondiseased=n_nd, seed=spec))
         text = _cohort_csv_text(["marker", "status"], np.r_[sample.diseased, sample.nondiseased],
@@ -637,12 +619,9 @@ def _cmd_simulate(opts: Options) -> tuple:
             f"true_p_star: {_fmt(truth.p_star)}",
         ]
     elif scenario == "covariate":
-        beta_d = _parse_floats(opts.get("beta_d", str, "0.5,1.0"), "beta_d")
-        beta_nd = _parse_floats(opts.get("beta_nd", str, "0.0,1.0"), "beta_nd")
-        sigma_d = opts.get("sigma_d", float, 1.0)
-        sigma_nd = opts.get("sigma_nd", float, 1.0)
-        n_d = opts.get("n_diseased", int, 100)
-        n_nd = opts.get("n_nondiseased", int, 100)
+        beta_d, beta_nd = (_parse_floats(opts.get(key), key) for key in ("beta_d", "beta_nd"))
+        sigma_d, sigma_nd, n_d, n_nd = map(
+            opts.get, ("sigma_d", "sigma_nd", "n_diseased", "n_nondiseased"))
         sample_d, sample_nd = gen_covariate_linear(
             beta_d, beta_nd, sigma_d, sigma_nd, n_d, n_nd, seed=spec)
         text = _cohort_csv_text(["marker", "status", "x"],
@@ -650,18 +629,12 @@ def _cmd_simulate(opts: Options) -> tuple:
                                 np.arange(n_d + n_nd) < n_d,
                                 np.r_[sample_d.design[:, 1], sample_nd.design[:, 1]])
         lines += [f"n_diseased: {n_d}", f"n_nondiseased: {n_nd}"]
-    elif scenario == "survival":
-        n = opts.get("n", int, 200)
-        gamma = opts.get("gamma", float, 1.0)
-        censor_rate = opts.get("censor_rate", float, 0.0)
-        sample = gen_survival(n, gamma, censor_rate, seed=spec)
+    else:  # survival
+        n = opts.get("n")
+        sample = gen_survival(n, opts.get("gamma"), opts.get("censor_rate"), seed=spec)
         text = _cohort_csv_text(["marker", "time", "event"], sample.marker, sample.time,
                                 sample.event)
         lines += [f"n_subjects: {n}", f"n_events: {int(np.sum(sample.event))}"]
-    else:
-        raise InvalidInputError(
-            f"unknown scenario {scenario!r}: choose binormal, covariate or survival")
-
     return lines, None, None, ("cohort.csv", text)
 
 
@@ -678,41 +651,41 @@ def _parse_names(raw: str) -> list[str]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; flags override it")
-    sub.add_argument("--outdir", help=f"output directory (default ${ENV_OUTDIR} or .)")
-    sub.add_argument("--svg", action="store_const", const=True, default=None,
-                     help="also write curve.svg")
-    sub.add_argument("--full-precision", dest="full_precision",
-                     action="store_const", const=True, default=None,
+    sub.add_argument("--outdir", default=os.environ.get(ENV_OUTDIR) or ".",
+                     help=f"output directory; ${ENV_OUTDIR} sets the default")
+    sub.add_argument("--svg", action="store_true", help="also write curve.svg")
+    sub.add_argument("--full-precision", action="store_true",
                      help="also write curve_full.csv with full-precision values")
-    sub.add_argument("--grid-points", dest="grid_points", type=int,
-                     help="number of FPF grid points including 0 and 1 (default 201)")
-    sub.add_argument("--seed", type=int, help="master seed for stochastic estimators")
+    sub.add_argument("--grid-points", type=int, default=201,
+                     help="number of FPF grid points including 0 and 1")
+    sub.add_argument("--seed", type=int, default=20260815,
+                     help="master seed for stochastic estimators")
 
 
 def _add_cohort(sub: argparse.ArgumentParser, survival: bool) -> None:
     sub.add_argument("--input", help="cohort CSV path")
-    sub.add_argument("--marker-col", dest="marker_col", help="marker column (default marker)")
+    sub.add_argument("--marker-col", default="marker", help="marker column")
     if survival:
-        sub.add_argument("--time-col", dest="time_col", help="time column (default time)")
-        sub.add_argument("--event-col", dest="event_col", help="event column (default event)")
+        sub.add_argument("--time-col", default="time", help="time column")
+        sub.add_argument("--event-col", default="event", help="event column")
     else:
-        sub.add_argument("--status-col", dest="status_col", help="status column (default status)")
-    sub.add_argument("--log-marker", dest="log_marker", action="store_const",
-                     const=True, default=None,
+        sub.add_argument("--status-col", default="status", help="status column")
+    sub.add_argument("--log-marker", action="store_true",
                      help="analyze the natural log of the marker")
 
 
 def _add_mixture(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--level", type=float, help="credible level (default 0.95)")
-    sub.add_argument("--truncation", type=int)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--burn-in", dest="burn_in", type=int)
-    sub.add_argument("--n-save", dest="n_save", type=int)
+    sub.add_argument("--level", type=float, default=0.95, help="credible level")
+    sub.add_argument("--truncation", type=int, default=10, help="mixture components")
+    sub.add_argument("--alpha", type=float, default=1.0, help="Dirichlet process precision")
+    sub.add_argument("--burn-in", type=int, default=500, help="Gibbs sweeps discarded")
+    sub.add_argument("--n-save", type=int, default=1000, help="posterior draws kept")
 
 
 def _subparser(subs, name: str, handler, help: str, *, cohort: bool = True,
                survival: bool = False) -> argparse.ArgumentParser:
-    sub = subs.add_parser(name, help=help)
+    sub = subs.add_parser(name, help=help,
+                          formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     _add_common(sub)
     if cohort:
         _add_cohort(sub, survival)
@@ -721,6 +694,8 @@ def _subparser(subs, name: str, handler, help: str, *, cohort: bool = True,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``roclab`` parser: each option's one declaration of its type,
+    default and choices, which config values go through as well."""
     parser = argparse.ArgumentParser(
         prog="roclab", description="ROC analysis of diagnostic and prognostic tests")
     parser.add_argument("--version", action="version", version=f"roclab {__version__}")
@@ -731,56 +706,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prevalence", type=float, help="disease prevalence for PPV/NPV")
 
     p = _subparser(subs, "pooled", _cmd_pooled, "pooled ROC curve, AUC and Youden index")
-    p.add_argument("--estimator", choices=["empirical", "kernel", "bb", "dpm"])
-    p.add_argument("--bandwidth-method", dest="bandwidth_method",
-                   choices=["silverman", "lscv"])
-    p.add_argument("--bandwidth-d", dest="bandwidth_d", type=float)
-    p.add_argument("--bandwidth-nd", dest="bandwidth_nd", type=float)
-    p.add_argument("--draws", type=int, help="Bayesian bootstrap draws (default 1000)")
+    p.add_argument("--estimator", choices=["empirical", "kernel", "bb", "dpm"],
+                   default="empirical", help="ROC estimator")
+    p.add_argument("--bandwidth-method", choices=["silverman", "lscv"], default="silverman",
+                   help="rule for a kernel bandwidth not given")
+    p.add_argument("--bandwidth-d", type=float, help="diseased kernel bandwidth")
+    p.add_argument("--bandwidth-nd", type=float, help="nondiseased kernel bandwidth")
+    p.add_argument("--draws", type=int, default=1000, help="Bayesian bootstrap draws")
     _add_mixture(p)
 
     p = _subparser(subs, "covariate", _cmd_covariate, "covariate-specific ROC curve")
-    p.add_argument("--estimator", choices=["faraggi", "pepe", "ddp", "rocglm"])
+    p.add_argument("--estimator", choices=["faraggi", "pepe", "ddp", "rocglm"],
+                   default="faraggi", help="ROC estimator")
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("--at", help="comma-separated covariate values to condition on")
-    p.add_argument("--errors", choices=["empirical", "normal"],
+    p.add_argument("--errors", choices=["empirical", "normal"], default="empirical",
                    help="residual law for the conditional reference CDF")
-    p.add_argument("--baseline", choices=["parametric", "spline"],
+    p.add_argument("--baseline", choices=["parametric", "spline"], default="parametric",
                    help="ROC-GLM baseline form")
     _add_mixture(p)
 
     p = _subparser(subs, "aroc", _cmd_aroc, "covariate-adjusted ROC curve")
     p.add_argument("--covariates", help="comma-separated covariate columns")
-    p.add_argument("--errors", choices=["empirical", "normal"])
+    p.add_argument("--errors", choices=["empirical", "normal"], default="empirical",
+                   help="residual law for the conditional reference CDF")
 
     p = _subparser(subs, "timedep", _cmd_timedep, "cumulative/dynamic time-dependent ROC",
                    survival=True)
     p.add_argument("--time", type=float, help="evaluation time t")
-    p.add_argument("--isotonic", action="store_const", const=True, default=None,
+    p.add_argument("--isotonic", action="store_true",
                    help="project the curve to a monotone step function")
 
     p = _subparser(subs, "simulate", _cmd_simulate, "generate a synthetic cohort CSV",
                    cohort=False)
-    p.add_argument("--scenario", choices=["binormal", "covariate", "survival"])
-    p.add_argument("--a", type=float, help="binormal intercept parameter")
-    p.add_argument("--b", type=float, help="binormal slope parameter")
-    p.add_argument("--n-diseased", dest="n_diseased", type=int)
-    p.add_argument("--n-nondiseased", dest="n_nondiseased", type=int)
-    p.add_argument("--n", type=int, help="survival scenario cohort size")
-    p.add_argument("--gamma", type=float, help="marker effect on the event hazard")
-    p.add_argument("--censor-rate", dest="censor_rate", type=float)
-    p.add_argument("--beta-d", dest="beta_d", help="diseased mean coefficients")
-    p.add_argument("--beta-nd", dest="beta_nd", help="nondiseased mean coefficients")
-    p.add_argument("--sigma-d", dest="sigma_d", type=float)
-    p.add_argument("--sigma-nd", dest="sigma_nd", type=float)
+    p.add_argument("--scenario", choices=["binormal", "covariate", "survival"],
+                   default="binormal", help="data-generating model")
+    p.add_argument("--a", type=float, default=1.0, help="binormal intercept parameter")
+    p.add_argument("--b", type=float, default=1.0, help="binormal slope parameter")
+    p.add_argument("--n-diseased", type=int, default=100, help="diseased cohort size")
+    p.add_argument("--n-nondiseased", type=int, default=100, help="nondiseased cohort size")
+    p.add_argument("--n", type=int, default=200, help="survival scenario cohort size")
+    p.add_argument("--gamma", type=float, default=1.0,
+                   help="marker effect on the event hazard")
+    p.add_argument("--censor-rate", type=float, default=0.0, help="exponential censoring rate")
+    p.add_argument("--beta-d", default="0.5,1.0", help="diseased mean coefficients")
+    p.add_argument("--beta-nd", default="0.0,1.0", help="nondiseased mean coefficients")
+    p.add_argument("--sigma-d", type=float, default=1.0, help="diseased error SD")
+    p.add_argument("--sigma-nd", type=float, default=1.0, help="nondiseased error SD")
     return parser
 
 
-def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
-                 code: int) -> None:
+def _write_error(outdir: str, exc: Exception, code: int) -> None:
     try:
-        outdir = _resolve_outdir(Options(args, cfg, args.command))
-        _write_files(outdir, [("error.json", json.dumps(
+        _write_files(_make_outdir(outdir), [("error.json", json.dumps(
             {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
             indent=2, sort_keys=True) + "\n")])
     except (OSError, InvalidInputError):  # no usable output directory
@@ -791,16 +769,16 @@ def _write_error(args, cfg: configparser.ConfigParser, exc: Exception,
 _RECORDED_WARNINGS = (AllCensoredWarning, NegativeYoudenWarning, SeparationWarning)
 
 
-def _run(args, cfg: configparser.ConfigParser) -> None:
+def _run(args: argparse.Namespace) -> None:
     """Run the subcommand's handler and write its artifacts as one set,
     with every option it resolved as ``params``.  Every distinct warning
     goes to stderr once, and the roclab ones are also listed, sorted, in
     the artifacts.  An ``OSError`` while writing them is an input error.
     """
-    opts = Options(args, cfg, args.command)
-    outdir = _resolve_outdir(opts)
-    opts.get("svg", bool, False)
-    opts.get("full_precision", bool, False)
+    opts = Options(args)
+    outdir = _make_outdir(opts.get("outdir"))
+    opts.get("svg")
+    opts.get("full_precision")
     seen = {}
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -823,16 +801,17 @@ def _run(args, cfg: configparser.ConfigParser) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = configparser.ConfigParser()  # stays empty if the file fails to load
     try:
-        cfg = _load_config(args.config)
-        _check_config(cfg, parser)
-        _run(args, cfg)
+        try:
+            _install_config(parser, _load_config(args.config), args.command)
+        finally:  # again, so that flags win over the installed config values
+            args = parser.parse_args(argv)
+        _run(args)
         return 0
     except (ValueError, RuntimeError) as exc:
         code = 2 if isinstance(exc, ValueError) else 3
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(args, cfg, exc, code)
+        _write_error(args.outdir, exc, code)
         return code
 
 

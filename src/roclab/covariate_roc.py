@@ -399,7 +399,6 @@ class RocGlmFit:
     baseline: str
     p_grid: np.ndarray
     labels: tuple[str, ...]
-    converged: bool
     n_iter: int
     spline_knots: tuple[float, ...] | None = None
 
@@ -578,8 +577,7 @@ def rocglm_fit(sample_d: RegressionSample, nondiseased_cdf, p_grid=None,
 
     labels = tuple(f"h{i}" for i in range(n_base)) + tuple(sample_d.labels[1:])
     return RocGlmFit(alpha=beta[:n_base], beta=beta[n_base:], baseline=baseline,
-                     p_grid=p_grid, labels=labels, converged=True,
-                     n_iter=it, spline_knots=knots)
+                     p_grid=p_grid, labels=labels, n_iter=it, spline_knots=knots)
 
 
 def aroc(sample_d: RegressionSample, nondiseased_cdf, grid=None) -> RocCurveEstimate:

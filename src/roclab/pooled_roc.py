@@ -386,6 +386,17 @@ def _check_bandwidths(samples, *hs: float) -> None:
             raise InvalidInputError(f"bandwidth {h:.3g} is too small for data spanning {span:.3g}")
 
 
+def _kernel_inputs(diseased, nondiseased, h_d, h_nd, pick=silverman_bandwidth):
+    """The validated samples and their checked bandwidths; a bandwidth
+    that is None is ``pick`` of its sample, taken in the order given."""
+    d = validate_sample(diseased, "diseased")
+    nd = validate_sample(nondiseased, "nondiseased")
+    h_d = pick(d) if h_d is None else h_d
+    h_nd = pick(nd) if h_nd is None else h_nd
+    _check_bandwidths((d, nd), h_d, h_nd)
+    return d, nd, h_d, h_nd
+
+
 # elements in one (rows x points x components) buffer of a normal-CDF sum
 _BLOCK = 1 << 16
 
@@ -671,11 +682,7 @@ def kernel_roc(diseased, nondiseased, h_d: float | None = None,
     nondiseased CDF is inverted with residual at most 1e-10 in CDF scale;
     the ``auc`` is ``kernel_auc``'s closed form.
     """
-    d = validate_sample(diseased, "diseased")
-    nd = validate_sample(nondiseased, "nondiseased")
-    h_d = silverman_bandwidth(d) if h_d is None else h_d
-    h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    _check_bandwidths((d, nd), h_d, h_nd)
+    d, nd, h_d, h_nd = _kernel_inputs(diseased, nondiseased, h_d, h_nd)
     grid = default_prob_grid() if grid is None else as_prob_grid(grid)
     curves = _roc_from_mixtures(
         np.full((1, d.size), 1.0 / d.size), d[None, :], np.full((1, d.size), h_d),
@@ -751,11 +758,8 @@ def kernel_auc(diseased, nondiseased, h_d: float | None = None,
     Partial sums are added exactly (``math.fsum``), and memory is linear
     in n.
     """
-    d = np.sort(validate_sample(diseased, "diseased"))
-    nd = np.sort(validate_sample(nondiseased, "nondiseased"))
-    h_d = silverman_bandwidth(d) if h_d is None else h_d
-    h_nd = silverman_bandwidth(nd) if h_nd is None else h_nd
-    _check_bandwidths((d, nd), h_d, h_nd)
+    d, nd, h_d, h_nd = _kernel_inputs(diseased, nondiseased, h_d, h_nd)
+    d, nd = np.sort(d), np.sort(nd)
     scale = math.hypot(h_d, h_nd)
     reach = _SATURATED * scale
     # Taylor blocks: full bins 0.5 scale wide (one wider by rounding goes direct)

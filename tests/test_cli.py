@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import roclab
 from roclab import InvalidInputError, NegativeYoudenWarning, NumericError
-from roclab.cli import main, read_cohort
+from roclab.cli import build_parser, main, read_cohort
 
 
 def write_csv(path, text):
@@ -393,7 +394,10 @@ class TestConfigValidation:
         ("[common]\ngrid_points = 1\n", "grid_points must be at least 2"),
         ("[pooled]\nestimator = dmp\n", "unknown estimator 'dmp'"),
         ("[pooled]\nestimator = kernel\nbandwidth_method = scott\n",
-         "bandwidth_method must be 'silverman' or 'lscv'"),
+         "unknown bandwidth_method 'scott'"),
+        # values the default empirical estimator does not read
+        ("[pooled]\ndraws = many\n", "config option [pooled] draws = 'many' is not a valid int"),
+        ("[pooled]\nbandwidth_method = scott\n", "unknown bandwidth_method 'scott'"),
     ])
     def test_key_or_value_no_option_takes_is_refused(self, tmp_path, capsys, text, message):
         ini = tmp_path / "run.ini"
@@ -495,6 +499,20 @@ class TestErrorPaths:
         assert "cannot read input file" in capsys.readouterr().err
         assert json.loads((out / "error.json").read_text())["exit_code"] == 2
         assert not (cwd / "error.json").exists()
+
+    def test_error_json_follows_config_outdir_when_the_config_is_refused(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[pooled]\nestimatr = dpm\n\n[common]\noutdir = {out}\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("ROCLAB_OUTDIR", raising=False)
+        assert run(["pooled", "--config", ini, "--input", "c.csv"]) == 2
+        assert "unknown config option [pooled] estimatr" in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert os.listdir(cwd) == []
 
     def test_outdir_that_cannot_be_created(self, tmp_path, capsys):
         p = write_csv(tmp_path / "c.csv", SEPARATED)
@@ -806,7 +824,7 @@ class TestCovariateAndArocSubcommands:
         assert rc == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert len(meta["params"]["rocglm_alpha"]) == 2
-        assert meta["diagnostics"] == {"rocglm": {"converged": True, "n_iter": 5}}
+        assert meta["diagnostics"] == {"rocglm": {"n_iter": 5}}
 
     @pytest.mark.parametrize("scale, word", [(1e300, "overflow"), (1e-300, "underflow")])
     @pytest.mark.parametrize("estimator", ["faraggi", "rocglm", "ddp"])
@@ -995,6 +1013,50 @@ class TestResolvedParams:
         assert set(params) == keys
         if config is not None:
             assert params["grid_points"] == 5 and params["n_save"] == 5
+
+
+def declared_defaults(command):
+    """The default that ``build_parser`` declares for each option of ``command``."""
+    (subs,) = (a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.default for a in subs.choices[command]._actions if a.dest != "help"}
+
+
+class TestDeclaredDefaults:
+    """Each option's default is declared once, on its parser argument: a run
+    that leaves the option unset records that value in ``params``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["binary", "--input", "status.csv", "--threshold", "5"],
+        ["pooled", "--input", "status.csv"],
+        ["pooled", "--input", "status.csv", "--estimator", "kernel", "--bandwidth-d", "1",
+         "--bandwidth-nd", "1"],
+        ["pooled", "--input", "status.csv", "--estimator", "bb"],
+        ["pooled", "--input", "status.csv", "--estimator", "dpm"],
+        ["covariate", "--input", "c.csv", "--covariates", "x", "--at", "0.5"],
+        ["covariate", "--input", "c.csv", "--covariates", "x", "--at", "0.5",
+         "--estimator", "rocglm"],
+        ["aroc", "--input", "c.csv", "--covariates", "x"],
+        ["timedep", "--input", "surv.csv", "--time", "2.5"],
+        ["simulate"],
+        ["simulate", "--scenario", "covariate"],
+        ["simulate", "--scenario", "survival"],
+    ])
+    def test_an_unset_option_is_recorded_at_its_declared_default(self, tmp_path, monkeypatch,
+                                                                 argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ROCLAB_OUTDIR", raising=False)
+        write_csv(tmp_path / "status.csv", SEPARATED)
+        TestCovariateAndArocSubcommands()._cohort(tmp_path)  # writes c.csv
+        write_csv(tmp_path / "surv.csv", "marker,time,event\n1,1,1\n2,2,0\n3,3,1\n4,4,1\n")
+        assert run(argv) == 0
+        params = json.loads((tmp_path / "metadata.json").read_text())["params"]
+        defaults = declared_defaults(argv[0])
+        given = {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")}
+        unset = sorted(set(params) & set(defaults) - given)
+        assert "outdir" in unset
+        assert json.dumps([params[k] for k in unset]) == \
+            json.dumps([defaults[k] for k in unset])
 
 
 class TestMetadataStability:

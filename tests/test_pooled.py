@@ -327,6 +327,15 @@ class TestKernelRoc:
         a = kernel_auc(d, nd, h_d=1e-8, h_nd=1e-8)
         assert abs(a - empirical_auc(d, nd)) < 1e-6
 
+    def test_default_bandwidths_give_kernel_auc_bitwise(self):
+        # both take Silverman's bandwidths of the samples in the order given
+        rng = np.random.default_rng(368)
+        d = np.round(rng.normal(1, 1, rng.integers(5, 60)), 3)
+        nd = np.round(rng.normal(0, 1, rng.integers(5, 60)), 3)
+        assert kernel_roc(d, nd).auc == kernel_auc(d, nd)
+        assert kernel_auc(d, nd) == kernel_auc(d, nd, silverman_bandwidth(d),
+                                               silverman_bandwidth(nd))
+
     def test_curve_monotone_and_pinned(self):
         rng = np.random.default_rng(14)
         d, nd = rng.normal(0.8, 1, 100), rng.normal(0, 1, 100)
